@@ -664,6 +664,56 @@ func BenchmarkRelChaseInstance(b *testing.B) {
 	}
 }
 
+// BenchmarkMaintainedRemoveWideGroup measures chase.Maintained.RemoveRow
+// in one wide Z-key group: the EDM padding shape (E→D, D→M), where
+// every row shares one department, so the whole group is one connected
+// component and each removal re-chases it. An iteration removes the
+// oldest row and adds a fresh one, keeping the group at g rows; should
+// the fixpoint report itself Wasteful it is rebuilt off the clock, as
+// the incremental session would. Cost should grow linearly in g.
+func BenchmarkMaintainedRemoveWideGroup(b *testing.B) {
+	e := workload.NewEDM()
+	fds := e.Schema.Sigma().SplitFDs()
+	plans := chase.PlanFDs(relation.New(e.Schema.Universe().All()), fds)
+	dept := e.Syms.Const("wide-dept")
+	var gen value.NullGen
+	next := 0
+	row := func() relation.Tuple {
+		next++
+		return relation.Tuple{e.Syms.Const(fmt.Sprintf("wide-emp%d", next)), dept, gen.Fresh()}
+	}
+	for _, g := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("group=%d", g), func(b *testing.B) {
+			build := func(rows []relation.Tuple) (*chase.Maintained, []int) {
+				m := chase.NewMaintained(plans)
+				ids := make([]int, len(rows))
+				for i, r := range rows {
+					ids[i] = m.AddRow(r)
+				}
+				return m, ids
+			}
+			rows := make([]relation.Tuple, g)
+			for i := range rows {
+				rows[i] = row()
+			}
+			m, ids := build(rows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.RemoveRow(ids[0])
+				r := row()
+				ids = append(ids[1:], m.AddRow(r))
+				rows = append(rows[1:], r)
+				if m.Wasteful() {
+					b.StopTimer()
+					m, ids = build(rows)
+					b.StartTimer()
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRelJoin100k joins two 100k-tuple relations sharing two
 // attributes, serially and with the partitioned parallel kernel, to
 // record the Parallelism knob's effect at scale.
@@ -817,7 +867,7 @@ func BenchmarkPipelineOpsPerSec(b *testing.B) {
 				defer pipe.Close()
 
 				// Pre-intern every name: Symbols is not safe for
-				// concurrent interning and the decider goroutine reads
+				// concurrent interning and the committer goroutine reads
 				// interned constants while we submit.
 				names := make([]relation.Tuple, b.N)
 				dept := syms.Const("dept0")
@@ -926,7 +976,7 @@ func runShardedBench(b *testing.B, k int, pair *core.Pair, db *relation.Relation
 	}
 
 	// Pre-intern every name: Symbols is not safe for concurrent
-	// interning and the decider goroutines read interned constants
+	// interning and the committer goroutines read interned constants
 	// while we submit.
 	names := make([]relation.Tuple, b.N)
 	dept := syms.Const("dept0")

@@ -5,7 +5,8 @@ package constcomp
 // through a session with incremental maintenance on and one with it
 // off, asserting identical decide outcomes (verdict, reason, witness)
 // and identical final instances — including after forced invalidations
-// mid-stream and after a serving-pipeline divergence/resync.
+// mid-stream and through the serving pipeline with a write landing on
+// the store between batches.
 
 import (
 	"errors"
@@ -197,11 +198,11 @@ func TestIncrementalEquivalenceChainSchema(t *testing.T) {
 }
 
 // TestIncrementalEquivalencePipelineResync: the serving pipeline runs
-// with incremental maintenance on; a write behind its back forces a
-// speculation divergence, whose recovery path must invalidate the
-// maintained delta state along with the decision seeds. The pipeline's
-// post-resync answers must match a full-path serial session replaying
-// the identical stream.
+// with incremental maintenance on; a write applied to the store
+// directly, between batches, goes through the same session the
+// committer decides with, so the maintained delta state must absorb it.
+// The pipeline's answers must match a full-path serial session
+// replaying the identical stream.
 func TestIncrementalEquivalencePipelineResync(t *testing.T) {
 	e := workload.NewEDM()
 	pair := core.MustPair(e.Schema, e.ED, e.DM)
@@ -237,10 +238,8 @@ func TestIncrementalEquivalencePipelineResync(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		apply(core.Insert(e.NewEmployeeTuple(fmt.Sprintf("pre%d", i), i%4)))
 	}
-	// Behind the pipeline's back: the scratch session still sees emp0,
-	// so the next insert's speculation diverges from the authoritative
-	// outcome and the committer must resync (dropping decision seeds
-	// AND maintained deltas).
+	// Behind the pipeline's back: emp0 leaves dept0, so the next insert
+	// is translatable only against the store's current state.
 	behind := core.Delete(e.NewEmployeeTuple("emp0", 0))
 	if _, err := st.Apply(behind); err != nil {
 		t.Fatal(err)
@@ -249,8 +248,8 @@ func TestIncrementalEquivalencePipelineResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	apply(core.Insert(e.NewEmployeeTuple("emp0", 1)))
-	// Mixed stream after the resync: per-op and final-state equality
-	// prove the rebuilt incremental state is consistent.
+	// Mixed stream after the write: per-op and final-state equality
+	// prove the maintained incremental state stayed consistent.
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		w := fmt.Sprintf("post%d", rng.Intn(32))
@@ -267,6 +266,6 @@ func TestIncrementalEquivalencePipelineResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !st.Database().Equal(full.Database()) {
-		t.Fatal("pipeline and full-path databases diverged after resync")
+		t.Fatal("pipeline and full-path databases diverged")
 	}
 }

@@ -8,7 +8,7 @@ import (
 // DeltaReset guards the incremental-maintenance layer introduced with
 // the delta-driven decide/apply path (PR 6): whenever a component drops
 // its memoized decisions because its view of the instance diverged —
-// a serving-pipeline resync, a stale speculation batch — the maintained
+// a resync after a divergence, a stale speculated batch — the maintained
 // delta state (indexes, support counters, incrementally chased padding)
 // is stale for exactly the same reason and must be dropped with it. A
 // decision cache that outlives its basis returns wrong answers later;

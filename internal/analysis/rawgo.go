@@ -10,7 +10,7 @@ import (
 // scheduler in internal/relation/parallel.go. Everything else must
 // route work through relation.Parallelism's scheduler — or carry a
 // line-level //constvet:allow naming why that goroutine IS the design
-// (the serve pipeline's decider/committer pair, loadgen's simulated
+// (the serve pipeline's committer, loadgen's simulated
 // client fleet) — so that worker counts, chunking, and joins stay
 // deterministic and instrumented, and every sanctioned spawn site is
 // individually inventoried. Introduced with PR 1's parallel kernels;

@@ -373,8 +373,7 @@ func Run(s Schedule) (*Report, error) {
 			return context.Background()
 		}
 		// One-shot: the op's first decide gets a 1-step allowance and
-		// trips; the retry (and the committer's authoritative decide)
-		// run unlimited.
+		// trips; the committer's in-place retry runs unlimited.
 		tripped := false
 		return budget.ContextWithPlan(context.Background(), func() int64 {
 			if !tripped {
@@ -432,9 +431,8 @@ func Run(s Schedule) (*Report, error) {
 			pend = append(pend, pending{n: n, h: h})
 		}
 		<-healingStarted
-		// Total buffering with the committer parked: queue (8) + decider
-		// hand (4) + commit channel (2×4) + the batch being healed (4) =
-		// 24; a burst of 40 must shed.
+		// Total buffering with the committer parked: queue (8) + the
+		// batch being healed (4) = 12; a burst of 40 must shed.
 		for j := 0; j < 40; j++ {
 			n := namedOp{kind: core.UpdateInsert,
 				tup: []string{fmt.Sprintf("sat%02d", j), "dept0"}}

@@ -29,25 +29,29 @@ import (
 // affected component instead of the whole fixpoint.
 type Maintained struct {
 	plans Plans
-	// rows holds the raw tuples; nil marks a removed row.
+	// rows holds the raw tuples; nil marks a free slot. free lists the
+	// slots removals vacated, reused (last first) by AddRow.
 	rows  []relation.Tuple
 	alive int
-	dead  int
-	// garbage counts stale bucket entries left by removals; Wasteful
-	// reports when a rebuild would pay for itself.
-	garbage int
+	free  []int
+	// entries counts the row ids stored across buckets: a live row
+	// holds at most one per plan, so any excess is stale entries left
+	// behind by rows whose Z-hash moved (see Wasteful).
+	entries int
 	// parent/members: union-find over values (raw granularity), as in
 	// Overlay. Only non-roots have parent entries.
 	parent  map[value.Value]value.Value
 	members map[value.Value][]value.Value
 	clash   bool
 	// buckets[fi] maps Z-key hashes (canonical at insertion time) to row
-	// ids. Entries go stale as classes merge or rows die; every probe
-	// re-verifies with zEqual under the current resolution, so staleness
-	// costs space, never correctness.
+	// ids. A removal takes its row out of the bucket of its current hash;
+	// entries a row left under an earlier hash go stale, and so may an
+	// entry whose slot was reused. Every probe re-verifies with zEqual
+	// under the current resolution, so staleness costs space, never
+	// correctness.
 	buckets []map[uint64][]int
-	// valueRows maps each raw value to the rows containing it (stale row
-	// ids filtered lazily).
+	// valueRows maps each raw value to the live rows containing it, in
+	// insertion order; a removal takes its row out of its values' lists.
 	valueRows map[value.Value][]int
 	// rowParent/rowMembers: union-find over rows, tracking the connected
 	// components the FD merges induce; RemoveRow re-chases one component.
@@ -81,12 +85,15 @@ func (m *Maintained) Alive() int { return m.alive }
 // rebuild from a consistent instance.
 func (m *Maintained) ConstClash() bool { return m.clash }
 
-// Wasteful reports whether removals have left enough tombstones and
-// stale bucket entries that rebuilding from the live rows would pay for
-// itself. Callers invalidate and rebuild; Maintained never compacts in
-// place (row ids are stable for its lifetime).
+// Wasteful reports whether free slots or stale bucket entries have
+// piled up enough that rebuilding from the live rows would pay for
+// itself: after the live set shrank to well under its peak, or after
+// merges moved enough rows' Z-hashes. A stationary stream of additions
+// and removals reuses the slots it frees and removes its rows' entries
+// and never gets here. Callers invalidate and rebuild; Maintained never
+// compacts in place.
 func (m *Maintained) Wasteful() bool {
-	return m.dead*2 > m.alive+16 || m.garbage > 4*m.alive+64
+	return len(m.free)*2 > m.alive+16 || m.entries > 2*len(m.plans)*m.alive+64
 }
 
 // Find resolves a value to its canonical representative.
@@ -105,18 +112,27 @@ func (m *Maintained) Cell(id, c int) value.Value {
 	return m.Find(m.rows[id][c])
 }
 
-// Row returns the raw tuple of row id (nil if removed). Callers must not
-// modify it.
+// Row returns the raw tuple of row id (nil if its slot is free).
+// Callers must not modify it.
 func (m *Maintained) Row(id int) relation.Tuple { return m.rows[id] }
 
 // AddRow inserts a raw row (taking ownership) and propagates the FDs to
-// a new fixpoint. It returns the row's id, stable until the Maintained
-// is rebuilt. After a constant clash the fixpoint is latched broken and
-// further propagation is skipped.
+// a new fixpoint. It returns the row's id, valid until the row is
+// removed (a later AddRow may then reuse it). After a constant clash the
+// fixpoint is latched broken and further propagation is skipped.
 func (m *Maintained) AddRow(row relation.Tuple) int {
-	ri := len(m.rows)
-	m.rows = append(m.rows, row)
-	m.rowParent = append(m.rowParent, ri)
+	var ri int
+	if n := len(m.free); n > 0 {
+		// A freed slot: RemoveRow reset its row-component links and took
+		// its id out of every list that named it under its current hash.
+		ri = m.free[n-1]
+		m.free = m.free[:n-1]
+		m.rows[ri] = row
+	} else {
+		ri = len(m.rows)
+		m.rows = append(m.rows, row)
+		m.rowParent = append(m.rowParent, ri)
+	}
 	m.alive++
 	seen := make(map[value.Value]bool, len(row))
 	for _, v := range row {
@@ -141,6 +157,16 @@ func (m *Maintained) RemoveRow(id int) {
 		return
 	}
 	comp := m.componentOf(id)
+	// Take the row out of the lists that name it, under the resolution
+	// its entries were filed with, so its slot can be reused and the
+	// lists stay the size of the live rows.
+	row := m.rows[id]
+	for fi, plan := range m.plans {
+		m.entries -= without(m.buckets[fi], m.zHashRow(row, plan[0]), id)
+	}
+	for _, v := range row {
+		without(m.valueRows, v, id)
+	}
 	// Reset the component's null classes. Null-rooted classes are
 	// component-local (cross-component classes arise only through a
 	// constant representative), so deleting exactly these links restores
@@ -194,9 +220,8 @@ func (m *Maintained) RemoveRow(id int) {
 		delete(m.rowMembers, ri)
 	}
 	m.rows[id] = nil
+	m.free = append(m.free, id)
 	m.alive--
-	m.dead++
-	m.garbage += len(comp) * len(m.plans)
 	if m.clash {
 		return
 	}
@@ -209,9 +234,33 @@ func (m *Maintained) RemoveRow(id int) {
 	m.run(seeds)
 }
 
-// run drives the worklist: visit the seed rows, then keep visiting rows
-// containing values whose class changed, exactly the delta-scoped
-// propagation of Overlay but mutating the maintained state.
+// without removes every occurrence of id from the list lists[k], in
+// place and keeping order, drops the key once its list is empty, and
+// returns how many entries it removed.
+func without[K comparable](lists map[K][]int, k K, id int) int {
+	ids := lists[k]
+	out := ids[:0]
+	for _, x := range ids {
+		if x != id {
+			out = append(out, x)
+		}
+	}
+	if len(out) == 0 {
+		delete(lists, k)
+	} else {
+		lists[k] = out
+	}
+	return len(ids) - len(out)
+}
+
+// run drives the worklist: visit the seed rows, then revisit the rows
+// holding each raw value whose representative changed. Only those rows
+// can change their Z-hash, and any new FD match involves one of them:
+// a row whose values all keep their representatives keeps its hash, so
+// its partner — revisited because its own hash moved — finds it through
+// the bucket probe (which re-verifies under the current resolution).
+// The work is therefore proportional to the values that changed, not
+// to the size of the merged class.
 func (m *Maintained) run(seeds []int) {
 	sort.Ints(seeds)
 	var queue []value.Value
@@ -221,26 +270,13 @@ func (m *Maintained) run(seeds []int) {
 			return
 		}
 	}
-	//constvet:allow budgetloop -- each pop merges two classes or re-derives nothing; pushes are bounded by the number of merges, which is bounded by the number of distinct values
+	//constvet:allow budgetloop -- each pushed value changed its representative in a merge; merges are bounded by the number of distinct values, and a value is re-pushed only when its class loses again
 	for len(queue) > 0 {
-		loser := queue[len(queue)-1]
+		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		rows := map[int]bool{}
-		for _, v := range m.classValues(loser) {
-			for _, ri := range m.valueRows[v] {
-				if m.rows[ri] != nil {
-					rows[ri] = true
-				}
-			}
-		}
-		order := make([]int, 0, len(rows))
-		for ri := range rows {
-			order = append(order, ri)
-		}
-		// Sorted for the same reason as Overlay.WithEqualities: the visit
-		// order decides merge order, which must be deterministic.
-		sort.Ints(order)
-		for _, ri := range order {
+		// valueRows lists row ids in insertion order, so the visit (and
+		// merge) order stays deterministic.
+		for _, ri := range m.valueRows[v] {
 			queue = m.visitRow(ri, queue)
 			if m.clash {
 				return
@@ -250,8 +286,8 @@ func (m *Maintained) run(seeds []int) {
 }
 
 // visitRow re-derives row ri's FD matches under the current resolution,
-// merging A-columns with the first row sharing each Z-key and recording
-// changed-value losers on the queue.
+// merging A-columns with the first row sharing each Z-key and queueing
+// the raw values whose representative the merges changed.
 func (m *Maintained) visitRow(ri int, queue []value.Value) []value.Value {
 	row := m.rows[ri]
 	if row == nil {
@@ -269,6 +305,7 @@ func (m *Maintained) visitRow(ri int, queue []value.Value) []value.Value {
 		}
 		if other < 0 {
 			m.buckets[fi][h] = append(bucket, ri)
+			m.entries++
 			continue
 		}
 		if other == ri {
@@ -277,9 +314,7 @@ func (m *Maintained) visitRow(ri int, queue []value.Value) []value.Value {
 		m.rowUnion(ri, other)
 		otherRow := m.rows[other]
 		for _, c := range plan[1] {
-			if loser, changed := m.union(row[c], otherRow[c]); changed {
-				queue = append(queue, loser)
-			}
+			queue = m.union(row[c], otherRow[c], queue)
 			if m.clash {
 				return queue
 			}
@@ -316,25 +351,26 @@ func (m *Maintained) classValues(v value.Value) []value.Value {
 
 // union merges the classes of a and b, preferring constants and then
 // smaller-index nulls (the numeric maximum — order-independent). It
-// reports the losing representative and whether a merge happened; a
+// appends to queue the raw values whose representative changed — the
+// losing class, representative included — and returns it; a
 // constant/constant merge latches the clash flag instead.
-func (m *Maintained) union(a, b value.Value) (value.Value, bool) {
+func (m *Maintained) union(a, b value.Value, queue []value.Value) []value.Value {
 	ra, rb := m.Find(a), m.Find(b)
 	if ra == rb {
-		return 0, false
+		return queue
 	}
 	if ra.IsConst() && rb.IsConst() {
 		m.clash = true
-		return 0, false
+		return queue
 	}
 	if rb.IsConst() || (!ra.IsConst() && rb > ra) {
 		ra, rb = rb, ra
 	}
+	moved := m.members[rb]
 	m.parent[rb] = ra
-	m.members[ra] = append(m.members[ra], rb)
-	m.members[ra] = append(m.members[ra], m.members[rb]...)
+	m.members[ra] = append(append(m.members[ra], rb), moved...)
 	delete(m.members, rb)
-	return rb, true
+	return append(append(queue, rb), moved...)
 }
 
 // rowFind resolves a row id to its component representative.

@@ -141,6 +141,182 @@ func TestMaintainedMatchesBatchChase(t *testing.T) {
 			}
 		})
 	}
+	t.Run("wide-group", checkWideGroup)
+}
+
+// wideGroupFixture is the chained-FD shape of the paper's EDM view
+// padding, over K E D M with K→E, E→D, D→M: every row carries a unique
+// key constant K, most rows share one E, and D and M are fresh nulls
+// or, now and then, the constant that E's (or D's) group fixes — so a
+// single Z-key group holds most rows and every merge chains through it.
+type wideGroupFixture struct {
+	fx     *maintainedFixture
+	groups int
+}
+
+func newWideGroupFixture(rng *rand.Rand) *wideGroupFixture {
+	u := attr.MustUniverse("K", "E", "D", "M")
+	fds := []dep.FD{
+		dep.NewFD(u.MustSet("K"), u.MustSet("E")),
+		dep.NewFD(u.MustSet("E"), u.MustSet("D")),
+		dep.NewFD(u.MustSet("D"), u.MustSet("M")),
+	}
+	rel := relation.New(u.All())
+	return &wideGroupFixture{
+		fx:     &maintainedFixture{u: u, fds: fds, plans: PlanFDs(rel, fds), rel: rel, rng: rng},
+		groups: 3,
+	}
+}
+
+// row draws a member of group 0 with probability wide, else of one of
+// the other groups. Constants are derived from the group, so the chase
+// never clashes.
+func (w *wideGroupFixture) row(wide float64) relation.Tuple {
+	fx := w.fx
+	g := 0
+	if fx.rng.Float64() >= wide {
+		g = 1 + fx.rng.Intn(w.groups-1)
+	}
+	t := relation.Tuple{value.Value(1000 + fx.next), value.Value(100 + g), fx.gen.Fresh(), fx.gen.Fresh()}
+	fx.next++
+	if fx.rng.Intn(8) == 0 {
+		t[2] = value.Value(200 + g)
+	}
+	if fx.rng.Intn(8) == 0 {
+		t[3] = value.Value(300 + g)
+	}
+	return t
+}
+
+// checkWideGroup: 64 rows share one Z-key under the chained E→D, D→M
+// pair, then 400 random AddRow/RemoveRow steps keep the group wide;
+// after every step the maintained fixpoint must resolve every value
+// exactly as a batch chase of the live rows.
+func checkWideGroup(t *testing.T) {
+	for seed := int64(0); seed < 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			w := newWideGroupFixture(rng)
+			m := NewMaintained(w.fx.plans)
+			live := map[int]relation.Tuple{}
+			var ids []int
+			for len(ids) < 64 {
+				row := w.row(1)
+				id := m.AddRow(row)
+				live[id] = row
+				ids = append(ids, id)
+			}
+			checkAgainstBatch(t, w.fx, m, live)
+			for step := 0; step < 400; step++ {
+				if rng.Intn(2) == 0 {
+					row := w.row(0.8)
+					id := m.AddRow(row)
+					live[id] = row
+					ids = append(ids, id)
+				} else {
+					k := rng.Intn(len(ids))
+					id := ids[k]
+					ids = append(ids[:k], ids[k+1:]...)
+					delete(live, id)
+					m.RemoveRow(id)
+				}
+				if m.ConstClash() {
+					t.Fatalf("step %d: fixture must never clash", step)
+				}
+				checkAgainstBatch(t, w.fx, m, live)
+			}
+			if m.Alive() != len(live) {
+				t.Fatalf("alive=%d want %d", m.Alive(), len(live))
+			}
+		})
+	}
+}
+
+// TestMaintainedStationaryStreamNeedsNoRebuild pins what keeps a
+// serving session's per-op cost steady: under the shape of the EDM view
+// padding (E→D, D→M over rows of a unique E, one of a few department
+// constants and a fresh M null), a stationary stream — each step removes
+// a live row and adds a new one — reuses the slots it frees and leaves
+// no stale entries behind, so the fixpoint never asks for a rebuild and
+// its storage stays the size of the live rows.
+func TestMaintainedStationaryStreamNeedsNoRebuild(t *testing.T) {
+	u := attr.MustUniverse("E", "D", "M")
+	fds := []dep.FD{
+		dep.NewFD(u.MustSet("E"), u.MustSet("D")),
+		dep.NewFD(u.MustSet("D"), u.MustSet("M")),
+	}
+	rel := relation.New(u.All())
+	fx := &maintainedFixture{u: u, fds: fds, plans: PlanFDs(rel, fds), rel: rel}
+	rng := rand.New(rand.NewSource(1))
+	m := NewMaintained(fx.plans)
+	live := map[int]relation.Tuple{}
+	add := func() int {
+		row := relation.Tuple{value.Value(1000 + fx.next), value.Value(rng.Intn(4)), fx.gen.Fresh()}
+		fx.next++
+		id := m.AddRow(row)
+		live[id] = row
+		return id
+	}
+	const size = 256
+	ids := make([]int, size)
+	for i := range ids {
+		ids[i] = add()
+	}
+	for step := 0; step < 4000; step++ {
+		k := rng.Intn(size)
+		delete(live, ids[k])
+		m.RemoveRow(ids[k])
+		ids[k] = add()
+		if m.Wasteful() {
+			t.Fatalf("step %d: a stationary stream asked for a rebuild", step)
+		}
+		if step%100 == 0 {
+			checkAgainstBatch(t, fx, m, live)
+		}
+	}
+	checkAgainstBatch(t, fx, m, live)
+	if len(m.rows) != size || m.Alive() != size {
+		t.Errorf("%d row slots for %d live rows, want %d", len(m.rows), m.Alive(), size)
+	}
+	if limit := len(m.plans) * size; m.entries > limit {
+		t.Errorf("%d bucket entries for %d live rows, want at most %d", m.entries, size, limit)
+	}
+}
+
+// TestMaintainedRevisitsMovedClassMembers pins the worklist's unit of
+// work: when a class loses a merge, every raw value of that class moves
+// to the new representative, and a row holding a non-root member can
+// gain an FD match that no row holding the old root gains. Here S's A
+// cell is n2, merged under R's n1 through P→A; U then merges n1's class
+// into the constant a through Q→A, which gives S the {A,B}-key of T —
+// but R, the only row holding n1, keys elsewhere.
+func TestMaintainedRevisitsMovedClassMembers(t *testing.T) {
+	u := attr.MustUniverse("K", "P", "Q", "A", "B", "C")
+	fds := []dep.FD{
+		dep.NewFD(u.MustSet("P"), u.MustSet("A")),
+		dep.NewFD(u.MustSet("Q"), u.MustSet("A")),
+		dep.NewFD(u.MustSet("A", "B"), u.MustSet("C")),
+	}
+	rel := relation.New(u.All())
+	fx := &maintainedFixture{u: u, fds: fds, plans: PlanFDs(rel, fds), rel: rel}
+	m := NewMaintained(fx.plans)
+	var gen value.NullGen
+	const a, b1, b2, b9 = 50, 61, 62, 69
+	mT, n1, mR, n2, mS, mU := gen.Fresh(), gen.Fresh(), gen.Fresh(), gen.Fresh(), gen.Fresh(), gen.Fresh()
+	rows := []relation.Tuple{
+		{1, 10, 20, a, b2, mT},  // T
+		{2, 11, 21, n1, b1, mR}, // R
+		{3, 11, 22, n2, b2, mS}, // S: P→A puts n2 under n1
+		{4, 12, 21, a, b9, mU},  // U: Q→A merges n1's class into a
+	}
+	live := map[int]relation.Tuple{}
+	for _, row := range rows {
+		live[m.AddRow(row)] = row
+	}
+	checkAgainstBatch(t, fx, m, live)
+	if m.Find(mS) != m.Find(mT) {
+		t.Fatal("S and T share {A,B} after the merge, so their C cells must be one class")
+	}
 }
 
 func TestMaintainedConstClash(t *testing.T) {

@@ -10,16 +10,13 @@ import (
 	"github.com/constcomp/constcomp/internal/relation"
 )
 
-// This file holds the decision-memoization layer behind the serving
-// pipeline. Everything cached here is safe to share because it is a
-// pure function of immutable inputs:
+// This file holds the memoization layer behind decide. Everything
+// cached here is safe to share because it is a pure function of
+// immutable inputs:
 //
 //   - Pair and Schema never change after construction, so the artifacts
 //     a decide recomputes from them (SharedIsKeyOf, SplitFDs, the
 //     chase column plans) are per-Pair constants.
-//   - A decision is a pure function of (view instance, op); the view
-//     instance is identified collision-free by the session's version
-//     counter, which bumps exactly when an op is applied.
 //   - Complementary and MinimalComplement are pure functions of
 //     (schema, X, Y); schemas are keyed by pointer identity, valid
 //     because a Schema is immutable for its lifetime.
@@ -95,99 +92,6 @@ func (p *Pair) artifacts() *pairArtifacts {
 	}
 	p.arts.CompareAndSwap(nil, a)
 	return p.arts.Load()
-}
-
-// --- Per-session decision cache ---
-
-// The decision cache maps (view version, op) to a computed Decision. It
-// is sharded so the pipeline's speculative decider can seed it while
-// the committer reads it, and bounded so a seed storm degrades to
-// recomputation instead of growth. Entries are evicted FIFO: seeds are
-// consumed in roughly version order, so the oldest entry is the least
-// likely to still be needed.
-
-const (
-	decisionShards   = 8
-	decisionShardCap = 512
-)
-
-type decisionKey struct {
-	version uint64
-	op      string
-}
-
-type decisionShard struct {
-	mu    sync.Mutex
-	memo  map[decisionKey]*Decision
-	order []decisionKey
-}
-
-type decisionCache struct {
-	shards [decisionShards]decisionShard
-}
-
-// opCacheKey serializes an op collision-free within one session: the
-// kind plus the raw value ids of its tuples (symbols are interned once
-// per process, so ids identify constants for the session's lifetime).
-func opCacheKey(op UpdateOp) string {
-	b := make([]byte, 0, 2+8*(len(op.Tuple)+len(op.With)))
-	b = append(b, byte(op.Kind))
-	b = binary.AppendUvarint(b, uint64(len(op.Tuple)))
-	for _, v := range op.Tuple {
-		b = binary.AppendUvarint(b, uint64(v))
-	}
-	for _, v := range op.With {
-		b = binary.AppendUvarint(b, uint64(v))
-	}
-	return string(b)
-}
-
-func (c *decisionCache) shard(key string) *decisionShard {
-	// FNV-1a over the op key.
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return &c.shards[h%decisionShards]
-}
-
-func (c *decisionCache) get(version uint64, op string) *Decision {
-	sh := c.shard(op)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.memo[decisionKey{version, op}]
-}
-
-func (c *decisionCache) put(version uint64, op string, d *Decision) {
-	sh := c.shard(op)
-	k := decisionKey{version, op}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.memo == nil {
-		sh.memo = make(map[decisionKey]*Decision)
-	}
-	if _, ok := sh.memo[k]; ok {
-		sh.memo[k] = d
-		return
-	}
-	if len(sh.memo) >= decisionShardCap {
-		old := sh.order[0]
-		sh.order = sh.order[1:]
-		delete(sh.memo, old)
-	}
-	sh.memo[k] = d
-	sh.order = append(sh.order, k)
-}
-
-func (c *decisionCache) clear() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.memo = nil
-		sh.order = nil
-		sh.mu.Unlock()
-	}
 }
 
 // --- Schema-level memo (Complementary / MinimalComplement) ---

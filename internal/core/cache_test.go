@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"github.com/constcomp/constcomp/internal/attr"
@@ -32,127 +31,6 @@ func cacheFixture(t *testing.T) (*Session, *value.Symbols) {
 		t.Fatal(err)
 	}
 	return sess, syms
-}
-
-// TestDecisionCacheSeedAndHit: a decision seeded at the session's
-// current version is consumed by decide as a cache hit with the same
-// verdict; a seed at a stale version misses and decide recomputes.
-func TestDecisionCacheSeedAndHit(t *testing.T) {
-	reg := obs.NewRegistry()
-	SetMetrics(reg)
-	defer SetMetrics(nil)
-
-	sess, syms := cacheFixture(t)
-	op := Insert(relation.Tuple{syms.Const("zed"), syms.Const("dept0")})
-
-	// Cold decide: a miss that fills the cache.
-	d1, err := sess.Decide(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := sess.Decide(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != d2 {
-		t.Error("repeat decide at the same version did not hit the cache")
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["core_decision_cache_hits_total"] == 0 ||
-		snap.Counters["core_decision_cache_misses_total"] == 0 {
-		t.Errorf("hit/miss counters not maintained: %v", snap.Counters)
-	}
-
-	// Applying bumps the version, so the old entry no longer matches.
-	if _, err := sess.Apply(op); err != nil {
-		t.Fatal(err)
-	}
-	op2 := Insert(relation.Tuple{syms.Const("pat"), syms.Const("dept1")})
-	seeded := &Decision{Translatable: true, Reason: ReasonIdentity}
-	sess.SeedDecision(sess.ViewVersion(), op2, seeded)
-	got, err := sess.Decide(op2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != seeded {
-		t.Error("seed at the current version was not consumed")
-	}
-
-	// Invalidate wipes every seed.
-	sess.SeedDecision(sess.ViewVersion(), op2, seeded)
-	sess.InvalidateDecisions()
-	got2, err := sess.Decide(op2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2 == seeded {
-		t.Error("seed survived InvalidateDecisions")
-	}
-
-	// A stale-version seed is dead weight, not an answer.
-	sess.InvalidateDecisions()
-	sess.SeedDecision(sess.ViewVersion()+7, op2, seeded)
-	got3, err := sess.Decide(op2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got3 == seeded {
-		t.Error("stale-version seed was consumed")
-	}
-}
-
-// TestDecisionCacheEvictionBound: the sharded cache never exceeds its
-// per-shard capacity no matter how many distinct keys are seeded.
-func TestDecisionCacheEvictionBound(t *testing.T) {
-	var c decisionCache
-	d := &Decision{Translatable: true}
-	const total = decisionShards * decisionShardCap * 3
-	for i := 0; i < total; i++ {
-		c.put(uint64(i), fmt.Sprintf("op%d", i), d)
-	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n, ord := len(sh.memo), len(sh.order)
-		sh.mu.Unlock()
-		if n > decisionShardCap {
-			t.Errorf("shard %d holds %d entries, cap %d", i, n, decisionShardCap)
-		}
-		if n != ord {
-			t.Errorf("shard %d: map %d vs order %d out of step", i, n, ord)
-		}
-	}
-}
-
-// TestDecisionCacheConcurrent exercises concurrent seeding, reading,
-// and clearing under -race: the cache is the only concurrency-safe part
-// of a Session and must stay so.
-func TestDecisionCacheConcurrent(t *testing.T) {
-	var c decisionCache
-	d := &Decision{Translatable: true}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				key := fmt.Sprintf("op%d", i%97)
-				switch i % 3 {
-				case 0:
-					c.put(uint64(i), key, d)
-				case 1:
-					c.get(uint64(i), key)
-				default:
-					if i%501 == 0 {
-						c.clear()
-					} else {
-						c.get(uint64(i-1), key)
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 // TestSchemaMemoComplementary: repeat complement checks on one schema

@@ -26,9 +26,9 @@ package core
 // invalidates the whole incState (the maps are half-mutated, the
 // database is not) and falls back. Invalidation rules: the incState is
 // dropped whenever the database pointer is swapped under it (full-path
-// apply, AdoptSpeculated), on explicit InvalidateDeltas (the serve
-// resync path), when the maintained padding latches a clash, or when
-// its tombstone/garbage ratio makes a fresh rebuild cheaper.
+// apply), on explicit InvalidateDeltas, when the maintained padding
+// latches a clash, or when its free slots or stale entries make a fresh
+// rebuild cheaper (chase.Maintained.Wasteful).
 
 import (
 	"context"
@@ -190,7 +190,6 @@ func buildIncState(p *Pair, db, comp *relation.Relation) *incState {
 	st.suppY = make(map[string]int, db.Len())
 	st.legal = make([]map[string]legalEntry, len(arts.plans))
 	for i := range st.legal {
-		//constvet:allow cachebound -- not a cache: exact per-key image of the base instance, shrunk on delete
 		st.legal[i] = make(map[string]legalEntry, db.Len())
 	}
 	for _, row := range db.Tuples() {
@@ -453,8 +452,7 @@ func (s *Session) chaseCandidatesInc(ctx context.Context, st *incState, d *Decis
 
 // applyInc performs the translated update as a delta over the base,
 // verifying legality and complement constancy against the support
-// counters. It mutates the database (cloning first if a StateRef
-// shares it) and every index in O(|Δ|). ok=false leaves the database
+// counters. It mutates the database and every index in O(|Δ|). ok=false leaves the database
 // untouched but may have invalidated the incState; the caller falls
 // back to the full translate/verify path.
 func (s *Session) applyInc(st *incState, op UpdateOp, d *Decision) bool {
@@ -470,11 +468,6 @@ func (s *Session) applyInc(st *incState, op UpdateOp, d *Decision) bool {
 	if !s.stageInc(st, de) {
 		s.invalidateInc()
 		return false
-	}
-	// Copy-on-write: a StateRef holder owns the current relation.
-	if s.dbShared {
-		s.db = s.db.Clone()
-		s.dbShared = false
 	}
 	ins, del := de.ApplyTo(s.db)
 	if ins != len(de.Plus) || del != len(de.Minus) {
@@ -637,8 +630,8 @@ func (st *incState) removeViewRow(s *Session, t relation.Tuple) {
 	st.pad.RemoveRow(id)
 	delete(st.rowOf, k)
 	if st.pad.Wasteful() {
-		// Tombstones and garbage outweigh the live fixpoint: a fresh
-		// rebuild is cheaper than dragging them along.
+		// Free slots or stale entries outweigh the live fixpoint: a
+		// fresh rebuild is cheaper than dragging them along.
 		s.invalidateInc()
 	}
 }

@@ -12,15 +12,8 @@ type coreMetrics struct {
 	translatable *obs.Counter
 	rejected     *obs.Counter
 	applied      *obs.Counter
-	// adopted counts applies satisfied by AdoptSpeculated — the
-	// serving pipeline's pre-computed state passed re-validation and
-	// the full decide/translate was skipped.
-	adopted *obs.Counter
-	// Decision-memoization accounting: the per-session (version, op)
-	// decision cache and the schema-level Complementary/
-	// MinimalComplement memo (see cache.go).
-	decisionHits     *obs.Counter
-	decisionMisses   *obs.Counter
+	// Schema-level Complementary/MinimalComplement memo accounting (see
+	// cache.go).
 	schemaMemoHits   *obs.Counter
 	schemaMemoMisses *obs.Counter
 	// Incremental-path accounting (incremental.go): decides/applies
@@ -61,9 +54,6 @@ func SetMetrics(s obs.Sink) {
 		translatable:     s.Counter("core_decide_translatable_total"),
 		rejected:         s.Counter("core_decide_rejected_total"),
 		applied:          s.Counter("core_apply_applied_total"),
-		adopted:          s.Counter("core_apply_adopted_total"),
-		decisionHits:     s.Counter("core_decision_cache_hits_total"),
-		decisionMisses:   s.Counter("core_decision_cache_misses_total"),
 		schemaMemoHits:   s.Counter("core_schema_memo_hits_total"),
 		schemaMemoMisses: s.Counter("core_schema_memo_misses_total"),
 		incDecide:        s.Counter("core_inc_decide_total"),

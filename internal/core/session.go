@@ -69,31 +69,21 @@ type Session struct {
 	// complement is π_Y of the initial database; it must never change.
 	complement *relation.Relation
 	log        []LogEntry
-	// version counts applied ops; it identifies the current view
-	// instance for the decision cache (a decision is a pure function of
-	// the view instance and the op, and the view only changes when an
-	// op is applied).
+	// version counts applied ops: it identifies the current view
+	// instance (the view only changes when an op is applied).
 	version uint64
-	// cache memoizes decisions by (version, op); the pipeline's
-	// speculative decider seeds it via SeedDecision so the committed
-	// re-decide is a lookup. Safe for concurrent seed/read; the rest of
-	// the Session is not goroutine-safe.
-	cache decisionCache
 	// inc is the lazily built delta-maintenance state (see
 	// incremental.go); nil means it will be rebuilt from the database on
 	// the next incremental decide. incEnabled gates the whole path.
+	// The Session is not goroutine-safe.
 	inc        *incState
 	incEnabled bool
-	// dbShared marks that a StateRef (or adopted speculation) aliases
-	// db: the incremental apply must copy-on-write before mutating so
-	// outstanding refs keep describing the state they were taken at.
-	dbShared bool
 	// mview is the maintained materialized view π_X(db), patched per
 	// applied op so readers never pay a full re-projection; nil means
 	// invalidated (rebuilt lazily by the next ViewRef). Unlike the
 	// incremental decide state it is maintained on the full apply path
-	// too: every database swap flows through ApplyCtx/AdoptSpeculated,
-	// and a translatable non-identity op changes the view by exactly
+	// too: every database change flows through ApplyCtx, and a
+	// translatable non-identity op changes the view by exactly
 	// (op.Tuple out, op.With in) — the translation realizes precisely
 	// the requested view instance.
 	mview *relation.Relation
@@ -133,16 +123,14 @@ func (s *Session) IncrementalEnabled() bool {
 	return s.incEnabled && s.pair.schema.fdsOnly()
 }
 
-// InvalidateDeltas drops the incrementally maintained delta state; the
-// next incremental decide rebuilds it from the database. The serving
-// pipeline calls it beside InvalidateDecisions whenever its scratch
-// state diverged — a stale maintained image, like a stale decision
-// seed, must never survive a resync.
+// InvalidateDeltas drops the incrementally maintained delta state and
+// the materialized reader view; the next incremental decide and the
+// next ViewRef rebuild them from the database. Both paths produce
+// identical outcomes either way, so it is safe at any point — the
+// equivalence tests call it mid-stream to cross-check a rebuilt image
+// against a maintained one.
 func (s *Session) InvalidateDeltas() {
 	s.invalidateInc()
-	// The materialized reader view is maintained independently of the
-	// incremental decide state, but a resync signals the surrounding
-	// state is suspect; drop it too and re-project on the next read.
 	s.invalidateMView()
 }
 
@@ -180,58 +168,6 @@ func (s *Session) ensureInc() *incState {
 	return st
 }
 
-// StateRef returns the session's current database without cloning.
-// Callers must treat it as immutable. The ref stays valid and stable
-// forever: a session never mutates a database in place — every apply
-// builds a fresh relation and swaps the pointer — so refs taken before
-// later applies still describe exactly the state they were taken at.
-// The serving pipeline ships refs from its scratch session to the
-// authoritative one (see AdoptSpeculated).
-func (s *Session) StateRef() *relation.Relation {
-	// The incremental apply mutates the current relation in place;
-	// marking it shared forces a copy-on-write first, preserving the
-	// stability contract above.
-	s.dbShared = true
-	return s.db
-}
-
-// AdoptSpeculated installs an apply outcome computed speculatively by
-// another session that was replaying this session's exact state (the
-// serving pipeline's scratch session): d is the decision and db the
-// post-op database that session produced for op at version fromVersion.
-// It returns false — leaving this session untouched — unless the
-// speculation provably matches: the version must equal this session's
-// current version (apply is deterministic, so equal pre-states give
-// equal outcomes) and the adopted database must re-validate against the
-// constant complement. On success the full decide/translate/verify is
-// skipped; the speculating session already ran the identical
-// session-level checks on the identical state.
-func (s *Session) AdoptSpeculated(op UpdateOp, d *Decision, db *relation.Relation, fromVersion uint64) bool {
-	if d == nil || db == nil || !d.Translatable || s.version != fromVersion {
-		return false
-	}
-	// Cheap re-validation: complement constancy is the framework
-	// invariant, checked here against OUR complement so a divergent
-	// speculation can never smuggle in a drifted state.
-	if !db.Project(s.pair.ComplementAttrs()).Equal(s.complement) {
-		return false
-	}
-	s.db = db
-	// The adopted relation is owned by the speculating session and the
-	// maintained delta state still images the replaced one. The
-	// materialized reader view advances by the op's view delta.
-	s.dbShared = true
-	s.invalidateInc()
-	s.patchMView(op, d)
-	s.version++
-	s.log = append(s.log, LogEntry{Op: op, Decision: d, Applied: true})
-	if m := coremetrics.Load(); m != nil {
-		m.applied.Inc()
-		m.adopted.Inc()
-	}
-	return true
-}
-
 // Database returns a snapshot of the current database.
 func (s *Session) Database() *relation.Relation { return s.db.Clone() }
 
@@ -239,8 +175,8 @@ func (s *Session) Database() *relation.Relation { return s.db.Clone() }
 // the database: the session maintains π_X(db) across applies by
 // patching it with each op's view-level delta (see patchMView), paying
 // one re-projection only when the image was invalidated. Callers must
-// treat the result as immutable; like StateRef it stays valid and
-// stable forever — the session copies-on-write before the next patch.
+// treat the result as immutable; it stays valid and stable forever —
+// the session copies-on-write before the next patch.
 // This is the serving pipeline's read path: publishing a view after a
 // committed batch costs O(|batch|), not O(|db|).
 func (s *Session) ViewRef() *relation.Relation {
@@ -305,27 +241,8 @@ func (s *Session) invalidateMView() {
 func (s *Session) Log() []LogEntry { return s.log }
 
 // ViewVersion identifies the current view instance: it starts at 0 and
-// increments exactly when an op is applied. Decisions are pure in
-// (view version, op), which is what makes SeedDecision sound.
+// increments exactly when an op is applied.
 func (s *Session) ViewVersion() uint64 { return s.version }
-
-// SeedDecision pre-populates the decision cache: a decide of op at the
-// given view version will return d instead of recomputing. The caller
-// asserts that d is what deciding op against the version's view
-// instance would produce — the serving pipeline's speculative decider
-// establishes this by replaying the same ops on an identical clone.
-// Safe to call concurrently with decides on this session.
-func (s *Session) SeedDecision(version uint64, op UpdateOp, d *Decision) {
-	if d == nil {
-		return
-	}
-	s.cache.put(version, opCacheKey(op), d)
-}
-
-// InvalidateDecisions empties the decision cache, forcing every
-// subsequent decide to recompute. The pipeline calls it when a
-// speculative decider diverged and its seeds can no longer be trusted.
-func (s *Session) InvalidateDecisions() { s.cache.clear() }
 
 // Decide tests an update without applying it.
 func (s *Session) Decide(op UpdateOp) (*Decision, error) {
@@ -345,22 +262,6 @@ func (s *Session) decideCtx(ctx context.Context, op UpdateOp, parent *obs.Span) 
 	sp := childSpan(parent, "decide/", op.Kind)
 	defer sp.End()
 	m := coremetrics.Load()
-	key := opCacheKey(op)
-	if d := s.cache.get(s.version, key); d != nil {
-		if m != nil {
-			m.decisionHits.Inc()
-			m.decideTotal.Inc()
-			if d.Translatable {
-				m.translatable.Inc()
-			} else {
-				m.rejected.Inc()
-			}
-		}
-		return d, nil
-	}
-	if m != nil {
-		m.decisionMisses.Inc()
-	}
 	var t0 int64
 	if m != nil {
 		t0 = obs.NowNS()
@@ -379,7 +280,6 @@ func (s *Session) decideCtx(ctx context.Context, op UpdateOp, parent *obs.Span) 
 					m.rejected.Inc()
 				}
 			}
-			s.cache.put(s.version, key, d)
 			return d, nil
 		}
 		// The incremental path could not prove the canonical outcome
@@ -414,9 +314,6 @@ func (s *Session) decideCtx(ctx context.Context, op UpdateOp, parent *obs.Span) 
 				m.rejected.Inc()
 			}
 		}
-	}
-	if err == nil && d != nil {
-		s.cache.put(s.version, key, d)
 	}
 	return d, err
 }
@@ -456,8 +353,8 @@ func (s *Session) ApplyCtx(ctx context.Context, op UpdateOp) (*Decision, error) 
 	// invariant checks scoped to the delta's keys. On any failure the
 	// database is untouched and the full path below re-verifies from
 	// scratch.
-	if s.inc != nil && s.incEnabled {
-		if s.applyInc(s.inc, op, d) {
+	if st := s.ensureInc(); st != nil {
+		if s.applyInc(st, op, d) {
 			if m != nil {
 				m.incApply.Inc()
 				if validKind(op.Kind) {
@@ -505,7 +402,6 @@ func (s *Session) ApplyCtx(ctx context.Context, op UpdateOp) (*Decision, error) 
 	// materialized reader view survives: it advances by the op's view
 	// delta regardless of which apply path ran.
 	s.db = out
-	s.dbShared = false
 	s.invalidateInc()
 	s.patchMView(op, d)
 	s.version++

@@ -15,7 +15,9 @@ import (
 // enqueueWaiter blocks a goroutine in Acquire and returns a channel that
 // yields the release func once the slot is granted. The caller must wait
 // for Queued() to grow before enqueueing the next waiter, so heap seq
-// numbers are deterministic.
+// numbers are deterministic. The release func is in the channel before
+// the grant is reported on order, so a caller that reads order can
+// always collect it without blocking.
 func enqueueWaiter(t *testing.T, a *Admission, tenant string, order chan<- string) <-chan func() {
 	t.Helper()
 	got := make(chan func(), 1)
@@ -26,8 +28,8 @@ func enqueueWaiter(t *testing.T, a *Admission, tenant string, order chan<- strin
 			close(got)
 			return
 		}
-		order <- tenant
 		got <- release
+		order <- tenant
 	}()
 	return got
 }

@@ -8,9 +8,9 @@ package serve
 // seed and fault schedule reproduce the exact same retry timings, so
 // the jitter source must be a PRNG the caller seeds, never the clock.
 //
-// A backoff is owned by exactly one pipeline goroutine (the decider and
-// the committer each carry their own, with decorrelated seeds); it is
-// not safe for concurrent use.
+// A backoff is owned by the pipeline's committer goroutine (which
+// carries one per fault domain, with decorrelated seeds); it is not
+// safe for concurrent use.
 type backoff struct {
 	base    int64 // first delay, ns
 	ceil    int64 // clamp, ns

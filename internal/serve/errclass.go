@@ -8,7 +8,7 @@ import (
 
 // ErrShed is returned when bounded admission rejects an op: the submit
 // queue was full (Options.ShedOnFull) or the op aged past the queue
-// deadline before the decider reached it (Options.QueueDeadlineNS).
+// deadline before the committer reached it (Options.QueueDeadlineNS).
 // Shedding is transient by definition — the op never reached the store,
 // so resubmitting when the queue drains is always sound.
 var ErrShed = errors.New("serve: submission shed: queue saturated past its deadline")

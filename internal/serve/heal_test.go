@@ -313,9 +313,8 @@ func TestPipelineShedOnFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-healing
-	// Total buffering while the committer is stuck: queue (2) + decider
-	// batch in hand (1) + commit channel (2 batches × MaxBatch 1) = 5.
-	// A burst of 20 must shed at least 15, no matter how the goroutines
+	// Total buffering while the committer is stuck: the queue (2). A
+	// burst of 20 must shed at least 18, no matter how the goroutines
 	// interleave.
 	const burst = 20
 	var pend []*Pending
@@ -331,8 +330,8 @@ func TestPipelineShedOnFull(t *testing.T) {
 			t.Fatalf("burst op %d: unexpected error %v", i, err)
 		}
 	}
-	if sheds < burst-5 {
-		t.Fatalf("sheds = %d, want >= %d", sheds, burst-5)
+	if sheds < burst-2 {
+		t.Fatalf("sheds = %d, want >= %d", sheds, burst-2)
 	}
 	if !pipe.Degraded() {
 		t.Error("pipeline must report degraded while healing")
@@ -436,10 +435,10 @@ func TestPipelineQueueDeadlineShed(t *testing.T) {
 			t.Fatalf("burst op %d: unexpected error %v", i, err)
 		}
 	}
-	// At most 3 burst ops escaped the queue before the committer stalled
-	// (decider hand + 2 commit slots); the rest aged out.
-	if shed < burst-3 {
-		t.Fatalf("age-based sheds = %d, want >= %d", shed, burst-3)
+	// The committer stalled before any burst op was submitted, so every
+	// one of them was still queued when the clock passed its deadline.
+	if shed < burst {
+		t.Fatalf("age-based sheds = %d, want %d", shed, burst)
 	}
 	if err := pipe.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -529,9 +528,9 @@ func TestPipelineDegradedView(t *testing.T) {
 	}
 }
 
-// TestPipelineBudgetTripRetries: a deterministic budget trip on the
-// speculative decide is transient; the decider retries it with backoff
-// and the op succeeds without the submitter seeing the trip.
+// TestPipelineBudgetTripRetries: a deterministic budget trip on an
+// op's decide is transient; the committer retries it in place with
+// backoff and the op succeeds without the submitter seeing the trip.
 func TestPipelineBudgetTripRetries(t *testing.T) {
 	reg := obs.NewRegistry()
 	SetMetrics(reg)

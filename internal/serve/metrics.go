@@ -8,17 +8,12 @@ import (
 
 // serveMetrics holds the resolved metric handles for the pipeline.
 // Fsyncs-per-op is serve_batches_total / serve_ops_committed_total:
-// each batch costs exactly one journal fsync (store.ApplyBatchCtx), so
+// each batch costs exactly one journal fsync (store.ApplyOpsCtx), so
 // the ratio falls toward 1/MaxBatch as the queue fills.
 type serveMetrics struct {
 	submitted *obs.Counter
 	committed *obs.Counter
 	batches   *obs.Counter
-	// seeded counts speculative decisions planted in the real session's
-	// decision cache; compare with core_decision_cache_hits_total to see
-	// how often the committer's decide was prepaid.
-	seeded      *obs.Counter
-	divergences *obs.Counter
 
 	// Self-healing instrumentation: retries counts transient-failure
 	// re-attempts in both fault domains (decide retries and re-journaled
@@ -52,8 +47,6 @@ func SetMetrics(s obs.Sink) {
 		submitted:     s.Counter("serve_ops_submitted_total"),
 		committed:     s.Counter("serve_ops_committed_total"),
 		batches:       s.Counter("serve_batches_total"),
-		seeded:        s.Counter("serve_seeds_total"),
-		divergences:   s.Counter("serve_divergence_total"),
 		retries:       s.Counter("serve_retries_total"),
 		shed:          s.Counter("serve_shed_total"),
 		resurrections: s.Counter("serve_resurrections_total"),

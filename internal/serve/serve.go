@@ -4,36 +4,27 @@
 // The store session is strictly serial: each Apply decides, applies,
 // journals, and fsyncs before the next op may start, so throughput is
 // bounded by one fsync per op. This package keeps the serial semantics
-// visible to every submitter while overlapping the two dominant costs:
+// visible to every submitter while sharing the fsync:
 //
-//   - Group commit: a committer goroutine drains a bounded submit queue
-//     and applies whatever is waiting as ONE store batch — one journal
-//     write, one fsync (store.Session.ApplyBatchCtx). A submitter's
-//     Apply returns only after the fsync covering its op, so per-op
-//     durability is unchanged; only the fsync is shared.
+//	submitters → bounded submit queue → committer → one write + one fsync → publish → acks
 //
-//   - Pipelined decide/commit: a decider goroutine runs the CPU-bound
-//     chase for queued ops speculatively against a scratch core.Session
-//     (a copy-on-write clone of the database) while the committer is
-//     blocked in the IO-bound fsync of the previous batch. Speculative
-//     decisions are seeded into the real session's decision cache keyed
-//     by the exact view version they were computed against, so the
-//     committer's authoritative decide is a cache hit when the
-//     speculation was right and an ordinary recompute when it was not.
-//
-//   - Re-validation: decisions are applied in sequence order by the
-//     committer against the real session; the cache key (view version,
-//     op) is the cheap re-validation — a stale speculation simply
-//     misses. After a batch commits, predicted outcomes are compared
-//     with actual ones; any mismatch (possible only if a decide were
-//     impure — it is a safety net, not an expected path) invalidates
-//     the decision cache, rebuilds the scratch session from the
-//     committed database, and bumps a generation counter so in-flight
-//     stale speculations cannot re-seed the cache.
+// One committer goroutine drains up to Options.MaxBatch waiting
+// requests and applies them, in queue order, as ONE store batch
+// (store.Session.ApplyOpsCtx): each op is decided and applied through
+// the store session under its submitter's own context, and the batch's
+// records go to the journal in one write and one fsync. Requests queued
+// while the batch is being decided join it, up to MaxBatch, before it
+// is journaled, so a submitter arriving mid-batch shares that fsync
+// instead of waiting for the next one. A submitter's
+// Apply returns only after the fsync covering its op, so per-op
+// durability is unchanged; only the fsync is shared. The read side is
+// handed the committed view before the acks go out, so a submitter
+// that reads after its ack sees its own op.
 //
 // Decide outcomes are byte-identical to a serial session processing the
-// same ops in the same order: the committer is the single authority and
-// seeds only redirect where the chase runs, never what it concludes.
+// same ops in the same order, because that is what the committer is.
+// Each op runs on the session's delta path (core's incremental
+// decide/apply), so its cost follows the op's delta, not the instance.
 //
 // # Fault domains and self-healing
 //
@@ -42,19 +33,19 @@
 // turns that taxonomy into recovery policy, organized as three fault
 // domains:
 //
-//   - Decide domain (decider goroutine): a transient speculative-decide
+//   - Decide domain (per op, inside a batch): a transient decide
 //     failure (budget trip, injected fault) is retried in place up to
 //     Options.OpRetries times with deterministic capped exponential
 //     backoff; permanent failures (untranslatable update) reject only
 //     the offending op.
 //
-//   - Commit domain (committer goroutine): a failed batch breaks the
-//     store session (memory ran ahead of disk). With Options.Resurrect
-//     set, the committer quarantines the broken session, replays
-//     recovery into a fresh one, re-verifies which acknowledged records
-//     actually survived (they must — losing one latches the pipeline
-//     permanently), resyncs the decider's speculative state, re-journals
-//     the un-acked suffix, and resumes the queue. Acked ops survive
+//   - Commit domain (per batch): a failed batch breaks the store
+//     session (memory ran ahead of disk). With Options.Resurrect set,
+//     the committer quarantines the broken session, replays recovery
+//     into a fresh one, re-verifies which acknowledged records actually
+//     survived (they must — losing one latches the pipeline
+//     permanently), re-journals the un-acked suffix, and resumes the
+//     queue. Acked ops survive
 //     byte-identically; un-acked ops are retried or rejected, never
 //     silently dropped. Without Resurrect the first break latches the
 //     pipeline (the legacy behavior).
@@ -96,13 +87,13 @@ type Options struct {
 	// returns ErrShed immediately instead of blocking the submitter.
 	ShedOnFull bool
 	// QueueDeadlineNS sheds an op (ErrShed) if it waited in the submit
-	// queue longer than this before the decider reached it. 0 disables
+	// queue longer than this before the committer reached it. 0 disables
 	// age-based shedding.
 	QueueDeadlineNS int64
 
-	// OpRetries caps in-place retries of transient speculative-decide
-	// failures (budget trips, injected faults). Default 2; negative
-	// disables retries.
+	// OpRetries caps in-place retries of transient decide failures
+	// (budget trips, injected faults). Default 2; negative disables
+	// retries.
 	OpRetries int
 
 	// Resurrect enables self-healing: when a batch breaks the store
@@ -185,7 +176,7 @@ func (o Options) clock() obs.Clock {
 type request struct {
 	ctx context.Context
 	op  core.UpdateOp
-	// done is buffered (size 1) so neither goroutine ever blocks on an
+	// done is buffered (size 1) so the committer never blocks on an
 	// acknowledgement.
 	done chan result
 	// enqNS is the clock reading at enqueue, for queue-deadline shedding.
@@ -196,23 +187,6 @@ type request struct {
 	// session to the caller. Buffered (cap 1) so the grant send never
 	// blocks. nil for ordinary ops.
 	excl chan *ExclusiveGrant
-
-	// Speculation results, written by the decider, read by the
-	// committer. speculated is false when the scratch session is
-	// degraded (see resync) and the committer should skip comparison.
-	speculated  bool
-	predApplied bool
-
-	// For a successfully speculated apply, the scratch session's
-	// decision, post-op database ref (COW — never mutated after the
-	// ref is taken), and the real-session version the op was
-	// speculated at. The committer hands these to
-	// store.Session.ApplySpeculatedBatchCtx so the authoritative apply
-	// adopts the pre-computed state after cheap re-validation instead
-	// of repeating the full decide/translate/verify.
-	specDecision *core.Decision
-	specDB       *relation.Relation
-	specVer      uint64
 }
 
 type result struct {
@@ -222,29 +196,12 @@ type result struct {
 
 // ack delivers the op's fate to the submitter. done is buffered with
 // capacity one and each request is acknowledged exactly once — a
-// request is owned by a single goroutine at a time (submitter → decider
-// → committer), and ownership transfers only after the owner either
-// acked it or handed it on — so the send below can never block.
+// request is owned by a single goroutine at a time (submitter →
+// committer), and ownership transfers only after the submitter handed
+// it on — so the send below can never block.
 func (r *request) ack(res result) {
 	//constvet:allow deadlineflow -- done is buffered (cap 1) and each request is acked exactly once; the send cannot block
 	r.done <- res
-}
-
-// batch is the decider→committer handoff: requests whose speculation
-// did not fail outright, stamped with the decider generation that
-// speculated them.
-type batch struct {
-	reqs []*request
-	gen  uint64
-}
-
-// resyncMsg carries the authoritative database to the decider after a
-// divergence or a resurrection, so the scratch session restarts from
-// committed state.
-type resyncMsg struct {
-	db  *relation.Relation
-	ver uint64
-	gen uint64
 }
 
 // Pending is the handle returned by ApplyAsync.
@@ -271,10 +228,9 @@ type publishedView struct {
 }
 
 // Pipeline serves concurrent update submissions over one store.Session.
-// The underlying session is never touched concurrently: the decider
-// goroutine owns a scratch clone, the committer goroutine owns the real
-// session, and they meet only through channels and the (concurrency-
-// safe) decision cache.
+// The underlying session is never touched concurrently: the committer
+// goroutine owns it, and submitters reach it only through the submit
+// queue.
 type Pipeline struct {
 	// stPtr is the session currently behind the pipeline; resurrection
 	// swaps it. Only the committer stores; everyone loads via store().
@@ -290,18 +246,8 @@ type Pipeline struct {
 	closed bool
 
 	submit chan *request
-	commit chan *batch
-	resync chan resyncMsg
 	quit   chan struct{}
 	done   chan struct{} // closed when the committer exits
-
-	// genWanted is bumped by the committer on divergence and on
-	// resurrection; the decider seeds the decision cache only while its
-	// local generation matches, and the committer re-invalidates before
-	// applying any stale-generation batch, so no stale seed can survive
-	// to a commit — not even across a session swap whose view versions
-	// numerically collide with the old session's.
-	genWanted atomic.Uint64
 
 	// broken latches the first unhealable error; later submissions fail
 	// fast while the pipeline keeps draining so Close can finish.
@@ -317,43 +263,35 @@ type Pipeline struct {
 	viewWanted atomic.Bool
 	pubView    atomic.Pointer[publishedView]
 
-	// decBackoff paces decide-domain retries (owned by the decider);
-	// healBackoff paces resurrection attempts (owned by the committer).
-	// Decorrelated seeds keep the two jitter streams independent.
+	// decBackoff paces decide-domain retries; healBackoff paces
+	// resurrection attempts. Both belong to the committer; decorrelated
+	// seeds keep the two jitter streams independent.
 	decBackoff  *backoff
 	healBackoff *backoff
+
+	// held is a request the committer took off the queue while filling
+	// a batch but could not add to it (an exclusive request): it opens
+	// the next round, so queue order is kept. Committer goroutine only.
+	held *request
 }
 
 type brokenState struct{ err error }
 
-// New starts the pipeline's decider and committer goroutines over st.
-// The caller must not use st directly until Close returns — and after a
-// resurrection st is dead; use Store for the live session.
+// New starts the pipeline's committer goroutine over st. The caller
+// must not use st directly until Close returns — and after a
+// resurrection st is dead; use Store for the live session. The error
+// is always nil; it is kept for callers that check it.
 func New(st *store.Session, opts Options) (*Pipeline, error) {
 	p := &Pipeline{
-		opts:   opts,
-		clock:  opts.clock(),
-		submit: make(chan *request, opts.queueDepth()),
-		// A couple of batches of slack keeps the decider speculating
-		// while the committer sits in fsync, without letting memory run
-		// far ahead of disk.
-		commit:      make(chan *batch, 2),
-		resync:      make(chan resyncMsg, 1),
+		opts:        opts,
+		clock:       opts.clock(),
+		submit:      make(chan *request, opts.queueDepth()),
 		quit:        make(chan struct{}),
 		done:        make(chan struct{}),
 		decBackoff:  newBackoff(opts.backoffBase(), opts.backoffCap(), opts.Seed),
 		healBackoff: newBackoff(opts.backoffBase(), opts.backoffCap(), opts.Seed^0x9e3779b97f4a7c15),
 	}
 	p.stPtr.Store(st)
-	scratch, err := core.NewSession(st.Pair(), st.Database())
-	if err != nil {
-		return nil, fmt.Errorf("serve: scratch session: %w", err)
-	}
-	// The scratch mirrors the store's incremental setting so speculated
-	// and committed decides exercise the same path.
-	scratch.SetIncremental(st.IncrementalEnabled())
-	//constvet:allow rawgo -- the decider goroutine IS the pipeline's concurrency design: it overlaps the chase with the committer's fsync
-	go p.decider(scratch, st.ViewVersion())
 	//constvet:allow rawgo -- the committer goroutine IS the pipeline's concurrency design: it owns the real session and serializes durability
 	go p.committer()
 	return p, nil
@@ -438,8 +376,9 @@ func (p *Pipeline) Apply(op core.UpdateOp) (*core.Decision, error) {
 }
 
 // ApplyCtx is Apply with a context bounding the queue wait and the
-// speculative decide. Once an op reaches the commit phase it runs to
-// completion regardless of ctx: its fate is shared with a batch.
+// op's decide. Once the op is applied in memory its record is journaled
+// with the rest of its batch regardless of ctx: its durability is
+// shared with the batch.
 func (p *Pipeline) ApplyCtx(ctx context.Context, op core.UpdateOp) (*core.Decision, error) {
 	pend, err := p.ApplyAsync(ctx, op)
 	if err != nil {
@@ -481,11 +420,11 @@ func (p *Pipeline) ApplyAsync(ctx context.Context, op core.UpdateOp) (*Pending, 
 			return nil, ErrShed
 		}
 	}
-	// Block in the send holding the read lock. The decider drains the
+	// Block in the send holding the read lock. The committer drains the
 	// queue continuously (it stops only after quit, which Close signals
 	// only once it gets the write lock — i.e. after this send finishes),
 	// so a full queue delays Close, it cannot deadlock it.
-	//constvet:allow lockhold -- RLock only fences Close; the decider drains submit without touching mu, so the send makes progress while readers hold the lock
+	//constvet:allow lockhold -- RLock only fences Close; the committer drains submit without touching mu, so the send makes progress while readers hold the lock
 	select {
 	case p.submit <- r:
 		p.mu.RUnlock()
@@ -532,10 +471,10 @@ func (g *ExclusiveGrant) Session() *store.Session { return g.st }
 // Release ends the grant and resumes the pipeline. A non-nil ns
 // replaces the pipeline's session — the holder resurrected it after
 // breaking it — exactly as the committer's own healing would have.
-// Either way the decision memo and delta state are invalidated and the
-// decider is resynced from authoritative state, since the holder may
-// have changed the database under the speculator. Release must be
-// called exactly once per grant.
+// Ops the holder applied went through the session itself, so its
+// maintained delta state stays current and nothing is invalidated; the
+// next queued op is decided against the holder's changes. Release must
+// be called exactly once per grant.
 func (g *ExclusiveGrant) Release(ns *store.Session) {
 	//constvet:allow deadlineflow -- done is buffered (cap 1) and each grant ends exactly once; the send cannot block
 	g.done <- exclRelease{ns: ns}
@@ -582,7 +521,7 @@ func (p *Pipeline) Exclusive(ctx context.Context) (*ExclusiveGrant, error) {
 			return nil, ErrShed
 		}
 	} else {
-		//constvet:allow lockhold -- RLock only fences Close; the decider drains submit without touching mu, so the send makes progress while readers hold the lock
+		//constvet:allow lockhold -- RLock only fences Close; the committer drains submit without touching mu, so the send makes progress while readers hold the lock
 		select {
 		case p.submit <- r:
 			p.mu.RUnlock()
@@ -591,9 +530,9 @@ func (p *Pipeline) Exclusive(ctx context.Context) (*ExclusiveGrant, error) {
 			return nil, ctx.Err()
 		}
 	}
-	// The grant or a terminal error always arrives: the decider forwards
-	// or fails every admitted request, and the committer grants every
-	// forwarded exclusive. Waiting on ctx here would leak the grant.
+	// The grant or a terminal error always arrives: the committer grants
+	// or fails every admitted request. Waiting on ctx here would leak the
+	// grant.
 	//constvet:allow deadlineflow -- every admitted exclusive is either granted or acked with an error; abandoning the wait on ctx would orphan the grant and deadlock the committer
 	select {
 	case g := <-r.excl:
@@ -604,8 +543,8 @@ func (p *Pipeline) Exclusive(ctx context.Context) (*ExclusiveGrant, error) {
 }
 
 // Close stops accepting submissions, drains every op already accepted
-// (each still gets its decided-and-durable acknowledgement), shuts both
-// goroutines down, and returns the broken-session error if the store
+// (each still gets its decided-and-durable acknowledgement), shuts the
+// committer down, and returns the broken-session error if the store
 // failed unhealably along the way. It does not close the store session.
 func (p *Pipeline) Close() error {
 	p.mu.Lock()
@@ -619,25 +558,24 @@ func (p *Pipeline) Close() error {
 	return p.brokenErr()
 }
 
-// decider forms batches from the submit queue and speculates their
-// decisions on the scratch session while the committer fsyncs earlier
-// batches. offset aligns scratch view versions with the real session's:
-// real version = scratch version + offset, maintained across resyncs.
-func (p *Pipeline) decider(scratch *core.Session, offset uint64) {
-	defer close(p.commit)
-	gen := p.genWanted.Load()
+// committer is the pipeline's single worker: it drains up to MaxBatch
+// waiting requests at a time and commits them in queue order, one
+// journal write and one fsync per batch. Submitters are acknowledged
+// only after that fsync.
+func (p *Pipeline) committer() {
+	defer close(p.done)
 	for {
-		var first *request
-		select {
-		case first = <-p.submit:
-		case <-p.quit:
-			// closed was set before quit, and every in-flight send
-			// finished before Close could take the write lock — the
-			// queue can only shrink now. Drain it.
-			for {
+		first := p.held
+		p.held = nil
+		if first == nil {
+			select {
+			case first = <-p.submit:
+			case <-p.quit:
+				// closed was set before quit, and every in-flight send
+				// finished before Close could take the write lock — the
+				// queue can only shrink now. Drain it, then stop.
 				select {
-				case r := <-p.submit:
-					scratch, offset, gen = p.speculate(scratch, offset, gen, []*request{r})
+				case first = <-p.submit:
 				default:
 					return
 				}
@@ -656,239 +594,168 @@ func (p *Pipeline) decider(scratch *core.Session, offset uint64) {
 		if m := svmetrics.Load(); m != nil {
 			m.queueDepth.Observe(float64(len(p.submit)))
 		}
-		scratch, offset, gen = p.speculate(scratch, offset, gen, reqs)
+		p.process(reqs)
 	}
 }
 
-// speculate runs the chase for each request against the scratch
-// session, seeds the real session's decision cache, and hands the batch
-// to the committer. It returns the (possibly resynced) scratch state.
-// Transient decide failures are retried in place with deterministic
-// backoff — the decide domain's recovery policy.
-func (p *Pipeline) speculate(scratch *core.Session, offset, gen uint64, reqs []*request) (*core.Session, uint64, uint64) {
-	// Pick up a pending resync before deciding anything: after a
-	// divergence or a resurrection the scratch state is untrustworthy.
-	select {
-	case msg := <-p.resync:
-		scratch, offset, gen = p.applyResync(msg)
-	default:
-	}
-	if err := p.brokenErr(); err != nil {
-		for _, r := range reqs {
-			r.ack(result{err: fmt.Errorf("%w: %w", store.ErrSessionBroken, err)})
-		}
-		return scratch, offset, gen
-	}
-	m := svmetrics.Load()
+// process admits the drained requests in queue order, commits the ops
+// ahead of an exclusive request before granting it, and commits the
+// rest as one batch, which requests arriving meanwhile may join.
+func (p *Pipeline) process(reqs []*request) {
 	var live []*request
 	for _, r := range reqs {
-		if err := r.ctx.Err(); err != nil {
-			// Cancelled while queued: never reached the store, exactly
-			// as a serial ApplyCtx would have failed before deciding.
-			r.ack(result{err: err})
-			continue
-		}
-		if dl := p.opts.QueueDeadlineNS; dl > 0 && p.clock.NowNS()-r.enqNS > dl {
-			// Aged out while queued: the queue is saturated past its
-			// deadline, shed rather than decide work nobody is waiting
-			// for at this latency.
-			r.ack(result{err: ErrShed})
-			if m != nil {
-				m.shed.Inc()
-			}
+		if !p.admit(r) {
 			continue
 		}
 		if r.excl != nil {
-			// Exclusive access: flush what is already speculated so queue
-			// order is preserved, then forward the request alone — the
-			// committer grants it only after every earlier op committed.
-			if len(live) > 0 {
-				//constvet:allow deadlineflow -- same backpressure as the batch send below: the committer drains commit until the decider closes it
-				p.commit <- &batch{reqs: live, gen: gen}
-				live = nil
-			}
-			//constvet:allow deadlineflow -- same backpressure as the batch send below: the committer drains commit until the decider closes it
-			p.commit <- &batch{reqs: []*request{r}, gen: gen}
+			// Exclusive access: everything queued ahead of it commits
+			// first, so the holder sees every earlier op.
+			p.commitBatch(live, false)
+			live = nil
+			p.grantExclusive(r)
 			continue
-		}
-		if scratch == nil {
-			// Degraded: no speculation, the committer decides cold.
-			live = append(live, r)
-			continue
-		}
-		var (
-			ver uint64
-			d   *core.Decision
-			err error
-		)
-		for attempt := 0; ; attempt++ {
-			ver = scratch.ViewVersion() + offset
-			d, err = scratch.ApplyCtx(r.ctx, r.op)
-			if err == nil || errors.Is(err, core.ErrRejected) {
-				break
-			}
-			// A failed decide never touched the scratch database, so a
-			// retry re-decides from exactly the state a serial session
-			// would see. Only transient causes (budget trip, injected
-			// fault) are worth the backoff.
-			if attempt >= p.opts.opRetries() || r.ctx.Err() != nil ||
-				classify(err) != store.ClassTransient {
-				break
-			}
-			if m != nil {
-				m.retries.Inc()
-			}
-			t0 := p.clock.NowNS()
-			p.clock.Sleep(p.decBackoff.next())
-			if m != nil {
-				m.retryLatency.ObserveDuration(p.clock.NowNS() - t0)
-			}
-		}
-		p.decBackoff.reset()
-		switch {
-		case err == nil:
-			r.speculated, r.predApplied = true, true
-			r.specDecision, r.specDB, r.specVer = d, scratch.StateRef(), ver
-		case errors.Is(err, core.ErrRejected):
-			r.speculated, r.predApplied = true, false
-		default:
-			// Permanent or retry-exhausted failure: the op never touched
-			// the scratch database, and the real session never sees it,
-			// so the two stay aligned. Fail the submitter directly.
-			r.ack(result{d: d, err: err})
-			continue
-		}
-		// Seed only while our speculation basis is current; the check
-		// races with the committer's bump, but any seed that slips
-		// through is wiped by the committer's pre-apply invalidation of
-		// stale-generation batches.
-		if d != nil && gen == p.genWanted.Load() {
-			p.store().SeedDecision(ver, r.op, d)
-			if m != nil {
-				m.seeded.Inc()
-			}
 		}
 		live = append(live, r)
 	}
-	if len(live) > 0 {
-		// Intentional backpressure: a full commit channel means disk is
-		// behind, and stalling the decider here is what bounds memory.
-		//constvet:allow deadlineflow -- the committer drains commit until the decider closes it; the send stalls only while fsync is behind, it cannot park forever
-		p.commit <- &batch{reqs: live, gen: gen}
-	}
-	return scratch, offset, gen
+	p.commitBatch(live, true)
 }
 
-// applyResync rebuilds the scratch session from the committed database
-// the committer handed over. On failure the decider degrades to no
-// speculation (scratch nil) — the pipeline still groups commits, it
-// just stops overlapping the chase with fsync.
-func (p *Pipeline) applyResync(msg resyncMsg) (*core.Session, uint64, uint64) {
-	scratch, err := core.NewSession(p.store().Pair(), msg.db)
-	if err != nil {
-		return nil, 0, msg.gen
-	}
-	scratch.SetIncremental(p.store().IncrementalEnabled())
-	return scratch, msg.ver, msg.gen
-}
-
-// committer applies batches to the real store session in order: one
-// ApplyBatchCtx per batch means one journal write and one fsync shared
-// by every op in it. Submitters are acknowledged only after that fsync.
-func (p *Pipeline) committer() {
-	defer close(p.done)
-	for b := range p.commit {
-		p.commitBatch(b)
-	}
-}
-
-func (p *Pipeline) commitBatch(b *batch) {
+// admit reports whether a request taken off the queue goes on to be
+// committed or granted. It fails the request fast on a latched pipeline
+// and sheds it if it was cancelled or aged out while queued; either way
+// it is acknowledged here.
+func (p *Pipeline) admit(r *request) bool {
 	if err := p.brokenErr(); err != nil {
-		for _, r := range b.reqs {
-			r.ack(result{err: fmt.Errorf("%w: %w", store.ErrSessionBroken, err)})
-		}
-		return
+		r.ack(result{err: fmt.Errorf("%w: %w", store.ErrSessionBroken, err)})
+		return false
 	}
-	if len(b.reqs) == 1 && b.reqs[0].excl != nil {
-		p.grantExclusive(b.reqs[0])
+	if err := r.ctx.Err(); err != nil {
+		// Cancelled while queued: never reached the store, exactly as a
+		// serial ApplyCtx would have failed before deciding.
+		r.ack(result{err: err})
+		return false
+	}
+	if dl := p.opts.QueueDeadlineNS; dl > 0 && p.clock.NowNS()-r.enqNS > dl {
+		// Aged out while queued: the queue is saturated past its
+		// deadline, shed rather than decide work nobody is waiting for
+		// at this latency.
+		r.ack(result{err: ErrShed})
+		if m := svmetrics.Load(); m != nil {
+			m.shed.Inc()
+		}
+		return false
+	}
+	return true
+}
+
+// join takes the next queued request into the batch being filled, if
+// one is already waiting and the batch (n members so far) has room: an
+// op that arrives while its predecessors are being decided shares their
+// write and fsync instead of waiting a whole batch for the next one. It
+// acknowledges the requests admit turns away, stops at an exclusive
+// request (held for the next round), and never waits; nil closes the
+// batch.
+func (p *Pipeline) join(n int) *request {
+	for n < p.opts.maxBatch() {
+		var r *request
+		select {
+		case r = <-p.submit:
+		default:
+			return nil
+		}
+		if !p.admit(r) {
+			continue
+		}
+		if r.excl != nil {
+			p.held = r
+			return nil
+		}
+		return r
+	}
+	return nil
+}
+
+// commitBatch decides, applies and journals reqs as one store batch —
+// one write, one fsync — each op under its submitter's context, with
+// transient decide failures retried in place. With open, requests
+// queued by the time reqs are applied join the batch (join) before it
+// is journaled; a batch followed by an exclusive request in queue order
+// is committed closed. Committer goroutine only.
+func (p *Pipeline) commitBatch(reqs []*request, open bool) {
+	if len(reqs) == 0 {
 		return
 	}
 	st := p.store()
-	stale := b.gen != p.genWanted.Load()
-	if stale {
-		// The batch was speculated against a pre-divergence (or pre-
-		// resurrection) scratch; wipe any seeds it planted so every
-		// decide recomputes against authoritative state, and drop the
-		// maintained delta state with them — it may have been advanced
-		// by adopted pre-divergence speculations.
-		st.InvalidateDecisions()
-		st.InvalidateDeltas()
-	}
-	ops := make([]store.SpeculatedOp, len(b.reqs))
-	for i, r := range b.reqs {
-		ops[i] = store.SpeculatedOp{Op: r.op}
-		// Offer the speculated state only while the speculation
-		// basis is current; AdoptSpeculated independently re-checks
-		// the version and the complement, so a stale offer can only
-		// fall back to the full apply, never corrupt it.
-		if !stale && r.specDB != nil {
-			ops[i].Decision = r.specDecision
-			ops[i].DB = r.specDB
-			ops[i].FromVersion = r.specVer
+	next := func(i int) (store.BatchOp, bool) {
+		if i == len(reqs) {
+			var r *request
+			if open {
+				r = p.join(i)
+			}
+			if r == nil {
+				return store.BatchOp{}, false
+			}
+			reqs = append(reqs, r)
 		}
+		return store.BatchOp{Ctx: reqs[i].ctx, Op: reqs[i].op}, true
 	}
 	// seq0 anchors loss accounting for the commit fault domain: after a
 	// resurrection, recovered seq − seq0 tells exactly how many of this
 	// batch's applied records made it to durable storage.
 	seq0 := st.Seq()
-	// context.Background(): per-op contexts bounded the queue wait
-	// and the speculative decide; a batch that has reached the
-	// journal phase must not be torn apart by one member's deadline.
-	items, err := st.ApplySpeculatedBatchCtx(context.Background(), ops)
-	m := svmetrics.Load()
+	items, err := st.ApplyOpsCtx(next, func(i, attempt int, err error) bool {
+		return p.retryDecide(reqs[i], attempt, err)
+	})
 	if err != nil {
 		if p.opts.Resurrect == nil {
-			p.latch(b.reqs, items, err)
+			p.latch(reqs, items, err)
 			return
 		}
-		p.heal(st, b.reqs, items, seq0, err)
+		p.heal(st, reqs, items, seq0, err)
 		return
 	}
-	diverged := false
-	for i, r := range b.reqs {
-		it := items[i]
-		applied := it.Err == nil
-		if r.speculated && applied != r.predApplied {
-			diverged = true
-		}
-		r.ack(result{d: it.Decision, err: it.Err})
-	}
-	if m != nil {
+	if m := svmetrics.Load(); m != nil {
 		m.batches.Inc()
-		m.committed.Add(int64(len(b.reqs)))
-		m.batchRecords.Observe(float64(len(b.reqs)))
+		m.committed.Add(int64(len(reqs)))
+		m.batchRecords.Observe(float64(len(reqs)))
 	}
-	if diverged && !stale {
-		if m != nil {
-			m.divergences.Inc()
-		}
-		// Order matters: bump the generation first so the decider
-		// stops seeding, then wipe whatever it already planted —
-		// decision seeds and maintained delta state alike.
-		p.genWanted.Add(1)
-		st.InvalidateDecisions()
-		st.InvalidateDeltas()
-		p.postResync(resyncMsg{db: st.Database(), ver: st.ViewVersion(), gen: p.genWanted.Load()})
-	}
+	// Publish before acknowledging: a submitter that reads after its
+	// ack sees its own op.
 	p.publishView(st)
+	for i, r := range reqs {
+		r.ack(result{d: items[i].Decision, err: items[i].Err})
+	}
+}
+
+// retryDecide is the decide domain's recovery policy: a transient
+// failure (budget trip, injected fault) of r's decide is retried in
+// place, after a deterministic backoff, up to OpRetries times while r's
+// context lives. A failed decide never touched the session, so the
+// retry re-decides from exactly the state a serial session would see.
+func (p *Pipeline) retryDecide(r *request, attempt int, err error) bool {
+	if attempt >= p.opts.opRetries() || r.ctx.Err() != nil || classify(err) != store.ClassTransient {
+		return false
+	}
+	if attempt == 0 {
+		p.decBackoff.reset() // each op's schedule starts at the first rung
+	}
+	m := svmetrics.Load()
+	if m != nil {
+		m.retries.Inc()
+	}
+	t0 := p.clock.NowNS()
+	p.clock.Sleep(p.decBackoff.next())
+	if m != nil {
+		m.retryLatency.ObserveDuration(p.clock.NowNS() - t0)
+	}
+	return true
 }
 
 // grantExclusive parks the committer for the duration of an exclusive
 // grant: it hands the live session to the waiting Exclusive caller and
-// blocks until Release. The holder may have mutated the database (and
-// may even have swapped the session after breaking it), so resumption
-// mirrors a resurrection: generation bump, memo/delta invalidation, and
-// a decider resync from authoritative state. Committer goroutine only.
+// blocks until Release. A holder that broke and resurrected the session
+// hands the fresh one back, and it is installed as a resurrection
+// would be. Committer goroutine only.
 func (p *Pipeline) grantExclusive(r *request) {
 	if err := r.ctx.Err(); err != nil {
 		r.ack(result{err: err})
@@ -910,20 +777,12 @@ func (p *Pipeline) grantExclusive(r *request) {
 		p.latch(nil, nil, rel.abandon)
 		return
 	}
-	ns := rel.ns
-	if ns != nil && ns != st {
-		// The holder broke and resurrected the session (installSession
-		// bumps the generation, invalidates, and resyncs the decider).
+	if ns := rel.ns; ns != nil && ns != st {
 		if m := svmetrics.Load(); m != nil {
 			m.resurrections.Inc()
 		}
-		p.installSession(ns)
+		p.stPtr.Store(ns)
 		st = ns
-	} else {
-		p.genWanted.Add(1)
-		st.InvalidateDecisions()
-		st.InvalidateDeltas()
-		p.postResync(resyncMsg{db: st.Database(), ver: st.ViewVersion(), gen: p.genWanted.Load()})
 	}
 	p.publishView(st)
 }
@@ -989,6 +848,7 @@ func (p *Pipeline) heal(st *store.Session, reqs []*request, items []store.BatchI
 		}
 		durable := int(newSeq - seq0)
 		var retry []*request
+		var kept []int // reqs on disk, replayed, re-verified
 		applied := 0
 		for i, r := range reqs {
 			if i >= len(items) {
@@ -999,9 +859,7 @@ func (p *Pipeline) heal(st *store.Session, reqs []*request, items []store.BatchI
 			if it.Err == nil {
 				applied++
 				if applied <= durable {
-					// On disk, replayed, re-verified: acknowledge with
-					// the decision the failed batch computed.
-					r.ack(result{d: it.Decision})
+					kept = append(kept, i)
 				} else {
 					retry = append(retry, r)
 				}
@@ -1015,37 +873,49 @@ func (p *Pipeline) heal(st *store.Session, reqs []*request, items []store.BatchI
 				r.ack(result{d: it.Decision, err: it.Err})
 			}
 		}
-		p.installSession(ns)
+		// Acknowledge the kept ops with the decisions the failed batch
+		// computed — once the view that holds them is published, as a
+		// committed batch does.
+		ackKept := func() {
+			for _, i := range kept {
+				reqs[i].ack(result{d: items[i].Decision})
+			}
+		}
+		p.stPtr.Store(ns)
 		if len(retry) == 0 {
 			p.healed(ns)
+			ackKept()
 			return
 		}
 		// Re-journal and re-fsync the un-acked suffix on the fresh
-		// session, unspeculated: the speculated state predates the
-		// resurrection.
+		// session. context.Background(): these ops already reached the
+		// journal phase once, and their fate is shared with the batch.
 		if m != nil {
 			m.retries.Add(int64(len(retry)))
 		}
-		rops := make([]store.SpeculatedOp, len(retry))
+		rops := make([]store.BatchOp, len(retry))
 		for i, r := range retry {
-			rops[i] = store.SpeculatedOp{Op: r.op}
+			rops[i] = store.BatchOp{Ctx: context.Background(), Op: r.op}
 		}
 		seq0 = ns.Seq()
-		items2, err2 := ns.ApplySpeculatedBatchCtx(context.Background(), rops)
+		items2, err2 := ns.ApplyOpsCtx(store.Ops(rops), nil)
 		if err2 == nil {
-			for i, r := range retry {
-				r.ack(result{d: items2[i].Decision, err: items2[i].Err})
-			}
 			if m != nil {
 				m.batches.Inc()
 				m.committed.Add(int64(len(retry)))
 				m.batchRecords.Observe(float64(len(retry)))
 			}
 			p.healed(ns)
+			ackKept()
+			for i, r := range retry {
+				r.ack(result{d: items2[i].Decision, err: items2[i].Err})
+			}
 			return
 		}
-		// The retry batch broke the fresh session too: quarantine it and
-		// keep healing with whatever is still unacknowledged.
+		// The retry batch broke the fresh session too: the kept ops are
+		// durable regardless, so acknowledge them; quarantine the session
+		// and keep healing with whatever is still unacknowledged.
+		ackKept()
 		_ = ns.Close()
 		reqs, items, batchErr = retry, items2, err2
 	}
@@ -1062,33 +932,6 @@ func (p *Pipeline) healed(ns *store.Session) {
 	p.healBackoff.reset()
 	p.degraded.Store(false)
 	p.publishView(ns)
-}
-
-// installSession swaps the resurrected session in. Generation first:
-// bumping genWanted before the pointer swap makes every batch
-// speculated against the dead session stale, so the committer
-// invalidates its seeds before use — the resurrected session's view
-// versions can numerically collide with the old session's, and a stale
-// seed under a colliding key would silently redirect a decide.
-func (p *Pipeline) installSession(ns *store.Session) {
-	p.genWanted.Add(1)
-	p.stPtr.Store(ns)
-	ns.InvalidateDecisions()
-	ns.InvalidateDeltas()
-	p.postResync(resyncMsg{db: ns.Database(), ver: ns.ViewVersion(), gen: p.genWanted.Load()})
-}
-
-// postResync replaces any pending resync with msg: only the newest
-// authoritative state counts. resync is buffered (capacity one) and the
-// committer goroutine is its only sender, so after the drain above the
-// slot is free and the send cannot block.
-func (p *Pipeline) postResync(msg resyncMsg) {
-	select {
-	case <-p.resync:
-	default:
-	}
-	//constvet:allow deadlineflow -- resync is buffered (cap 1), drained just above, and the committer is the only sender; the send cannot block
-	p.resync <- msg
 }
 
 // batchItemErr reports the per-op error to surface when the batch call

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"github.com/constcomp/constcomp/internal/relation"
 	"github.com/constcomp/constcomp/internal/store"
 	"github.com/constcomp/constcomp/internal/value"
+	"github.com/constcomp/constcomp/internal/workload"
 )
 
 // edmFixture is the paper's §2 Employee–Department–Manager schema with
@@ -351,57 +353,6 @@ func TestPipelineBrokenStore(t *testing.T) {
 	}
 }
 
-// TestPipelineDivergenceRecovers is the safety net's test: mutate the
-// store behind the pipeline's back so the scratch session's speculation
-// is provably stale, and check the committer detects the outcome
-// mismatch, invalidates the seeded decisions, resyncs the scratch, and
-// keeps serving correct answers.
-func TestPipelineDivergenceRecovers(t *testing.T) {
-	reg := obs.NewRegistry()
-	SetMetrics(reg)
-	defer SetMetrics(nil)
-
-	pair, db, syms := edmFixture()
-	st, err := store.Create(store.NewMemFS(), pair, db, syms, store.Options{SnapshotEvery: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe, err := New(st, Options{MaxBatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tup := func(e, d string) relation.Tuple {
-		return relation.Tuple{syms.Const(e), syms.Const(d)}
-	}
-	// Behind the pipeline's back (it is idle): remove emp0. The scratch
-	// clone still has emp0@dept0, so the insert below trips E→D there
-	// (prediction: rejected) while the real session applies it — an
-	// outcome mismatch the committer must catch.
-	if _, err := st.Apply(core.Delete(tup("emp0", "dept0"))); err != nil {
-		t.Fatal(err)
-	}
-	d, err := pipe.Apply(core.Insert(tup("emp0", "dept1")))
-	if err != nil || !d.Translatable {
-		t.Fatalf("authoritative decide lost to stale speculation: %v, %+v", err, d)
-	}
-	// The pipeline keeps serving correctly after the resync.
-	for i := 0; i < 8; i++ {
-		if _, err := pipe.Apply(core.Insert(tup(fmt.Sprintf("post%d", i), "dept0"))); err != nil {
-			t.Fatalf("post-divergence op %d: %v", i, err)
-		}
-	}
-	if err := pipe.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["serve_divergence_total"] == 0 {
-		t.Error("divergence was not detected/counted")
-	}
-	if !st.View().Contains(tup("emp0", "dept1")) {
-		t.Error("authoritative insert missing from the view")
-	}
-}
-
 // TestPipelineContextCancelledInQueue: an op whose context dies while
 // queued fails with the context error and never reaches the store.
 func TestPipelineContextCancelledInQueue(t *testing.T) {
@@ -428,54 +379,200 @@ func TestPipelineContextCancelledInQueue(t *testing.T) {
 	}
 }
 
-// TestPipelineSeedsDecisions: with metrics on, a healthy pipelined run
-// seeds speculative decisions and the committer consumes them — either
-// by adopting the speculated post-op state outright or, on fallback,
-// as decision-cache hits. Either way the chase for an op runs once,
-// not twice.
-func TestPipelineSeedsDecisions(t *testing.T) {
+// TestPipelineShippedPathStaysOnDelta pins the configuration viewsrv
+// ships — default serve options over a store with default options, on a
+// 2048-row EDM instance — to the delta path: once warm, every committed
+// op is decided exactly once and applied per-delta, nothing falls back
+// to the full translate, and no op pays an O(instance) FD scan.
+func TestPipelineShippedPathStaysOnDelta(t *testing.T) {
+	reg := obs.NewRegistry()
+	core.SetMetrics(reg)
+	relation.SetMetrics(reg)
+	SetMetrics(reg)
+	defer core.SetMetrics(nil)
+	defer relation.SetMetrics(nil)
+	defer SetMetrics(nil)
+
+	e := workload.NewEDM()
+	pair := core.MustPair(e.Schema, e.ED, e.DM)
+	const emps, depts = 2048, 512
+	st, err := store.Create(store.NewMemFS(), pair, e.Instance(emps, depts), e.Syms, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := New(st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A client-side model keeps every op translatable: inserts and
+	// replacements into departments that exist, deletions only of
+	// employees whose department keeps another member.
+	members := map[int][]string{}
+	for i := 0; i < emps; i++ {
+		members[i%depts] = append(members[i%depts], fmt.Sprintf("emp%d", i))
+	}
+	rng := rand.New(rand.NewSource(5))
+	next := 0
+	fresh := func() string { next++; return fmt.Sprintf("new%d", next) }
+	drop := func(d int, name string) {
+		ms := members[d]
+		for i, m := range ms {
+			if m == name {
+				members[d] = append(ms[:i], ms[i+1:]...)
+				return
+			}
+		}
+	}
+	pick := func() (string, int) {
+		for {
+			d := rng.Intn(depts)
+			if ms := members[d]; len(ms) > 1 {
+				return ms[rng.Intn(len(ms))], d
+			}
+		}
+	}
+	nextOp := func() core.UpdateOp {
+		switch rng.Intn(3) {
+		case 0:
+			name, d := fresh(), rng.Intn(depts)
+			members[d] = append(members[d], name)
+			return core.Insert(e.NewEmployeeTuple(name, d))
+		case 1:
+			name, d := pick()
+			drop(d, name)
+			return core.Delete(e.NewEmployeeTuple(name, d))
+		default:
+			name, d := pick()
+			drop(d, name)
+			nw, nd := fresh(), rng.Intn(depts)
+			members[nd] = append(members[nd], nw)
+			return core.Replace(e.NewEmployeeTuple(name, d), e.NewEmployeeTuple(nw, nd))
+		}
+	}
+	run := func(n int) {
+		t.Helper()
+		pends := make([]*Pending, 0, n)
+		for i := 0; i < n; i++ {
+			p, err := pipe.ApplyAsync(context.Background(), nextOp())
+			if err != nil {
+				t.Fatal(err)
+			}
+			pends = append(pends, p)
+		}
+		for i, p := range pends {
+			if d, err := p.Wait(); err != nil || d.Reason == core.ReasonIdentity {
+				t.Fatalf("op %d: decision %+v, err %v; the model keeps every op a translatable change", i, d, err)
+			}
+		}
+	}
+	run(64) // warm-up: builds the maintained delta state once
+	before := reg.Snapshot().Counters
+	const n = 600
+	run(n)
+	if err := pipe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := reg.Snapshot().Counters
+	moved := func(name string) int64 { return after[name] - before[name] }
+	if got := moved("serve_ops_committed_total"); got != n {
+		t.Fatalf("serve_ops_committed_total moved %d, want %d", got, n)
+	}
+	if got := moved("core_inc_apply_total"); got != n {
+		t.Errorf("core_inc_apply_total moved %d, want %d: every committed op must apply per-delta", got, n)
+	}
+	if got := moved("core_inc_fallback_total"); got != 0 {
+		t.Errorf("core_inc_fallback_total moved %d, want 0", got)
+	}
+	if got := moved("relation_fdscan_tuples_total"); got != 0 {
+		t.Errorf("relation_fdscan_tuples_total moved %d, want 0: a committed op paid an O(instance) legality scan", got)
+	}
+	if got := moved("core_decide_total"); got != n {
+		t.Errorf("core_decide_total moved %d, want %d: each op is decided exactly once", got, n)
+	}
+}
+
+// gateCtx parks the first Err call made on it until release closes,
+// after signalling reached: the committer's first Err call on a request
+// is its admission check, made after the request left the queue.
+type gateCtx struct {
+	context.Context
+	once             sync.Once
+	reached, release chan struct{}
+}
+
+func (g *gateCtx) Err() error {
+	g.once.Do(func() {
+		close(g.reached)
+		<-g.release
+	})
+	return g.Context.Err()
+}
+
+// TestPipelineLateArrivalsJoinBatch pins the committer's late joins: an
+// op queued while the batch ahead of it is being decided joins that
+// batch's write and fsync, and an exclusive request queued behind it
+// closes the batch and is granted before any op queued after it.
+func TestPipelineLateArrivalsJoinBatch(t *testing.T) {
 	reg := obs.NewRegistry()
 	SetMetrics(reg)
-	core.SetMetrics(reg)
 	defer SetMetrics(nil)
-	defer core.SetMetrics(nil)
-
 	pair, db, syms := edmFixture()
 	st, err := store.Create(store.NewMemFS(), pair, db, syms, store.Options{SnapshotEvery: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := New(st, Options{MaxBatch: 8})
+	pipe, err := New(st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 24
-	pends := make([]*Pending, n)
-	for i := 0; i < n; i++ {
-		tup := relation.Tuple{syms.Const(fmt.Sprintf("s%02d", i)), syms.Const("dept0")}
-		if pends[i], err = pipe.ApplyAsync(context.Background(), core.Insert(tup)); err != nil {
+	ins := func(e string) core.UpdateOp {
+		return core.Insert(relation.Tuple{syms.Const(e), syms.Const("dept0")})
+	}
+	bg := context.Background()
+	gate := &gateCtx{Context: bg, reached: make(chan struct{}), release: make(chan struct{})}
+	a, err := pipe.ApplyAsync(gate, ins("ann"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gate.reached // the committer drained a batch of one and is admitting it
+	b, err := pipe.ApplyAsync(bg, ins("bob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grantSeq := make(chan uint64, 1)
+	go func() {
+		g, err := pipe.Exclusive(bg)
+		if err != nil {
+			t.Error(err)
+			grantSeq <- 0
+			return
+		}
+		grantSeq <- g.Session().Seq()
+		g.Release(nil)
+	}()
+	for len(pipe.submit) < 2 { // bob, then the exclusive request
+		runtime.Gosched()
+	}
+	c, err := pipe.ApplyAsync(bg, ins("cid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(gate.release)
+	for _, w := range []*Pending{a, b, c} {
+		if _, err := w.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, p := range pends {
-		if _, err := p.Wait(); err != nil {
-			t.Fatal(err)
-		}
+	if got := <-grantSeq; got != 2 {
+		t.Errorf("exclusive grant saw seq %d, want 2 (ann and bob committed, cid not yet)", got)
 	}
 	if err := pipe.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot()
-	if snap.Counters["serve_seeds_total"] == 0 {
-		t.Error("no speculative decisions were seeded")
+	if st.Seq() != 3 {
+		t.Errorf("Seq = %d, want 3", st.Seq())
 	}
-	if snap.Counters["core_apply_adopted_total"] == 0 && snap.Counters["core_decision_cache_hits_total"] == 0 {
-		t.Error("no speculation was consumed at commit time (neither adoption nor cache hit)")
-	}
-	if snap.Counters["serve_ops_committed_total"] != n {
-		t.Errorf("serve_ops_committed_total = %d, want %d", snap.Counters["serve_ops_committed_total"], n)
-	}
-	if b := snap.Counters["serve_batches_total"]; b == 0 || b > n {
-		t.Errorf("serve_batches_total = %d, want within [1, %d]", b, n)
+	if got := reg.Counter("serve_batches_total").Value(); got != 2 {
+		t.Errorf("serve_batches_total = %d, want 2 (ann+bob joined, then cid)", got)
 	}
 }

@@ -2,10 +2,10 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"github.com/constcomp/constcomp/internal/core"
-	"github.com/constcomp/constcomp/internal/relation"
 )
 
 // Group commit: a batch of ops is applied in memory one by one, their
@@ -38,33 +38,7 @@ type BatchItem struct {
 // batch got, and applied ops' durability is indeterminate (see
 // ErrSessionBroken).
 func (s *Session) ApplyBatchCtx(ctx context.Context, ops []core.UpdateOp) ([]BatchItem, error) {
-	sops := make([]SpeculatedOp, len(ops))
-	for i, op := range ops {
-		sops[i] = SpeculatedOp{Op: op}
-	}
-	return s.applyBatch(ctx, sops, false)
-}
-
-// SpeculatedOp is an update optionally paired with the speculative
-// outcome the serving pipeline's scratch session computed for it: the
-// decision and the post-op database at FromVersion. A nil Decision or
-// DB means "no speculation — run the full apply".
-type SpeculatedOp struct {
-	Op          core.UpdateOp
-	Decision    *core.Decision
-	DB          *relation.Relation
-	FromVersion uint64
-}
-
-// ApplySpeculatedBatchCtx is ApplyBatchCtx for ops carrying
-// speculations. Each op first tries core.Session.AdoptSpeculated —
-// installing the pre-computed state after cheap re-validation — and
-// falls back to the full decide/translate/verify apply when the
-// speculation is absent or does not match. Journaling, durability, and
-// crash semantics are identical to ApplyBatchCtx: adoption changes how
-// the in-memory state is produced, never what is written or fsynced.
-func (s *Session) ApplySpeculatedBatchCtx(ctx context.Context, ops []SpeculatedOp) ([]BatchItem, error) {
-	return s.applyBatch(ctx, ops, false)
+	return s.applyBatch(batchOps(ctx, ops), nil, false)
 }
 
 // ApplyBatch is ApplyBatchCtx without a context bound.
@@ -72,33 +46,80 @@ func (s *Session) ApplyBatch(ops []core.UpdateOp) ([]BatchItem, error) {
 	return s.ApplyBatchCtx(context.Background(), ops)
 }
 
+// BatchOp is one member of a group commit: the op and the context that
+// bounds its decide. Each op carries its own context, so one member's
+// deadline, cancellation or budget plan never bounds another's.
+type BatchOp struct {
+	Ctx context.Context
+	Op  core.UpdateOp
+}
+
+// RetryFunc decides whether a failed op of a batch is re-applied in
+// place, before any later op: i indexes the op, attempt counts its
+// earlier failures (0 on the first), and err is the failure. Rejections
+// are outcomes, not failures, and are never offered for retry.
+type RetryFunc func(i, attempt int, err error) bool
+
+// BatchSource yields the members of a group commit in order: it is
+// called with i = 0, 1, … and returns ok=false to close the batch, and
+// it is not called again after that. A member yielded after the earlier
+// ones were applied still shares their write and fsync: the batch is
+// journaled only once its source closes.
+type BatchSource func(i int) (op BatchOp, ok bool)
+
+// Ops is the BatchSource of a fixed list of members.
+func Ops(ops []BatchOp) BatchSource {
+	return func(i int) (BatchOp, bool) {
+		if i < len(ops) {
+			return ops[i], true
+		}
+		return BatchOp{}, false
+	}
+}
+
+// ApplyOpsCtx is ApplyBatchCtx with a context per op, the members
+// pulled from next until it closes, and an optional in-place retry
+// policy (nil never retries). A failed apply never touches the session,
+// so a retry decides from exactly the state the failed attempt saw.
+// Journaling, durability and crash semantics are those of
+// ApplyBatchCtx; items[i] is the outcome of the i-th member.
+func (s *Session) ApplyOpsCtx(next BatchSource, retry RetryFunc) ([]BatchItem, error) {
+	return s.applyBatch(next, retry, false)
+}
+
+func batchOps(ctx context.Context, ops []core.UpdateOp) BatchSource {
+	out := make([]BatchOp, len(ops))
+	for i, op := range ops {
+		out[i] = BatchOp{Ctx: ctx, Op: op}
+	}
+	return Ops(out)
+}
+
 // applyBatch is the group-commit engine. With stopOnErr the loop stops
 // at the first rejection or error (script semantics, backing ApplyAll);
 // without it every op is attempted (pipeline semantics). Either way the
 // applied prefix is journaled in one write + one fsync before
 // returning, so in-memory state never runs ahead of an acknowledgement.
-func (s *Session) applyBatch(ctx context.Context, ops []SpeculatedOp, stopOnErr bool) ([]BatchItem, error) {
+func (s *Session) applyBatch(next BatchSource, retry RetryFunc, stopOnErr bool) ([]BatchItem, error) {
 	if s.broken != nil {
 		return nil, fmt.Errorf("%w: %w", ErrSessionBroken, s.broken)
 	}
-	items := make([]BatchItem, 0, len(ops))
+	var items []BatchItem
 	var buf []byte
 	applied := 0
 	var encodeErr error
-	for _, sop := range ops {
-		op := sop.Op
-		var d *core.Decision
-		var err error
-		// With the incremental path on, a per-delta ApplyCtx beats
-		// adopting the speculated whole-instance state: adoption swaps
-		// the database pointer and invalidates the maintained delta
-		// state every op. The speculated decision still pays off — the
-		// decider seeded it, so the re-decide is a cache lookup.
-		if sop.Decision != nil && !s.sess.IncrementalEnabled() &&
-			s.sess.AdoptSpeculated(op, sop.Decision, sop.DB, sop.FromVersion) {
-			d = sop.Decision
-		} else {
-			d, err = s.sess.ApplyCtx(ctx, op)
+	for i := 0; ; i++ {
+		bop, ok := next(i)
+		if !ok {
+			break
+		}
+		op := bop.Op
+		d, err := s.sess.ApplyCtx(bop.Ctx, op)
+		for attempt := 0; retry != nil && err != nil && !errors.Is(err, core.ErrRejected); attempt++ {
+			if !retry(i, attempt, err) {
+				break
+			}
+			d, err = s.sess.ApplyCtx(bop.Ctx, op)
 		}
 		if err != nil {
 			items = append(items, BatchItem{Decision: d, Err: err})
@@ -159,11 +180,7 @@ func (s *Session) ApplyAllCtx(ctx context.Context, ops []core.UpdateOp) (int, er
 		if end > len(ops) {
 			end = len(ops)
 		}
-		chunk := make([]SpeculatedOp, end-start)
-		for i, op := range ops[start:end] {
-			chunk[i] = SpeculatedOp{Op: op}
-		}
-		items, err := s.applyBatch(ctx, chunk, true)
+		items, err := s.applyBatch(batchOps(ctx, ops[start:end]), nil, true)
 		for _, it := range items {
 			if it.Err == nil {
 				applied++
@@ -180,26 +197,6 @@ func (s *Session) ApplyAllCtx(ctx context.Context, ops []core.UpdateOp) (int, er
 	}
 	return applied, nil
 }
-
-// ViewVersion forwards the wrapped core session's view version (see
-// core.Session.ViewVersion). Recovery replays bump it, so it equals the
-// ops applied in this process, not Seq.
-func (s *Session) ViewVersion() uint64 { return s.sess.ViewVersion() }
-
-// SeedDecision forwards to the wrapped core session (see
-// core.Session.SeedDecision); the serving pipeline uses it to make the
-// commit-time decide a cache lookup.
-func (s *Session) SeedDecision(version uint64, op core.UpdateOp, d *core.Decision) {
-	s.sess.SeedDecision(version, op, d)
-}
-
-// InvalidateDecisions forwards to the wrapped core session.
-func (s *Session) InvalidateDecisions() { s.sess.InvalidateDecisions() }
-
-// InvalidateDeltas forwards to the wrapped core session (see
-// core.Session.InvalidateDeltas): the serving pipeline drops the
-// maintained delta state whenever its speculation basis diverged.
-func (s *Session) InvalidateDeltas() { s.sess.InvalidateDeltas() }
 
 // SetIncremental forwards to the wrapped core session, switching the
 // delta-driven incremental decide/apply path on or off.

@@ -372,3 +372,63 @@ func TestMixedBatchSingleFsync(t *testing.T) {
 		t.Errorf("store_journal_records_total = %d, want %d", got, len(batch))
 	}
 }
+
+// TestBatchSourceLateMembersShareCommit pins the BatchSource contract
+// the serving pipeline's late joins rely on: the source is asked for
+// member i only after members 0..i-1 were applied in memory and before
+// anything is journaled, and every member it yields — late ones
+// included — goes out in the batch's single write and fsync.
+func TestBatchSourceLateMembersShareCommit(t *testing.T) {
+	mem := NewMemFS()
+	ffs := NewFaultFS(mem, FaultPlan{Match: journalOnly})
+	pair, db, syms := edmFixture()
+	st, err := Create(ffs, pair, db, syms, Options{SnapshotEvery: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := ops50(syms)[:8]
+	asked := 0
+	next := func(i int) (BatchOp, bool) {
+		asked++
+		if i > 0 {
+			// Member i-1 is applied, nothing is journaled yet.
+			if got, want := render(st.Database(), syms), referenceAfter(t, i); got != want {
+				t.Errorf("state before member %d:\n%s\nwant:\n%s", i, got, want)
+			}
+		}
+		if st.Seq() != 0 || ffs.Writes() != 0 {
+			t.Errorf("member %d requested after the batch was journaled (seq %d, %d writes)", i, st.Seq(), ffs.Writes())
+		}
+		if i == len(ops) {
+			return BatchOp{}, false
+		}
+		return BatchOp{Ctx: context.Background(), Op: ops[i]}, true
+	}
+	items, err := st.ApplyOpsCtx(next, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != len(ops) || asked != len(ops)+1 {
+		t.Fatalf("%d items from %d source calls, want %d from %d", len(items), asked, len(ops), len(ops)+1)
+	}
+	for i, it := range items {
+		if it.Err != nil {
+			t.Fatalf("op %d: %v", i, it.Err)
+		}
+	}
+	if got := ffs.Writes(); got != 1 {
+		t.Errorf("%d journal writes, want 1 group commit", got)
+	}
+	if st.Seq() != uint64(len(ops)) {
+		t.Errorf("Seq = %d, want %d", st.Seq(), len(ops))
+	}
+	mem.Crash()
+	syms2 := value.NewSymbols()
+	rec, _, err := Recover(mem, pair, syms2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := render(rec.Database(), syms2), referenceAfter(t, len(ops)); got != want {
+		t.Errorf("recovered state:\n%s\nwant:\n%s", got, want)
+	}
+}
