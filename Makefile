@@ -160,16 +160,24 @@ experiments:
 experiments-quick:
 	$(GO) run ./cmd/experiments -quick
 
-# Quick fuzz pass over the dependency parser and the journal record
-# decoder: malformed input must never panic. Both targets use
-# -run '^$$' so no unit tests are re-run alongside the fuzzing.
+# Quick fuzz pass over every decoder that reads disk or network bytes:
+# the dependency parser, the journal, snapshot and txlog decoders, and
+# the netserve op-frame reader. Malformed input must never panic. Every
+# target uses -run '^$$' so no unit tests are re-run alongside the
+# fuzzing.
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=5s -run '^$$' ./internal/dep
 	$(GO) test -fuzz='^FuzzJournal$$' -fuzztime=5s -run '^$$' ./internal/store
+	$(GO) test -fuzz='^FuzzSnapshot$$' -fuzztime=5s -run '^$$' ./internal/store
+	$(GO) test -fuzz='^FuzzTxLog$$' -fuzztime=5s -run '^$$' ./internal/shard
+	$(GO) test -fuzz='^FuzzOpFrame$$' -fuzztime=5s -run '^$$' ./internal/netserve
 
 fuzz:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s -run '^$$' ./internal/dep
 	$(GO) test -fuzz='^FuzzJournal$$' -fuzztime=30s -run '^$$' ./internal/store
+	$(GO) test -fuzz='^FuzzSnapshot$$' -fuzztime=30s -run '^$$' ./internal/store
+	$(GO) test -fuzz='^FuzzTxLog$$' -fuzztime=30s -run '^$$' ./internal/shard
+	$(GO) test -fuzz='^FuzzOpFrame$$' -fuzztime=30s -run '^$$' ./internal/netserve
 
 clean:
 	$(GO) clean ./...

@@ -35,9 +35,9 @@
 //
 //   - Decide domain (per op, inside a batch): a transient decide
 //     failure (budget trip, injected fault) is retried in place up to
-//     Options.OpRetries times with deterministic capped exponential
-//     backoff; permanent failures (untranslatable update) reject only
-//     the offending op.
+//     twice with deterministic exponential backoff capped at 64ms;
+//     permanent failures (untranslatable update) reject only the
+//     offending op.
 //
 //   - Commit domain (per batch): a failed batch breaks the store
 //     session (memory ran ahead of disk). With Options.Resurrect set,
@@ -75,6 +75,14 @@ import (
 // ErrClosed is returned by Apply variants after Close.
 var ErrClosed = errors.New("serve: pipeline closed")
 
+// Retry policy constants: in-place retries of a transient decide
+// failure (budget trip, injected fault), and the cap on the exponential
+// backoff both fault domains sleep between attempts.
+const (
+	opRetries    = 2
+	backoffCapNS = 64_000_000 // 64ms
+)
+
 // Options tunes the pipeline. The zero value is ready to use.
 type Options struct {
 	// MaxBatch caps how many ops share one journal fsync. Default 32.
@@ -91,11 +99,6 @@ type Options struct {
 	// age-based shedding.
 	QueueDeadlineNS int64
 
-	// OpRetries caps in-place retries of transient decide failures
-	// (budget trips, injected faults). Default 2; negative disables
-	// retries.
-	OpRetries int
-
 	// Resurrect enables self-healing: when a batch breaks the store
 	// session, the committer quarantines it and calls Resurrect —
 	// typically a closure over store.Recover on the same FS — for a
@@ -106,10 +109,9 @@ type Options struct {
 	// (each preceded by a backoff sleep). Default 4.
 	ResurrectRetries int
 
-	// BackoffBaseNS and BackoffCapNS shape the capped exponential retry
-	// backoff for both fault domains. Defaults 1ms and 64ms.
+	// BackoffBaseNS is the first retry backoff for both fault domains,
+	// doubled per attempt up to a 64ms cap. Default 1ms.
 	BackoffBaseNS int64
-	BackoffCapNS  int64
 	// Seed fixes the backoff jitter streams; the same seed, workload,
 	// and fault schedule reproduce identical retry timings.
 	Seed uint64
@@ -134,16 +136,6 @@ func (o Options) queueDepth() int {
 	return 4 * o.maxBatch()
 }
 
-func (o Options) opRetries() int {
-	if o.OpRetries > 0 {
-		return o.OpRetries
-	}
-	if o.OpRetries < 0 {
-		return 0
-	}
-	return 2
-}
-
 func (o Options) resurrectRetries() int {
 	if o.ResurrectRetries > 0 {
 		return o.ResurrectRetries
@@ -156,13 +148,6 @@ func (o Options) backoffBase() int64 {
 		return o.BackoffBaseNS
 	}
 	return 1_000_000 // 1ms
-}
-
-func (o Options) backoffCap() int64 {
-	if o.BackoffCapNS > 0 {
-		return o.BackoffCapNS
-	}
-	return 64_000_000 // 64ms
 }
 
 func (o Options) clock() obs.Clock {
@@ -288,8 +273,8 @@ func New(st *store.Session, opts Options) (*Pipeline, error) {
 		submit:      make(chan *request, opts.queueDepth()),
 		quit:        make(chan struct{}),
 		done:        make(chan struct{}),
-		decBackoff:  newBackoff(opts.backoffBase(), opts.backoffCap(), opts.Seed),
-		healBackoff: newBackoff(opts.backoffBase(), opts.backoffCap(), opts.Seed^0x9e3779b97f4a7c15),
+		decBackoff:  newBackoff(opts.backoffBase(), backoffCapNS, opts.Seed),
+		healBackoff: newBackoff(opts.backoffBase(), backoffCapNS, opts.Seed^0x9e3779b97f4a7c15),
 	}
 	p.stPtr.Store(st)
 	//constvet:allow rawgo -- the committer goroutine IS the pipeline's concurrency design: it owns the real session and serializes durability
@@ -733,7 +718,7 @@ func (p *Pipeline) commitBatch(reqs []*request, open bool) {
 // context lives. A failed decide never touched the session, so the
 // retry re-decides from exactly the state a serial session would see.
 func (p *Pipeline) retryDecide(r *request, attempt int, err error) bool {
-	if attempt >= p.opts.opRetries() || r.ctx.Err() != nil || classify(err) != store.ClassTransient {
+	if attempt >= opRetries || r.ctx.Err() != nil || classify(err) != store.ClassTransient {
 		return false
 	}
 	if attempt == 0 {

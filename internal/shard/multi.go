@@ -261,7 +261,6 @@ func closeAll(sessions []*store.Session) {
 func (m *Multi) resolve(sessions []*store.Session, scans []TxScan, rep *Report) error {
 	k := len(sessions)
 	intents := make(map[uint64]TxRecord)
-	committed := make(map[uint64]bool)
 	done := make([]map[uint64]bool, k)
 	for i, scan := range scans {
 		done[i] = make(map[uint64]bool)
@@ -273,8 +272,6 @@ func (m *Multi) resolve(sessions []*store.Session, scans []TxScan, rep *Report) 
 						i, r.Xid, r.Coord, r.Part, k)
 				}
 				intents[r.Xid] = r
-			case txCommit:
-				committed[r.Xid] = true
 			case txDone:
 				done[i][r.Xid] = true
 			}
@@ -557,15 +554,21 @@ func (m *Multi) applyCross(ctx context.Context, op core.UpdateOp, coord, part in
 	return pend, nil
 }
 
-// retrySync retries the coordinator txlog fsync for an indeterminate
-// commit record with capped exponential backoff.
-func (m *Multi) retrySync(k int, err error) error {
+// backoff sleeps before retry attempt (0-based): Serve.BackoffBaseNS,
+// or 1ms, doubled per attempt.
+func (m *Multi) backoff(attempt int) {
 	base := m.opts.Serve.BackoffBaseNS
 	if base <= 0 {
 		base = 1_000_000
 	}
+	m.clock.Sleep(base << uint(attempt))
+}
+
+// retrySync retries the coordinator txlog fsync for an indeterminate
+// commit record with exponential backoff.
+func (m *Multi) retrySync(k int, err error) error {
 	for attempt := 0; attempt < m.opts.commitRetries(); attempt++ {
-		m.clock.Sleep(base << uint(attempt))
+		m.backoff(attempt)
 		if serr := m.shards[k].tx.Sync(); serr == nil {
 			return nil
 		} else {
@@ -598,13 +601,9 @@ func (m *Multi) applyHalf(g *serve.ExclusiveGrant, k int, op core.UpdateOp) (*co
 		return d, nil, err
 	}
 	_ = st.Close()
-	base := m.opts.Serve.BackoffBaseNS
-	if base <= 0 {
-		base = 1_000_000
-	}
 	lastErr := err
 	for attempt := 0; attempt < 4; attempt++ {
-		m.clock.Sleep(base << uint(attempt))
+		m.backoff(attempt)
 		ns, rerr := m.recoverShard(k)
 		if rerr != nil {
 			lastErr = rerr

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 
@@ -25,25 +24,16 @@ const (
 	txDone
 )
 
-// Txlog record framing mirrors the store journal (u32 LE payload
-// length, u32 LE CRC32-C, payload), with payloads:
+// Txlog record payloads, each carried in one store frame (the same
+// framing, checksum, and size bound as the store journal):
 //
 //	intent: uvarint xid, byte kind=0, uvarint coord, uvarint part,
-//	        tuple old, tuple new   — tuples as constant *names*
+//	        names old, names new
 //	commit: uvarint xid, byte kind=1
 //	done:   uvarint xid, byte kind=2
 //
 // An intent names the full cross-shard replacement so recovery can
-// redo either half from the record alone. Names, not interned ids,
-// for the same reason the journal uses names: interning order differs
-// across processes.
-
-var txCastagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-const txHeaderLen = 8
-
-// maxTxPayload bounds one record; a longer declared length is damage.
-const maxTxPayload = 1 << 20
+// redo either half from the record alone.
 
 // TxRecord is one decoded txlog entry.
 type TxRecord struct {
@@ -56,128 +46,45 @@ type TxRecord struct {
 	New   []string // the replacement view tuple, owned by Part
 }
 
-func appendNames(dst []byte, names []string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(names)))
-	for _, n := range names {
-		dst = binary.AppendUvarint(dst, uint64(len(n)))
-		dst = append(dst, n...)
-	}
-	return dst
-}
-
-func frameTx(payload []byte) []byte {
-	rec := make([]byte, txHeaderLen, txHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, txCastagnoli))
-	return append(rec, payload...)
-}
-
 func encodeIntent(r TxRecord) []byte {
 	payload := binary.AppendUvarint(nil, r.Xid)
 	payload = append(payload, txIntent)
 	payload = binary.AppendUvarint(payload, uint64(r.Coord))
 	payload = binary.AppendUvarint(payload, uint64(r.Part))
-	payload = appendNames(payload, r.Old)
-	payload = appendNames(payload, r.New)
-	return frameTx(payload)
+	payload = store.AppendNames(payload, r.Old)
+	payload = store.AppendNames(payload, r.New)
+	return store.AppendFrame(nil, payload)
 }
 
 func encodeMark(xid uint64, kind byte) []byte {
-	payload := binary.AppendUvarint(nil, xid)
-	payload = append(payload, kind)
-	return frameTx(payload)
+	return store.AppendFrame(nil, append(binary.AppendUvarint(nil, xid), kind))
 }
 
-type txReader struct {
-	data []byte
-	off  int
-}
-
-func (r *txReader) uvarint() (uint64, bool) {
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		return 0, false
-	}
-	r.off += n
-	return v, true
-}
-
-func (r *txReader) names() ([]string, bool) {
-	w, ok := r.uvarint()
-	if !ok || w > uint64(len(r.data)-r.off) {
-		return nil, false
-	}
-	out := make([]string, w)
-	for i := range out {
-		n, ok := r.uvarint()
-		if !ok || n > uint64(len(r.data)-r.off) {
-			return nil, false
-		}
-		out[i] = string(r.data[r.off : r.off+int(n)])
-		r.off += int(n)
-	}
-	return out, true
-}
-
-// decodeTxRecord parses one record from the front of data. Same error
-// taxonomy as the journal: ErrTorn for a partial tail, ErrCorrupt for
-// complete-looking bytes that do not check out.
-func decodeTxRecord(data []byte) (TxRecord, int, error) {
-	if len(data) < txHeaderLen {
-		return TxRecord{}, 0, store.ErrTorn
-	}
-	plen := binary.LittleEndian.Uint32(data[0:4])
-	if plen > maxTxPayload {
-		return TxRecord{}, 0, store.ErrCorrupt
-	}
-	if uint64(len(data)-txHeaderLen) < uint64(plen) {
-		return TxRecord{}, 0, store.ErrTorn
-	}
-	payload := data[txHeaderLen : txHeaderLen+int(plen)]
-	if crc32.Checksum(payload, txCastagnoli) != binary.LittleEndian.Uint32(data[4:8]) {
-		return TxRecord{}, 0, store.ErrCorrupt
-	}
-	r := txReader{data: payload}
-	var rec TxRecord
-	var ok bool
-	if rec.Xid, ok = r.uvarint(); !ok {
-		return TxRecord{}, 0, store.ErrCorrupt
-	}
-	if r.off >= len(payload) {
-		return TxRecord{}, 0, store.ErrCorrupt
-	}
-	rec.Kind = payload[r.off]
-	r.off++
+// decodeTxRecord parses one record payload; store.ErrCorrupt if it
+// does not check out.
+func decodeTxRecord(payload []byte) (TxRecord, error) {
+	c := store.NewCursor(payload)
+	rec := TxRecord{Xid: c.Uvarint(), Kind: c.Byte()}
 	switch rec.Kind {
 	case txCommit, txDone:
 	case txIntent:
-		coord, ok := r.uvarint()
-		if !ok {
-			return TxRecord{}, 0, store.ErrCorrupt
-		}
-		part, ok2 := r.uvarint()
-		if !ok2 {
-			return TxRecord{}, 0, store.ErrCorrupt
-		}
-		rec.Coord, rec.Part = int(coord), int(part)
-		if rec.Old, ok = r.names(); !ok {
-			return TxRecord{}, 0, store.ErrCorrupt
-		}
-		if rec.New, ok = r.names(); !ok {
-			return TxRecord{}, 0, store.ErrCorrupt
-		}
+		rec.Coord = int(c.Uvarint())
+		rec.Part = int(c.Uvarint())
+		rec.Old = c.Names()
+		rec.New = c.Names()
 	default:
-		return TxRecord{}, 0, store.ErrCorrupt
+		return TxRecord{}, store.ErrCorrupt
 	}
-	if r.off != len(payload) {
-		return TxRecord{}, 0, store.ErrCorrupt
+	if err := c.End(); err != nil {
+		return TxRecord{}, err
 	}
-	return rec, txHeaderLen + int(plen), nil
+	return rec, nil
 }
 
 // TxScan is a decoded txlog image: the intact record prefix and where
-// it ends. Damage past GoodBytes is the residue of a crash mid-append
-// and is cut by repair.
+// it ends. Damage past GoodBytes is the residue of a crash mid-append;
+// nothing cuts it in place, because Open recreates every txlog empty
+// once the intents are resolved.
 type TxScan struct {
 	Records   []TxRecord
 	GoodBytes int64
@@ -185,17 +92,18 @@ type TxScan struct {
 }
 
 // scanTx decodes records until the bytes run out or stop checking out.
+// A torn tail and a corrupt record read alike: both end the log.
 func scanTx(data []byte) TxScan {
 	var s TxScan
-	for int(s.GoodBytes) < len(data) {
-		rec, n, err := decodeTxRecord(data[s.GoodBytes:])
-		if err != nil {
-			s.Damaged = true
-			break
+	var err error
+	s.GoodBytes, err = store.ScanFrames(data, func(payload []byte) error {
+		rec, err := decodeTxRecord(payload)
+		if err == nil {
+			s.Records = append(s.Records, rec)
 		}
-		s.Records = append(s.Records, rec)
-		s.GoodBytes += int64(n)
-	}
+		return err
+	})
+	s.Damaged = err != nil
 	return s
 }
 

@@ -98,7 +98,7 @@ func TestTxLogCorruptRecordStopsScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a byte inside the first record's payload.
-	if err := mem.Corrupt(TxLogFile, txHeaderLen+1); err != nil {
+	if err := mem.Corrupt(TxLogFile, store.FrameHeaderLen+1); err != nil {
 		t.Fatal(err)
 	}
 	scan, err := ReadTxLog(mem)

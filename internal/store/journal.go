@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"github.com/constcomp/constcomp/internal/core"
 	"github.com/constcomp/constcomp/internal/obs"
@@ -12,44 +11,12 @@ import (
 	"github.com/constcomp/constcomp/internal/value"
 )
 
-// Journal record framing:
-//
-//	u32 LE  payload length
-//	u32 LE  CRC32-C of payload
-//	payload
-//
-// payload:
+// Journal record payload, carried in one frame (see frame.go):
 //
 //	uvarint seq      — 1-based op sequence number since database creation
 //	byte    kind     — core.UpdateKind
-//	tuple            — the op's Tuple
-//	tuple            — the op's With (replace only)
-//
-// tuple:
-//
-//	uvarint width
-//	width × (uvarint len, len bytes)   — constant *names*, not value ids
-//
-// Constants travel by name because symbol-interning order differs
-// between the process that wrote the journal and the one replaying it.
-
-// castagnoli is the CRC32-C polynomial table (hardware-accelerated on
-// amd64/arm64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-const recordHeaderLen = 8
-
-// maxPayload bounds a single record; a declared length beyond it is
-// corruption, not a huge pending read.
-const maxPayload = 1 << 26
-
-// Decode errors. A torn tail is the expected residue of a crash
-// mid-append; corruption means the checksum or structure is wrong in
-// bytes that claim to be complete.
-var (
-	ErrTorn    = errors.New("store: torn journal record (partial tail)")
-	ErrCorrupt = errors.New("store: corrupt journal record")
-)
+//	names            — the op's Tuple
+//	names            — the op's With (replace only)
 
 // Record is one decoded journal entry, with constants as names.
 type Record struct {
@@ -75,15 +42,6 @@ func (r Record) Op(syms *value.Symbols) core.UpdateOp {
 	return op
 }
 
-func appendTuple(dst []byte, names []string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(names)))
-	for _, n := range names {
-		dst = binary.AppendUvarint(dst, uint64(len(n)))
-		dst = append(dst, n...)
-	}
-	return dst
-}
-
 // tupleNames renders a tuple's constants by name. Labeled nulls never
 // appear in update operations; encoding one is a caller bug.
 func tupleNames(t relation.Tuple, syms *value.Symbols) ([]string, error) {
@@ -97,19 +55,16 @@ func tupleNames(t relation.Tuple, syms *value.Symbols) ([]string, error) {
 	return out, nil
 }
 
-// EncodeRecord frames one journal record (header + checksummed
-// payload). with must be nil unless kind is UpdateReplace.
+// EncodeRecord frames one journal record. with must be nil unless kind
+// is UpdateReplace.
 func EncodeRecord(seq uint64, kind core.UpdateKind, tuple, with []string) []byte {
 	payload := binary.AppendUvarint(nil, seq)
 	payload = append(payload, byte(kind))
-	payload = appendTuple(payload, tuple)
+	payload = AppendNames(payload, tuple)
 	if kind == core.UpdateReplace {
-		payload = appendTuple(payload, with)
+		payload = AppendNames(payload, with)
 	}
-	rec := make([]byte, recordHeaderLen, recordHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, castagnoli))
-	return append(rec, payload...)
+	return AppendFrame(nil, payload)
 }
 
 // EncodeOp frames an update operation as a journal record.
@@ -132,85 +87,51 @@ func EncodeOp(seq uint64, op core.UpdateOp, syms *value.Symbols) ([]byte, error)
 	return EncodeRecord(seq, op.Kind, tuple, with), nil
 }
 
-type byteReader struct {
-	data []byte
-	off  int
-}
-
-func (r *byteReader) uvarint() (uint64, bool) {
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		return 0, false
-	}
-	r.off += n
-	return v, true
-}
-
-func (r *byteReader) tuple() ([]string, bool) {
-	w, ok := r.uvarint()
-	if !ok || w > uint64(len(r.data)-r.off) {
-		return nil, false
-	}
-	out := make([]string, w)
-	for i := range out {
-		n, ok := r.uvarint()
-		if !ok || n > uint64(len(r.data)-r.off) {
-			return nil, false
-		}
-		out[i] = string(r.data[r.off : r.off+int(n)])
-		r.off += int(n)
-	}
-	return out, true
-}
-
 // DecodeRecord parses one record from the front of data, returning the
 // record and the bytes consumed. A prefix of a record (data ends before
 // the declared payload does) yields ErrTorn; a complete-looking record
 // whose checksum or structure is wrong yields ErrCorrupt. Arbitrary
 // input never panics (fuzzed by FuzzJournal).
 func DecodeRecord(data []byte) (Record, int, error) {
-	if len(data) < recordHeaderLen {
-		return Record{}, 0, ErrTorn
+	payload, n, err := splitFrame(data, maxRecordPayload)
+	if err != nil {
+		return Record{}, 0, err
 	}
-	plen := binary.LittleEndian.Uint32(data[0:4])
-	if plen > maxPayload {
-		return Record{}, 0, ErrCorrupt
+	rec, err := decodeRecord(payload)
+	if err != nil {
+		return Record{}, 0, err
 	}
-	if uint64(len(data)-recordHeaderLen) < uint64(plen) {
-		return Record{}, 0, ErrTorn
-	}
-	payload := data[recordHeaderLen : recordHeaderLen+int(plen)]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[4:8]) {
-		return Record{}, 0, ErrCorrupt
-	}
-	r := byteReader{data: payload}
-	var rec Record
-	var ok bool
-	if rec.Seq, ok = r.uvarint(); !ok {
-		return Record{}, 0, ErrCorrupt
-	}
-	if r.off >= len(payload) {
-		return Record{}, 0, ErrCorrupt
-	}
-	rec.Kind = core.UpdateKind(payload[r.off])
-	r.off++
+	return rec, n, nil
+}
+
+func decodeRecord(payload []byte) (Record, error) {
+	c := NewCursor(payload)
+	rec := Record{Seq: c.Uvarint(), Kind: core.UpdateKind(c.Byte())}
 	switch rec.Kind {
 	case core.UpdateInsert, core.UpdateDelete, core.UpdateReplace:
 	default:
-		return Record{}, 0, ErrCorrupt
+		return Record{}, ErrCorrupt
 	}
-	if rec.Tuple, ok = r.tuple(); !ok {
-		return Record{}, 0, ErrCorrupt
-	}
+	rec.Tuple = c.Names()
 	if rec.Kind == core.UpdateReplace {
-		if rec.With, ok = r.tuple(); !ok {
-			return Record{}, 0, ErrCorrupt
+		rec.With = c.Names()
+	}
+	if err := c.End(); err != nil {
+		return Record{}, err
+	}
+	return rec, nil
+}
+
+// scanRecords hands each intact journal record at the front of data to
+// fn; see ScanFrames for the returned offset and stop reason.
+func scanRecords(data []byte, fn func(Record) error) (int64, error) {
+	return ScanFrames(data, func(payload []byte) error {
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return err
 		}
-	}
-	if r.off != len(payload) {
-		return Record{}, 0, ErrCorrupt
-	}
-	return rec, recordHeaderLen + int(plen), nil
+		return fn(rec)
+	})
 }
 
 // JournalScan is the result of decoding a journal image: the good
@@ -231,16 +152,13 @@ type JournalScan struct {
 // reported in the scan, and everything before it is preserved.
 func ScanJournal(data []byte) JournalScan {
 	var s JournalScan
-	for int(s.GoodBytes) < len(data) {
-		rec, n, err := DecodeRecord(data[s.GoodBytes:])
-		if err != nil {
-			s.Torn = errors.Is(err, ErrTorn)
-			s.Corrupt = errors.Is(err, ErrCorrupt)
-			break
-		}
+	var err error
+	s.GoodBytes, err = scanRecords(data, func(rec Record) error {
 		s.Records = append(s.Records, rec)
-		s.GoodBytes += int64(n)
-	}
+		return nil
+	})
+	s.Torn = errors.Is(err, ErrTorn)
+	s.Corrupt = errors.Is(err, ErrCorrupt)
 	return s
 }
 

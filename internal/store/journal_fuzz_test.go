@@ -18,7 +18,7 @@ func FuzzJournal(f *testing.F) {
 	f.Add(append(append(append([]byte(nil), r1...), r2...), r3...))
 	f.Add(append(append([]byte(nil), r1...), r2[:7]...)) // torn tail
 	flip := append(append([]byte(nil), r1...), r2...)
-	flip[len(r1)+recordHeaderLen] ^= 0xff // corrupt second payload
+	flip[len(r1)+FrameHeaderLen] ^= 0xff // corrupt second payload
 	f.Add(flip)
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0}) // absurd declared length
 	f.Add(EncodeRecord(0, core.UpdateInsert, nil, nil))
@@ -43,7 +43,7 @@ func FuzzJournal(f *testing.F) {
 	f.Add(append([]byte(nil), batch[:bounds[4]]...))   // torn at a boundary
 	f.Add(append([]byte(nil), batch[:bounds[4]+5]...)) // torn inside a record
 	mid := append([]byte(nil), batch...)
-	mid[bounds[2]+recordHeaderLen] ^= 0x01 // corrupt a mid-batch payload
+	mid[bounds[2]+FrameHeaderLen] ^= 0x01 // corrupt a mid-batch payload
 	f.Add(mid)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

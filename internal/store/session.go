@@ -168,28 +168,21 @@ func Recover(fsys FS, pair *core.Pair, syms *value.Symbols, opts Options) (*Sess
 	// journal reset; past it they must run contiguously. A gap can only
 	// come from damage, so it truncates like a bad checksum.
 	var recs []Record
-	var off int64
 	next := snapSeq + 1
-	for int(off) < len(data) {
-		rec, n, err := DecodeRecord(data[off:])
-		if err != nil {
-			rep.Torn = errors.Is(err, ErrTorn)
-			rep.Corrupt = errors.Is(err, ErrCorrupt)
-			break
-		}
-		if rec.Seq <= snapSeq {
+	off, err := scanRecords(data, func(rec Record) error {
+		switch {
+		case rec.Seq <= snapSeq:
 			rep.Skipped++
-			off += int64(n)
-			continue
+		case rec.Seq != next:
+			return ErrCorrupt
+		default:
+			recs = append(recs, rec)
+			next++
 		}
-		if rec.Seq != next {
-			rep.Corrupt = true
-			break
-		}
-		recs = append(recs, rec)
-		next++
-		off += int64(n)
-	}
+		return nil
+	})
+	rep.Torn = errors.Is(err, ErrTorn)
+	rep.Corrupt = errors.Is(err, ErrCorrupt)
 	if int(off) < len(data) {
 		rep.TruncatedBytes = int64(len(data)) - off
 		// A torn tail is the expected residue of a crash mid-append and

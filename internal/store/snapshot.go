@@ -1,9 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 
 	"github.com/constcomp/constcomp/internal/attr"
@@ -12,17 +12,16 @@ import (
 	"github.com/constcomp/constcomp/internal/value"
 )
 
-// Snapshot file layout:
+// Snapshot file layout: the magic "CCSNAP1\n" followed by exactly one
+// frame (see frame.go) whose payload is
 //
-//	8 bytes  magic "CCSNAP1\n"
-//	u32 LE   body length
-//	u32 LE   CRC32-C of body
-//	body:
-//	  uvarint seq                 — ops folded into this snapshot
-//	  uvarint width
-//	  width × (uvarint len, name) — universe attribute names, column order
-//	  uvarint count
-//	  count × width × (uvarint len, name) — tuples, constants by name
+//	uvarint seq                 — ops folded into this snapshot
+//	names                       — universe attribute names, column order
+//	uvarint count
+//	count × width × (uvarint len, name) — tuples, constants by name
+//
+// The frame spans the rest of the file and, unlike a log record, has no
+// size bound.
 //
 // A snapshot is written to <name>.tmp, fsynced, renamed over <name>,
 // and the directory is fsynced, so a crash mid-write leaves the
@@ -31,18 +30,11 @@ import (
 
 var snapMagic = []byte("CCSNAP1\n")
 
-const snapHeaderLen = 16
-
 // EncodeSnapshot serializes a database image at sequence seq.
 func EncodeSnapshot(seq uint64, db *relation.Relation, syms *value.Symbols) ([]byte, error) {
 	u := db.Universe()
 	body := binary.AppendUvarint(nil, seq)
-	body = binary.AppendUvarint(body, uint64(u.Size()))
-	for i := 0; i < u.Size(); i++ {
-		name := u.Name(attr.ID(i))
-		body = binary.AppendUvarint(body, uint64(len(name)))
-		body = append(body, name...)
-	}
+	body = AppendNames(body, u.Names())
 	body = binary.AppendUvarint(body, uint64(db.Len()))
 	for _, t := range db.Tuples() {
 		names, err := tupleNames(t, syms)
@@ -50,15 +42,10 @@ func EncodeSnapshot(seq uint64, db *relation.Relation, syms *value.Symbols) ([]b
 			return nil, err
 		}
 		for _, n := range names {
-			body = binary.AppendUvarint(body, uint64(len(n)))
-			body = append(body, n...)
+			body = appendName(body, n)
 		}
 	}
-	out := make([]byte, snapHeaderLen, snapHeaderLen+len(body))
-	copy(out, snapMagic)
-	binary.LittleEndian.PutUint32(out[8:12], uint32(len(body)))
-	binary.LittleEndian.PutUint32(out[12:16], crc32.Checksum(body, castagnoli))
-	return append(out, body...), nil
+	return AppendFrame(append([]byte(nil), snapMagic...), body), nil
 }
 
 // DecodeSnapshot parses a snapshot image against the expected universe,
@@ -66,56 +53,42 @@ func EncodeSnapshot(seq uint64, db *relation.Relation, syms *value.Symbols) ([]b
 // mismatch is an error: a snapshot is the recovery floor and must be
 // wholly intact.
 func DecodeSnapshot(data []byte, u *attr.Universe, syms *value.Symbols) (uint64, *relation.Relation, error) {
-	if len(data) < snapHeaderLen || string(data[:8]) != string(snapMagic) {
+	if !bytes.HasPrefix(data, snapMagic) {
 		return 0, nil, fmt.Errorf("store: snapshot: bad magic")
 	}
-	blen := binary.LittleEndian.Uint32(data[8:12])
-	if uint64(blen) != uint64(len(data)-snapHeaderLen) {
-		return 0, nil, fmt.Errorf("store: snapshot: length mismatch (declared %d, have %d)", blen, len(data)-snapHeaderLen)
+	rest := data[len(snapMagic):]
+	body, n, err := splitFrame(rest, noLimit)
+	if err != nil {
+		return 0, nil, fmt.Errorf("store: snapshot: %w", err)
 	}
-	body := data[snapHeaderLen:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[12:16]) {
-		return 0, nil, fmt.Errorf("store: snapshot: checksum mismatch")
+	if n != len(rest) {
+		return 0, nil, fmt.Errorf("store: snapshot: %d bytes past the frame", len(rest)-n)
 	}
-	r := byteReader{data: body}
-	seq, ok := r.uvarint()
-	if !ok {
-		return 0, nil, fmt.Errorf("store: snapshot: truncated seq")
+	c := NewCursor(body)
+	seq := c.Uvarint()
+	names := c.Names()
+	if c.bad {
+		return 0, nil, fmt.Errorf("store: snapshot: header: %w", ErrCorrupt)
 	}
-	width, ok := r.uvarint()
-	if !ok || width != uint64(u.Size()) {
-		return 0, nil, fmt.Errorf("store: snapshot: universe width %d, want %d", width, u.Size())
+	if len(names) != u.Size() {
+		return 0, nil, fmt.Errorf("store: snapshot: universe width %d, want %d", len(names), u.Size())
 	}
-	for i := 0; i < u.Size(); i++ {
-		n, ok := r.uvarint()
-		if !ok || n > uint64(len(body)-r.off) {
-			return 0, nil, fmt.Errorf("store: snapshot: truncated attribute name")
-		}
-		name := string(body[r.off : r.off+int(n)])
-		r.off += int(n)
+	for i, name := range names {
 		if want := u.Name(attr.ID(i)); name != want {
 			return 0, nil, fmt.Errorf("store: snapshot: attribute %d is %q, want %q", i, name, want)
 		}
 	}
-	count, ok := r.uvarint()
-	if !ok {
-		return 0, nil, fmt.Errorf("store: snapshot: truncated tuple count")
-	}
+	count := c.Uvarint()
 	db := relation.New(u.All())
-	for i := uint64(0); i < count; i++ {
+	for i := uint64(0); i < count && !c.bad; i++ {
 		t := make(relation.Tuple, u.Size())
-		for c := range t {
-			n, ok := r.uvarint()
-			if !ok || n > uint64(len(body)-r.off) {
-				return 0, nil, fmt.Errorf("store: snapshot: truncated tuple %d", i)
-			}
-			t[c] = syms.Const(string(body[r.off : r.off+int(n)]))
-			r.off += int(n)
+		for col := range t {
+			t[col] = syms.Const(c.name())
 		}
 		db.Insert(t)
 	}
-	if r.off != len(body) {
-		return 0, nil, fmt.Errorf("store: snapshot: %d trailing bytes", len(body)-r.off)
+	if err := c.End(); err != nil {
+		return 0, nil, fmt.Errorf("store: snapshot: body: %w", err)
 	}
 	return seq, db, nil
 }

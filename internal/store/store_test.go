@@ -233,7 +233,7 @@ func TestRecoverCorruptMiddle(t *testing.T) {
 		}
 		off += int64(n)
 	}
-	if err := mem.Corrupt(JournalFile, int(off)+recordHeaderLen); err != nil {
+	if err := mem.Corrupt(JournalFile, int(off)+FrameHeaderLen); err != nil {
 		t.Fatal(err)
 	}
 	// Records 5..10 are intact past the damage: recovery must refuse to
@@ -723,7 +723,7 @@ func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 		"truncated": img[:len(img)-3],
 	}
 	flipped := append([]byte(nil), img...)
-	flipped[snapHeaderLen+2] ^= 0xff
+	flipped[len(snapMagic)+FrameHeaderLen+2] ^= 0xff
 	cases["bit flip"] = flipped
 	for name, data := range cases {
 		if _, _, err := DecodeSnapshot(data, u, value.NewSymbols()); err == nil {
