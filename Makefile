@@ -61,17 +61,18 @@ bench:
 	$(GO) test -bench=. -benchmem . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH.json
 
 # Regression gate: re-run the kernel, pipeline, per-delta, end-to-end
-# serving, and sharded benchmarks and fail if any BenchmarkRel*,
-# BenchmarkPipeline*, BenchmarkE5InsertDelta*, BenchmarkApplyDeltaVsFull*,
-# BenchmarkNetServe*, or BenchmarkSharded* grew >30% ns/op against the
+# serving, sharded, and maintained-chase removal benchmarks and fail if
+# any BenchmarkRel*, BenchmarkPipeline*, BenchmarkE5InsertDelta*,
+# BenchmarkApplyDeltaVsFull*, BenchmarkNetServe*, BenchmarkSharded*, or
+# BenchmarkMaintainedRemove* grew >30% ns/op against the
 # committed baseline. -count=3 runs each benchmark three times and the
 # comparison keeps the fastest, de-noising shared-machine scheduling and
 # GC hiccups. The fresh run lands in BENCH.fresh.json (gitignored; CI
 # uploads it as an artifact). A missing baseline makes the comparison
 # advisory-only (exit 0).
 bench-compare:
-	$(GO) test -bench='^Benchmark(Rel|Pipeline|E5InsertDelta|ApplyDeltaVsFull|NetServe|Sharded)' -benchmem -count=3 . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH.fresh.json
-	$(GO) run ./cmd/benchjson -compare BENCH.json -filter '^Benchmark(Rel|Pipeline|E5InsertDelta|ApplyDeltaVsFull|NetServe|Sharded)' BENCH.fresh.json
+	$(GO) test -bench='^Benchmark(Rel|Pipeline|E5InsertDelta|ApplyDeltaVsFull|NetServe|Sharded|MaintainedRemove)' -benchmem -count=3 . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH.fresh.json
+	$(GO) run ./cmd/benchjson -compare BENCH.json -filter '^Benchmark(Rel|Pipeline|E5InsertDelta|ApplyDeltaVsFull|NetServe|Sharded|MaintainedRemove)' BENCH.fresh.json
 
 # Chaos smoke: six canonical per-kind fault schedules plus a fixed-seed
 # sweep through the self-healing pipeline (internal/chaos). Exits
@@ -161,23 +162,28 @@ experiments-quick:
 	$(GO) run ./cmd/experiments -quick
 
 # Quick fuzz pass over every decoder that reads disk or network bytes:
-# the dependency parser, the journal, snapshot and txlog decoders, and
-# the netserve op-frame reader. Malformed input must never panic. Every
+# the dependency and dependency-set parsers, the journal, snapshot and
+# txlog decoders, and the netserve op-frame (server-side) and
+# result-frame (client-side) readers. Malformed input must never panic. Every
 # target uses -run '^$$' so no unit tests are re-run alongside the
 # fuzzing.
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=5s -run '^$$' ./internal/dep
+	$(GO) test -fuzz='^FuzzParseSet$$' -fuzztime=5s -run '^$$' ./internal/dep
 	$(GO) test -fuzz='^FuzzJournal$$' -fuzztime=5s -run '^$$' ./internal/store
 	$(GO) test -fuzz='^FuzzSnapshot$$' -fuzztime=5s -run '^$$' ./internal/store
 	$(GO) test -fuzz='^FuzzTxLog$$' -fuzztime=5s -run '^$$' ./internal/shard
 	$(GO) test -fuzz='^FuzzOpFrame$$' -fuzztime=5s -run '^$$' ./internal/netserve
+	$(GO) test -fuzz='^FuzzResultFrame$$' -fuzztime=5s -run '^$$' ./internal/netserve
 
 fuzz:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s -run '^$$' ./internal/dep
+	$(GO) test -fuzz='^FuzzParseSet$$' -fuzztime=30s -run '^$$' ./internal/dep
 	$(GO) test -fuzz='^FuzzJournal$$' -fuzztime=30s -run '^$$' ./internal/store
 	$(GO) test -fuzz='^FuzzSnapshot$$' -fuzztime=30s -run '^$$' ./internal/store
 	$(GO) test -fuzz='^FuzzTxLog$$' -fuzztime=30s -run '^$$' ./internal/shard
 	$(GO) test -fuzz='^FuzzOpFrame$$' -fuzztime=30s -run '^$$' ./internal/netserve
+	$(GO) test -fuzz='^FuzzResultFrame$$' -fuzztime=30s -run '^$$' ./internal/netserve
 
 clean:
 	$(GO) clean ./...

@@ -667,10 +667,13 @@ func BenchmarkRelChaseInstance(b *testing.B) {
 // BenchmarkMaintainedRemoveWideGroup measures chase.Maintained.RemoveRow
 // in one wide Z-key group: the EDM padding shape (E→D, D→M), where
 // every row shares one department, so the whole group is one connected
-// component and each removal re-chases it. An iteration removes the
-// oldest row and adds a fresh one, keeping the group at g rows; should
-// the fixpoint report itself Wasteful it is rebuilt off the clock, as
-// the incremental session would. Cost should grow linearly in g.
+// component. An iteration removes a row and adds a fresh one, keeping
+// the group at g rows; should the fixpoint report itself Wasteful it is
+// rebuilt off the clock, as the incremental session would. Every
+// removal takes the detach path, one branch per victim: victim=oldest
+// removes the row whose null roots the M class and whose entry files
+// the department, so the root is re-picked and the bucket refiled;
+// victim=random removes any other member, which only leaves its class.
 func BenchmarkMaintainedRemoveWideGroup(b *testing.B) {
 	e := workload.NewEDM()
 	fds := e.Schema.Sigma().SplitFDs()
@@ -682,35 +685,44 @@ func BenchmarkMaintainedRemoveWideGroup(b *testing.B) {
 		next++
 		return relation.Tuple{e.Syms.Const(fmt.Sprintf("wide-emp%d", next)), dept, gen.Fresh()}
 	}
-	for _, g := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("group=%d", g), func(b *testing.B) {
-			build := func(rows []relation.Tuple) (*chase.Maintained, []int) {
-				m := chase.NewMaintained(plans)
-				ids := make([]int, len(rows))
-				for i, r := range rows {
-					ids[i] = m.AddRow(r)
+	build := func(rows []relation.Tuple) (*chase.Maintained, []int) {
+		m := chase.NewMaintained(plans)
+		ids := make([]int, len(rows))
+		for i, r := range rows {
+			ids[i] = m.AddRow(r)
+		}
+		return m, ids
+	}
+	for _, victim := range []string{"oldest", "random"} {
+		for _, g := range []int{16, 64, 256} {
+			b.Run(fmt.Sprintf("victim=%s/group=%d", victim, g), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				rows := make([]relation.Tuple, g)
+				for i := range rows {
+					rows[i] = row()
 				}
-				return m, ids
-			}
-			rows := make([]relation.Tuple, g)
-			for i := range rows {
-				rows[i] = row()
-			}
-			m, ids := build(rows)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.RemoveRow(ids[0])
-				r := row()
-				ids = append(ids[1:], m.AddRow(r))
-				rows = append(rows[1:], r)
-				if m.Wasteful() {
-					b.StopTimer()
-					m, ids = build(rows)
-					b.StartTimer()
+				m, ids := build(rows)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					// ids and rows run oldest first.
+					k := 0
+					if victim == "random" {
+						k = 1 + rng.Intn(g-1)
+					}
+					m.RemoveRow(ids[k])
+					r := row()
+					copy(ids[k:], ids[k+1:])
+					copy(rows[k:], rows[k+1:])
+					ids[g-1], rows[g-1] = m.AddRow(r), r
+					if m.Wasteful() {
+						b.StopTimer()
+						m, ids = build(rows)
+						b.StartTimer()
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -21,14 +21,21 @@ import (
 // maximum of a class, canonical representatives are order-independent:
 // a Maintained built by any sequence of AddRow/RemoveRow resolves every
 // value exactly as a fresh batch chase of the surviving rows would.
+// Both union-finds are kept flat — a merge re-points every moved member
+// straight at the new root — so Find is one map hop and a removal can
+// drop a member, or re-pick a root, without re-parenting a subtree.
 //
 // Precondition for RemoveRow: distinct rows must not share labeled
 // nulls (each row's nulls are fresh, as produced by value.NullGen —
 // constants may repeat freely). FD merges then only link rows within a
-// connected component, so removal can reset and re-derive just the
-// affected component instead of the whole fixpoint.
+// connected component. Most removals detach the row in time
+// proportional to its own classes and groups; the rest reset and
+// re-derive the affected component (see RemoveRow).
 type Maintained struct {
 	plans Plans
+	// aPlans[c] counts the plans whose A holds column c: a null in a
+	// column of two could bridge two FD groups' cliques.
+	aPlans []int
 	// rows holds the raw tuples; nil marks a free slot. free lists the
 	// slots removals vacated, reused (last first) by AddRow.
 	rows  []relation.Tuple
@@ -38,23 +45,32 @@ type Maintained struct {
 	// holds at most one per plan, so any excess is stale entries left
 	// behind by rows whose Z-hash moved (see Wasteful).
 	entries int
-	// parent/members: union-find over values (raw granularity), as in
-	// Overlay. Only non-roots have parent entries.
+	// parent/members: flat union-find over values (raw granularity):
+	// every non-root maps straight to its root, and members lists a
+	// root's non-roots.
 	parent  map[value.Value]value.Value
 	members map[value.Value][]value.Value
 	clash   bool
+	// nullRepeat latches once some added row held one null in two
+	// columns. Until then every null-rooted class holds nulls of a
+	// single column, so re-picking its root moves no Z-hash.
+	nullRepeat bool
 	// buckets[fi] maps Z-key hashes (canonical at insertion time) to row
-	// ids. A removal takes its row out of the bucket of its current hash;
-	// entries a row left under an earlier hash go stale, and so may an
-	// entry whose slot was reused. Every probe re-verifies with zEqual
-	// under the current resolution, so staleness costs space, never
-	// correctness.
+	// ids; each live Z-group keeps at least one member filed under its
+	// current hash. A removal takes its row out of the bucket of its
+	// current hash; entries a row left under an earlier hash go stale,
+	// and so may an entry whose slot was reused. Every probe re-verifies
+	// with zEqual under the current resolution, so staleness costs
+	// space, never correctness.
 	buckets []map[uint64][]int
 	// valueRows maps each raw value to the live rows containing it, in
 	// insertion order; a removal takes its row out of its values' lists.
 	valueRows map[value.Value][]int
-	// rowParent/rowMembers: union-find over rows, tracking the connected
-	// components the FD merges induce; RemoveRow re-chases one component.
+	// rowParent/rowMembers: flat union-find over rows, tracking the
+	// connected components the FD merges induce (a detach leaves the
+	// survivors in one component even when the row was their only link,
+	// so a component may be a union of true ones); RemoveRow's fallback
+	// re-chases one component.
 	rowParent  []int
 	rowMembers map[int][]int
 }
@@ -73,6 +89,14 @@ func NewMaintained(plans Plans) *Maintained {
 	}
 	for i := range m.buckets {
 		m.buckets[i] = make(map[uint64][]int)
+	}
+	for _, plan := range plans {
+		for _, c := range plan[1] {
+			for len(m.aPlans) <= c {
+				m.aPlans = append(m.aPlans, 0)
+			}
+			m.aPlans[c]++
+		}
 	}
 	return m
 }
@@ -96,15 +120,13 @@ func (m *Maintained) Wasteful() bool {
 	return len(m.free)*2 > m.alive+16 || m.entries > 2*len(m.plans)*m.alive+64
 }
 
-// Find resolves a value to its canonical representative.
+// Find resolves a value to its canonical representative: one hop, as
+// the union-find is flat.
 func (m *Maintained) Find(v value.Value) value.Value {
-	for {
-		n, ok := m.parent[v]
-		if !ok {
-			return v
-		}
-		v = n
+	if r, ok := m.parent[v]; ok {
+		return r
 	}
+	return v
 }
 
 // Cell returns the canonical value of column c of live row id.
@@ -139,6 +161,8 @@ func (m *Maintained) AddRow(row relation.Tuple) int {
 		if !seen[v] {
 			seen[v] = true
 			m.valueRows[v] = append(m.valueRows[v], ri)
+		} else if v.IsNull() {
+			m.nullRepeat = true
 		}
 	}
 	if !m.clash {
@@ -148,7 +172,36 @@ func (m *Maintained) AddRow(row relation.Tuple) int {
 }
 
 // RemoveRow deletes a live row and restores the fixpoint of the
-// survivors: the row's connected component is reset to its raw values
+// survivors, by one of two paths.
+//
+// Detach, when the fixpoint has not clashed and the row satisfies all
+// of:
+//   - every plan has a Z, and the row's Z cells are raw constants;
+//   - each of its nulls sits in exactly one of its columns, and that
+//     column (in no plan's Z, by the first rule) is in the A of at most
+//     one plan;
+//   - for every plan whose Z-group (the live rows agreeing with it on Z)
+//     has another live member, its A cells are nulls;
+//   - a null of the row that roots a class with other members needs no
+//     live row ever to have repeated a null across columns.
+//
+// Then the row's equalities only tie its own nulls to cliques the
+// survivors still derive on their own. Its Z-keys are constants, so its
+// group in each plan is fixed. A plan whose group holds only the row
+// equates nothing. In any other plan the row's A cells are nulls, and
+// the chase equates each with the A cells of the other members, which
+// the survivors equate among themselves without it. Each such null
+// appears nowhere else and in no Z column, so its class membership
+// moves no Z-key and enables no further match. Hence the survivors'
+// fixpoint is the current one minus the row's nulls: each null leaves
+// its class, a class root is re-picked as the numeric maximum of the
+// rest (the union tie-break, so batch parity holds), each bucket the row
+// was filed in gets a survivor of its group filed if none is left, the
+// row leaves its row component, and its slot is freed. While no row
+// repeats a null, a null-rooted class holds nulls of one non-Z column
+// only, so the re-pick moves no Z-hash either.
+//
+// Otherwise the row's connected component is reset to its raw values
 // and re-chased, which is exactly a fresh chase of the component minus
 // the row (no other component's classes are touched — see the
 // fresh-nulls precondition).
@@ -156,6 +209,183 @@ func (m *Maintained) RemoveRow(id int) {
 	if id < 0 || id >= len(m.rows) || m.rows[id] == nil {
 		return
 	}
+	if m.detachable(id) {
+		m.detach(id)
+		if mt := cmetrics.Load(); mt != nil {
+			mt.maintainedDetach.Inc()
+		}
+		return
+	}
+	rows := m.rechase(id)
+	if mt := cmetrics.Load(); mt != nil {
+		mt.maintainedRechase.Inc()
+		mt.maintainedRechaseRows.Add(int64(rows))
+	}
+}
+
+// detachable reports whether RemoveRow may detach row id (see there).
+func (m *Maintained) detachable(id int) bool {
+	if m.clash {
+		return false
+	}
+	row := m.rows[id]
+	for c, v := range row {
+		if !v.IsNull() {
+			continue
+		}
+		if c < len(m.aPlans) && m.aPlans[c] > 1 {
+			return false
+		}
+		for _, w := range row[c+1:] {
+			if w == v {
+				return false
+			}
+		}
+		if m.nullRepeat && len(m.members[v]) > 0 {
+			return false
+		}
+	}
+	for _, plan := range m.plans {
+		if len(plan[0]) == 0 {
+			return false
+		}
+		for _, c := range plan[0] {
+			if row[c].IsNull() {
+				return false
+			}
+		}
+		for _, c := range plan[1] {
+			if !row[c].IsNull() {
+				if m.groupSurvivor(id, plan[0]) >= 0 {
+					return false
+				}
+				break
+			}
+		}
+	}
+	return true
+}
+
+// detach removes row id along the detach path of RemoveRow.
+func (m *Maintained) detach(id int) {
+	row := m.rows[id]
+	for _, v := range row {
+		if v.IsNull() {
+			m.dropNull(v)
+		}
+		without(m.valueRows, v, id)
+	}
+	for fi, plan := range m.plans {
+		h := m.zHashRow(row, plan[0])
+		n := without(m.buckets[fi], h, id)
+		if n == 0 {
+			continue
+		}
+		m.entries -= n
+		if m.probe(fi, h, row, plan[0]) >= 0 {
+			continue
+		}
+		if s := m.groupSurvivor(id, plan[0]); s >= 0 {
+			m.buckets[fi][h] = append(m.buckets[fi][h], s)
+			m.entries++
+		}
+	}
+	if r := m.rowParent[id]; r != id {
+		without(m.rowMembers, r, id)
+	} else if mem := m.rowMembers[id]; len(mem) > 0 {
+		// The component root leaves: the smallest member takes over, as
+		// rowUnion would pick it.
+		delete(m.rowMembers, id)
+		root, rest := successor(mem, func(a, b int) bool { return a < b })
+		m.rowParent[root] = root
+		for _, x := range rest {
+			m.rowParent[x] = root
+		}
+		if len(rest) > 0 {
+			m.rowMembers[root] = rest
+		}
+	}
+	m.rowParent[id] = id
+	m.rows[id] = nil
+	m.free = append(m.free, id)
+	m.alive--
+}
+
+// dropNull takes the null v out of its class. A non-root just leaves
+// its root's member list; a root hands the class to the numeric maximum
+// of the rest — the value union would have picked without v.
+func (m *Maintained) dropNull(v value.Value) {
+	if r, ok := m.parent[v]; ok {
+		delete(m.parent, v)
+		without(m.members, r, v)
+		return
+	}
+	mem := m.members[v]
+	if len(mem) == 0 {
+		return
+	}
+	delete(m.members, v)
+	root, rest := successor(mem, func(a, b value.Value) bool { return a > b })
+	delete(m.parent, root)
+	for _, x := range rest {
+		m.parent[x] = root
+	}
+	if len(rest) > 0 {
+		m.members[root] = rest
+	}
+}
+
+// successor splits a departing root's member list into the member
+// that takes over — the one no other beats — and the rest, in order,
+// reusing mem's storage.
+func successor[T any](mem []T, beats func(a, b T) bool) (T, []T) {
+	top := 0
+	for i, x := range mem {
+		if beats(x, mem[top]) {
+			top = i
+		}
+	}
+	root := mem[top]
+	return root, append(mem[:top], mem[top+1:]...)
+}
+
+// probe returns the first live row filed in bucket h of plan fi that
+// agrees with row on the Z columns z under the current resolution, or
+// -1.
+func (m *Maintained) probe(fi int, h uint64, row relation.Tuple, z []int) int {
+	for _, cand := range m.buckets[fi][h] {
+		if m.rows[cand] != nil && m.zEqualRows(m.rows[cand], row, z) {
+			return cand
+		}
+	}
+	return -1
+}
+
+// groupSurvivor returns a live row other than id that agrees with it on
+// the Z columns z under the current resolution, or -1. Every such row
+// holds, in column z[0], a raw value of the class of id's z[0] cell, so
+// the scan stays within that class's valueRows.
+func (m *Maintained) groupSurvivor(id int, z []int) int {
+	row := m.rows[id]
+	r := m.Find(row[z[0]])
+	mem := m.members[r]
+	for i := -1; i < len(mem); i++ {
+		v := r
+		if i >= 0 {
+			v = mem[i]
+		}
+		for _, ri := range m.valueRows[v] {
+			if ri != id && m.rows[ri] != nil && m.zEqualRows(m.rows[ri], row, z) {
+				return ri
+			}
+		}
+	}
+	return -1
+}
+
+// rechase removes row id along the fallback path of RemoveRow and
+// returns the number of surviving rows it re-chased.
+func (m *Maintained) rechase(id int) int {
 	comp := m.componentOf(id)
 	// Take the row out of the lists that name it, under the resolution
 	// its entries were filed with, so its slot can be reused and the
@@ -223,7 +453,7 @@ func (m *Maintained) RemoveRow(id int) {
 	m.free = append(m.free, id)
 	m.alive--
 	if m.clash {
-		return
+		return 0
 	}
 	seeds := make([]int, 0, len(comp)-1)
 	for _, ri := range comp {
@@ -232,17 +462,18 @@ func (m *Maintained) RemoveRow(id int) {
 		}
 	}
 	m.run(seeds)
+	return len(seeds)
 }
 
-// without removes every occurrence of id from the list lists[k], in
+// without removes every occurrence of x from the list lists[k], in
 // place and keeping order, drops the key once its list is empty, and
 // returns how many entries it removed.
-func without[K comparable](lists map[K][]int, k K, id int) int {
-	ids := lists[k]
-	out := ids[:0]
-	for _, x := range ids {
-		if x != id {
-			out = append(out, x)
+func without[K, V comparable](lists map[K][]V, k K, x V) int {
+	xs := lists[k]
+	out := xs[:0]
+	for _, y := range xs {
+		if y != x {
+			out = append(out, y)
 		}
 	}
 	if len(out) == 0 {
@@ -250,7 +481,7 @@ func without[K comparable](lists map[K][]int, k K, id int) int {
 	} else {
 		lists[k] = out
 	}
-	return len(ids) - len(out)
+	return len(xs) - len(out)
 }
 
 // run drives the worklist: visit the seed rows, then revisit the rows
@@ -295,16 +526,9 @@ func (m *Maintained) visitRow(ri int, queue []value.Value) []value.Value {
 	}
 	for fi, plan := range m.plans {
 		h := m.zHashRow(row, plan[0])
-		bucket := m.buckets[fi][h]
-		other := -1
-		for _, cand := range bucket {
-			if m.rows[cand] != nil && m.zEqualRows(m.rows[cand], row, plan[0]) {
-				other = cand
-				break
-			}
-		}
+		other := m.probe(fi, h, row, plan[0])
 		if other < 0 {
-			m.buckets[fi][h] = append(bucket, ri)
+			m.buckets[fi][h] = append(m.buckets[fi][h], ri)
 			m.entries++
 			continue
 		}
@@ -352,8 +576,9 @@ func (m *Maintained) classValues(v value.Value) []value.Value {
 // union merges the classes of a and b, preferring constants and then
 // smaller-index nulls (the numeric maximum — order-independent). It
 // appends to queue the raw values whose representative changed — the
-// losing class, representative included — and returns it; a
-// constant/constant merge latches the clash flag instead.
+// losing class, representative included — and returns it, having
+// re-pointed each of them straight at the winner; a constant/constant
+// merge latches the clash flag instead.
 func (m *Maintained) union(a, b value.Value, queue []value.Value) []value.Value {
 	ra, rb := m.Find(a), m.Find(b)
 	if ra == rb {
@@ -368,38 +593,37 @@ func (m *Maintained) union(a, b value.Value, queue []value.Value) []value.Value 
 	}
 	moved := m.members[rb]
 	m.parent[rb] = ra
+	for _, v := range moved {
+		m.parent[v] = ra
+	}
 	m.members[ra] = append(append(m.members[ra], rb), moved...)
 	delete(m.members, rb)
 	return append(append(queue, rb), moved...)
 }
 
-// rowFind resolves a row id to its component representative.
-func (m *Maintained) rowFind(i int) int {
-	for m.rowParent[i] != i {
-		i = m.rowParent[i]
-	}
-	return i
-}
-
 // rowUnion merges two row components (smaller root wins, for
-// determinism of componentOf).
+// determinism of componentOf), re-pointing the loser's rows straight at
+// the new root.
 func (m *Maintained) rowUnion(a, b int) {
-	ra, rb := m.rowFind(a), m.rowFind(b)
+	ra, rb := m.rowParent[a], m.rowParent[b]
 	if ra == rb {
 		return
 	}
 	if rb < ra {
 		ra, rb = rb, ra
 	}
+	moved := m.rowMembers[rb]
 	m.rowParent[rb] = ra
-	m.rowMembers[ra] = append(m.rowMembers[ra], rb)
-	m.rowMembers[ra] = append(m.rowMembers[ra], m.rowMembers[rb]...)
+	for _, ri := range moved {
+		m.rowParent[ri] = ra
+	}
+	m.rowMembers[ra] = append(append(m.rowMembers[ra], rb), moved...)
 	delete(m.rowMembers, rb)
 }
 
 // componentOf returns the sorted live row ids of id's component.
 func (m *Maintained) componentOf(id int) []int {
-	r := m.rowFind(id)
+	r := m.rowParent[id]
 	out := append([]int{r}, m.rowMembers[r]...)
 	sort.Ints(out)
 	return out

@@ -6,9 +6,9 @@ import (
 	"github.com/constcomp/constcomp/internal/obs"
 )
 
-// chaseMetrics holds the resolved metric handles for both chase
-// variants: the instance chase (Theorem 3's engine) and the tableau
-// chase (Theorem 1's engine).
+// chaseMetrics holds the resolved metric handles for the chase
+// procedures: the instance chase (Theorem 3's engine), the tableau
+// chase (Theorem 1's engine) and the removal paths of Maintained.
 type chaseMetrics struct {
 	instanceRuns      *obs.Counter
 	instancePasses    *obs.Counter
@@ -22,6 +22,10 @@ type chaseMetrics struct {
 	tableauJDPasses  *obs.Counter
 	tableauRowVisits *obs.Counter
 	tableauRows      *obs.Histogram
+
+	maintainedDetach      *obs.Counter
+	maintainedRechase     *obs.Counter
+	maintainedRechaseRows *obs.Counter
 }
 
 var cmetrics atomic.Pointer[chaseMetrics]
@@ -46,5 +50,9 @@ func SetMetrics(s obs.Sink) {
 		tableauJDPasses:  s.Counter("chase_tableau_jd_passes_total"),
 		tableauRowVisits: s.Counter("chase_tableau_row_visits_total"),
 		tableauRows:      s.Histogram("chase_tableau_rows"),
+
+		maintainedDetach:      s.Counter("chase_maintained_detach_total"),
+		maintainedRechase:     s.Counter("chase_maintained_rechase_total"),
+		maintainedRechaseRows: s.Counter("chase_maintained_rechase_rows_total"),
 	})
 }
