@@ -61,18 +61,20 @@ bench:
 	$(GO) test -bench=. -benchmem . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH.json
 
 # Regression gate: re-run the kernel, pipeline, per-delta, end-to-end
-# serving, sharded, and maintained-chase removal benchmarks and fail if
-# any BenchmarkRel*, BenchmarkPipeline*, BenchmarkE5InsertDelta*,
-# BenchmarkApplyDeltaVsFull*, BenchmarkNetServe*, BenchmarkSharded*, or
-# BenchmarkMaintainedRemove* grew >30% ns/op against the
+# serving, sharded, maintained-chase removal, and store encoder
+# benchmarks and fail if any BenchmarkRel*, BenchmarkPipeline*,
+# BenchmarkE5InsertDelta*, BenchmarkApplyDeltaVsFull*,
+# BenchmarkNetServe*, BenchmarkSharded*, BenchmarkMaintainedRemove*,
+# BenchmarkStoreSnapshot* or BenchmarkStoreJournalAppend grew >30% in
+# ns/op, or in allocs/op where the baseline records them, against the
 # committed baseline. -count=3 runs each benchmark three times and the
 # comparison keeps the fastest, de-noising shared-machine scheduling and
 # GC hiccups. The fresh run lands in BENCH.fresh.json (gitignored; CI
 # uploads it as an artifact). A missing baseline makes the comparison
 # advisory-only (exit 0).
 bench-compare:
-	$(GO) test -bench='^Benchmark(Rel|Pipeline|E5InsertDelta|ApplyDeltaVsFull|NetServe|Sharded|MaintainedRemove)' -benchmem -count=3 . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH.fresh.json
-	$(GO) run ./cmd/benchjson -compare BENCH.json -filter '^Benchmark(Rel|Pipeline|E5InsertDelta|ApplyDeltaVsFull|NetServe|Sharded|MaintainedRemove)' BENCH.fresh.json
+	$(GO) test -bench='^Benchmark(Rel|Pipeline|E5InsertDelta|ApplyDeltaVsFull|NetServe|Sharded|MaintainedRemove|StoreSnapshot|StoreJournalAppend)' -benchmem -count=3 . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH.fresh.json
+	$(GO) run ./cmd/benchjson -compare BENCH.json -filter '^Benchmark(Rel|Pipeline|E5InsertDelta|ApplyDeltaVsFull|NetServe|Sharded|MaintainedRemove|StoreSnapshot|StoreJournalAppend)' BENCH.fresh.json
 
 # Chaos smoke: six canonical per-kind fault schedules plus a fixed-seed
 # sweep through the self-healing pipeline (internal/chaos). Exits

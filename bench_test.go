@@ -846,6 +846,26 @@ func BenchmarkStoreScanJournal(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreSnapshotEncode isolates the checkpoint encoder: one
+// snapshot image of a 4096-employee, 1024-department instance (the
+// benchmark's pipe-large shape), constants rendered by name.
+func BenchmarkStoreSnapshotEncode(b *testing.B) {
+	e := workload.NewEDM()
+	db := e.Instance(4096, 1024)
+	img, err := store.EncodeSnapshot(1, db, e.Syms)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(img)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := store.EncodeSnapshot(uint64(i), db, e.Syms); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPipelineOpsPerSec measures journaled update throughput
 // through the serve pipeline at several group-commit batch sizes, on
 // both the in-memory FS and a real directory (where fsync cost

@@ -10,8 +10,9 @@
 // Both files are JSON arrays as written by the convert mode. Benchmarks
 // are matched by name and GOMAXPROCS; repeated runs of one benchmark
 // (go test -count=N) collapse to their fastest before comparing, and
-// any match whose ns/op grew by more than the threshold fails the run
-// (exit 1). A missing baseline is advisory-only: the comparison is
+// any match whose ns/op or allocs/op grew by more than the threshold
+// fails the run (exit 1); a baseline recorded without allocs/op gates
+// ns/op alone. A missing baseline is advisory-only: the comparison is
 // skipped with exit 0, so the gate can bootstrap on branches that have
 // never recorded one.
 package main
@@ -40,7 +41,7 @@ type Record struct {
 
 func main() {
 	compare := flag.String("compare", "", "baseline JSON file; switch to regression-gate mode against the new JSON (file argument or stdin)")
-	threshold := flag.Float64("threshold", 0.30, "with -compare: maximum allowed relative ns/op growth")
+	threshold := flag.Float64("threshold", 0.30, "with -compare: maximum allowed relative ns/op and allocs/op growth")
 	filter := flag.String("filter", "", "with -compare: regexp restricting which benchmark names are gated")
 	flag.Parse()
 
@@ -186,10 +187,12 @@ func bestRuns(recs []Record) []Record {
 }
 
 // compareRecords prints a delta table and returns how many gated
-// benchmarks regressed past the threshold. Benchmarks present on only
-// one side are reported but never fail the gate. Repeated runs of the
-// same benchmark on either side collapse to their fastest (see
-// bestRuns), so the fresh side can be generated with -count=N.
+// benchmarks regressed past the threshold, in ns/op or in allocs/op
+// (the latter only where the baseline records allocations).
+// Benchmarks present on only one side are reported but never fail the
+// gate. Repeated runs of the same benchmark on either side collapse to
+// their fastest (see bestRuns), so the fresh side can be generated
+// with -count=N.
 func compareRecords(base, cur []Record, threshold float64, filter string, w io.Writer) (int, error) {
 	base, cur = bestRuns(base), bestRuns(cur)
 	var re *regexp.Regexp
@@ -218,16 +221,23 @@ func compareRecords(base, cur []Record, threshold float64, filter string, w io.W
 			fresh = append(fresh, r.Name)
 			continue
 		}
-		delta := 0.0
-		if b.NsPerOp > 0 {
-			delta = r.NsPerOp/b.NsPerOp - 1
-		}
+		delta := growth(b.NsPerOp, r.NsPerOp)
+		allocs := ""
 		verdict := "ok"
+		if b.AllocsPerOp > 0 {
+			ad := growth(float64(b.AllocsPerOp), float64(r.AllocsPerOp))
+			allocs = fmt.Sprintf("  %d -> %d allocs/op %+6.1f%%", b.AllocsPerOp, r.AllocsPerOp, ad*100)
+			if ad > threshold {
+				verdict = "REGRESSION (allocs)"
+			}
+		}
 		if delta > threshold {
 			verdict = "REGRESSION"
+		}
+		if verdict != "ok" {
 			regressions++
 		}
-		fmt.Fprintf(w, "%-40s %12.1f -> %12.1f ns/op  %+6.1f%%  %s\n", r.Name, b.NsPerOp, r.NsPerOp, delta*100, verdict)
+		fmt.Fprintf(w, "%-40s %12.1f -> %12.1f ns/op  %+6.1f%%%s  %s\n", r.Name, b.NsPerOp, r.NsPerOp, delta*100, allocs, verdict)
 	}
 	for _, r := range base {
 		if re != nil && !re.MatchString(r.Name) {
@@ -246,4 +256,12 @@ func compareRecords(base, cur []Record, threshold float64, filter string, w io.W
 			len(fresh), strings.Join(fresh, ", "))
 	}
 	return regressions, nil
+}
+
+// growth is cur's relative growth over base; a zero base never grows.
+func growth(base, cur float64) float64 {
+	if base <= 0 {
+		return 0
+	}
+	return cur/base - 1
 }

@@ -62,6 +62,34 @@ func TestCompareRecords(t *testing.T) {
 	}
 }
 
+func TestCompareRecordsGatesAllocs(t *testing.T) {
+	base := []Record{
+		{Name: "BenchmarkRelA", Procs: 1, NsPerOp: 1000, AllocsPerOp: 10},
+		{Name: "BenchmarkRelB", Procs: 1, NsPerOp: 1000, AllocsPerOp: 10},
+		{Name: "BenchmarkRelC", Procs: 1, NsPerOp: 1000}, // no allocs recorded
+		{Name: "BenchmarkOther", Procs: 1, NsPerOp: 1000, AllocsPerOp: 10},
+	}
+	cur := []Record{
+		{Name: "BenchmarkRelA", Procs: 1, NsPerOp: 900, AllocsPerOp: 14},   // +40% allocs: regression
+		{Name: "BenchmarkRelB", Procs: 1, NsPerOp: 1000, AllocsPerOp: 12},  // +20% allocs: ok
+		{Name: "BenchmarkRelC", Procs: 1, NsPerOp: 1000, AllocsPerOp: 500}, // zero baseline: not gated
+		{Name: "BenchmarkOther", Procs: 1, NsPerOp: 1000, AllocsPerOp: 99}, // filtered out
+	}
+	var out bytes.Buffer
+	n, err := compareRecords(base, cur, 0.30, "^BenchmarkRel", &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 {
+		t.Fatalf("regressions = %d, want 1 (BenchmarkRelA's allocs):\n%s", n, out.String())
+	}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "BenchmarkRelA ") != strings.Contains(line, "REGRESSION (allocs)") {
+			t.Errorf("allocs verdict on the wrong line: %q\n%s", line, out.String())
+		}
+	}
+}
+
 func TestCompareRecordsNamesAdvisoryNewBenchmarks(t *testing.T) {
 	base := []Record{{Name: "BenchmarkRelJoin", Procs: 1, NsPerOp: 1000}}
 	cur := []Record{

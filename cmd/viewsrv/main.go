@@ -243,10 +243,15 @@ func addPipelineViews(srv *netserve.Server, edm *workload.EDM, db *relation.Rela
 			log.Fatal(err)
 		}
 		// The view's FS: the first view optionally gets the one-shot
-		// fsync fault that triggers an online resurrection.
+		// fsync fault that triggers an online resurrection. It counts
+		// journal syncs only: a failed snapshot sync merely degrades the
+		// session to journal-only durability and breaks nothing.
 		var fsys store.FS = dirFS
 		if i == 0 && failSync > 0 {
-			fsys = store.NewFaultFS(dirFS, store.FaultPlan{FailSyncAt: failSync})
+			fsys = store.NewFaultFS(dirFS, store.FaultPlan{
+				Match:      func(fname string) bool { return fname == store.JournalFile },
+				FailSyncAt: failSync,
+			})
 		}
 		// Each view gets its own copy of the initial instance: sessions
 		// maintain their databases independently (the incremental path

@@ -171,14 +171,27 @@ func (s *Session) ensureInc() *incState {
 // Database returns a snapshot of the current database.
 func (s *Session) Database() *relation.Relation { return s.db.Clone() }
 
+// DatabaseRef returns the session's live database without copying it,
+// for read-only use between applies: the next apply mutates it in
+// place, so the caller must finish with it before then and must never
+// read it concurrently with an apply or modify it. It lets a caller
+// that owns the session — the durable store's checkpoint, which runs on
+// the committer between applies — read an O(|db|) image without first
+// paying an O(|db|) clone. Everyone else wants Database.
+func (s *Session) DatabaseRef() *relation.Relation { return s.db }
+
 // ViewRef returns the current materialized view without re-projecting
 // the database: the session maintains π_X(db) across applies by
 // patching it with each op's view-level delta (see patchMView), paying
 // one re-projection only when the image was invalidated. Callers must
 // treat the result as immutable; it stays valid and stable forever —
 // the session copies-on-write before the next patch.
-// This is the serving pipeline's read path: publishing a view after a
-// committed batch costs O(|batch|), not O(|db|).
+// This is the serving pipeline's read path. It is not O(|batch|) per
+// published batch: the ref itself is free and each op's patch is
+// O(1), but the first patch after a ref was handed out clones the
+// whole image (the copy-on-write), so a caller that takes a ref after
+// every batch pays one O(|view|) Relation.Clone per batch: cheaper
+// than an O(|db|) re-projection, but not proportional to the batch.
 func (s *Session) ViewRef() *relation.Relation {
 	if s.mview == nil {
 		s.mview = s.db.Project(s.pair.x)

@@ -338,9 +338,11 @@ func (p *Pipeline) Published() (*relation.Relation, uint64, bool) {
 // publishView hands the committed view to the read side. Committer
 // goroutine only. The published relation is the session's maintained
 // materialized view, patched per op by the apply paths (delta-scoped
-// view refresh): a batch's publish costs O(|batch|), not a full
-// re-projection, and the ref stays immutable — the session copies on
-// write before its next patch.
+// view refresh), so a publish never re-projects the database, and the
+// ref stays immutable — the session copies on write before its next
+// patch. That copy is a full O(|view|) clone, paid by the first op of
+// every batch after a publish: with readers, a batch costs O(|view|),
+// not O(|batch|) (see core.Session.ViewRef).
 func (p *Pipeline) publishView(st *store.Session) {
 	if !p.viewWanted.Load() {
 		return

@@ -9,8 +9,9 @@ import (
 )
 
 // Group commit: a batch of ops is applied in memory one by one, their
-// records are concatenated into a single buffer, and the buffer goes to
-// the journal in ONE Write and ONE Sync. Per-op durability semantics
+// records are appended to a single buffer (the session's, reused from
+// batch to batch), and the buffer goes to the journal in ONE Write and
+// ONE Sync. Per-op durability semantics
 // are preserved — no op in the batch is acknowledged before the shared
 // fsync returns — and so is crash safety: a batch is framed as plain
 // concatenated records, so a crash mid-write leaves a prefix of whole
@@ -105,7 +106,8 @@ func (s *Session) applyBatch(next BatchSource, retry RetryFunc, stopOnErr bool) 
 		return nil, fmt.Errorf("%w: %w", ErrSessionBroken, s.broken)
 	}
 	var items []BatchItem
-	var buf []byte
+	enc := newCellEncoder(s.syms)
+	buf := s.buf[:0]
 	applied := 0
 	var encodeErr error
 	for i := 0; ; i++ {
@@ -128,7 +130,7 @@ func (s *Session) applyBatch(next BatchSource, retry RetryFunc, stopOnErr bool) 
 			}
 			continue
 		}
-		rec, err := EncodeOp(s.seq+uint64(applied)+1, op, s.syms)
+		buf, err = enc.appendOp(buf, s.seq+uint64(applied)+1, op)
 		if err != nil {
 			// The op is applied in memory but cannot be journaled:
 			// memory is ahead of disk with nothing to write. Flush the
@@ -137,10 +139,10 @@ func (s *Session) applyBatch(next BatchSource, retry RetryFunc, stopOnErr bool) 
 			encodeErr = err
 			break
 		}
-		buf = append(buf, rec...)
 		applied++
 		items = append(items, BatchItem{Decision: d})
 	}
+	s.buf = buf
 	if applied > 0 {
 		if err := s.j.appendEncoded(buf, applied); err != nil {
 			s.broken = err

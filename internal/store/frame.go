@@ -3,8 +3,12 @@ package store
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
+
+	"github.com/constcomp/constcomp/internal/relation"
+	"github.com/constcomp/constcomp/internal/value"
 )
 
 // Frame format, shared by every checksummed record this repository
@@ -52,9 +56,25 @@ var (
 // AppendFrame appends one frame carrying payload to dst and returns the
 // extended slice.
 func AppendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
+	start := len(dst)
+	return sealFrame(append(openFrame(dst), payload...), start)
+}
+
+// openFrame reserves a frame header at the end of dst; the caller
+// appends the payload after it and passes the header's offset to
+// sealFrame. Building a frame in place this way needs no separate
+// payload buffer.
+func openFrame(dst []byte) []byte {
+	return append(dst, make([]byte, FrameHeaderLen)...)
+}
+
+// sealFrame fills in the header reserved by openFrame at dst[start:],
+// treating everything after it as the payload, and returns dst.
+func sealFrame(dst []byte, start int) []byte {
+	payload := dst[start+FrameHeaderLen:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst
 }
 
 // splitFrame splits the first frame off data, returning its payload and
@@ -113,6 +133,41 @@ func AppendNames(dst []byte, names []string) []byte {
 		dst = appendName(dst, n)
 	}
 	return dst
+}
+
+// cellEncoder appends tuples of constants to payloads by name — the one
+// encoder behind journal records and snapshot images. It resolves names
+// through a single snapshot of the symbol table (Symbols.Names) instead
+// of one locked lookup per cell, and builds no intermediate name slices.
+// A constant interned after the snapshot falls back to Symbols.Name.
+// Labeled nulls have no name on disk: encoding one is a caller bug.
+type cellEncoder struct {
+	syms  *value.Symbols
+	names []string
+}
+
+func newCellEncoder(syms *value.Symbols) cellEncoder {
+	return cellEncoder{syms: syms, names: syms.Names()}
+}
+
+// appendCells appends t's cells as names, without a count prefix.
+func (e cellEncoder) appendCells(dst []byte, t relation.Tuple) ([]byte, error) {
+	for _, v := range t {
+		switch {
+		case v.IsNull():
+			return dst, fmt.Errorf("store: cannot encode labeled null in %v", t)
+		case int64(v) < int64(len(e.names)):
+			dst = appendName(dst, e.names[v])
+		default:
+			dst = appendName(dst, e.syms.Name(v))
+		}
+	}
+	return dst, nil
+}
+
+// appendTuple appends t as a names list.
+func (e cellEncoder) appendTuple(dst []byte, t relation.Tuple) ([]byte, error) {
+	return e.appendCells(binary.AppendUvarint(dst, uint64(len(t))), t)
 }
 
 // Cursor reads payload fields in order. The first field that does not

@@ -33,7 +33,8 @@ import (
 )
 
 // File is the slice of *os.File the store needs: sequential reads or
-// writes plus fsync.
+// writes plus fsync. As io.Writer requires, Write must not retain its
+// buffer: the store reuses one group-commit buffer across batches.
 type File interface {
 	io.Reader
 	io.Writer

@@ -42,49 +42,46 @@ func (r Record) Op(syms *value.Symbols) core.UpdateOp {
 	return op
 }
 
-// tupleNames renders a tuple's constants by name. Labeled nulls never
-// appear in update operations; encoding one is a caller bug.
-func tupleNames(t relation.Tuple, syms *value.Symbols) ([]string, error) {
-	out := make([]string, len(t))
-	for i, v := range t {
-		if !v.IsConst() {
-			return nil, fmt.Errorf("store: cannot journal labeled null in %v", t)
-		}
-		out[i] = syms.Name(v)
-	}
-	return out, nil
-}
-
 // EncodeRecord frames one journal record. with must be nil unless kind
 // is UpdateReplace.
 func EncodeRecord(seq uint64, kind core.UpdateKind, tuple, with []string) []byte {
-	payload := binary.AppendUvarint(nil, seq)
-	payload = append(payload, byte(kind))
-	payload = AppendNames(payload, tuple)
+	rec := binary.AppendUvarint(openFrame(nil), seq)
+	rec = append(rec, byte(kind))
+	rec = AppendNames(rec, tuple)
 	if kind == core.UpdateReplace {
-		payload = AppendNames(payload, with)
+		rec = AppendNames(rec, with)
 	}
-	return AppendFrame(nil, payload)
+	return sealFrame(rec, 0)
 }
 
 // EncodeOp frames an update operation as a journal record.
 func EncodeOp(seq uint64, op core.UpdateOp, syms *value.Symbols) ([]byte, error) {
-	tuple, err := tupleNames(op.Tuple, syms)
+	rec, err := newCellEncoder(syms).appendOp(nil, seq, op)
 	if err != nil {
 		return nil, err
 	}
-	var with []string
-	if op.Kind == core.UpdateReplace {
-		if with, err = tupleNames(op.With, syms); err != nil {
-			return nil, err
-		}
-	}
+	return rec, nil
+}
+
+// appendOp appends op to dst as one framed journal record numbered seq.
+// On error dst comes back with its original length.
+func (e cellEncoder) appendOp(dst []byte, seq uint64, op core.UpdateOp) ([]byte, error) {
 	switch op.Kind {
 	case core.UpdateInsert, core.UpdateDelete, core.UpdateReplace:
 	default:
-		return nil, fmt.Errorf("store: cannot journal unknown update kind %v", op.Kind)
+		return dst, fmt.Errorf("store: cannot journal unknown update kind %v", op.Kind)
 	}
-	return EncodeRecord(seq, op.Kind, tuple, with), nil
+	start := len(dst)
+	rec := binary.AppendUvarint(openFrame(dst), seq)
+	rec = append(rec, byte(op.Kind))
+	rec, err := e.appendTuple(rec, op.Tuple)
+	if err == nil && op.Kind == core.UpdateReplace {
+		rec, err = e.appendTuple(rec, op.With)
+	}
+	if err != nil {
+		return rec[:start], err
+	}
+	return sealFrame(rec, start), nil
 }
 
 // DecodeRecord parses one record from the front of data, returning the
@@ -162,9 +159,9 @@ func ScanJournal(data []byte) JournalScan {
 	return s
 }
 
-// Journal is an append-only record writer. Each Append frames the op,
-// writes it in a single Write call, and fsyncs before returning: when
-// Append returns nil the record is durable.
+// Journal is an append-only record writer. Each appendEncoded writes a
+// buffer of framed records in a single Write call and fsyncs before
+// returning: when it returns nil the records are durable.
 type Journal struct {
 	f File
 }
@@ -185,18 +182,10 @@ func openJournalAppend(fsys FS, name string) (*Journal, error) {
 	return &Journal{f: f}, nil
 }
 
-// Append makes op durable as record seq.
-func (j *Journal) Append(seq uint64, op core.UpdateOp, syms *value.Symbols) error {
-	rec, err := EncodeOp(seq, op, syms)
-	if err != nil {
-		return err
-	}
-	return j.appendEncoded(rec, 1)
-}
-
 // appendEncoded makes a buffer of pre-framed records durable in one
-// Write and one Sync — the group-commit primitive. A per-op Append is a
-// batch of one.
+// Write and one Sync — the group-commit primitive. A single Apply is a
+// batch of one. The buffer is not retained (File.Write never keeps it),
+// so the caller may reuse it.
 func (j *Journal) appendEncoded(buf []byte, records int) error {
 	m := smetrics.Load()
 	var t0 int64

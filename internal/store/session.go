@@ -78,6 +78,12 @@ type Session struct {
 	sinceSnap int
 	broken    error
 	snapErr   error
+	// snapLen is the length of the last snapshot image written (0 when
+	// unknown); it sizes the next checkpoint's buffer.
+	snapLen int
+	// buf holds the framed records of one group commit. It is reused
+	// across batches: File.Write does not retain it.
+	buf []byte
 }
 
 // Create starts a fresh durable session: the initial database becomes
@@ -88,7 +94,8 @@ func Create(fsys FS, pair *core.Pair, db *relation.Relation, syms *value.Symbols
 	if err != nil {
 		return nil, err
 	}
-	if err := writeSnapshot(fsys, SnapshotFile, 0, db, syms); err != nil {
+	snapLen, err := writeSnapshot(fsys, SnapshotFile, 0, db, syms, 0)
+	if err != nil {
 		return nil, err
 	}
 	j, err := createJournal(fsys, JournalFile)
@@ -101,7 +108,7 @@ func Create(fsys FS, pair *core.Pair, db *relation.Relation, syms *value.Symbols
 	if err := fsys.SyncDir(); err != nil {
 		return nil, fmt.Errorf("store: create: journal dir sync: %w", err)
 	}
-	return &Session{fsys: fsys, pair: pair, syms: syms, sess: sess, j: j, opts: opts}, nil
+	return &Session{fsys: fsys, pair: pair, syms: syms, sess: sess, j: j, opts: opts, snapLen: snapLen}, nil
 }
 
 // RecoveryReport describes what Recover found and did.
@@ -211,7 +218,7 @@ func Recover(fsys FS, pair *core.Pair, syms *value.Symbols, opts Options) (*Sess
 
 	// Re-verify the framework invariant on the recovered state: legal
 	// database, complement projection unchanged from the snapshot.
-	cur := sess.Database()
+	cur := sess.DatabaseRef()
 	legal, _ := pair.Schema().Legal(cur)
 	y := pair.ComplementAttrs()
 	rep.InvariantOK = legal && cur.Project(y).Equal(db.Project(y))
@@ -297,8 +304,9 @@ func (s *Session) View() *relation.Relation { return s.sess.View() }
 
 // ViewRef returns the maintained materialized view (immutable; see
 // core.Session.ViewRef). The serving pipeline publishes it to readers
-// after each committed batch, paying O(|batch|) per refresh instead of
-// a full re-projection.
+// after each committed batch: no re-projection, but the session's
+// copy-on-write clones the O(|view|) image on the next batch's first
+// patch.
 func (s *Session) ViewRef() *relation.Relation { return s.sess.ViewRef() }
 
 // Log returns the in-memory update log of this process's lifetime
@@ -340,25 +348,18 @@ func (s *Session) Apply(op core.UpdateOp) (*core.Decision, error) {
 // durability is then indeterminate (see ErrSessionBroken). A snapshot
 // failure does
 // not fail the op — durability degrades gracefully to journal-only and
-// is retried at the next snapshot point (see SnapshotErr).
+// is retried at the next snapshot point (see SnapshotErr). It is a
+// group commit of one.
 func (s *Session) ApplyCtx(ctx context.Context, op core.UpdateOp) (*core.Decision, error) {
-	if s.broken != nil {
-		return nil, fmt.Errorf("%w: %w", ErrSessionBroken, s.broken)
+	one := func(i int) (BatchOp, bool) { return BatchOp{Ctx: ctx, Op: op}, i == 0 }
+	items, err := s.applyBatch(one, nil, true)
+	if len(items) == 0 {
+		return nil, err
 	}
-	d, err := s.sess.ApplyCtx(ctx, op)
-	if err != nil {
-		return d, err
+	if err == nil {
+		err = items[0].Err
 	}
-	if err := s.j.Append(s.seq+1, op, s.syms); err != nil {
-		s.broken = err
-		return d, fmt.Errorf("%w: %w", ErrSessionBroken, err)
-	}
-	s.seq++
-	s.sinceSnap++
-	if s.sinceSnap >= s.opts.every() {
-		s.snapErr = s.rotate()
-	}
-	return d, nil
+	return items[0].Decision, err
 }
 
 // rotate checkpoints the database into the snapshot and starts a fresh
@@ -369,11 +370,18 @@ func (s *Session) ApplyCtx(ctx context.Context, op core.UpdateOp) (*core.Decisio
 // snapshot already covers, and Recover skips them; the reset can never
 // outlive the rename because the rename is durable before the reset
 // starts.
+//
+// The checkpoint encodes the session's live database in place rather
+// than a clone: rotate runs on the session's only caller (the
+// committer, in the serving pipeline) between applies, so nothing
+// mutates the database while it is read.
 func (s *Session) rotate() error {
-	if err := writeSnapshot(s.fsys, SnapshotFile, s.seq, s.sess.Database(), s.syms); err != nil {
+	n, err := writeSnapshot(s.fsys, SnapshotFile, s.seq, s.sess.DatabaseRef(), s.syms, s.snapLen)
+	if err != nil {
 		// Old snapshot + full journal still reconstruct everything.
 		return err
 	}
+	s.snapLen = n
 	if err := s.j.Close(); err != nil {
 		s.broken = err
 		return err

@@ -32,20 +32,23 @@ var snapMagic = []byte("CCSNAP1\n")
 
 // EncodeSnapshot serializes a database image at sequence seq.
 func EncodeSnapshot(seq uint64, db *relation.Relation, syms *value.Symbols) ([]byte, error) {
-	u := db.Universe()
-	body := binary.AppendUvarint(nil, seq)
-	body = AppendNames(body, u.Names())
-	body = binary.AppendUvarint(body, uint64(db.Len()))
+	return newCellEncoder(syms).appendSnapshot(nil, seq, db)
+}
+
+// appendSnapshot appends the snapshot image of db at sequence seq.
+func (e cellEncoder) appendSnapshot(dst []byte, seq uint64, db *relation.Relation) ([]byte, error) {
+	dst = append(dst, snapMagic...)
+	start := len(dst)
+	dst = binary.AppendUvarint(openFrame(dst), seq)
+	dst = AppendNames(dst, db.Universe().Names())
+	dst = binary.AppendUvarint(dst, uint64(db.Len()))
 	for _, t := range db.Tuples() {
-		names, err := tupleNames(t, syms)
-		if err != nil {
+		var err error
+		if dst, err = e.appendCells(dst, t); err != nil {
 			return nil, err
 		}
-		for _, n := range names {
-			body = appendName(body, n)
-		}
 	}
-	return AppendFrame(append([]byte(nil), snapMagic...), body), nil
+	return sealFrame(dst, start), nil
 }
 
 // DecodeSnapshot parses a snapshot image against the expected universe,
@@ -95,44 +98,48 @@ func DecodeSnapshot(data []byte, u *attr.Universe, syms *value.Symbols) (uint64,
 
 // writeSnapshot atomically and durably replaces the snapshot at name:
 // the image is written and fsynced under a temporary name, renamed into
-// place, and the rename is made durable with a directory fsync.
-func writeSnapshot(fsys FS, name string, seq uint64, db *relation.Relation, syms *value.Symbols) error {
+// place, and the rename is made durable with a directory fsync. The
+// image is encoded into one buffer pre-sized from sizeHint, the
+// previous image's length, plus an eighth for growth; its length is
+// returned for the next hint. The buffer itself is dropped with the
+// call rather than held between checkpoints.
+func writeSnapshot(fsys FS, name string, seq uint64, db *relation.Relation, syms *value.Symbols, sizeHint int) (int, error) {
 	m := smetrics.Load()
 	var t0 int64
 	if m != nil {
 		t0 = obs.NowNS()
 	}
-	img, err := EncodeSnapshot(seq, db, syms)
+	img, err := newCellEncoder(syms).appendSnapshot(make([]byte, 0, sizeHint+sizeHint/8), seq, db)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	tmp := name + ".tmp"
 	f, err := fsys.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("store: snapshot create: %w", err)
+		return 0, fmt.Errorf("store: snapshot create: %w", err)
 	}
 	if _, err := f.Write(img); err != nil {
 		f.Close()
-		return fmt.Errorf("store: snapshot write: %w", err)
+		return 0, fmt.Errorf("store: snapshot write: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("store: snapshot sync: %w", err)
+		return 0, fmt.Errorf("store: snapshot sync: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: snapshot close: %w", err)
+		return 0, fmt.Errorf("store: snapshot close: %w", err)
 	}
 	if err := fsys.Rename(tmp, name); err != nil {
-		return fmt.Errorf("store: snapshot rename: %w", err)
+		return 0, fmt.Errorf("store: snapshot rename: %w", err)
 	}
 	if err := fsys.SyncDir(); err != nil {
-		return fmt.Errorf("store: snapshot dir sync: %w", err)
+		return 0, fmt.Errorf("store: snapshot dir sync: %w", err)
 	}
 	if m != nil {
 		m.snapshots.Inc()
 		m.snapshotNs.ObserveDuration(obs.SinceNS(t0))
 	}
-	return nil
+	return len(img), nil
 }
 
 // ErrNoSnapshot reports that the store holds no snapshot at all — there

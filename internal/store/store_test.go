@@ -299,7 +299,7 @@ func TestRecoverSkipsPreSnapshotRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := writeSnapshot(mem, SnapshotFile, 3, ref.Database(), symsRef); err != nil {
+	if _, err := writeSnapshot(mem, SnapshotFile, 3, ref.Database(), symsRef, 0); err != nil {
 		t.Fatal(err)
 	}
 	mem.Crash()

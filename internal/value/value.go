@@ -105,6 +105,17 @@ func (s *Symbols) Name(v Value) string {
 	return "#" + strconv.FormatInt(int64(v), 10)
 }
 
+// Names returns the names interned so far, indexed by constant: the
+// name of constant v < len(result) is result[v]. It takes the lock
+// once; the table is append-only, so the returned prefix stays valid
+// and unchanged without it, while constants interned later lie past
+// its end (resolve those with Name). Callers must not modify it.
+func (s *Symbols) Names() []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.names[:len(s.names):len(s.names)]
+}
+
 // Len reports the number of interned constants.
 func (s *Symbols) Len() int {
 	s.mu.RLock()

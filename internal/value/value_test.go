@@ -1,6 +1,8 @@
 package value
 
 import (
+	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -136,4 +138,46 @@ func TestConstNullDisjoint(t *testing.T) {
 			t.Fatal("kind predicates wrong")
 		}
 	}
+}
+
+func TestSymbolsNamesSnapshot(t *testing.T) {
+	s := NewSymbols()
+	a := s.Const("a")
+	b := s.Const("b")
+	names := s.Names()
+	c := s.Const("c")
+	if len(names) != 2 || names[a] != "a" || names[b] != "b" {
+		t.Fatalf("Names() = %q, want [a b]", names)
+	}
+	if int(c) < len(names) {
+		t.Errorf("constant interned after the snapshot lies inside it")
+	}
+	if got := s.Names(); len(got) != 3 || got[c] != "c" {
+		t.Errorf("fresh Names() = %q, want [a b c]", got)
+	}
+}
+
+// TestSymbolsNamesConcurrentIntern reads every name of a Names snapshot
+// while another goroutine keeps interning: the snapshot must stay
+// intact without the lock (run with -race).
+func TestSymbolsNamesConcurrentIntern(t *testing.T) {
+	s := NewSymbols()
+	s.Ints(64)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 64; i < 2000; i++ {
+			s.Const(strconv.Itoa(i))
+		}
+	}()
+	for round := 0; round < 200; round++ {
+		names := s.Names()
+		for v, name := range names {
+			if name != strconv.Itoa(v) {
+				t.Fatalf("round %d: constant %d named %q", round, v, name)
+			}
+		}
+	}
+	wg.Wait()
 }
