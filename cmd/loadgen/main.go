@@ -173,25 +173,8 @@ func run(cfg *config, reportPath string, expectRes, verify bool) error {
 	}
 
 	reg := obs.NewRegistry()
-	clients := make([]*client, cfg.clients)
-	perClient := (cfg.ops + cfg.clients - 1) / cfg.clients
-	for i := range clients {
-		tenant := cfg.tenants[i%len(cfg.tenants)]
-		rng := rand.New(rand.NewSource(cfg.seed + int64(i)*7919))
-		c := &client{
-			idx:     i,
-			tenant:  tenant,
-			ops:     perClient,
-			rng:     rng,
-			zipf:    rand.NewZipf(rng, cfg.zipfS, 1, uint64(cfg.keys-1)),
-			present: make([]int, cfg.keys),
-			latency: reg.Histogram("loadgen_" + tenant + "_request_ns"),
-		}
-		for k := range c.present {
-			c.present[k] = -1
-		}
-		clients[i] = c
-	}
+	clients := newClients(cfg, reg)
+	perClient := clients[0].ops
 
 	// With -hotshard, precompute each client's keys that land on shard
 	// 0 under the same placement ring the server uses: routing hashes
@@ -302,6 +285,32 @@ func run(cfg *config, reportPath string, expectRes, verify bool) error {
 	}
 	fmt.Println("loadgen: all invariants held")
 	return nil
+}
+
+// newClients builds cfg.clients clients, each with its seeded op
+// stream, its share of cfg.ops, every owned key absent, and its
+// tenant's latency histogram in reg.
+func newClients(cfg *config, reg *obs.Registry) []*client {
+	clients := make([]*client, cfg.clients)
+	perClient := (cfg.ops + cfg.clients - 1) / cfg.clients
+	for i := range clients {
+		tenant := cfg.tenants[i%len(cfg.tenants)]
+		rng := rand.New(rand.NewSource(cfg.seed + int64(i)*7919))
+		c := &client{
+			idx:     i,
+			tenant:  tenant,
+			ops:     perClient,
+			rng:     rng,
+			zipf:    rand.NewZipf(rng, cfg.zipfS, 1, uint64(cfg.keys-1)),
+			present: make([]int, cfg.keys),
+			latency: reg.Histogram("loadgen_" + tenant + "_request_ns"),
+		}
+		for k := range c.present {
+			c.present[k] = -1
+		}
+		clients[i] = c
+	}
+	return clients
 }
 
 // discoverLayout reads the view's column order from the server so

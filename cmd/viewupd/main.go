@@ -438,14 +438,19 @@ func (r *runner) sessNow() updSession {
 }
 
 // viewRel returns the relation tuple parsing and `view` print against:
-// the union across shards in sharded mode, the session's view
-// otherwise.
+// the published view in pipeline mode (the union across shards in
+// sharded mode), which never touches the session the committer owns,
+// and the session's view otherwise. Both are read-only here.
 func (r *runner) viewRel() *relation.Relation {
-	if r.multi != nil {
+	switch {
+	case r.multi != nil:
 		v, _, _ := r.multi.Published()
 		return v
+	case r.pipe != nil:
+		v, _, _ := r.pipe.Published()
+		return v
 	}
-	return r.sessNow().View()
+	return r.sess.View()
 }
 
 func (r *runner) ctx() (context.Context, context.CancelFunc) {

@@ -4,7 +4,8 @@ package core
 // cost proportional to |Δ| instead of |instance| (after Horn–Perera–
 // Cheney, "Incremental Relational Lenses"). A Session lazily builds an
 // incState — hash indexes over the view, base and complement, plus a
-// chase.Maintained padding fixpoint — and then:
+// chase.Maintained padding fixpoint; its view is the session's one π_X
+// image, the one ViewRef publishes — and then:
 //
 //   - decideInc answers Theorems 3/8/9 by probing the indexes for the
 //     condition-(a) matches and the per-FD candidate sets instead of
@@ -52,8 +53,12 @@ type legalEntry struct {
 // delta tuple.
 type incState struct {
 	p *Pair
-	// view is the maintained π_X image of the session database.
-	view *relation.Relation
+	// view is the maintained π_X image of the session database, the
+	// session's only one. viewShared marks that ViewRef handed it out:
+	// the next change clones it first (ownView), so a published view
+	// stays an immutable snapshot.
+	view       *relation.Relation
+	viewShared bool
 	// viewBy indexes view rows by the shared columns X∩Y (condition a).
 	viewBy *relation.TupleIndex
 	// compBy indexes the constant complement by the shared columns: the
@@ -474,10 +479,10 @@ func (s *Session) applyInc(st *incState, op UpdateOp, d *Decision) bool {
 		// Translation disagreed with the instance: the database changed
 		// by exactly the delta that DID apply, so the maintained image
 		// below still ends consistent; drop it defensively anyway — and
-		// the materialized reader view with it, since the database
-		// mutated outside the patch discipline.
+		// any projection memo, since the database mutated without a new
+		// view version.
 		s.invalidateInc()
-		s.invalidateMView()
+		s.proj = nil
 		return false
 	}
 	for _, mt := range de.Minus {
@@ -594,9 +599,20 @@ func (s *Session) stageInc(st *incState, de delta.Delta) bool {
 	return true
 }
 
+// ownView makes the view image safe to change: a view ViewRef handed
+// out is cloned first. The clone shares tuples, so viewBy, fdIdx and
+// rowOf, which hold tuples or their contents, stay valid.
+func (st *incState) ownView() {
+	if st.viewShared {
+		st.view = st.view.Clone()
+		st.viewShared = false
+	}
+}
+
 // addViewRow maintains the view-side image under a view insert.
 func (st *incState) addViewRow(s *Session, t relation.Tuple) {
 	vt := t.Clone()
+	st.ownView()
 	st.view.Insert(vt)
 	st.viewBy.Add(vt)
 	for _, ix := range st.fdIdx {
@@ -614,6 +630,7 @@ func (st *incState) addViewRow(s *Session, t relation.Tuple) {
 
 // removeViewRow maintains the view-side image under a view delete.
 func (st *incState) removeViewRow(s *Session, t relation.Tuple) {
+	st.ownView()
 	st.view.Delete(t)
 	st.viewBy.Remove(t)
 	for _, ix := range st.fdIdx {

@@ -27,11 +27,6 @@ type coreMetrics struct {
 	incRebuild    *obs.Counter
 	deltaPlus     *obs.Histogram
 	deltaMinus    *obs.Histogram
-	// Materialized-reader-view accounting (session.go): applies whose
-	// view image advanced by a delta patch vs. full re-projections
-	// forced by an invalidation.
-	viewPatch   *obs.Counter
-	viewRebuild *obs.Counter
 	// decideNs and applyNs are indexed by UpdateKind.
 	decideNs [3]*obs.Histogram
 	applyNs  [3]*obs.Histogram
@@ -63,8 +58,6 @@ func SetMetrics(s obs.Sink) {
 		incRebuild:       s.Counter("core_inc_rebuild_total"),
 		deltaPlus:        s.Histogram("core_delta_plus_size"),
 		deltaMinus:       s.Histogram("core_delta_minus_size"),
-		viewPatch:        s.Counter("core_view_patch_total"),
-		viewRebuild:      s.Counter("core_view_rebuild_total"),
 	}
 	for _, k := range [...]UpdateKind{UpdateInsert, UpdateDelete, UpdateReplace} {
 		m.decideNs[k] = s.Histogram("core_decide_" + k.String() + "_ns")

@@ -74,22 +74,17 @@ type Session struct {
 	version uint64
 	// inc is the lazily built delta-maintenance state (see
 	// incremental.go); nil means it will be rebuilt from the database on
-	// the next incremental decide. incEnabled gates the whole path.
-	// The Session is not goroutine-safe.
+	// the next incremental decide or view read. incEnabled gates the
+	// whole path. inc.view is the session's one π_X image: decides probe
+	// it and ViewRef hands it to readers. The Session is not
+	// goroutine-safe.
 	inc        *incState
 	incEnabled bool
-	// mview is the maintained materialized view π_X(db), patched per
-	// applied op so readers never pay a full re-projection; nil means
-	// invalidated (rebuilt lazily by the next ViewRef). Unlike the
-	// incremental decide state it is maintained on the full apply path
-	// too: every database change flows through ApplyCtx, and a
-	// translatable non-identity op changes the view by exactly
-	// (op.Tuple out, op.With in) — the translation realizes precisely
-	// the requested view instance.
-	mview *relation.Relation
-	// mviewShared marks that a ViewRef aliases mview: the next patch
-	// must copy-on-write so published views stay immutable snapshots.
-	mviewShared bool
+	// proj memoizes π_X(db) at view version projVersion: the image of a
+	// session the incremental path cannot serve (non-FD Σ, or switched
+	// off). A projection is never mutated, so it is handed out as is.
+	proj        *relation.Relation
+	projVersion uint64
 }
 
 // NewSession starts a session on a legal database instance.
@@ -123,16 +118,12 @@ func (s *Session) IncrementalEnabled() bool {
 	return s.incEnabled && s.pair.schema.fdsOnly()
 }
 
-// InvalidateDeltas drops the incrementally maintained delta state and
-// the materialized reader view; the next incremental decide and the
-// next ViewRef rebuild them from the database. Both paths produce
-// identical outcomes either way, so it is safe at any point — the
-// equivalence tests call it mid-stream to cross-check a rebuilt image
-// against a maintained one.
-func (s *Session) InvalidateDeltas() {
-	s.invalidateInc()
-	s.invalidateMView()
-}
+// InvalidateDeltas drops the incrementally maintained delta state, view
+// image included; the next incremental decide or ViewRef rebuilds it
+// from the database. Both paths produce identical outcomes either way,
+// so it is safe at any point — the equivalence tests call it mid-stream
+// to cross-check a rebuilt image against a maintained one.
+func (s *Session) InvalidateDeltas() { s.invalidateInc() }
 
 // invalidateInc drops the maintained state, counting the invalidation.
 func (s *Session) invalidateInc() {
@@ -180,74 +171,40 @@ func (s *Session) Database() *relation.Relation { return s.db.Clone() }
 // paying an O(|db|) clone. Everyone else wants Database.
 func (s *Session) DatabaseRef() *relation.Relation { return s.db }
 
-// ViewRef returns the current materialized view without re-projecting
-// the database: the session maintains π_X(db) across applies by
-// patching it with each op's view-level delta (see patchMView), paying
-// one re-projection only when the image was invalidated. Callers must
-// treat the result as immutable; it stays valid and stable forever —
-// the session copies-on-write before the next patch.
-// This is the serving pipeline's read path. It is not O(|batch|) per
-// published batch: the ref itself is free and each op's patch is
-// O(1), but the first patch after a ref was handed out clones the
-// whole image (the copy-on-write), so a caller that takes a ref after
-// every batch pays one O(|view|) Relation.Clone per batch: cheaper
-// than an O(|db|) re-projection, but not proportional to the batch.
+// ViewRef returns the session's one view image without copying it:
+// the incremental state's view, which every applied op patches by its
+// own view delta, or π_X(db) projected once per version when the
+// incremental path cannot run. Callers must treat it as immutable; it
+// stays valid and stable forever, since the session clones its image
+// before the next change. This is the serving pipeline's read path: a
+// caller that takes a ref after every batch pays one O(|view|)
+// Relation.Clone per batch — cheaper than re-projecting, but not
+// proportional to the batch.
 func (s *Session) ViewRef() *relation.Relation {
-	if s.mview == nil {
-		s.mview = s.db.Project(s.pair.x)
-		if m := coremetrics.Load(); m != nil {
-			m.viewRebuild.Inc()
-		}
+	v := s.view()
+	if s.inc != nil {
+		s.inc.viewShared = true
 	}
-	s.mviewShared = true
-	return s.mview
+	return v
 }
 
 // View returns the current view instance, owned by the caller.
-func (s *Session) View() *relation.Relation { return s.ViewRef().Clone() }
+func (s *Session) View() *relation.Relation { return s.view().Clone() }
 
-// patchMView advances the maintained materialized view by one applied
-// op. The op was decided translatable against the current view V, and
-// the constant-complement translation realizes exactly the requested
-// view instance — insert: V ∪ {t}, delete: V − {t}, replace:
-// (V − {t1}) ∪ {t2} — so the patch is the op's own tuples; set
-// semantics make it exact even when a tuple was already present or
-// absent. Identity decisions change nothing and are skipped outright.
-func (s *Session) patchMView(op UpdateOp, d *Decision) {
-	if s.mview == nil {
-		return // invalidated: the next ViewRef re-projects
+// view returns the session's one view image without handing it out:
+// the caller must finish with it before the next apply and never
+// modify it. Building the incremental state here, not a bare
+// projection, keeps a single image: the next decide needs that state
+// anyway.
+func (s *Session) view() *relation.Relation {
+	if st := s.ensureInc(); st != nil {
+		return st.view
 	}
-	if d != nil && d.Reason == ReasonIdentity {
-		return
+	if s.proj == nil || s.projVersion != s.version {
+		s.proj = s.db.Project(s.pair.x)
+		s.projVersion = s.version
 	}
-	if s.mviewShared {
-		s.mview = s.mview.Clone()
-		s.mviewShared = false
-	}
-	switch op.Kind {
-	case UpdateInsert:
-		s.mview.Insert(op.Tuple.Clone())
-	case UpdateDelete:
-		s.mview.Delete(op.Tuple)
-	case UpdateReplace:
-		s.mview.Delete(op.Tuple)
-		s.mview.Insert(op.With.Clone())
-	default:
-		// Unreachable for an applied op; drop the image rather than
-		// serve a stale one.
-		s.invalidateMView()
-		return
-	}
-	if m := coremetrics.Load(); m != nil {
-		m.viewPatch.Inc()
-	}
-}
-
-// invalidateMView drops the maintained materialized view; the next
-// ViewRef rebuilds it with one re-projection.
-func (s *Session) invalidateMView() {
-	s.mview = nil
-	s.mviewShared = false
+	return s.proj
 }
 
 // Log returns the update log (shared slice; do not modify).
@@ -302,7 +259,9 @@ func (s *Session) decideCtx(ctx context.Context, op UpdateOp, parent *obs.Span) 
 			m.incFallback.Inc()
 		}
 	}
-	v := s.View()
+	// The Decide* tests only read v, so the live image serves without
+	// a copy.
+	v := s.view()
 	var d *Decision
 	var err error
 	switch op.Kind {
@@ -376,7 +335,6 @@ func (s *Session) ApplyCtx(ctx context.Context, op UpdateOp) (*Decision, error) 
 				m.applied.Inc()
 			}
 			tsp.End()
-			s.patchMView(op, d)
 			s.version++
 			s.log = append(s.log, LogEntry{Op: op, Decision: d, Applied: true})
 			return d, nil
@@ -411,12 +369,10 @@ func (s *Session) ApplyCtx(ctx context.Context, op UpdateOp) (*Decision, error) 
 		return d, fmt.Errorf("core: internal: database became illegal (%v)", bad)
 	}
 	// The full path swapped the database pointer under the maintained
-	// delta state; drop it (rebuilt lazily on the next decide). The
-	// materialized reader view survives: it advances by the op's view
-	// delta regardless of which apply path ran.
+	// delta state; drop it (rebuilt lazily on the next decide or view
+	// read). A view handed out earlier stays as it was.
 	s.db = out
 	s.invalidateInc()
-	s.patchMView(op, d)
 	s.version++
 	s.log = append(s.log, LogEntry{Op: op, Decision: d, Applied: true})
 	if m != nil {

@@ -111,9 +111,8 @@ func (s *Server) AddView(name string, st *store.Session, syms *value.Symbols, po
 	if name == "" {
 		return fmt.Errorf("netserve: empty view name")
 	}
-	view := st.ViewRef()
 	u := st.Pair().Schema().Universe()
-	ids := view.Attrs().IDs()
+	ids := st.Pair().ViewAttrs().IDs()
 	attrs := make([]string, len(ids))
 	for i, id := range ids {
 		attrs[i] = u.Name(id)
@@ -124,7 +123,7 @@ func (s *Server) AddView(name string, st *store.Session, syms *value.Symbols, po
 	}
 	vs := &viewState{
 		name:  name,
-		be:    &pipelineBackend{pipe: pipe, initView: view, initSeq: st.Seq()},
+		be:    &pipelineBackend{pipe: pipe},
 		syms:  syms,
 		attrs: attrs,
 		width: len(attrs),

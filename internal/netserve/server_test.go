@@ -85,10 +85,9 @@ func getView(t *testing.T, url string) (*http.Response, ViewResponse) {
 	return resp, vr
 }
 
-// pollView reads the view until pred holds. Publishing is lazy (the
-// committer hands views to the read side only after the first read) and
-// runs after acks, so a read racing its own ack may briefly see the
-// previous view.
+// pollView reads the view until pred holds. A pipeline publishes
+// before it acks, so a read after an ack normally holds on the first
+// try; the deadline turns a stale read into a failure, not a hang.
 func pollView(t *testing.T, url string, pred func(*http.Response, ViewResponse) bool) (*http.Response, ViewResponse) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -108,9 +107,6 @@ func pollView(t *testing.T, url string, pred func(*http.Response, ViewResponse) 
 // mixed batch, read the view back, check headers and identity marking.
 func TestServerSubmitAndReadJSON(t *testing.T) {
 	_, ts, _ := newEDMServer(t, nil, Options{}, serve.Options{MaxBatch: 4})
-
-	// Warm the read path: view publishing is lazy until the first read.
-	getView(t, ts.URL+"/v1/views/ed")
 
 	resp, sr := postJSON(t, ts.URL+"/v1/views/ed/submit", "", SubmitRequest{Ops: []WireOp{
 		{Kind: KindInsert, Tuple: []string{"alice", "dept1"}},
@@ -158,6 +154,29 @@ func TestServerSubmitAndReadJSON(t *testing.T) {
 		if row[0] == "bob" {
 			t.Errorf("rejected insert reached the view: %v", row)
 		}
+	}
+}
+
+// TestServerReadYourWritesWithoutPriorRead: on a view nobody has read
+// yet, the first GET after an ack holds the acked op, stamped with the
+// seq it committed at — not the view the server opened with.
+func TestServerReadYourWritesWithoutPriorRead(t *testing.T) {
+	_, ts, _ := newEDMServer(t, nil, Options{}, serve.Options{MaxBatch: 4})
+	resp, sr := postJSON(t, ts.URL+"/v1/views/ed/submit", "", SubmitRequest{
+		Ops: []WireOp{{Kind: KindInsert, Tuple: []string{"ryw", "dept1"}}},
+	})
+	if resp.StatusCode != http.StatusOK || len(sr.Results) != 1 || !sr.Results[0].Applied {
+		t.Fatalf("submit: status %d, %+v", resp.StatusCode, sr.Results)
+	}
+	vresp, vr := getView(t, ts.URL+"/v1/views/ed")
+	if vresp.StatusCode != http.StatusOK {
+		t.Fatalf("read status = %d", vresp.StatusCode)
+	}
+	if !hasRow(vr, "ryw") {
+		t.Errorf("first read after the ack misses the acked op (seq %d)", vr.Seq)
+	}
+	if vr.Seq == 0 {
+		t.Errorf("first read after the ack has seq 0, want the op's commit")
 	}
 }
 
@@ -290,10 +309,8 @@ func TestServerDegradedReadDuringHealing(t *testing.T) {
 		_ = srv.Close()
 	}()
 
-	// Warm the read path (publishing is lazy until the first read), then
-	// land one op that syncs fine and wait for its publish — the stale
+	// Land one op that syncs fine and wait for its publish — the stale
 	// view served during healing must contain it.
-	getView(t, ts.URL+"/v1/views/ed")
 	resp, sr := postJSON(t, ts.URL+"/v1/views/ed/submit", "", SubmitRequest{
 		Ops: []WireOp{{Kind: KindInsert, Tuple: []string{"w1", "dept0"}}},
 	})

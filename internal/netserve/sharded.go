@@ -31,12 +31,9 @@ type backend interface {
 	Close() error
 }
 
-// pipelineBackend adapts one serve.Pipeline (and the Open-time snapshot
-// that serves reads before the pipeline's first publish) to backend.
+// pipelineBackend adapts one serve.Pipeline to backend.
 type pipelineBackend struct {
-	pipe     *serve.Pipeline
-	initView *relation.Relation
-	initSeq  uint64
+	pipe *serve.Pipeline
 }
 
 func (b *pipelineBackend) ApplyAsync(ctx context.Context, op core.UpdateOp) (serve.Waiter, error) {
@@ -48,11 +45,7 @@ func (b *pipelineBackend) ApplyAsync(ctx context.Context, op core.UpdateOp) (ser
 }
 
 func (b *pipelineBackend) Published() (*relation.Relation, uint64, bool) {
-	v, seq, degraded := b.pipe.Published()
-	if v == nil {
-		return b.initView, b.initSeq, degraded
-	}
-	return v, seq, degraded
+	return b.pipe.Published()
 }
 
 // DegradedFor on a single pipeline is placement-blind: every op lands
@@ -82,9 +75,8 @@ func (s *Server) AddSharded(name string, m *shard.Multi, syms *value.Symbols) er
 	if name == "" {
 		return fmt.Errorf("netserve: empty view name")
 	}
-	view, _, _ := m.Published()
 	u := m.Pair().Schema().Universe()
-	ids := view.Attrs().IDs()
+	ids := m.Pair().ViewAttrs().IDs()
 	attrs := make([]string, len(ids))
 	for i, id := range ids {
 		attrs[i] = u.Name(id)

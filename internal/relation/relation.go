@@ -206,11 +206,11 @@ func (r *Relation) Delete(t Tuple) bool {
 	return true
 }
 
-// Clone returns an independent copy of the relation. Tuple slices are
-// shared with the receiver (tuples are immutable after insert), so this
-// is O(n) slot copying with no per-tuple allocation.
+// Clone returns an independent copy of the relation. Tuple slices and
+// the column layout are shared with the receiver (both are immutable),
+// so this is O(n) slot copying with no per-tuple allocation.
 func (r *Relation) Clone() *Relation {
-	out := New(r.attrs)
+	out := &Relation{attrs: r.attrs, cols: r.cols, pos: r.pos}
 	out.tuples = make([]Tuple, len(r.tuples))
 	copy(out.tuples, r.tuples)
 	out.index.n = r.index.n

@@ -482,12 +482,11 @@ func TestPipelineDegradedView(t *testing.T) {
 	tup := func(e string) relation.Tuple {
 		return relation.Tuple{syms.Const(e), syms.Const("dept0")}
 	}
-	// Warm the read path, then commit one op so a view is published.
-	pipe.View()
+	// Commit one op; its batch publishes a view holding it.
 	if _, err := pipe.Apply(core.Insert(tup("ok1"))); err != nil {
 		t.Fatal(err)
 	}
-	v1, degraded := pipe.View()
+	v1, _, degraded := pipe.Published()
 	if degraded {
 		t.Fatal("healthy pipeline reported degraded")
 	}
@@ -499,7 +498,7 @@ func TestPipelineDegradedView(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-healing
-	v2, degraded := pipe.View()
+	v2, _, degraded := pipe.Published()
 	if !degraded {
 		t.Error("View during healing must report degraded")
 	}
@@ -513,7 +512,7 @@ func TestPipelineDegradedView(t *testing.T) {
 	if _, err := boom.Wait(); err != nil {
 		t.Fatalf("faulted op after healing: %v", err)
 	}
-	v3, degraded := pipe.View()
+	v3, _, degraded := pipe.Published()
 	if degraded {
 		t.Error("healed pipeline must not stay degraded")
 	}

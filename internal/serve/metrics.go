@@ -19,7 +19,7 @@ type serveMetrics struct {
 	// re-attempts in both fault domains (decide retries and re-journaled
 	// batch suffixes); shed counts ops rejected by bounded admission
 	// (full queue or queue-deadline ageout); resurrections counts
-	// successful session replacements; degradedReads counts View calls
+	// successful session replacements; degradedReads counts Published calls
 	// served while the store was healing or latched broken.
 	retries       *obs.Counter
 	shed          *obs.Counter

@@ -18,8 +18,9 @@
 // instead of waiting for the next one. A submitter's
 // Apply returns only after the fsync covering its op, so per-op
 // durability is unchanged; only the fsync is shared. The read side is
-// handed the committed view before the acks go out, so a submitter
-// that reads after its ack sees its own op.
+// handed the committed view before the acks go out, and New publishes
+// the session's view before the first op, so a reader always finds a
+// view and a submitter that reads after its ack sees its own op.
 //
 // Decide outcomes are byte-identical to a serial session processing the
 // same ops in the same order, because that is what the committer is.
@@ -54,7 +55,7 @@
 //     Options.ShedOnFull rejects new ops with ErrShed instead of
 //     blocking when it is full; Options.QueueDeadlineNS sheds ops that
 //     aged out while queued. Reads never enter the queue at all —
-//     View serves the last committed materialized view lock-free, so
+//     Published serves the last committed view lock-free, so
 //     updates hold strict admission priority over reads and a healing
 //     (degraded) pipeline keeps serving reads while writes wait.
 package serve
@@ -239,14 +240,13 @@ type Pipeline struct {
 	broken atomic.Pointer[brokenState]
 
 	// degraded is true while the store is healing (or latched broken):
-	// writes queue or fail, View keeps serving the last published view.
+	// writes queue or fail, Published keeps serving the last published
+	// view.
 	degraded atomic.Bool
 
-	// viewWanted turns on read-side publishing lazily: until the first
-	// View call the committer skips the per-batch publish entirely, so
-	// write-only workloads pay nothing for the read path.
-	viewWanted atomic.Bool
-	pubView    atomic.Pointer[publishedView]
+	// pubView is the read side's view: published by New, then after
+	// every committed batch, grant and resurrection. Never nil.
+	pubView atomic.Pointer[publishedView]
 
 	// decBackoff paces decide-domain retries; healBackoff paces
 	// resurrection attempts. Both belong to the committer; decorrelated
@@ -262,8 +262,9 @@ type Pipeline struct {
 
 type brokenState struct{ err error }
 
-// New starts the pipeline's committer goroutine over st. The caller
-// must not use st directly until Close returns — and after a
+// New publishes st's current view, then starts the pipeline's
+// committer goroutine over st. The caller must not use st directly
+// until Close returns — and after a
 // resurrection st is dead; use Store for the live session. The error
 // is always nil; it is kept for callers that check it.
 func New(st *store.Session, opts Options) (*Pipeline, error) {
@@ -277,6 +278,7 @@ func New(st *store.Session, opts Options) (*Pipeline, error) {
 		healBackoff: newBackoff(opts.backoffBase(), backoffCapNS, opts.Seed^0x9e3779b97f4a7c15),
 	}
 	p.stPtr.Store(st)
+	p.publishView(st)
 	//constvet:allow rawgo -- the committer goroutine IS the pipeline's concurrency design: it owns the real session and serializes durability
 	go p.committer()
 	return p, nil
@@ -293,60 +295,38 @@ func (p *Pipeline) store() *store.Session { return p.stPtr.Load() }
 func (p *Pipeline) Store() *store.Session { return p.store() }
 
 // Degraded reports whether the pipeline is in read-only degraded mode:
-// the store is healing (or latched broken), and View keeps serving the
-// last committed view while writes wait or fail.
+// the store is healing (or latched broken), and Published keeps serving
+// the last committed view while writes wait or fail.
 func (p *Pipeline) Degraded() bool { return p.degraded.Load() }
 
-// View returns the most recently committed materialized view (nil until
-// the first commit after the read path warms up) and whether the
-// pipeline is currently degraded. Reads never enter the submit queue —
-// admission control applies to updates only — so View stays available,
-// and lock-free, throughout overload and healing.
-func (p *Pipeline) View() (*relation.Relation, bool) {
-	p.viewWanted.Store(true)
-	degraded := p.degraded.Load()
-	if degraded {
-		if m := svmetrics.Load(); m != nil {
-			m.degradedReads.Inc()
-		}
-	}
-	if pv := p.pubView.Load(); pv != nil {
-		return pv.view, degraded
-	}
-	return nil, degraded
-}
-
-// Published is View plus provenance: it returns the most recently
-// committed materialized view, the store sequence number it is current
-// as of, and whether the pipeline is degraded. The network front-end
-// uses the seq to stamp read responses so a client can correlate a
-// read with the acks it has seen.
+// Published returns the most recently committed view, the store
+// sequence number it is current as of, and whether the pipeline is
+// degraded. The view is never nil: New publishes the session's view
+// before the first op, and every commit publishes before it acks, so a
+// submitter that reads after its ack sees its own op. Reads never enter
+// the submit queue — admission control applies to updates only — so
+// Published stays available, and lock-free, throughout overload and
+// healing. The network front-end uses the seq to stamp read responses
+// so a client can correlate a read with the acks it has seen.
 func (p *Pipeline) Published() (*relation.Relation, uint64, bool) {
-	p.viewWanted.Store(true)
 	degraded := p.degraded.Load()
 	if degraded {
 		if m := svmetrics.Load(); m != nil {
 			m.degradedReads.Inc()
 		}
 	}
-	if pv := p.pubView.Load(); pv != nil {
-		return pv.view, pv.seq, degraded
-	}
-	return nil, 0, degraded
+	pv := p.pubView.Load()
+	return pv.view, pv.seq, degraded
 }
 
-// publishView hands the committed view to the read side. Committer
-// goroutine only. The published relation is the session's maintained
-// materialized view, patched per op by the apply paths (delta-scoped
-// view refresh), so a publish never re-projects the database, and the
-// ref stays immutable — the session copies on write before its next
-// patch. That copy is a full O(|view|) clone, paid by the first op of
-// every batch after a publish: with readers, a batch costs O(|view|),
-// not O(|batch|) (see core.Session.ViewRef).
+// publishView hands the session's view to the read side. Committer
+// goroutine only, or New before the committer starts. The published
+// relation is the session's one maintained view image (core.Session.
+// ViewRef), so a publish never re-projects the database, and the ref
+// stays immutable — the session clones its image before the next op
+// changes it. That clone is O(|view|), paid by the first op of every
+// batch after a publish: a batch costs O(|view|), not O(|batch|).
 func (p *Pipeline) publishView(st *store.Session) {
-	if !p.viewWanted.Load() {
-		return
-	}
 	p.pubView.Store(&publishedView{view: st.ViewRef(), seq: st.Seq()})
 }
 

@@ -316,6 +316,128 @@ func TestPipelineCloseDrains(t *testing.T) {
 	}
 }
 
+// TestPipelinePublishesFromNew: the read side holds the session's view
+// from New on, and the first read after acked ops shows them — whether
+// or not anyone read before the ops ran.
+func TestPipelinePublishesFromNew(t *testing.T) {
+	open := func(t *testing.T) (*Pipeline, *value.Symbols, string, uint64) {
+		pair, db, syms := edmFixture()
+		st, err := store.Create(store.NewMemFS(), pair, db, syms, store.Options{SnapshotEvery: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Apply(core.Insert(relation.Tuple{syms.Const("pre"), syms.Const("dept1")})); err != nil {
+			t.Fatal(err)
+		}
+		want, seq := render(st.View(), syms), st.Seq()
+		pipe, err := New(st, Options{MaxBatch: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = pipe.Close() })
+		return pipe, syms, want, seq
+	}
+	ins := func(t *testing.T, pipe *Pipeline, syms *value.Symbols, names ...string) {
+		for _, n := range names {
+			if _, err := pipe.Apply(core.Insert(relation.Tuple{syms.Const(n), syms.Const("dept0")})); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	t.Run("read-at-new", func(t *testing.T) {
+		pipe, syms, want, seq := open(t)
+		v, got, degraded := pipe.Published()
+		if v == nil {
+			t.Fatal("no view published at New")
+		}
+		if got != seq || render(v, syms) != want || degraded {
+			t.Fatalf("published at New: seq %d degraded %v view\n%s\nwant seq %d view\n%s",
+				got, degraded, render(v, syms), seq, want)
+		}
+		ins(t, pipe, syms, "a", "b")
+		v, got, _ = pipe.Published()
+		if got != seq+2 || !v.Contains(relation.Tuple{syms.Const("b"), syms.Const("dept0")}) {
+			t.Fatalf("read after acks: seq %d, view\n%s", got, render(v, syms))
+		}
+	})
+	t.Run("first-read-after-acks", func(t *testing.T) {
+		pipe, syms, _, seq := open(t)
+		ins(t, pipe, syms, "a", "b", "c")
+		v, got, _ := pipe.Published()
+		if v == nil || got != seq+3 {
+			t.Fatalf("first read after 3 acks: seq %d, want %d", got, seq+3)
+		}
+		for _, n := range []string{"a", "b", "c"} {
+			if !v.Contains(relation.Tuple{syms.Const(n), syms.Const("dept0")}) {
+				t.Errorf("first read after its ack misses %s", n)
+			}
+		}
+	})
+}
+
+// TestPipelinePublishedUnderConcurrentWrites: readers walk published
+// views while the committer applies ops. A published view must never
+// change under its reader — the session clones its image before the
+// next op changes it — and seqs must not go backwards. Run with -race,
+// which reports a committer write to a view a reader holds.
+func TestPipelinePublishedUnderConcurrentWrites(t *testing.T) {
+	pair, db, syms := edmFixture()
+	st, err := store.Create(store.NewMemFS(), pair, db, syms, store.Options{SnapshotEvery: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := New(st, Options{MaxBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last uint64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v, seq, _ := pipe.Published()
+				if seq < last {
+					t.Errorf("published seq went back from %d to %d", last, seq)
+					return
+				}
+				last = seq
+				if a, b := render(v, syms), render(v, syms); a != b {
+					t.Errorf("published view at seq %d changed while read", seq)
+					return
+				}
+			}
+		}()
+	}
+	held, _, _ := pipe.Published()
+	want := render(held, syms)
+	for i := 0; i < 200; i++ {
+		tup := relation.Tuple{syms.Const(fmt.Sprintf("c%02d", i%20)), syms.Const(fmt.Sprintf("dept%d", i%2))}
+		op := core.Insert(tup)
+		if i%3 == 2 {
+			op = core.Delete(tup)
+		}
+		if _, err := pipe.Apply(op); err != nil && !errors.Is(err, core.ErrRejected) {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if err := pipe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if render(held, syms) != want {
+		t.Error("view published at New changed under later ops")
+	}
+}
+
 // TestPipelineBrokenStore: a journal fault mid-stream breaks the store
 // session; affected submitters get ErrSessionBroken, later submissions
 // fail fast, and Close surfaces the error.

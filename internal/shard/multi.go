@@ -74,10 +74,6 @@ type shardState struct {
 	fsys store.FS
 	pipe *serve.Pipeline
 	tx   *TxLog
-	// initView/initSeq snapshot the shard's state at Open, serving
-	// Published before the pipeline's read path warms up.
-	initView *relation.Relation
-	initSeq  uint64
 }
 
 // Multi fronts K independent store shards with a placement table.
@@ -219,8 +215,7 @@ func Open(fss []store.FS, pair *core.Pair, db *relation.Relation, syms *value.Sy
 			closeAll(sessions)
 			return nil, nil, fmt.Errorf("shard %d txlog reset: %w", i, err)
 		}
-		m.shards[i] = &shardState{fsys: fss[i], tx: tx,
-			initView: sessions[i].ViewRef(), initSeq: sessions[i].Seq()}
+		m.shards[i] = &shardState{fsys: fss[i], tx: tx}
 	}
 
 	for i := 0; i < k; i++ {
@@ -238,10 +233,6 @@ func Open(fss []store.FS, pair *core.Pair, db *relation.Relation, syms *value.Sy
 			closeAll(sessions)
 			return nil, nil, fmt.Errorf("shard %d pipeline: %w", i, err)
 		}
-		// Warm the read path now: publishView is lazy (it no-ops until a
-		// reader shows up), and Multi.Published must reflect commits even
-		// for a reader that arrives after the traffic stopped.
-		pipe.Published()
 		m.shards[i].pipe = pipe
 	}
 	return m, rep, nil
@@ -632,17 +623,13 @@ func (m *Multi) recoverShard(k int) (*store.Session, error) {
 
 // Published returns the union of every shard's most recently committed
 // view, the sum of the shard sequence numbers it is current as of, and
-// whether any shard is degraded. Before a shard's read path warms up
-// its Open-time snapshot stands in.
+// whether any shard is degraded.
 func (m *Multi) Published() (*relation.Relation, uint64, bool) {
 	var out *relation.Relation
 	var seq uint64
 	var degraded bool
 	for _, s := range m.shards {
 		v, sq, dg := s.pipe.Published()
-		if v == nil {
-			v, sq = s.initView, s.initSeq
-		}
 		degraded = degraded || dg
 		seq += sq
 		if out == nil {
@@ -672,9 +659,6 @@ func (m *Multi) ShardStatuses() []ShardStatus {
 	out := make([]ShardStatus, len(m.shards))
 	for i, s := range m.shards {
 		_, sq, dg := s.pipe.Published()
-		if sq == 0 {
-			sq = s.initSeq
-		}
 		out[i] = ShardStatus{Shard: i, Seq: sq, Degraded: dg}
 	}
 	return out

@@ -71,8 +71,9 @@ func deptCountOn(m *Multi, view *relation.Relation, k int, d value.Value) int {
 	return n
 }
 
-// waitView polls Published until it equals want: acks race the
-// committer's publishView, so an immediate read can see the prior view.
+// waitView polls Published until it equals want: a cross-shard op is
+// acked once its grants are released, before each shard's committer
+// republishes, so an immediate read can see the prior view.
 func waitView(t *testing.T, m *Multi, want *relation.Relation) {
 	t.Helper()
 	var got *relation.Relation

@@ -302,11 +302,11 @@ func (s *Session) Pair() *core.Pair { return s.pair }
 // View returns the current view instance.
 func (s *Session) View() *relation.Relation { return s.sess.View() }
 
-// ViewRef returns the maintained materialized view (immutable; see
+// ViewRef returns the session's maintained view image (immutable; see
 // core.Session.ViewRef). The serving pipeline publishes it to readers
-// after each committed batch: no re-projection, but the session's
-// copy-on-write clones the O(|view|) image on the next batch's first
-// patch.
+// at New and after each committed batch: no re-projection, but the
+// session clones the O(|view|) image before the next batch's first
+// change.
 func (s *Session) ViewRef() *relation.Relation { return s.sess.ViewRef() }
 
 // Log returns the in-memory update log of this process's lifetime

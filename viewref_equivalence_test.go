@@ -1,15 +1,16 @@
 package constcomp
 
 // Byte-level equivalence for the delta-scoped view refresh
-// (core.Session.ViewRef / patchMView): the maintained reader view —
-// patched per applied op, never re-projected on the happy path — must
-// render byte-identically to a full re-projection of the database at
-// every step, across mixed op streams (inserts, Thm-8 deletes, Thm-9
-// replacements, identity translations, rejections), forced
-// invalidations, incremental-path toggles, and a write landing on the
-// store between pipeline batches. The published ref must also be immutable: a ref
-// handed to a reader keeps rendering the same bytes while later ops
-// patch the session's own image.
+// (core.Session.ViewRef): the session's one view image — the
+// incremental state's, patched per applied op and never re-projected
+// on the happy path — must render byte-identically to a full
+// re-projection of the database at every step, across mixed op streams
+// (inserts, Thm-8 deletes, Thm-9 replacements, identity translations,
+// rejections), forced invalidations, incremental-path toggles, and a
+// write landing on the store between pipeline batches. The published
+// ref must also be immutable: a ref handed to a reader keeps rendering
+// the same bytes while later ops change the session's image, which
+// clones itself before the first change after a ref was handed out.
 
 import (
 	"bytes"
@@ -145,19 +146,16 @@ func TestViewRefEquivalencePipelineInterleavedWrite(t *testing.T) {
 	}
 	// Behind the pipeline's back: emp0 leaves dept0, so the insert below
 	// is translatable only if the committer decides against the store's
-	// current state.
+	// current state. The direct write is safe because the committer
+	// leaves the session alone between batches: it publishes each
+	// batch's view before it acks, so once pipe.Apply returns it has
+	// finished with the session until the next submit.
 	if _, err := st.Apply(core.Delete(e.NewEmployeeTuple("emp0", 0))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pipe.Apply(core.Insert(e.NewEmployeeTuple("emp0", 1))); err != nil {
 		t.Fatal(err)
 	}
-
-	// Warm read-side publishing now: the direct st.Apply above is only
-	// safe while the committer leaves the session alone between batches,
-	// which lazy publishing guarantees. From here on the committer
-	// publishes after every batch.
-	pipe.Published()
 
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 300; i++ {
