@@ -63,7 +63,7 @@ bench:
 # Regression gate: re-run the kernel, pipeline, per-delta, end-to-end
 # serving, sharded, maintained-chase removal, and store encoder
 # benchmarks and fail if any BenchmarkRel*, BenchmarkPipeline*,
-# BenchmarkE5InsertDelta*, BenchmarkApplyDeltaVsFull*,
+# BenchmarkViewPublish*, BenchmarkE5InsertDelta*, BenchmarkApplyDeltaVsFull*,
 # BenchmarkNetServe*, BenchmarkSharded*, BenchmarkMaintainedRemove*,
 # BenchmarkStoreSnapshot* or BenchmarkStoreJournalAppend grew >30% in
 # ns/op, or in allocs/op where the baseline records them, against the
@@ -73,8 +73,8 @@ bench:
 # uploads it as an artifact). A missing baseline makes the comparison
 # advisory-only (exit 0).
 bench-compare:
-	$(GO) test -bench='^Benchmark(Rel|Pipeline|E5InsertDelta|ApplyDeltaVsFull|NetServe|Sharded|MaintainedRemove|StoreSnapshot|StoreJournalAppend)' -benchmem -count=3 . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH.fresh.json
-	$(GO) run ./cmd/benchjson -compare BENCH.json -filter '^Benchmark(Rel|Pipeline|E5InsertDelta|ApplyDeltaVsFull|NetServe|Sharded|MaintainedRemove|StoreSnapshot|StoreJournalAppend)' BENCH.fresh.json
+	$(GO) test -bench='^Benchmark(Rel|Pipeline|ViewPublish|E5InsertDelta|ApplyDeltaVsFull|NetServe|Sharded|MaintainedRemove|StoreSnapshot|StoreJournalAppend)' -benchmem -count=3 . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH.fresh.json
+	$(GO) run ./cmd/benchjson -compare BENCH.json -filter '^Benchmark(Rel|Pipeline|ViewPublish|E5InsertDelta|ApplyDeltaVsFull|NetServe|Sharded|MaintainedRemove|StoreSnapshot|StoreJournalAppend)' BENCH.fresh.json
 
 # Chaos smoke: six canonical per-kind fault schedules plus a fixed-seed
 # sweep through the self-healing pipeline (internal/chaos). Exits
@@ -166,7 +166,9 @@ experiments-quick:
 # Quick fuzz pass over every decoder that reads disk or network bytes:
 # the dependency and dependency-set parsers, the journal, snapshot and
 # txlog decoders, and the netserve op-frame (server-side) and
-# result-frame (client-side) readers. Malformed input must never panic. Every
+# result-frame (client-side) readers. Malformed input must never panic.
+# FuzzCloneCOW also drives the relation kernel's copy-on-write storage
+# through Insert/Delete/Clone sequences against map oracles. Every
 # target uses -run '^$$' so no unit tests are re-run alongside the
 # fuzzing.
 fuzz-smoke:
@@ -177,6 +179,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzTxLog$$' -fuzztime=5s -run '^$$' ./internal/shard
 	$(GO) test -fuzz='^FuzzOpFrame$$' -fuzztime=5s -run '^$$' ./internal/netserve
 	$(GO) test -fuzz='^FuzzResultFrame$$' -fuzztime=5s -run '^$$' ./internal/netserve
+	$(GO) test -fuzz='^FuzzCloneCOW$$' -fuzztime=5s -run '^$$' ./internal/relation
 
 fuzz:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s -run '^$$' ./internal/dep
@@ -186,6 +189,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzTxLog$$' -fuzztime=30s -run '^$$' ./internal/shard
 	$(GO) test -fuzz='^FuzzOpFrame$$' -fuzztime=30s -run '^$$' ./internal/netserve
 	$(GO) test -fuzz='^FuzzResultFrame$$' -fuzztime=30s -run '^$$' ./internal/netserve
+	$(GO) test -fuzz='^FuzzCloneCOW$$' -fuzztime=30s -run '^$$' ./internal/relation
 
 clean:
 	$(GO) clean ./...

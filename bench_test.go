@@ -942,6 +942,67 @@ func BenchmarkPipelineOpsPerSec(b *testing.B) {
 	}
 }
 
+// BenchmarkViewPublish measures what publishing the view after every
+// batch costs as the view grows: a MemFS pipeline over the wide
+// instance at 1k, 4k and 16k rows, 32-op batches of insert/delete
+// pairs, and a read of Published() after each batch. The session hands
+// the published image to readers and copies it before the next batch
+// changes it, so ns/op stays flat across sizes only if that copy costs
+// O(|batch|), not O(|view|).
+func BenchmarkViewPublish(b *testing.B) {
+	const batch = 32
+	for _, rows := range []int{1 << 10, 1 << 12, 1 << 14} {
+		b.Run(fmt.Sprintf("rows=%dk", rows>>10), func(b *testing.B) {
+			pair, db, syms := benchWideFixture(rows)
+			st, err := store.Create(store.NewMemFS(), pair, db, syms, store.Options{SnapshotEvery: 1 << 30})
+			if err != nil {
+				b.Fatal(err)
+			}
+			pipe, err := serve.New(st, serve.Options{MaxBatch: batch})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer pipe.Close()
+			// Pre-intern every name (Symbols is not safe for concurrent
+			// interning), and warm the incremental decide state.
+			names := make([]relation.Tuple, b.N+1)
+			dept := syms.Const("dept0")
+			for i := range names {
+				names[i] = relation.Tuple{syms.Const(fmt.Sprintf("t%d", i/2)), dept}
+			}
+			if _, err := pipe.Apply(core.Insert(names[b.N])); err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			window := make([]*serve.Pending, 0, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op := core.Insert(names[i])
+				if i%2 == 1 {
+					op = core.Delete(names[i])
+				}
+				pend, err := pipe.ApplyAsync(ctx, op)
+				if err != nil {
+					b.Fatal(err)
+				}
+				window = append(window, pend)
+				if len(window) == batch || i == b.N-1 {
+					for _, p := range window {
+						if _, err := p.Wait(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					window = window[:0]
+					if v, _, _ := pipe.Published(); v.Len() < rows {
+						b.Fatalf("published view has %d rows, want ≥ %d", v.Len(), rows)
+					}
+				}
+			}
+		})
+	}
+}
+
 // benchWideFixture is benchStoreFixture at scale: n employees over n/2
 // two-person departments (plus dept0, which the workload churns).
 // Department equality classes stay O(1), so the chase never blows up;

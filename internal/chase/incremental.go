@@ -66,23 +66,20 @@ func PrepareWithPlans(rel *relation.Relation, fds []dep.FD, plans Plans) *Prepar
 	for fi, plan := range p.plans {
 		bt := newBucketTable(rel.Len())
 		nx := make([]int, rel.Len())
-		for ri, row := range rel.Tuples() {
+		rel.Each(func(ri int, row relation.Tuple) bool {
 			h := zHash(row, plan[0], nil)
-			dup := false
 			for j := bt.get(h); j >= 0; j = nx[j] {
 				if zEqual(rel.Tuple(j), row, plan[0], nil) {
-					dup = true
-					break
+					return true
 				}
 			}
-			if !dup {
-				nx[ri] = bt.put(h, ri)
-			}
-		}
+			nx[ri] = bt.put(h, ri)
+			return true
+		})
 		p.baseBuckets[fi] = bt
 		p.baseNext[fi] = nx
 	}
-	for ri, row := range rel.Tuples() {
+	rel.Each(func(ri int, row relation.Tuple) bool {
 		seen := map[value.Value]bool{}
 		for _, v := range row {
 			if !seen[v] {
@@ -90,7 +87,8 @@ func PrepareWithPlans(rel *relation.Relation, fds []dep.FD, plans Plans) *Prepar
 				p.valueRows[v] = append(p.valueRows[v], ri)
 			}
 		}
-	}
+		return true
+	})
 	return p
 }
 

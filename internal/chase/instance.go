@@ -186,9 +186,10 @@ func InstanceSortBased(rel *relation.Relation, fds []dep.FD) *Result {
 	res := &Result{parent: make(map[value.Value]value.Value)}
 	// Working copy of tuples we substitute into.
 	work := make([]relation.Tuple, rel.Len())
-	for i, t := range rel.Tuples() {
+	rel.Each(func(i int, t relation.Tuple) bool {
 		work[i] = t.Clone()
-	}
+		return true
+	})
 	type plan struct{ zc, ac []int }
 	plans := make([]plan, 0, len(fds))
 	for _, f := range fds {
@@ -267,12 +268,13 @@ func InstanceSortBased(rel *relation.Relation, fds []dep.FD) *Result {
 // canonicalize rewrites rel's tuples with representatives and dedups.
 func canonicalize(rel *relation.Relation, res *Result) *relation.Relation {
 	out := relation.New(rel.Attrs())
-	for _, t := range rel.Tuples() {
+	rel.Each(func(_ int, t relation.Tuple) bool {
 		nt := make(relation.Tuple, len(t))
 		for i, v := range t {
 			nt[i] = res.Find(v)
 		}
 		out.Insert(nt)
-	}
+		return true
+	})
 	return out
 }

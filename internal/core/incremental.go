@@ -217,9 +217,10 @@ func buildIncState(p *Pair, db, comp *relation.Relation) *incState {
 
 	st.pad = chase.NewMaintained(arts.plans)
 	st.rowOf = make(map[string]int, view.Len())
-	for _, vt := range view.Tuples() {
+	view.Each(func(_ int, vt relation.Tuple) bool {
 		st.rowOf[tupleKey(vt, st.viewAll)] = st.pad.AddRow(st.padRow(vt))
-	}
+		return true
+	})
 	if st.pad.ConstClash() {
 		return nil // view inconsistent with Σ: session invariant broken
 	}

@@ -166,7 +166,7 @@ func (p *Pair) newPaddingBudget(b *budget.B, v *relation.Relation) (*padding, er
 	u := p.schema.u
 	var gen value.NullGen
 	raw := relation.New(u.All())
-	for _, t := range v.Tuples() {
+	v.Each(func(_ int, t relation.Tuple) bool {
 		nt := make(relation.Tuple, u.Size())
 		for c := 0; c < u.Size(); c++ {
 			if vc := v.Col(attr.ID(c)); vc >= 0 {
@@ -176,7 +176,8 @@ func (p *Pair) newPaddingBudget(b *budget.B, v *relation.Relation) (*padding, er
 			}
 		}
 		raw.Insert(nt)
-	}
+		return true
+	})
 	if raw.Len() != v.Len() {
 		return nil, errors.New("core: internal: padding changed cardinality")
 	}

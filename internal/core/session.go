@@ -167,19 +167,17 @@ func (s *Session) Database() *relation.Relation { return s.db.Clone() }
 // place, so the caller must finish with it before then and must never
 // read it concurrently with an apply or modify it. It lets a caller
 // that owns the session — the durable store's checkpoint, which runs on
-// the committer between applies — read an O(|db|) image without first
-// paying an O(|db|) clone. Everyone else wants Database.
+// the committer between applies — read the image without a clone, which
+// would make the next applies copy the chunks they touch. Everyone else
+// wants Database.
 func (s *Session) DatabaseRef() *relation.Relation { return s.db }
 
 // ViewRef returns the session's one view image without copying it:
 // the incremental state's view, which every applied op patches by its
 // own view delta, or π_X(db) projected once per version when the
 // incremental path cannot run. Callers must treat it as immutable; it
-// stays valid and stable forever, since the session clones its image
-// before the next change. This is the serving pipeline's read path: a
-// caller that takes a ref after every batch pays one O(|view|)
-// Relation.Clone per batch — cheaper than re-projecting, but not
-// proportional to the batch.
+// stays valid and stable forever, since the session clones its image,
+// copy-on-write and so in O(|batch|), before the next change.
 func (s *Session) ViewRef() *relation.Relation {
 	v := s.view()
 	if s.inc != nil {

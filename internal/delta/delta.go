@@ -99,16 +99,18 @@ func (d Delta) ApplyTo(r *relation.Relation) (ins, del int) {
 // normalized by construction.
 func Of(from, to *relation.Relation) Delta {
 	var d Delta
-	for _, t := range from.Tuples() {
+	from.Each(func(_ int, t relation.Tuple) bool {
 		if !to.Contains(t) {
 			d.Minus = append(d.Minus, t)
 		}
-	}
-	for _, t := range to.Tuples() {
+		return true
+	})
+	to.Each(func(_ int, t relation.Tuple) bool {
 		if !from.Contains(t) {
 			d.Plus = append(d.Plus, t)
 		}
-	}
+		return true
+	})
 	return d
 }
 

@@ -12,8 +12,8 @@ import "github.com/constcomp/constcomp/internal/value"
 // correctness rests on hash quality — only speed does.
 //
 // The index stores (hash, position) pairs in a linear-probing table and
-// keeps no keys of its own: equality is checked against the backing
-// []Tuple slice. Insert/Contains/Delete therefore allocate nothing per
+// keeps no keys of its own: equality is checked against the relation's
+// tuple array. Insert/Contains/Delete therefore allocate nothing per
 // tuple (the old implementation rendered every tuple into a fresh
 // string key on every operation).
 
@@ -66,104 +66,102 @@ func equalOn(a Tuple, am []int, b Tuple, bm []int) bool {
 }
 
 // tslot is one index slot: the tuple's hash and its position in the
-// backing slice, or idx == -1 for an empty slot.
+// tuple array, or idx == -1 for an empty slot.
 type tslot struct {
 	hash uint64
 	idx  int
 }
 
-// table is the open-addressing index. The zero value is an empty index;
-// slots are allocated on first add.
+// table is the open-addressing index. Its slots live in a chunks array
+// of a power-of-two size, so a cloned relation shares them copy-on-write
+// with its source. The zero value is an empty index; slots are
+// allocated on first add.
 type table struct {
-	slots []tslot
+	slots chunks[tslot]
 	n     int
 }
 
 // minTableSize is the initial slot count (power of two).
 const minTableSize = 8
 
-// reset empties the table, reserving space for capHint entries.
-func (tb *table) reset(capHint int) {
+// tableSize is the slot count that holds n entries at load ≤ 3/4.
+func tableSize(n int) int {
 	size := minTableSize
-	for size*3 < capHint*4 { // grow until load ≤ 3/4 at capHint entries
+	for size*3 < n*4 {
 		size *= 2
 	}
-	if len(tb.slots) != size {
-		tb.slots = make([]tslot, size)
-	}
-	for i := range tb.slots {
-		tb.slots[i] = tslot{idx: -1}
-	}
-	tb.n = 0
+	return size
 }
 
-// lookup returns the backing position of t, or -1 if absent.
-func (tb *table) lookup(h uint64, t Tuple, tuples []Tuple) int {
-	if len(tb.slots) == 0 {
+// lookup returns the tuple position of t, or -1 if absent.
+func (tb *table) lookup(h uint64, t Tuple, tuples *chunks[Tuple]) int {
+	if tb.slots.n == 0 {
 		return -1
 	}
-	m := len(tb.slots) - 1
+	m := tb.slots.n - 1
 	for i := int(h & uint64(m)); ; i = (i + 1) & m {
-		s := tb.slots[i]
+		s := tb.slots.at(i)
 		if s.idx < 0 {
 			return -1
 		}
-		if s.hash == h && tuples[s.idx].Equal(t) {
+		if s.hash == h && tuples.at(s.idx).Equal(t) {
 			return s.idx
 		}
 	}
 }
 
-// add records that the tuple with hash h lives at backing position idx.
-// The caller must have verified absence (lookup < 0).
+// add records that the tuple with hash h lives at position idx. The
+// caller must have verified absence (lookup < 0).
 func (tb *table) add(h uint64, idx int) {
-	if tb.n*4 >= len(tb.slots)*3 {
-		tb.grow()
+	if tb.n*4 >= tb.slots.n*3 {
+		tb.resize(tb, max(2*tb.slots.n, minTableSize))
 	}
-	m := len(tb.slots) - 1
+	m := tb.slots.n - 1
 	i := int(h & uint64(m))
-	for tb.slots[i].idx >= 0 {
+	for tb.slots.at(i).idx >= 0 {
 		i = (i + 1) & m
 	}
-	tb.slots[i] = tslot{hash: h, idx: idx}
+	*tb.slots.ref(i) = tslot{hash: h, idx: idx}
 	tb.n++
 }
 
-// grow doubles the slot array and reinserts every live entry (the stored
-// hashes make this a pure memory shuffle; tuples are never re-hashed).
-func (tb *table) grow() {
-	size := minTableSize
-	if len(tb.slots) > 0 {
-		size = len(tb.slots) * 2
-	}
-	old := tb.slots
-	tb.slots = make([]tslot, size)
-	for i := range tb.slots {
-		tb.slots[i].idx = -1
+// resize replaces tb's slots with a fresh table of size slots holding
+// src's entries; src may be tb itself (growth) or another relation's
+// index (Union). The stored hashes make this a pure memory shuffle:
+// tuples are never re-hashed.
+func (tb *table) resize(src *table, size int) {
+	slots := make([]tslot, size)
+	for i := range slots {
+		slots[i].idx = -1
 	}
 	m := size - 1
-	for _, s := range old {
-		if s.idx < 0 {
-			continue
+	for c, nc := 0, src.slots.segs(); c < nc; c++ {
+		for _, s := range src.slots.seg(c) {
+			if s.idx < 0 {
+				continue
+			}
+			i := int(s.hash & uint64(m))
+			for slots[i].idx >= 0 {
+				i = (i + 1) & m
+			}
+			slots[i] = s
 		}
-		i := int(s.hash & uint64(m))
-		for tb.slots[i].idx >= 0 {
-			i = (i + 1) & m
-		}
-		tb.slots[i] = s
 	}
+	tb.n = src.n
+	tb.slots.adopt(slots)
 }
 
-// fix rewrites the backing position of the entry (h, old) to new; used
+// fix rewrites the tuple position of the entry (h, old) to new; used
 // when a delete swaps the last tuple into the vacated position.
 func (tb *table) fix(h uint64, old, new int) {
-	m := len(tb.slots) - 1
+	m := tb.slots.n - 1
 	for i := int(h & uint64(m)); ; i = (i + 1) & m {
-		if tb.slots[i].idx == old && tb.slots[i].hash == h {
-			tb.slots[i].idx = new
+		s := tb.slots.at(i)
+		if s.idx == old && s.hash == h {
+			tb.slots.ref(i).idx = new
 			return
 		}
-		if tb.slots[i].idx < 0 {
+		if s.idx < 0 {
 			panic("relation: index entry to fix not found")
 		}
 	}
@@ -172,34 +170,37 @@ func (tb *table) fix(h uint64, old, new int) {
 // remove deletes the entry (h, idx), backward-shifting the probe chain
 // (standard linear-probing deletion) so later lookups stay correct.
 func (tb *table) remove(h uint64, idx int) {
-	m := len(tb.slots) - 1
+	m := tb.slots.n - 1
 	i := int(h & uint64(m))
 	for {
-		if tb.slots[i].idx < 0 {
+		s := tb.slots.at(i)
+		if s.idx < 0 {
 			panic("relation: index entry to remove not found")
 		}
-		if tb.slots[i].idx == idx && tb.slots[i].hash == h {
+		if s.idx == idx && s.hash == h {
 			break
 		}
 		i = (i + 1) & m
 	}
 	for {
-		tb.slots[i].idx = -1
 		k := i
+		var next tslot
 		for {
 			k = (k + 1) & m
-			if tb.slots[k].idx < 0 {
+			next = tb.slots.at(k)
+			if next.idx < 0 {
+				tb.slots.ref(i).idx = -1
 				tb.n--
 				return
 			}
-			home := int(tb.slots[k].hash & uint64(m))
+			home := int(next.hash & uint64(m))
 			// k's entry may move back to i only if its home position
 			// does not lie cyclically in (i, k].
 			if (k-home)&m >= (k-i)&m {
 				break
 			}
 		}
-		tb.slots[i] = tb.slots[k]
+		*tb.slots.ref(i) = next
 		i = k
 	}
 }

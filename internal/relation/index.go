@@ -30,9 +30,10 @@ func NewTupleIndex(cols []int) *TupleIndex {
 // by the given column positions of r's layout.
 func IndexRelation(r *Relation, cols []int) *TupleIndex {
 	ix := NewTupleIndex(cols)
-	for _, t := range r.Tuples() {
+	r.Each(func(_ int, t Tuple) bool {
 		ix.Add(t)
-	}
+		return true
+	})
 	return ix
 }
 

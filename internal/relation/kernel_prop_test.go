@@ -17,8 +17,8 @@ func nestedLoopJoin(r, s *Relation) *Relation {
 	rm := r.projector(shared)
 	sm := s.projector(shared)
 	out, fromR, fromS := joinPlan(r, s)
-	for _, rt := range r.tuples {
-		for _, st := range s.tuples {
+	for _, rt := range r.Tuples() {
+		for _, st := range s.Tuples() {
 			if !equalOn(rt, rm, st, sm) {
 				continue
 			}

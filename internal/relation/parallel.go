@@ -112,11 +112,11 @@ func forChunks(n, nw int, fn func(w, lo, hi int)) {
 func projectParallel(r *Relation, attrs attr.Set, m []int) *Relation {
 	nw := workers()
 	parts := make([]*Relation, nw)
-	forChunks(len(r.tuples), nw, func(w, lo, hi int) {
+	forChunks(r.Len(), nw, func(w, lo, hi int) {
 		loc := New(attrs)
 		var sl slab
 		for i := lo; i < hi; i++ {
-			loc.insertProjection(r.tuples[i], m, &sl)
+			loc.insertProjection(r.tuples.at(i), m, &sl)
 		}
 		parts[w] = loc
 	})
@@ -125,9 +125,10 @@ func projectParallel(r *Relation, attrs attr.Set, m []int) *Relation {
 		if p == nil {
 			continue
 		}
-		for _, t := range p.tuples {
+		p.Each(func(_ int, t Tuple) bool {
 			out.Insert(t)
-		}
+			return true
+		})
 	}
 	return out
 }
@@ -137,11 +138,11 @@ func projectParallel(r *Relation, attrs attr.Set, m []int) *Relation {
 func selectEqParallel(r *Relation, m []int, key Tuple) *Relation {
 	nw := workers()
 	parts := make([][]Tuple, nw)
-	forChunks(len(r.tuples), nw, func(w, lo, hi int) {
+	forChunks(r.Len(), nw, func(w, lo, hi int) {
 		var loc []Tuple
 		for i := lo; i < hi; i++ {
-			if equalKey(r.tuples[i], m, key) {
-				loc = append(loc, r.tuples[i])
+			if t := r.tuples.at(i); equalKey(t, m, key) {
+				loc = append(loc, t)
 			}
 		}
 		parts[w] = loc
@@ -178,7 +179,7 @@ func joinHashParallel(r, s, build, probe *Relation, shared attr.Set) *Relation {
 	hashes := make([]uint64, build.Len())
 	forChunks(build.Len(), nw, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			hashes[i] = hashCols(build.tuples[i], bm)
+			hashes[i] = hashCols(build.tuples.at(i), bm)
 		}
 	})
 	var wg sync.WaitGroup
@@ -208,12 +209,12 @@ func joinHashParallel(r, s, build, probe *Relation, shared attr.Set) *Relation {
 		var sl slab
 		var myVisits int64
 		for pi := lo; pi < hi; pi++ {
-			t := probe.tuples[pi]
+			t := probe.tuples.at(pi)
 			h := hashCols(t, pm)
 			ji := indexes[h>>uint(shift)]
 			for j := ji.heads.get(h); j >= 0; j = ji.next[j] {
 				myVisits++
-				bt := build.tuples[j]
+				bt := build.tuples.at(j)
 				if !equalOn(bt, bm, t, pm) {
 					continue
 				}
@@ -245,9 +246,10 @@ func joinHashParallel(r, s, build, probe *Relation, shared attr.Set) *Relation {
 		if p == nil {
 			continue
 		}
-		for _, t := range p.tuples {
+		p.Each(func(_ int, t Tuple) bool {
 			out.Insert(t)
-		}
+			return true
+		})
 	}
 	if m := kmetrics.Load(); m != nil {
 		var total int64
@@ -262,16 +264,16 @@ func joinHashParallel(r, s, build, probe *Relation, shared attr.Set) *Relation {
 // satisfiesFDParallel checks an FD with chunked workers: each chunk
 // verifies itself and collects one witness tuple per distinct From key;
 // a final serial scan over all witnesses decides cross-chunk agreement.
-func satisfiesFDParallel(tuples []Tuple, fm, tm []int) bool {
+func satisfiesFDParallel(tuples *chunks[Tuple], fm, tm []int) bool {
 	nw := workers()
 	var bad atomic.Bool
 	wits := make([][]Tuple, nw)
-	forChunks(len(tuples), nw, func(w, lo, hi int) {
+	forChunks(tuples.n, nw, func(w, lo, hi int) {
 		heads := newHeadTable(hi - lo)
 		next := make([]int, hi-lo)
 		wit := make([]Tuple, 0, 64)
 		for i := lo; i < hi; i++ {
-			t := tuples[i]
+			t := tuples.at(i)
 			h := hashCols(t, fm)
 			matched := false
 			for j := heads.get(h); j >= 0; j = next[j] {
@@ -294,9 +296,11 @@ func satisfiesFDParallel(tuples []Tuple, fm, tm []int) bool {
 	if bad.Load() {
 		return false
 	}
-	var all []Tuple
+	var all chunks[Tuple]
 	for _, w := range wits {
-		all = append(all, w...)
+		for _, t := range w {
+			all.push(t)
+		}
 	}
-	return satisfiesFDScan(all, fm, tm)
+	return satisfiesFDScan(&all, fm, tm)
 }

@@ -69,8 +69,8 @@ type Relation struct {
 	attrs  attr.Set
 	cols   []attr.ID       // ascending; cols[i] is the attribute of column i
 	pos    map[attr.ID]int // inverse of cols; nil for narrow relations (linear scan)
-	tuples []Tuple
-	index  table // open-addressing hash index over tuples
+	tuples chunks[Tuple]   // copy-on-write, see chunk.go
+	index  table           // open-addressing hash index over tuples
 }
 
 // posMapWidth is the column count above which the inverse map pays for
@@ -118,7 +118,7 @@ func (r *Relation) Universe() *attr.Universe { return r.attrs.Universe() }
 func (r *Relation) Width() int { return len(r.cols) }
 
 // Len reports the number of tuples.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return r.tuples.n }
 
 // Cols returns the column attribute IDs in ascending order. The slice is
 // shared; callers must not modify it.
@@ -128,12 +128,35 @@ func (r *Relation) Cols() []attr.ID { return r.cols }
 // does not contain it.
 func (r *Relation) Col(id attr.ID) int { return r.colPos(id) }
 
-// Tuples returns the backing tuple slice in insertion order. Callers must
-// not modify it or the tuples it contains.
-func (r *Relation) Tuples() []Tuple { return r.tuples }
+// Tuples returns the tuples in position order: the relation's own
+// storage while it is one slab, a fresh slice once copy-on-write has
+// cut it into chunks. Callers must not modify it or the
+// tuples it contains, nor hold it across a write. Each iterates without
+// ever materializing the slice.
+func (r *Relation) Tuples() []Tuple {
+	if r.tuples.dir == nil {
+		return r.tuples.flat
+	}
+	return r.tuples.appendTo(make([]Tuple, 0, r.tuples.n))
+}
+
+// Each calls f with the position and tuple of every tuple in position
+// order, stopping early if f returns false. The relation must not
+// change during the walk.
+func (r *Relation) Each(f func(i int, t Tuple) bool) {
+	i := 0
+	for c, nc := 0, r.tuples.segs(); c < nc; c++ {
+		for _, t := range r.tuples.seg(c) {
+			if !f(i, t) {
+				return
+			}
+			i++
+		}
+	}
+}
 
 // Tuple returns the i-th tuple.
-func (r *Relation) Tuple(i int) Tuple { return r.tuples[i] }
+func (r *Relation) Tuple(i int) Tuple { return r.tuples.at(i) }
 
 // Insert adds a tuple (a copy is not taken; the caller relinquishes the
 // slice and must never mutate it afterwards). It reports whether the
@@ -143,11 +166,11 @@ func (r *Relation) Insert(t Tuple) bool {
 		panic(fmt.Sprintf("relation: inserting %d-tuple into %d-ary relation", len(t), len(r.cols)))
 	}
 	h := hashTuple(t)
-	if r.index.lookup(h, t, r.tuples) >= 0 {
+	if r.index.lookup(h, t, &r.tuples) >= 0 {
 		return false
 	}
-	r.index.add(h, len(r.tuples))
-	r.tuples = append(r.tuples, t)
+	r.index.add(h, r.tuples.n)
+	r.tuples.push(t)
 	return true
 }
 
@@ -184,40 +207,38 @@ func (r *Relation) InsertNamed(syms *value.Symbols, vals map[string]string) erro
 
 // Contains reports whether the relation holds the tuple.
 func (r *Relation) Contains(t Tuple) bool {
-	return r.index.lookup(hashTuple(t), t, r.tuples) >= 0
+	return r.index.lookup(hashTuple(t), t, &r.tuples) >= 0
 }
 
 // Delete removes the tuple if present, reporting whether it was found.
 func (r *Relation) Delete(t Tuple) bool {
 	h := hashTuple(t)
-	i := r.index.lookup(h, t, r.tuples)
+	i := r.index.lookup(h, t, &r.tuples)
 	if i < 0 {
 		return false
 	}
 	r.index.remove(h, i)
-	last := len(r.tuples) - 1
+	last := r.tuples.n - 1
 	if i != last {
-		moved := r.tuples[last]
-		r.tuples[i] = moved
+		moved := r.tuples.at(last)
+		*r.tuples.ref(i) = moved
 		r.index.fix(hashTuple(moved), last, i)
 	}
-	r.tuples[last] = nil
-	r.tuples = r.tuples[:last]
+	r.tuples.pop()
 	return true
 }
 
-// Clone returns an independent copy of the relation. Tuple slices and
-// the column layout are shared with the receiver (both are immutable),
-// so this is O(n) slot copying with no per-tuple allocation.
+// Clone returns an independent copy of the relation. Tuples and the
+// column layout are shared with the receiver (both are immutable), and
+// so is the storage of a relation past one chunk: the clone copies the
+// two chunk directories, O(n/32), and each side copies a chunk only on
+// its first write to it (chunk.go). Clone may run concurrently with
+// other Clones and reads of r, never with a write to r.
 func (r *Relation) Clone() *Relation {
 	out := &Relation{attrs: r.attrs, cols: r.cols, pos: r.pos}
-	out.tuples = make([]Tuple, len(r.tuples))
-	copy(out.tuples, r.tuples)
+	r.tuples.cloneInto(&out.tuples)
+	r.index.slots.cloneInto(&out.index.slots)
 	out.index.n = r.index.n
-	if len(r.index.slots) > 0 {
-		out.index.slots = make([]tslot, len(r.index.slots))
-		copy(out.index.slots, r.index.slots)
-	}
 	return out
 }
 
@@ -226,12 +247,12 @@ func (r *Relation) Equal(s *Relation) bool {
 	if !r.attrs.Equal(s.attrs) || r.Len() != s.Len() {
 		return false
 	}
-	for _, t := range r.tuples {
-		if !s.Contains(t) {
-			return false
-		}
-	}
-	return true
+	eq := true
+	r.Each(func(_ int, t Tuple) bool {
+		eq = s.Contains(t)
+		return eq
+	})
+	return eq
 }
 
 // projector precomputes the column mapping for projecting r onto attrs.
@@ -316,17 +337,17 @@ func (r *Relation) insertProjection(src Tuple, m []int, sl *slab) bool {
 		h = hashWord(h, src[c])
 	}
 	h = hashFinish(h)
-	if len(r.index.slots) > 0 {
-		msk := len(r.index.slots) - 1
+	if r.index.slots.n > 0 {
+		msk := r.index.slots.n - 1
 		for i := int(h & uint64(msk)); ; i = (i + 1) & msk {
-			s := r.index.slots[i]
+			s := r.index.slots.at(i)
 			if s.idx < 0 {
 				break
 			}
 			if s.hash != h {
 				continue
 			}
-			cand := r.tuples[s.idx]
+			cand := r.tuples.at(s.idx)
 			dup := true
 			for j, c := range m {
 				if cand[j] != src[c] {
@@ -343,8 +364,8 @@ func (r *Relation) insertProjection(src Tuple, m []int, sl *slab) bool {
 	for j, c := range m {
 		t[j] = src[c]
 	}
-	r.index.add(h, len(r.tuples))
-	r.tuples = append(r.tuples, t)
+	r.index.add(h, r.tuples.n)
+	r.tuples.push(t)
 	return true
 }
 
@@ -352,18 +373,20 @@ func (r *Relation) insertProjection(src Tuple, m []int, sl *slab) bool {
 func (r *Relation) Project(attrs attr.Set) *Relation {
 	m := r.projector(attrs)
 	var out *Relation
-	if n := len(r.tuples); n >= parallelThreshold && workers() > 1 {
+	if n := r.Len(); n >= parallelThreshold && workers() > 1 {
 		out = projectParallel(r, attrs, m)
 	} else {
 		out = New(attrs)
-		sl := slab{hint: len(r.tuples)}
-		for _, t := range r.tuples {
-			out.insertProjection(t, m, &sl)
+		sl := slab{hint: n}
+		for c, nc := 0, r.tuples.segs(); c < nc; c++ {
+			for _, t := range r.tuples.seg(c) {
+				out.insertProjection(t, m, &sl)
+			}
 		}
 	}
 	if km := kmetrics.Load(); km != nil {
 		km.projectCalls.Inc()
-		km.projectInTuples.Add(int64(len(r.tuples)))
+		km.projectInTuples.Add(int64(r.Len()))
 		km.projectOutTuples.Add(int64(out.Len()))
 	}
 	return out
@@ -373,11 +396,12 @@ func (r *Relation) Project(attrs attr.Set) *Relation {
 // the selected tuples (tuples are immutable after insert).
 func (r *Relation) Select(pred func(Tuple) bool) *Relation {
 	out := New(r.attrs)
-	for _, t := range r.tuples {
+	r.Each(func(_ int, t Tuple) bool {
 		if pred(t) {
 			out.Insert(t)
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -390,19 +414,21 @@ func (r *Relation) SelectEq(attrs attr.Set, key Tuple) *Relation {
 		panic(fmt.Sprintf("relation: SelectEq key has %d entries for %d attributes", len(key), len(m)))
 	}
 	var out *Relation
-	if n := len(r.tuples); n >= parallelThreshold && workers() > 1 {
+	if n := r.Len(); n >= parallelThreshold && workers() > 1 {
 		out = selectEqParallel(r, m, key)
 	} else {
 		out = New(r.attrs)
-		for _, t := range r.tuples {
-			if equalKey(t, m, key) {
-				out.Insert(t)
+		for c, nc := 0, r.tuples.segs(); c < nc; c++ {
+			for _, t := range r.tuples.seg(c) {
+				if equalKey(t, m, key) {
+					out.Insert(t)
+				}
 			}
 		}
 	}
 	if km := kmetrics.Load(); km != nil {
 		km.selectEqCalls.Inc()
-		km.selectEqScanned.Add(int64(len(r.tuples)))
+		km.selectEqScanned.Add(int64(r.Len()))
 		km.selectEqMatched.Add(int64(out.Len()))
 	}
 	return out
@@ -419,15 +445,21 @@ func equalKey(t Tuple, m []int, key Tuple) bool {
 }
 
 // Union returns r ∪ s over the same attribute set, sharing tuples with
-// both operands.
+// both operands. The result starts as a private copy of r sized for
+// |r|+|s|, not a Clone: the bulk inserts would otherwise copy r's
+// chunks one by one and grow the table midway.
 func (r *Relation) Union(s *Relation) *Relation {
 	if !r.attrs.Equal(s.attrs) {
 		panic("relation: union over different attribute sets")
 	}
-	out := r.Clone()
-	for _, t := range s.tuples {
+	n := r.Len() + s.Len()
+	out := &Relation{attrs: r.attrs, cols: r.cols, pos: r.pos}
+	out.tuples.adopt(r.tuples.appendTo(make([]Tuple, 0, n)))
+	out.index.resize(&r.index, tableSize(n))
+	s.Each(func(_ int, t Tuple) bool {
 		out.Insert(t)
-	}
+		return true
+	})
 	return out
 }
 
@@ -437,11 +469,12 @@ func (r *Relation) Diff(s *Relation) *Relation {
 		panic("relation: difference over different attribute sets")
 	}
 	out := New(r.attrs)
-	for _, t := range r.tuples {
+	r.Each(func(_ int, t Tuple) bool {
 		if !s.Contains(t) {
 			out.Insert(t)
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -504,11 +537,12 @@ type joinIndex struct {
 	next  []int
 }
 
-// buildJoinIndex indexes tuples[lo:hi] by hashCols(·, bm) into ji.
-func buildJoinIndex(ji *joinIndex, tuples []Tuple, bm []int, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ji.next[i] = ji.heads.put(hashCols(tuples[i], bm), i)
-	}
+// buildJoinIndex indexes every tuple of build by hashCols(·, bm) into ji.
+func buildJoinIndex(ji *joinIndex, build *Relation, bm []int) {
+	build.Each(func(i int, t Tuple) bool {
+		ji.next[i] = ji.heads.put(hashCols(t, bm), i)
+		return true
+	})
 }
 
 // probeJoin emits the join of probe tuples [lo, hi) against the build
@@ -520,11 +554,11 @@ func probeJoin(out *Relation, ji *joinIndex, build, probe *Relation, bm, pm, fro
 	w := len(out.cols)
 	var visits int64
 	for pi := lo; pi < hi; pi++ {
-		t := probe.tuples[pi]
+		t := probe.tuples.at(pi)
 		h := hashCols(t, pm)
 		for j := ji.heads.get(h); j >= 0; j = ji.next[j] {
 			visits++
-			bt := build.tuples[j]
+			bt := build.tuples.at(j)
 			if !equalOn(bt, bm, t, pm) {
 				continue
 			}
@@ -570,7 +604,7 @@ func joinHash(r, s *Relation) *Relation {
 	bm := build.projector(shared)
 	pm := probe.projector(shared)
 	ji := &joinIndex{heads: newHeadTable(build.Len()), next: make([]int, build.Len())}
-	buildJoinIndex(ji, build.tuples, bm, 0, build.Len())
+	buildJoinIndex(ji, build, bm)
 	out, fromR, fromS := joinPlan(r, s)
 	sl := slab{hint: joinHint(build.Len(), probe.Len())}
 	visits := probeJoin(out, ji, build, probe, bm, pm, fromR, fromS, build == r, 0, probe.Len(), &sl)
@@ -584,10 +618,8 @@ func joinSortMerge(r, s *Relation) *Relation {
 	shared := r.attrs.Intersect(s.attrs)
 	rm := r.projector(shared)
 	sm := s.projector(shared)
-	rt := make([]Tuple, len(r.tuples))
-	copy(rt, r.tuples)
-	st := make([]Tuple, len(s.tuples))
-	copy(st, s.tuples)
+	rt := r.tuples.appendTo(make([]Tuple, 0, r.Len()))
+	st := s.tuples.appendTo(make([]Tuple, 0, s.Len()))
 	SortTuplesBy(rt, rm)
 	SortTuplesBy(st, sm)
 	out, fromR, fromS := joinPlan(r, s)
@@ -658,8 +690,7 @@ func (r *Relation) Sorted(by attr.Set) []Tuple {
 	// Append the remaining columns for a total order.
 	rest := r.attrs.Diff(by)
 	m = append(m, r.projector(rest)...)
-	out := make([]Tuple, len(r.tuples))
-	copy(out, r.tuples)
+	out := r.tuples.appendTo(make([]Tuple, 0, r.Len()))
 	SortTuplesBy(out, m)
 	return out
 }

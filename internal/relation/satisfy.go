@@ -16,26 +16,27 @@ func (r *Relation) SatisfiesFD(f dep.FD) bool {
 	tm := r.projector(f.To)
 	if km := kmetrics.Load(); km != nil {
 		km.fdScanCalls.Inc()
-		km.fdScanTuples.Add(int64(len(r.tuples)))
+		km.fdScanTuples.Add(int64(r.Len()))
 	}
-	if len(r.tuples) >= parallelThreshold && workers() > 1 {
-		return satisfiesFDParallel(r.tuples, fm, tm)
+	if r.Len() >= parallelThreshold && workers() > 1 {
+		return satisfiesFDParallel(&r.tuples, fm, tm)
 	}
-	return satisfiesFDScan(r.tuples, fm, tm)
+	return satisfiesFDScan(&r.tuples, fm, tm)
 }
 
 // satisfiesFDScan checks the FD over tuples with a chained hash index of
 // the From columns: one witness per distinct From key, every later tuple
 // with that key must agree on the To columns.
-func satisfiesFDScan(tuples []Tuple, fm, tm []int) bool {
-	heads := newHeadTable(len(tuples))
-	next := make([]int, len(tuples))
-	for i, t := range tuples {
+func satisfiesFDScan(tuples *chunks[Tuple], fm, tm []int) bool {
+	heads := newHeadTable(tuples.n)
+	next := make([]int, tuples.n)
+	for i := 0; i < tuples.n; i++ {
+		t := tuples.at(i)
 		h := hashCols(t, fm)
 		matched := false
 		for j := heads.get(h); j >= 0; j = next[j] {
-			if equalOn(tuples[j], fm, t, fm) {
-				if !equalOn(tuples[j], tm, t, tm) {
+			if w := tuples.at(j); equalOn(w, fm, t, fm) {
+				if !equalOn(w, tm, t, tm) {
 					return false
 				}
 				matched = true

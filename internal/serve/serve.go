@@ -320,12 +320,13 @@ func (p *Pipeline) Published() (*relation.Relation, uint64, bool) {
 }
 
 // publishView hands the session's view to the read side. Committer
-// goroutine only, or New before the committer starts. The published
-// relation is the session's one maintained view image (core.Session.
-// ViewRef), so a publish never re-projects the database, and the ref
-// stays immutable — the session clones its image before the next op
-// changes it. That clone is O(|view|), paid by the first op of every
-// batch after a publish: a batch costs O(|view|), not O(|batch|).
+// goroutine only, New before the committer starts, or an exclusive
+// grant's holder while the committer is parked. The published relation
+// is the session's one maintained view image (core.Session.ViewRef), so
+// a publish never re-projects the database, and the ref stays immutable
+// — the session clones its image before the next op changes it. That
+// clone shares the image's chunks copy-on-write (relation.Relation.
+// Clone), so a batch costs O(|batch|), not O(|view|).
 func (p *Pipeline) publishView(st *store.Session) {
 	p.pubView.Store(&publishedView{view: st.ViewRef(), seq: st.Seq()})
 }
@@ -421,6 +422,7 @@ type Waiter interface {
 // as the committer's batches do); the serial-session discipline is the
 // holder's to keep.
 type ExclusiveGrant struct {
+	p    *Pipeline
 	st   *store.Session
 	done chan exclRelease
 }
@@ -440,9 +442,16 @@ func (g *ExclusiveGrant) Session() *store.Session { return g.st }
 // breaking it — exactly as the committer's own healing would have.
 // Ops the holder applied went through the session itself, so its
 // maintained delta state stays current and nothing is invalidated; the
-// next queued op is decided against the holder's changes. Release must
-// be called exactly once per grant.
+// next queued op is decided against the holder's changes. Release
+// publishes the holder's view before it returns, so a reader that
+// follows the holder's Release sees the holder's ops. Release must be
+// called exactly once per grant.
 func (g *ExclusiveGrant) Release(ns *store.Session) {
+	st := g.st
+	if ns != nil {
+		st = ns
+	}
+	g.p.publishView(st)
 	//constvet:allow deadlineflow -- done is buffered (cap 1) and each grant ends exactly once; the send cannot block
 	g.done <- exclRelease{ns: ns}
 }
@@ -729,7 +738,7 @@ func (p *Pipeline) grantExclusive(r *request) {
 		return
 	}
 	st := p.store()
-	g := &ExclusiveGrant{st: st, done: make(chan exclRelease, 1)}
+	g := &ExclusiveGrant{p: p, st: st, done: make(chan exclRelease, 1)}
 	//constvet:allow deadlineflow -- excl is buffered (cap 1) and granted exactly once; the send cannot block
 	r.excl <- g
 	// Park until the holder releases. Exclusive's contract obliges every

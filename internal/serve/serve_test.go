@@ -438,6 +438,96 @@ func TestPipelinePublishedUnderConcurrentWrites(t *testing.T) {
 	}
 }
 
+// TestPipelinePublishedCOWReaders: readers Clone, Sorted, Contains and
+// Tuples published views past one storage chunk, and mutate their
+// clones, while the committer applies batches. The published image
+// shares its chunks with the session's next image and with every
+// reader's clone, so any missed copy-on-write shows up as a view that
+// changes under its reader, or as a data race under -race.
+func TestPipelinePublishedCOWReaders(t *testing.T) {
+	pair, _, syms := edmFixture()
+	db := relation.New(pair.Schema().Universe().All())
+	for i := 0; i < 300; i++ {
+		db.Insert(relation.Tuple{
+			syms.Const(fmt.Sprintf("emp%d", i)),
+			syms.Const(fmt.Sprintf("dept%d", i%10)),
+			syms.Const(fmt.Sprintf("mgr%d", i%10)),
+		})
+	}
+	st, err := store.Create(store.NewMemFS(), pair, db, syms, store.Options{SnapshotEvery: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := New(st, Options{MaxBatch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Intern every constant up front: Symbols is not safe for
+	// concurrent interning.
+	ops := make([]relation.Tuple, 40)
+	for i := range ops {
+		ops[i] = relation.Tuple{syms.Const(fmt.Sprintf("c%02d", i)), syms.Const(fmt.Sprintf("dept%d", i%10))}
+	}
+	extras := make([]relation.Tuple, 4)
+	for g := range extras {
+		extras[g] = relation.Tuple{syms.Const(fmt.Sprintf("reader%d", g)), syms.Const("dept0")}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v, seq, _ := pipe.Published()
+				rows := v.Sorted(v.Attrs())
+				c := v.Clone()
+				extra := extras[g]
+				c.Insert(extra)
+				c.Delete(rows[n%len(rows)])
+				if len(v.Tuples()) != len(rows) || v.Contains(extra) || !v.Contains(rows[n%len(rows)]) {
+					t.Errorf("reader %d: published view at seq %d changed under its clone", g, seq)
+					return
+				}
+				again := v.Clone().Sorted(v.Attrs())
+				for i := range rows {
+					if !rows[i].Equal(again[i]) {
+						t.Errorf("reader %d: published view at seq %d changed while read", g, seq)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	var pend []*Pending
+	for i := 0; i < 400; i++ {
+		op := core.Insert(ops[i%len(ops)])
+		if (i/len(ops))%2 == 1 {
+			op = core.Delete(ops[i%len(ops)])
+		}
+		p, err := pipe.ApplyAsync(context.Background(), op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pend = append(pend, p)
+	}
+	for _, p := range pend {
+		if d, err := p.Wait(); err != nil || !d.Translatable {
+			t.Fatalf("op rejected: %v (%+v)", err, d)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if err := pipe.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPipelineBrokenStore: a journal fault mid-stream breaks the store
 // session; affected submitters get ErrSessionBroken, later submissions
 // fail fast, and Close surfaces the error.

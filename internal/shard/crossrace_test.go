@@ -188,7 +188,7 @@ func TestCrossShardRenameThenImmediateOp(t *testing.T) {
 	for name, d := range cm.dept {
 		want.Insert(cm.tup(name, d))
 	}
-	waitView(t, m, want)
+	assertPublished(t, m, want)
 	// Each grant used to drop the shard's delta state, forcing one
 	// rebuild per grant; now only tombstone compaction rebuilds it.
 	rebuilds := reg.Snapshot().Counters["core_inc_rebuild_total"] - rebuildsAtWarm

@@ -178,9 +178,10 @@ func Open(fss []store.FS, pair *core.Pair, db *relation.Relation, syms *value.Sy
 	for i := range parts {
 		parts[i] = relation.New(db.Attrs())
 	}
-	for _, t := range db.Tuples() {
+	db.Each(func(_ int, t relation.Tuple) bool {
 		parts[router.ShardOfName(syms.Name(t[baseCol]))].Insert(t)
-	}
+		return true
+	})
 
 	rep := &Report{Shards: make([]*store.RecoveryReport, k)}
 	sessions := make([]*store.Session, k)

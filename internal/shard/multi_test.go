@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/constcomp/constcomp/internal/attr"
 	"github.com/constcomp/constcomp/internal/core"
@@ -71,24 +70,19 @@ func deptCountOn(m *Multi, view *relation.Relation, k int, d value.Value) int {
 	return n
 }
 
-// waitView polls Published until it equals want: a cross-shard op is
-// acked once its grants are released, before each shard's committer
-// republishes, so an immediate read can see the prior view.
-func waitView(t *testing.T, m *Multi, want *relation.Relation) {
+// assertPublished checks that Published equals want right now: every
+// Apply publishes the views it changed before it returns, a cross-shard
+// op included (each grant's Release publishes its shard's view).
+func assertPublished(t *testing.T, m *Multi, want *relation.Relation) {
 	t.Helper()
-	var got *relation.Relation
-	for i := 0; i < 500; i++ {
-		got, _, _ = m.Published()
-		if got != nil && got.Equal(want) {
-			return
+	got, _, _ := m.Published()
+	if got == nil || !got.Equal(want) {
+		gl := -1
+		if got != nil {
+			gl = got.Len()
 		}
-		time.Sleep(2 * time.Millisecond)
+		t.Fatalf("published view has %d rows, want %d", gl, want.Len())
 	}
-	gl := -1
-	if got != nil {
-		gl = got.Len()
-	}
-	t.Fatalf("published view never converged: got %d rows, want %d", gl, want.Len())
 }
 
 // pickInserts returns n insert tuples whose decide succeeds per shard
@@ -186,7 +180,7 @@ func TestMultiSinglesAcrossShards(t *testing.T) {
 	}
 	expected.Delete(victim)
 
-	waitView(t, m, expected)
+	assertPublished(t, m, expected)
 	// Single-shard traffic never touches a txlog.
 	assertTxLogsEmpty(t, fss)
 }
@@ -221,9 +215,35 @@ func TestMultiCrossShardCommit(t *testing.T) {
 	expected := viewOf(pair, db)
 	expected.Delete(old)
 	expected.Insert(nw)
-	waitView(t, m, expected)
+	assertPublished(t, m, expected)
 	// The two-phase records are retired on success.
 	assertTxLogsEmpty(t, fss)
+}
+
+// TestCrossShardReadYourWrites moves a row back and forth between two
+// shards and reads Published straight after each Apply returns: the
+// read must already show the move, with no wait for the shards'
+// committers to republish.
+func TestCrossShardReadYourWrites(t *testing.T) {
+	pair, db, syms := shardFixture(16)
+	m, _ := mustOpen(t, shardFSs(store.NewMemFS(), 4), pair, db, syms, Options{Shards: 4})
+	defer m.Close()
+
+	old, nw, _, _ := findCrossOp(t, m, pair, db, syms)
+	for i := 0; i < 50; i++ {
+		from, to := old, nw
+		if i%2 == 1 {
+			from, to = nw, old
+		}
+		d, err := m.Apply(context.Background(), core.Replace(from, to))
+		if err != nil || !d.Translatable {
+			t.Fatalf("move %d: %v (%+v)", i, err, d)
+		}
+		v, _, _ := m.Published()
+		if v.Contains(from) || !v.Contains(to) {
+			t.Fatalf("move %d: published view misses the replace (has old %v, has new %v)", i, v.Contains(from), v.Contains(to))
+		}
+	}
 }
 
 func TestMultiCrossShardRejectionIsAtomic(t *testing.T) {
@@ -243,7 +263,7 @@ func TestMultiCrossShardRejectionIsAtomic(t *testing.T) {
 		t.Fatalf("poisoned cross replace: %v, want ErrRejected", err)
 	}
 
-	waitView(t, m, viewOf(pair, db))
+	assertPublished(t, m, viewOf(pair, db))
 	assertTxLogsEmpty(t, fss)
 	// Both shards keep serving: the clean variant goes through.
 	if _, err := m.Apply(context.Background(), core.Replace(old, nw)); err != nil {
@@ -311,7 +331,7 @@ func TestMultiReopenPreservesState(t *testing.T) {
 	}
 	expected.Delete(old)
 	expected.Insert(nw)
-	waitView(t, m, expected)
+	assertPublished(t, m, expected)
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +341,7 @@ func TestMultiReopenPreservesState(t *testing.T) {
 	if len(rep.Resolved) != 0 {
 		t.Fatalf("clean reopen resolved %d intents", len(rep.Resolved))
 	}
-	waitView(t, m2, expected)
+	assertPublished(t, m2, expected)
 }
 
 // crashHarness builds a durable 2-shard instance, closes it cleanly,
@@ -508,7 +528,7 @@ func TestCrossShardCrashMatrix(t *testing.T) {
 				want.Delete(h.old)
 				want.Insert(h.nw)
 			}
-			waitView(t, m, want)
+			assertPublished(t, m, want)
 			// No orphaned intents survive a recovery.
 			assertTxLogsEmpty(t, h.fss)
 
@@ -526,7 +546,7 @@ func TestCrossShardCrashMatrix(t *testing.T) {
 			if len(rep2.Resolved) != 0 {
 				t.Fatalf("second recovery resolved %d intents", len(rep2.Resolved))
 			}
-			waitView(t, m2, want)
+			assertPublished(t, m2, want)
 		})
 	}
 }
@@ -633,7 +653,7 @@ func TestCrossShardCommitSyncFaultAborts(t *testing.T) {
 	if _, err := m.Apply(context.Background(), core.Replace(old, nw)); err == nil {
 		t.Fatal("cross op with blown coordinator intent fsync succeeded")
 	}
-	waitView(t, m, base)
+	assertPublished(t, m, base)
 
 	// Let the intent through, then fail the commit fsync and both
 	// retries (CommitRetries=2): the truncate escape hatch demotes the
@@ -642,7 +662,7 @@ func TestCrossShardCommitSyncFaultAborts(t *testing.T) {
 	if _, err := m.Apply(context.Background(), core.Replace(old, nw)); err == nil {
 		t.Fatal("cross op with blown commit fsync succeeded")
 	}
-	waitView(t, m, base)
+	assertPublished(t, m, base)
 	if m.DegradedFor([]core.UpdateOp{core.Replace(old, nw)}) {
 		t.Fatal("safe abort left a shard degraded")
 	}
@@ -657,7 +677,7 @@ func TestCrossShardCommitSyncFaultAborts(t *testing.T) {
 	want := base.Clone()
 	want.Delete(old)
 	want.Insert(nw)
-	waitView(t, m, want)
+	assertPublished(t, m, want)
 }
 
 // TestCrossShardInDoubtFencesShards: when the commit record's
@@ -712,7 +732,7 @@ func TestCrossShardInDoubtFencesShards(t *testing.T) {
 	if len(rep.Resolved) != 1 || rep.Resolved[0].Committed {
 		t.Fatalf("recovery resolution %+v, want one aborted intent", rep.Resolved)
 	}
-	waitView(t, m2, viewOf(pair, db))
+	assertPublished(t, m2, viewOf(pair, db))
 	assertTxLogsEmpty(t, fss)
 	if _, err := m2.Apply(context.Background(), core.Replace(old, nw)); err != nil {
 		t.Fatalf("cross op after recovery: %v", err)
@@ -761,5 +781,5 @@ func TestShardFaultConfinement(t *testing.T) {
 			t.Fatalf("healthy shard %d degraded by shard %d's fault", k, sick)
 		}
 	}
-	waitView(t, m, expected)
+	assertPublished(t, m, expected)
 }

@@ -42,11 +42,13 @@ func (e cellEncoder) appendSnapshot(dst []byte, seq uint64, db *relation.Relatio
 	dst = binary.AppendUvarint(openFrame(dst), seq)
 	dst = AppendNames(dst, db.Universe().Names())
 	dst = binary.AppendUvarint(dst, uint64(db.Len()))
-	for _, t := range db.Tuples() {
-		var err error
-		if dst, err = e.appendCells(dst, t); err != nil {
-			return nil, err
-		}
+	var err error
+	db.Each(func(_ int, t relation.Tuple) bool {
+		dst, err = e.appendCells(dst, t)
+		return err == nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return sealFrame(dst, start), nil
 }
