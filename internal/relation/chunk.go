@@ -6,32 +6,33 @@ import "sync/atomic"
 //
 // A relation keeps its tuples and its index slots in two chunks arrays.
 // An array the relation owns outright is one slab, flat, grown by
-// append like any slice. Clone shares it instead of copying: both sides
-// take fresh generations, so neither owns the slab any more. The first
-// write after that gives the writer a directory over the slab, cut into
-// fixed-size chunks of chunkLen entries (toDir), and copies only the
-// chunk it writes; chunks the writer has not copied stay shared. 32
-// Tuples fill the 768-byte size class and 32 index slots the 512-byte
-// one, with no per-chunk header. Each directory entry carries the
-// generation of the array that may write the chunk in place. Cloning a
-// chunked array copies its directory. Either way a clone costs at most
-// O(entries / chunkLen) and each later write O(1) chunks, where a full
-// copy costs O(entries).
+// append like any slice. Clone shares it instead of copying, and after
+// that neither side owns the slab. The first write then gives the
+// writer a directory over the slab, cut into fixed-size chunks of
+// chunkLen entries (toDir), and copies only the chunk it writes; chunks
+// the writer has not copied stay shared. 32 Tuples fill the 768-byte
+// size class and 32 index slots the 512-byte one, with no per-chunk
+// header. Each directory entry carries the generation of the array
+// that may write the chunk in place, and cloning a chunked array gives
+// both sides fresh generations and the clone a copy of the directory.
+// Either way a clone costs at most O(entries / chunkLen) and each later
+// write O(1) chunks, where a full copy costs O(entries).
 //
 // Chunk copies are carved from slabs whose size doubles with the number
 // of chunks the array has carved, so rewriting a whole clone takes
-// O(log n) allocations. Once the copies since the last compaction reach
-// a quarter of the directory, the next write compacts the array back
-// into one owned slab instead (compact): scattered chunks would
+// O(log n) allocations. Once the copies since the array was last one
+// slab reach a quarter of the directory, the next write compacts it
+// back into one owned slab instead (compact): scattered chunks would
 // otherwise keep many slabs alive, each held by its last live chunk,
-// and every read would pay the directory. An array of at most flatMax entries is
-// copied outright by Clone, so a small relation allocates exactly what
-// a plain slice would.
+// and every read would pay the directory. An array of at most flatMax
+// entries is copied outright by Clone, and an array that is one slab
+// costs two words over a plain slice, so a small relation allocates
+// what it did before chunking.
 //
-// Concurrency: Clone only reads the array and stores its generation
-// atomically, so any number of goroutines may Clone and read an array
-// that nobody writes, such as a published view. Writes need exclusive
-// access.
+// Concurrency: Clone only reads the source, marking it shared with
+// atomic stores, so any number of goroutines may Clone and read an
+// array that nobody writes, such as a published view. Writes need
+// exclusive access.
 
 const (
 	chunkShift = 5
@@ -41,8 +42,8 @@ const (
 	flatMax = 2 * chunkLen
 )
 
-// genSeq hands out array generations. Zero is the generation of an
-// array that has never been cloned; its slab is its own.
+// genSeq hands out chunk-directory generations, all nonzero: a chunk
+// cut from a shared slab carries generation zero, no array's own.
 var genSeq atomic.Uint64
 
 // cref is one directory entry: a chunk and the generation of the array
@@ -57,159 +58,180 @@ type cref[T any] struct {
 
 // chunks is a copy-on-write array of T. The zero value is empty.
 type chunks[T any] struct {
-	n int // entries
-	// flat holds the entries while dir == nil: one slab, written in
-	// place only while gen == flatGen.
-	flat    []T
-	flatGen uint64
-	dir     []cref[T] // otherwise: chunks covering [0, n) and more
-	gen     atomic.Uint64
+	// flat holds the entries unless c has a directory; while c is nil
+	// the array owns it and writes in place.
+	flat []T
+	c    atomic.Pointer[chunkDir[T]]
+}
+
+// chunkDir is a shared or chunked array's state, kept out of line so an
+// array that is one owned slab, as most are, stays two words over a
+// slice. With dir nil it only marks flat as shared.
+type chunkDir[T any] struct {
+	gen atomic.Uint64
+	n   int       // entries, once chunked
+	dir []cref[T] // chunks covering [0, n) and more
 	// spare is uncarved slab storage for chunk copies; carved counts
 	// the chunks carved so far, the next slab's size.
 	spare  []T
 	carved int
 	// copied counts the shared chunks this array and the arrays it was
-	// cloned from copied since the last compaction.
+	// cloned from copied since it was last one slab.
 	copied int
+}
+
+// len reports the number of entries.
+func (a *chunks[T]) len() int {
+	if a.flat != nil {
+		return len(a.flat)
+	}
+	if c := a.c.Load(); c != nil {
+		return c.n
+	}
+	return 0
 }
 
 // at returns entry i.
 func (a *chunks[T]) at(i int) T {
-	if a.dir == nil {
+	if a.flat != nil {
 		return a.flat[i]
 	}
-	return a.dir[i>>chunkShift].p[i&chunkMask]
+	return a.c.Load().dir[i>>chunkShift].p[i&chunkMask]
+}
+
+// chunked returns the array's directory state, cutting a shared slab
+// into chunks first; nil means the array owns its slab.
+func (a *chunks[T]) chunked() *chunkDir[T] {
+	d := a.c.Load()
+	if d == nil || d.dir != nil {
+		return d
+	}
+	s := a.flat[:cap(a.flat)]
+	d = &chunkDir[T]{n: len(a.flat), dir: make([]cref[T], (len(s)+chunkMask)>>chunkShift)}
+	d.gen.Store(genSeq.Add(1))
+	for c := range d.dir {
+		lo := c << chunkShift
+		hi := min(lo+chunkLen, len(s))
+		d.dir[c] = cref[T]{p: s[lo:hi:hi]}
+	}
+	a.flat = nil
+	a.c.Store(d)
+	return d
 }
 
 // ref returns entry i for writing, copying its chunk first if shared.
 func (a *chunks[T]) ref(i int) *T {
-	g := a.gen.Load()
-	if a.dir == nil {
-		if g == a.flatGen {
-			return &a.flat[i]
-		}
-		a.toDir()
+	d := a.chunked()
+	if d == nil {
+		return &a.flat[i]
 	}
-	c := &a.dir[i>>chunkShift]
-	if c.gen != g {
-		if 4*a.copied >= len(a.dir) {
-			a.compact()
+	c := &d.dir[i>>chunkShift]
+	if g := d.gen.Load(); c.gen != g {
+		if 4*d.copied >= len(d.dir) {
+			a.adopt(a.appendTo(make([]T, 0, len(d.dir)<<chunkShift)))
 			return &a.flat[i]
 		}
-		p := a.carve(a.carved)
+		p := d.carve(d.carved)
 		copy(p, c.p)
 		c.p, c.gen = p, g
-		a.copied++
+		d.copied++
 	}
 	return &c.p[i&chunkMask]
 }
 
-// toDir cuts the shared slab into chunks, none of them this array's.
-func (a *chunks[T]) toDir() {
-	s := a.flat[:cap(a.flat)]
-	a.dir = make([]cref[T], (len(s)+chunkMask)>>chunkShift)
-	for c := range a.dir {
-		lo := c << chunkShift
-		hi := min(lo+chunkLen, len(s))
-		a.dir[c] = cref[T]{s[lo:hi:hi], a.flatGen}
-	}
-	a.flat = nil
-}
-
-// compact copies every chunk into one fresh slab the array owns.
-// Compacting once the copies reach a quarter of the directory costs at
-// most four more chunk copies per copy-on-write, so a write stays O(1)
-// amortized.
-func (a *chunks[T]) compact() {
-	a.copied = 0
-	a.adopt(a.appendTo(make([]T, 0, len(a.dir)<<chunkShift)))
-}
-
 // carve takes one chunk from the current slab, allocating a slab of
 // max(k, 1) chunks when it is used up.
-func (a *chunks[T]) carve(k int) []T {
-	if len(a.spare) == 0 {
-		a.spare = make([]T, max(k, 1)*chunkLen)
+func (d *chunkDir[T]) carve(k int) []T {
+	if len(d.spare) == 0 {
+		d.spare = make([]T, max(k, 1)*chunkLen)
 	}
-	p := a.spare[:chunkLen:chunkLen]
-	a.spare = a.spare[chunkLen:]
-	a.carved++
+	p := d.spare[:chunkLen:chunkLen]
+	d.spare = d.spare[chunkLen:]
+	d.carved++
 	return p
 }
 
 // push appends v.
 func (a *chunks[T]) push(v T) {
-	if a.dir == nil {
-		if full := len(a.flat) == cap(a.flat); full || a.gen.Load() == a.flatGen {
-			if full {
-				a.flatGen = a.gen.Load() // append moves to a slab of our own
-			}
-			a.flat = append(a.flat, v)
-			a.n++
-			return
+	d := a.c.Load()
+	if d == nil || d.dir == nil && len(a.flat) == cap(a.flat) {
+		// Ours, or full: append writes in place or moves to a new
+		// slab of our own.
+		a.flat = append(a.flat, v)
+		if d != nil {
+			a.c.Store(nil)
 		}
-		a.toDir()
+		return
 	}
-	if a.n == len(a.dir)<<chunkShift {
-		a.dir = append(a.dir, cref[T]{a.carve(len(a.dir)), a.gen.Load()})
+	d = a.chunked()
+	if d.n == len(d.dir)<<chunkShift {
+		d.dir = append(d.dir, cref[T]{d.carve(len(d.dir)), d.gen.Load()})
 	}
-	a.n++
-	*a.ref(a.n - 1) = v
+	d.n++
+	*a.ref(d.n - 1) = v // may compact; the slab then holds all d.n
 }
 
 // pop drops the last entry, clearing it so its storage holds no
 // reference.
 func (a *chunks[T]) pop() {
 	var zero T
-	*a.ref(a.n - 1) = zero
-	a.n--
-	if a.dir == nil {
-		a.flat = a.flat[:a.n]
+	*a.ref(a.len() - 1) = zero
+	if a.flat != nil {
+		a.flat = a.flat[:len(a.flat)-1]
+	} else {
+		a.c.Load().n--
 	}
 }
 
 // adopt makes s, a slab the array then owns, its entries.
 func (a *chunks[T]) adopt(s []T) {
-	a.n, a.flat, a.dir = len(s), s, nil
-	a.flatGen = a.gen.Load()
+	a.flat = s
+	a.c.Store(nil)
 }
 
 // cloneInto makes out, a zero array, a copy of a: a small array is
 // copied outright, a larger one shares a's slab or chunks until either
 // side writes them.
 func (a *chunks[T]) cloneInto(out *chunks[T]) {
-	out.n = a.n
-	if a.n <= flatMax {
-		if a.n > 0 {
-			out.flat = a.appendTo(make([]T, 0, a.n))
+	n := a.len()
+	if n <= flatMax {
+		if n > 0 {
+			out.flat = a.appendTo(make([]T, 0, n))
 		}
 		return
 	}
-	a.gen.Store(genSeq.Add(1))
-	out.gen.Store(genSeq.Add(1))
-	out.copied = a.copied
-	if a.dir == nil {
-		out.flat, out.flatGen = a.flat, a.flatGen
+	d := a.c.Load()
+	if d == nil || d.dir == nil {
+		if d == nil { // mark the slab shared: an empty chunkDir
+			d = &chunkDir[T]{}
+			a.c.Store(d)
+		}
+		out.flat = a.flat
+		out.c.Store(d)
 		return
 	}
-	out.dir = append([]cref[T](nil), a.dir...)
+	d.gen.Store(genSeq.Add(1))
+	od := &chunkDir[T]{n: n, dir: append([]cref[T](nil), d.dir...), copied: d.copied}
+	od.gen.Store(genSeq.Add(1))
+	out.c.Store(od)
 }
 
 // segs reports how many chunks seg can return.
 func (a *chunks[T]) segs() int {
-	if a.dir == nil {
+	if a.flat != nil {
 		return 1
 	}
-	return (a.n + chunkMask) >> chunkShift
+	return (a.len() + chunkMask) >> chunkShift
 }
 
 // seg returns the entries of chunk c (the whole slab while flat), a view
 // of the array's storage that the caller must not modify.
 func (a *chunks[T]) seg(c int) []T {
-	if a.dir == nil {
+	if a.flat != nil {
 		return a.flat
 	}
-	return a.dir[c].p[:min(a.n-c<<chunkShift, chunkLen)]
+	d := a.c.Load()
+	return d.dir[c].p[:min(d.n-c<<chunkShift, chunkLen)]
 }
 
 // appendTo appends the entries to dst in order.

@@ -74,11 +74,11 @@ type tslot struct {
 
 // table is the open-addressing index. Its slots live in a chunks array
 // of a power-of-two size, so a cloned relation shares them copy-on-write
-// with its source. The zero value is an empty index; slots are
-// allocated on first add.
+// with its source. It holds one entry per tuple, so the relation's
+// length is its entry count. The zero value is an empty index; slots
+// are allocated on first add.
 type table struct {
 	slots chunks[tslot]
-	n     int
 }
 
 // minTableSize is the initial slot count (power of two).
@@ -95,10 +95,11 @@ func tableSize(n int) int {
 
 // lookup returns the tuple position of t, or -1 if absent.
 func (tb *table) lookup(h uint64, t Tuple, tuples *chunks[Tuple]) int {
-	if tb.slots.n == 0 {
+	size := tb.slots.len()
+	if size == 0 {
 		return -1
 	}
-	m := tb.slots.n - 1
+	m := size - 1
 	for i := int(h & uint64(m)); ; i = (i + 1) & m {
 		s := tb.slots.at(i)
 		if s.idx < 0 {
@@ -110,19 +111,19 @@ func (tb *table) lookup(h uint64, t Tuple, tuples *chunks[Tuple]) int {
 	}
 }
 
-// add records that the tuple with hash h lives at position idx. The
-// caller must have verified absence (lookup < 0).
+// add records that the tuple with hash h lives at position idx, the
+// relation's length before the insert. The caller must have verified
+// absence (lookup < 0).
 func (tb *table) add(h uint64, idx int) {
-	if tb.n*4 >= tb.slots.n*3 {
-		tb.resize(tb, max(2*tb.slots.n, minTableSize))
+	if size := tb.slots.len(); idx*4 >= size*3 {
+		tb.resize(tb, max(2*size, minTableSize))
 	}
-	m := tb.slots.n - 1
+	m := tb.slots.len() - 1
 	i := int(h & uint64(m))
 	for tb.slots.at(i).idx >= 0 {
 		i = (i + 1) & m
 	}
 	*tb.slots.ref(i) = tslot{hash: h, idx: idx}
-	tb.n++
 }
 
 // resize replaces tb's slots with a fresh table of size slots holding
@@ -147,14 +148,13 @@ func (tb *table) resize(src *table, size int) {
 			slots[i] = s
 		}
 	}
-	tb.n = src.n
 	tb.slots.adopt(slots)
 }
 
 // fix rewrites the tuple position of the entry (h, old) to new; used
 // when a delete swaps the last tuple into the vacated position.
 func (tb *table) fix(h uint64, old, new int) {
-	m := tb.slots.n - 1
+	m := tb.slots.len() - 1
 	for i := int(h & uint64(m)); ; i = (i + 1) & m {
 		s := tb.slots.at(i)
 		if s.idx == old && s.hash == h {
@@ -170,7 +170,7 @@ func (tb *table) fix(h uint64, old, new int) {
 // remove deletes the entry (h, idx), backward-shifting the probe chain
 // (standard linear-probing deletion) so later lookups stay correct.
 func (tb *table) remove(h uint64, idx int) {
-	m := tb.slots.n - 1
+	m := tb.slots.len() - 1
 	i := int(h & uint64(m))
 	for {
 		s := tb.slots.at(i)
@@ -190,7 +190,6 @@ func (tb *table) remove(h uint64, idx int) {
 			next = tb.slots.at(k)
 			if next.idx < 0 {
 				tb.slots.ref(i).idx = -1
-				tb.n--
 				return
 			}
 			home := int(next.hash & uint64(m))

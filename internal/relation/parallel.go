@@ -268,7 +268,7 @@ func satisfiesFDParallel(tuples *chunks[Tuple], fm, tm []int) bool {
 	nw := workers()
 	var bad atomic.Bool
 	wits := make([][]Tuple, nw)
-	forChunks(tuples.n, nw, func(w, lo, hi int) {
+	forChunks(tuples.len(), nw, func(w, lo, hi int) {
 		heads := newHeadTable(hi - lo)
 		next := make([]int, hi-lo)
 		wit := make([]Tuple, 0, 64)

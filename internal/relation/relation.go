@@ -118,7 +118,7 @@ func (r *Relation) Universe() *attr.Universe { return r.attrs.Universe() }
 func (r *Relation) Width() int { return len(r.cols) }
 
 // Len reports the number of tuples.
-func (r *Relation) Len() int { return r.tuples.n }
+func (r *Relation) Len() int { return r.tuples.len() }
 
 // Cols returns the column attribute IDs in ascending order. The slice is
 // shared; callers must not modify it.
@@ -134,10 +134,10 @@ func (r *Relation) Col(id attr.ID) int { return r.colPos(id) }
 // tuples it contains, nor hold it across a write. Each iterates without
 // ever materializing the slice.
 func (r *Relation) Tuples() []Tuple {
-	if r.tuples.dir == nil {
-		return r.tuples.flat
+	if t := r.tuples.flat; t != nil || r.Len() == 0 {
+		return t
 	}
-	return r.tuples.appendTo(make([]Tuple, 0, r.tuples.n))
+	return r.tuples.appendTo(make([]Tuple, 0, r.Len()))
 }
 
 // Each calls f with the position and tuple of every tuple in position
@@ -169,7 +169,7 @@ func (r *Relation) Insert(t Tuple) bool {
 	if r.index.lookup(h, t, &r.tuples) >= 0 {
 		return false
 	}
-	r.index.add(h, r.tuples.n)
+	r.index.add(h, r.Len())
 	r.tuples.push(t)
 	return true
 }
@@ -218,7 +218,7 @@ func (r *Relation) Delete(t Tuple) bool {
 		return false
 	}
 	r.index.remove(h, i)
-	last := r.tuples.n - 1
+	last := r.Len() - 1
 	if i != last {
 		moved := r.tuples.at(last)
 		*r.tuples.ref(i) = moved
@@ -238,7 +238,6 @@ func (r *Relation) Clone() *Relation {
 	out := &Relation{attrs: r.attrs, cols: r.cols, pos: r.pos}
 	r.tuples.cloneInto(&out.tuples)
 	r.index.slots.cloneInto(&out.index.slots)
-	out.index.n = r.index.n
 	return out
 }
 
@@ -337,8 +336,8 @@ func (r *Relation) insertProjection(src Tuple, m []int, sl *slab) bool {
 		h = hashWord(h, src[c])
 	}
 	h = hashFinish(h)
-	if r.index.slots.n > 0 {
-		msk := r.index.slots.n - 1
+	if size := r.index.slots.len(); size > 0 {
+		msk := size - 1
 		for i := int(h & uint64(msk)); ; i = (i + 1) & msk {
 			s := r.index.slots.at(i)
 			if s.idx < 0 {
@@ -364,7 +363,7 @@ func (r *Relation) insertProjection(src Tuple, m []int, sl *slab) bool {
 	for j, c := range m {
 		t[j] = src[c]
 	}
-	r.index.add(h, r.tuples.n)
+	r.index.add(h, r.Len())
 	r.tuples.push(t)
 	return true
 }

@@ -28,9 +28,10 @@ func (r *Relation) SatisfiesFD(f dep.FD) bool {
 // the From columns: one witness per distinct From key, every later tuple
 // with that key must agree on the To columns.
 func satisfiesFDScan(tuples *chunks[Tuple], fm, tm []int) bool {
-	heads := newHeadTable(tuples.n)
-	next := make([]int, tuples.n)
-	for i := 0; i < tuples.n; i++ {
+	n := tuples.len()
+	heads := newHeadTable(n)
+	next := make([]int, n)
+	for i := 0; i < n; i++ {
 		t := tuples.at(i)
 		h := hashCols(t, fm)
 		matched := false
