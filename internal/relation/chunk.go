@@ -20,11 +20,13 @@ import "sync/atomic"
 //
 // Chunk copies are carved from slabs whose size doubles with the number
 // of chunks the array has carved, so rewriting a whole clone takes
-// O(log n) allocations. Once the copies since the array was last one
-// slab reach a quarter of the directory, the next write compacts it
-// back into one owned slab instead (compact): scattered chunks would
-// otherwise keep many slabs alive, each held by its last live chunk,
-// and every read would pay the directory. An array of at most flatMax
+// O(log n) allocations; no slab outgrows the copies left before the
+// next compaction. Once the copies since the array was last one slab
+// reach half the directory, the next write compacts it back into one
+// owned slab instead: until then the array keeps the slab it was cut
+// from alive as well as its copies, and every read pays the directory.
+// Compacting costs at most two more chunk copies per copy-on-write, so
+// a write stays O(1) amortized. An array of at most flatMax
 // entries is copied outright by Clone, and an array that is one slab
 // costs two words over a plain slice, so a small relation allocates
 // what it did before chunking.
@@ -127,11 +129,12 @@ func (a *chunks[T]) ref(i int) *T {
 	}
 	c := &d.dir[i>>chunkShift]
 	if g := d.gen.Load(); c.gen != g {
-		if 4*d.copied >= len(d.dir) {
+		left := len(d.dir)/2 - d.copied // copies before compaction
+		if left <= 0 {
 			a.adopt(a.appendTo(make([]T, 0, len(d.dir)<<chunkShift)))
 			return &a.flat[i]
 		}
-		p := d.carve(d.carved)
+		p := d.carve(min(d.carved, left))
 		copy(p, c.p)
 		c.p, c.gen = p, g
 		d.copied++
