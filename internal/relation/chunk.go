@@ -9,7 +9,7 @@ import "sync/atomic"
 // append like any slice. Clone shares it instead of copying, and after
 // that neither side owns the slab. The first write then gives the
 // writer a directory over the slab, cut into fixed-size chunks of
-// chunkLen entries (toDir), and copies only the chunk it writes; chunks
+// chunkLen entries (chunked), and copies only the chunk it writes; chunks
 // the writer has not copied stay shared. 32 Tuples fill the 768-byte
 // size class and 32 index slots the 512-byte one, with no per-chunk
 // header. Each directory entry carries the generation of the array
@@ -26,10 +26,13 @@ import "sync/atomic"
 // owned slab instead: until then the array keeps the slab it was cut
 // from alive as well as its copies, and every read pays the directory.
 // Compacting costs at most two more chunk copies per copy-on-write, so
-// a write stays O(1) amortized. An array of at most flatMax
-// entries is copied outright by Clone, and an array that is one slab
-// costs two words over a plain slice, so a small relation allocates
-// what it did before chunking.
+// a write stays O(1) amortized.
+//
+// An array of at most flatMax entries is copied outright by Clone: a
+// batch of a few dozen writes touches about as many chunks, so below
+// that size a copy is cheaper than sharing. An array that is one slab costs two
+// words over a plain slice, so a small relation allocates what it did
+// before chunking.
 //
 // Concurrency: Clone only reads the source, marking it shared with
 // atomic stores, so any number of goroutines may Clone and read an
@@ -41,7 +44,7 @@ const (
 	chunkLen   = 1 << chunkShift
 	chunkMask  = chunkLen - 1
 	// flatMax is the largest array Clone copies rather than shares.
-	flatMax = 2 * chunkLen
+	flatMax = 64 * chunkLen
 )
 
 // genSeq hands out chunk-directory generations, all nonzero: a chunk

@@ -49,13 +49,15 @@ func (f *cowFamily) step(b [3]byte) {
 		r.Delete(t)
 		delete(o, [2]value.Value{t[0], t[1]})
 	case 2:
-		for j := 0; j < 40+int(b[0]>>3); j++ {
+		// Up to 512 tuples: Clone copies arrays of up to flatMax
+		// entries outright and shares only larger ones.
+		for j := 0; j < 64*(1+int(b[0]>>3)%8); j++ {
 			t := cowTuple(k + j)
 			r.Insert(t)
 			o[[2]value.Value{t[0], t[1]}] = true
 		}
 	case 3:
-		for j := 0; j < 24; j++ {
+		for j := 0; j < 48; j++ {
 			t := cowTuple(k + 2*j)
 			r.Delete(t)
 			delete(o, [2]value.Value{t[0], t[1]})
@@ -79,8 +81,8 @@ func (f *cowFamily) step(b [3]byte) {
 func cowOp(code, p byte) byte { return 8*p + (code+2*p)%5 }
 
 // check verifies every member against its oracle: Len, Contains,
-// Tuples and Each as sets, and Sorted in order.
-func (f *cowFamily) check(t *testing.T) {
+// Tuples and Each as sets, and, when sorted is set, Sorted in order.
+func (f *cowFamily) check(t *testing.T, sorted bool) {
 	t.Helper()
 	for i, r := range f.rels {
 		o := f.oracle[i]
@@ -130,9 +132,12 @@ func (f *cowFamily) check(t *testing.T) {
 		if n != len(o) {
 			t.Fatalf("member %d: Each visited %d of %d", i, n, len(o))
 		}
-		sorted := r.Sorted(f.u.All())
-		for j := 1; j < len(sorted); j++ {
-			if !sorted[j-1].Less(sorted[j]) {
+		if !sorted {
+			continue
+		}
+		rows := r.Sorted(f.u.All())
+		for j := 1; j < len(rows); j++ {
+			if !rows[j-1].Less(rows[j]) {
 				t.Fatalf("member %d: Sorted out of order at %d", i, j)
 			}
 		}
@@ -147,27 +152,29 @@ func (f *cowFamily) check(t *testing.T) {
 // chains that span slot chunks.
 func FuzzCloneCOW(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 9, 60, 300} {
+	for _, n := range []int{0, 9, 60, 300, 600} {
 		seed := make([]byte, n)
 		rng.Read(seed)
 		f.Add(seed)
 	}
 	// Grow, clone, then mutate both sides.
 	f.Add([]byte{2, 0, 1, 2, 0, 2, 4, 0, 0, 0, 1, 9, 1, 0, 9, 3, 0, 1, 3, 1, 2, 2, 1, 40})
-	// Grow member 0 to ~500 tuples, clone it, write it (chunking it and
-	// copying a few chunks), clone it again, and keep writing it: the
-	// second clone must not see writes to chunks member 0 owned.
+	// Grow member 0 past flatMax, clone it, write it (cutting it into
+	// chunks and copying a few), clone it again, and keep writing it:
+	// the second clone must not see writes to chunks member 0 owned.
 	var grown []byte
-	for k := byte(0); k < 35; k += 5 {
-		grown = append(grown, cowOp(2, 31), 0, k)
+	for k := 0; k < 5; k++ {
+		grown = append(grown, cowOp(2, 7), 0, byte(32*k))
 	}
-	grown = append(grown, cowOp(4, 0), 0, 0)
+	// Both sides append first: neither may write the shared slab's
+	// spare capacity in place.
+	grown = append(grown, cowOp(4, 0), 0, 0, cowOp(0, 20), 0, 250, cowOp(0, 21), 1, 250)
 	for j := byte(0); j < 6; j++ {
-		grown = append(grown, cowOp(1, j), 0, 0, cowOp(0, j), 0, 200)
+		grown = append(grown, cowOp(1, j), 0, 0, cowOp(0, j), 0, 250)
 	}
 	grown = append(grown, cowOp(4, 0), 0, 0)
 	for j := byte(6); j < 12; j++ {
-		grown = append(grown, cowOp(1, j), 0, 0, cowOp(0, j), 0, 200)
+		grown = append(grown, cowOp(1, j), 0, 0, cowOp(0, j), 0, 250)
 	}
 	f.Add(grown)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -178,7 +185,7 @@ func FuzzCloneCOW(f *testing.F) {
 		for len(data) >= 3 {
 			fam.step([3]byte{data[0], data[1], data[2]})
 			data = data[3:]
-			fam.check(t)
+			fam.check(t, len(data) < 3)
 		}
 	})
 }

@@ -439,15 +439,15 @@ func TestPipelinePublishedUnderConcurrentWrites(t *testing.T) {
 }
 
 // TestPipelinePublishedCOWReaders: readers Clone, Sorted, Contains and
-// Tuples published views past one storage chunk, and mutate their
-// clones, while the committer applies batches. The published image
+// Tuples published views large enough for Clone to share their storage,
+// and mutate their clones, while the committer applies batches. The published image
 // shares its chunks with the session's next image and with every
 // reader's clone, so any missed copy-on-write shows up as a view that
 // changes under its reader, or as a data race under -race.
 func TestPipelinePublishedCOWReaders(t *testing.T) {
 	pair, _, syms := edmFixture()
 	db := relation.New(pair.Schema().Universe().All())
-	for i := 0; i < 300; i++ {
+	for i := 0; i < 3000; i++ {
 		db.Insert(relation.Tuple{
 			syms.Const(fmt.Sprintf("emp%d", i)),
 			syms.Const(fmt.Sprintf("dept%d", i%10)),
