@@ -21,12 +21,14 @@ import "sync/atomic"
 // Chunk copies are carved from slabs whose size doubles with the number
 // of chunks the array has carved, so rewriting a whole clone takes
 // O(log n) allocations; no slab outgrows the copies left before the
-// next compaction. Once the copies since the array was last one slab
-// reach half the directory, the next write compacts it back into one
-// owned slab instead: until then the array keeps the slab it was cut
-// from alive as well as its copies, and every read pays the directory.
-// Compacting costs at most two more chunk copies per copy-on-write, so
-// a write stays O(1) amortized.
+// next compaction. A chunked array keeps the slab it was cut from alive
+// as well as its copies, and every read pays the directory, so once the
+// entries written since the array was last one slab reach half its
+// capacity, a chunk copy counting chunkLen, the next write compacts it
+// back into one owned slab instead. That costs at most two entry copies
+// per entry written, so a write stays O(1) amortized, and an array
+// that was cloned once and is then only written, like a session's
+// database, becomes one slab again.
 //
 // An array of at most flatMax entries is copied outright by Clone: a
 // batch of a few dozen writes touches about as many chunks, so below
@@ -80,9 +82,10 @@ type chunkDir[T any] struct {
 	// the chunks carved so far, the next slab's size.
 	spare  []T
 	carved int
-	// copied counts the shared chunks this array and the arrays it was
-	// cloned from copied since it was last one slab.
-	copied int
+	// work counts the entries written since the array was last one
+	// slab, by it and the arrays it was cloned from, a chunk copy
+	// counting chunkLen.
+	work int
 }
 
 // len reports the number of entries.
@@ -131,16 +134,21 @@ func (a *chunks[T]) ref(i int) *T {
 		return &a.flat[i]
 	}
 	c := &d.dir[i>>chunkShift]
-	if g := d.gen.Load(); c.gen != g {
-		left := len(d.dir)/2 - d.copied // copies before compaction
-		if left <= 0 {
-			a.adopt(a.appendTo(make([]T, 0, len(d.dir)<<chunkShift)))
-			return &a.flat[i]
-		}
-		p := d.carve(min(d.carved, left))
+	g := d.gen.Load()
+	cost := 1
+	if c.gen != g {
+		cost = chunkLen
+	}
+	left := len(d.dir)<<chunkShift/2 - d.work
+	if left < cost {
+		a.adopt(a.appendTo(make([]T, 0, len(d.dir)<<chunkShift)))
+		return &a.flat[i]
+	}
+	d.work += cost
+	if c.gen != g {
+		p := d.carve(min(d.carved, left/chunkLen))
 		copy(p, c.p)
 		c.p, c.gen = p, g
-		d.copied++
 	}
 	return &c.p[i&chunkMask]
 }
@@ -217,7 +225,7 @@ func (a *chunks[T]) cloneInto(out *chunks[T]) {
 		return
 	}
 	d.gen.Store(genSeq.Add(1))
-	od := &chunkDir[T]{n: n, dir: append([]cref[T](nil), d.dir...), copied: d.copied}
+	od := &chunkDir[T]{n: n, dir: append([]cref[T](nil), d.dir...), work: d.work}
 	od.gen.Store(genSeq.Add(1))
 	out.c.Store(od)
 }

@@ -229,11 +229,12 @@ func (r *Relation) Delete(t Tuple) bool {
 }
 
 // Clone returns an independent copy of the relation. Tuples and the
-// column layout are shared with the receiver (both are immutable), and
-// so is the storage of a relation past one chunk: the clone copies the
-// two chunk directories, O(n/32), and each side copies a chunk only on
-// its first write to it (chunk.go). Clone may run concurrently with
-// other Clones and reads of r, never with a write to r.
+// column layout are shared with the receiver (both are immutable). A
+// relation of more than 2048 tuples shares its storage too: the clone
+// costs at most O(n/32), copying chunk directories, and each side then
+// copies a 32-entry chunk only on its first write to it (chunk.go). A
+// smaller one is copied. Clone may run concurrently with other Clones
+// and reads of r, never with a write to r.
 func (r *Relation) Clone() *Relation {
 	out := &Relation{attrs: r.attrs, cols: r.cols, pos: r.pos}
 	r.tuples.cloneInto(&out.tuples)

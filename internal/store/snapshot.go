@@ -42,13 +42,11 @@ func (e cellEncoder) appendSnapshot(dst []byte, seq uint64, db *relation.Relatio
 	dst = binary.AppendUvarint(openFrame(dst), seq)
 	dst = AppendNames(dst, db.Universe().Names())
 	dst = binary.AppendUvarint(dst, uint64(db.Len()))
-	var err error
-	db.Each(func(_ int, t relation.Tuple) bool {
-		dst, err = e.appendCells(dst, t)
-		return err == nil
-	})
-	if err != nil {
-		return nil, err
+	for i, n := 0, db.Len(); i < n; i++ {
+		var err error
+		if dst, err = e.appendCells(dst, db.Tuple(i)); err != nil {
+			return nil, err
+		}
 	}
 	return sealFrame(dst, start), nil
 }
