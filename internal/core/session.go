@@ -176,8 +176,8 @@ func (s *Session) DatabaseRef() *relation.Relation { return s.db }
 // the incremental state's view, which every applied op patches by its
 // own view delta, or π_X(db) projected once per version when the
 // incremental path cannot run. Callers must treat it as immutable; it
-// stays valid and stable forever, since the session clones its image,
-// copy-on-write and so in O(|batch|), before the next change.
+// stays valid and stable forever, since the session clones its image
+// (copy-on-write past 2048 rows, so in O(|batch|)) before the next change.
 func (s *Session) ViewRef() *relation.Relation {
 	v := s.view()
 	if s.inc != nil {

@@ -107,11 +107,11 @@ func (a *chunks[T]) at(i int) T {
 	return a.c.Load().dir[i>>chunkShift].p[i&chunkMask]
 }
 
-// chunked returns the array's directory state, cutting a shared slab
-// into chunks first; nil means the array owns its slab.
+// chunked returns the directory state of an array that does not own
+// its slab, cutting the shared slab into chunks first.
 func (a *chunks[T]) chunked() *chunkDir[T] {
 	d := a.c.Load()
-	if d == nil || d.dir != nil {
+	if d.dir != nil {
 		return d
 	}
 	s := a.flat[:cap(a.flat)]
@@ -129,10 +129,15 @@ func (a *chunks[T]) chunked() *chunkDir[T] {
 
 // ref returns entry i for writing, copying its chunk first if shared.
 func (a *chunks[T]) ref(i int) *T {
-	d := a.chunked()
-	if d == nil {
+	if a.c.Load() == nil {
 		return &a.flat[i]
 	}
+	return a.refShared(i)
+}
+
+// refShared is ref for an array that does not own its slab.
+func (a *chunks[T]) refShared(i int) *T {
+	d := a.chunked()
 	c := &d.dir[i>>chunkShift]
 	g := d.gen.Load()
 	cost := 1
@@ -167,17 +172,22 @@ func (d *chunkDir[T]) carve(k int) []T {
 
 // push appends v.
 func (a *chunks[T]) push(v T) {
-	d := a.c.Load()
-	if d == nil || d.dir == nil && len(a.flat) == cap(a.flat) {
-		// Ours, or full: append writes in place or moves to a new
-		// slab of our own.
+	if a.c.Load() == nil {
 		a.flat = append(a.flat, v)
-		if d != nil {
-			a.c.Store(nil)
-		}
 		return
 	}
-	d = a.chunked()
+	a.pushShared(v)
+}
+
+// pushShared is push for an array that does not own its slab.
+func (a *chunks[T]) pushShared(v T) {
+	if a.c.Load().dir == nil && len(a.flat) == cap(a.flat) {
+		// append moves to a new slab of our own.
+		a.flat = append(a.flat, v)
+		a.c.Store(nil)
+		return
+	}
+	d := a.chunked()
 	if d.n == len(d.dir)<<chunkShift {
 		d.dir = append(d.dir, cref[T]{d.carve(len(d.dir)), d.gen.Load()})
 	}

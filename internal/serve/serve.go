@@ -324,9 +324,9 @@ func (p *Pipeline) Published() (*relation.Relation, uint64, bool) {
 // grant's holder while the committer is parked. The published relation
 // is the session's one maintained view image (core.Session.ViewRef), so
 // a publish never re-projects the database, and the ref stays immutable
-// — the session clones its image before the next op changes it. That
-// clone shares the image's chunks copy-on-write (relation.Relation.
-// Clone), so a batch costs O(|batch|), not O(|view|).
+// — the session clones its image before the next op changes it. Past
+// 2048 rows that clone shares the image's storage copy-on-write
+// (relation.Relation.Clone), so a batch costs O(|batch|), not O(|view|).
 func (p *Pipeline) publishView(st *store.Session) {
 	p.pubView.Store(&publishedView{view: st.ViewRef(), seq: st.Seq()})
 }

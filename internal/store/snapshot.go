@@ -42,6 +42,7 @@ func (e cellEncoder) appendSnapshot(dst []byte, seq uint64, db *relation.Relatio
 	dst = binary.AppendUvarint(openFrame(dst), seq)
 	dst = AppendNames(dst, db.Universe().Names())
 	dst = binary.AppendUvarint(dst, uint64(db.Len()))
+	// Walk by position, not with Each: its closure slowed encoding ~10%.
 	for i, n := 0, db.Len(); i < n; i++ {
 		var err error
 		if dst, err = e.appendCells(dst, db.Tuple(i)); err != nil {
