@@ -30,9 +30,9 @@ import "sync/atomic"
 // that was cloned once and is then only written, like a session's
 // database, becomes one slab again.
 //
-// An array of at most flatMax entries is copied outright by Clone: a
-// batch of a few dozen writes touches about as many chunks, so below
-// that size a copy is cheaper than sharing. An array that is one slab costs two
+// A relation of at most flatMax tuples is copied outright by Clone,
+// index included: a batch of a few dozen writes touches about as many
+// chunks, so below that size a copy is cheaper than sharing. An array that is one slab costs two
 // words over a plain slice, so a small relation allocates what it did
 // before chunking.
 //
@@ -45,7 +45,8 @@ const (
 	chunkShift = 5
 	chunkLen   = 1 << chunkShift
 	chunkMask  = chunkLen - 1
-	// flatMax is the largest array Clone copies rather than shares.
+	// flatMax is the most tuples a relation Clone copies rather than
+	// shares.
 	flatMax = 64 * chunkLen
 )
 
@@ -213,12 +214,12 @@ func (a *chunks[T]) adopt(s []T) {
 	a.c.Store(nil)
 }
 
-// cloneInto makes out, a zero array, a copy of a: a small array is
-// copied outright, a larger one shares a's slab or chunks until either
-// side writes them.
-func (a *chunks[T]) cloneInto(out *chunks[T]) {
+// cloneInto makes out, a zero array, a copy of a: outright unless share
+// is set, in which case out shares a's slab or chunks until either side
+// writes them.
+func (a *chunks[T]) cloneInto(out *chunks[T], share bool) {
 	n := a.len()
-	if n <= flatMax {
+	if !share {
 		if n > 0 {
 			out.flat = a.appendTo(make([]T, 0, n))
 		}

@@ -237,8 +237,9 @@ func (r *Relation) Delete(t Tuple) bool {
 // and reads of r, never with a write to r.
 func (r *Relation) Clone() *Relation {
 	out := &Relation{attrs: r.attrs, cols: r.cols, pos: r.pos}
-	r.tuples.cloneInto(&out.tuples)
-	r.index.slots.cloneInto(&out.index.slots)
+	share := r.Len() > flatMax
+	r.tuples.cloneInto(&out.tuples, share)
+	r.index.slots.cloneInto(&out.index.slots, share)
 	return out
 }
 
