@@ -28,7 +28,7 @@ func newCOWFamily() *cowFamily {
 	return &cowFamily{u: u, rels: []*Relation{New(u.All())}, oracle: []map[[2]value.Value]bool{{}}}
 }
 
-// cowTuple maps a key to a tuple; keys below 4096 keep deletes hitting.
+// cowTuple maps a key to a tuple; keys stay below 4608, so deletes hit.
 func cowTuple(k int) Tuple {
 	return Tuple{value.Value(k % 64), value.Value(k / 64)}
 }
@@ -49,8 +49,8 @@ func (f *cowFamily) step(b [3]byte) {
 		r.Delete(t)
 		delete(o, [2]value.Value{t[0], t[1]})
 	case 2:
-		// Up to 512 tuples: Clone copies arrays of up to flatMax
-		// entries outright and shares only larger ones.
+		// Up to 512 tuples: Clone copies a relation of up to flatMax
+		// tuples outright and shares only larger ones.
 		for j := 0; j < 64*(1+int(b[0]>>3)%8); j++ {
 			t := cowTuple(k + j)
 			r.Insert(t)
