@@ -168,7 +168,9 @@ experiments-quick:
 # txlog decoders, and the netserve op-frame (server-side) and
 # result-frame (client-side) readers. Malformed input must never panic.
 # FuzzCloneCOW also drives the relation kernel's copy-on-write storage
-# through Insert/Delete/Clone sequences against map oracles. Every
+# through Insert/Delete/Clone sequences, and FuzzKeyTable its KeyTable
+# and TupleIndex through put/get/delete and add/remove/lookup sequences,
+# against map oracles. Every
 # target uses -run '^$$' so no unit tests are re-run alongside the
 # fuzzing.
 fuzz-smoke:
@@ -180,6 +182,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzOpFrame$$' -fuzztime=5s -run '^$$' ./internal/netserve
 	$(GO) test -fuzz='^FuzzResultFrame$$' -fuzztime=5s -run '^$$' ./internal/netserve
 	$(GO) test -fuzz='^FuzzCloneCOW$$' -fuzztime=5s -run '^$$' ./internal/relation
+	$(GO) test -fuzz='^FuzzKeyTable$$' -fuzztime=5s -run '^$$' ./internal/relation
 
 fuzz:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s -run '^$$' ./internal/dep
@@ -190,6 +193,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzOpFrame$$' -fuzztime=30s -run '^$$' ./internal/netserve
 	$(GO) test -fuzz='^FuzzResultFrame$$' -fuzztime=30s -run '^$$' ./internal/netserve
 	$(GO) test -fuzz='^FuzzCloneCOW$$' -fuzztime=30s -run '^$$' ./internal/relation
+	$(GO) test -fuzz='^FuzzKeyTable$$' -fuzztime=30s -run '^$$' ./internal/relation
 
 clean:
 	$(GO) clean ./...

@@ -19,11 +19,11 @@ func TestTupleIndexBasic(t *testing.T) {
 	if ix.Len() != 3 {
 		t.Fatalf("Len=%d want 3", ix.Len())
 	}
-	got := ix.Lookup([]value.Value{10})
+	got := ix.LookupOn(Tuple{10}, []int{0})
 	if len(got) != 2 {
 		t.Fatalf("Lookup(10)=%d tuples, want 2", len(got))
 	}
-	if len(ix.Lookup([]value.Value{30})) != 0 {
+	if len(ix.LookupOn(Tuple{30}, []int{0})) != 0 {
 		t.Fatal("Lookup(30) should be empty")
 	}
 	if !ix.Remove(Tuple{1, 10, 100}) {
@@ -32,11 +32,11 @@ func TestTupleIndexBasic(t *testing.T) {
 	if ix.Remove(Tuple{1, 10, 100}) {
 		t.Fatal("second Remove should miss")
 	}
-	if len(ix.Lookup([]value.Value{10})) != 1 {
+	if len(ix.LookupOn(Tuple{10}, []int{0})) != 1 {
 		t.Fatal("one tuple should remain under key 10")
 	}
 	ix.Add(Tuple{4, 10, 400})
-	if len(ix.Lookup([]value.Value{10})) != 2 || ix.Len() != 3 {
+	if len(ix.LookupOn(Tuple{10}, []int{0})) != 2 || ix.Len() != 3 {
 		t.Fatal("Add after Remove broke counts")
 	}
 }
@@ -68,7 +68,7 @@ func TestTupleIndexAgainstSelectEq(t *testing.T) {
 		}
 		b := value.Value(rng.Intn(5))
 		c := value.Value(rng.Intn(5))
-		got := ix.Lookup([]value.Value{b, c})
+		got := ix.LookupOn(Tuple{b, c}, []int{0, 1})
 		want := r.SelectEq(key, Tuple{b, c})
 		if len(got) != want.Len() {
 			t.Fatalf("step %d: Lookup(%v,%v)=%d tuples, SelectEq=%d", step, b, c, len(got), want.Len())
@@ -92,7 +92,7 @@ func TestIndexRelationKeyOrder(t *testing.T) {
 	}
 	// Keyed by (B, A) — column order matters for the key layout.
 	ix := IndexRelation(r, []int{1, 0})
-	got := ix.Lookup([]value.Value{1, 3})
+	got := ix.LookupOn(Tuple{1, 3}, []int{0, 1})
 	if len(got) != 1 || got[0][0] != 3 {
 		t.Fatalf("Lookup((B=1,A=3)) = %v", got)
 	}
@@ -104,6 +104,6 @@ func ExampleTupleIndex() {
 	r.InsertVals(1, 7)
 	r.InsertVals(2, 7)
 	ix := IndexRelation(r, []int{1})
-	fmt.Println(len(ix.Lookup([]value.Value{7})))
+	fmt.Println(len(ix.LookupOn(Tuple{7}, []int{0})))
 	// Output: 2
 }

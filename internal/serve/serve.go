@@ -158,51 +158,57 @@ func (o Options) clock() obs.Clock {
 	return obs.SystemClock()
 }
 
-// request is one submitted op in flight through the pipeline.
-type request struct {
+// Pending is one submitted op in flight through the pipeline, and the
+// handle ApplyAsync returns for it: the one object a submission
+// allocates. The submitter writes ctx, op, enqNS and exclusive before
+// it enqueues the request and touches none of them after; the committer
+// writes res exactly once and then marks acked done, which orders that
+// write before every read of res in Wait.
+type Pending struct {
 	ctx context.Context
 	op  core.UpdateOp
-	// done is buffered (size 1) so the committer never blocks on an
-	// acknowledgement.
-	done chan result
 	// enqNS is the clock reading at enqueue, for queue-deadline shedding.
 	enqNS int64
+	// exclusive marks an exclusive-access request (see Exclusive):
+	// instead of carrying an op it asks the committer to park and hand
+	// its store session to the caller in res.grant.
+	exclusive bool
 
-	// excl marks an exclusive-access request (see Exclusive): instead of
-	// carrying an op it asks the committer to park and hand its store
-	// session to the caller. Buffered (cap 1) so the grant send never
-	// blocks. nil for ordinary ops.
-	excl chan *ExclusiveGrant
+	acked sync.WaitGroup
+	res   result
 }
+
+// request is the committer's name for a submitted op.
+type request = Pending
 
 type result struct {
-	d   *core.Decision
-	err error
+	d     *core.Decision
+	err   error
+	grant *ExclusiveGrant // an exclusive request's grant, when err is nil
 }
 
-// ack delivers the op's fate to the submitter. done is buffered with
-// capacity one and each request is acknowledged exactly once — a
-// request is owned by a single goroutine at a time (submitter →
-// committer), and ownership transfers only after the submitter handed
-// it on — so the send below can never block.
+// newRequest returns a request not yet acknowledged.
+func newRequest(ctx context.Context, op core.UpdateOp, enqNS int64) *request {
+	r := &request{ctx: ctx, op: op, enqNS: enqNS}
+	r.acked.Add(1)
+	return r
+}
+
+// ack delivers the op's fate to the submitter. Each request is
+// acknowledged exactly once — a request is owned by a single goroutine
+// at a time (submitter → committer), and ownership transfers only after
+// the submitter handed it on — and acknowledging never blocks.
 func (r *request) ack(res result) {
-	//constvet:allow deadlineflow -- done is buffered (cap 1) and each request is acked exactly once; the send cannot block
-	r.done <- res
-}
-
-// Pending is the handle returned by ApplyAsync.
-type Pending struct {
-	done chan result
-	res  result
-	once sync.Once
+	r.res = res
+	r.acked.Done()
 }
 
 // Wait blocks until the op's fate is decided and durable (or failed)
 // and returns the same values a synchronous Apply would have.
-func (p *Pending) Wait() (*core.Decision, error) {
-	//constvet:allow deadlineflow -- Wait is the submitter's explicit park point; the committer acks every accepted op even while draining after Close, so the recv always terminates
-	p.once.Do(func() { p.res = <-p.done })
-	return p.res.d, p.res.err
+func (r *Pending) Wait() (*core.Decision, error) {
+	//constvet:allow deadlineflow -- Wait is the submitter's explicit park point; the committer acks every accepted op even while draining after Close, so the wait always terminates
+	r.acked.Wait()
+	return r.res.d, r.res.err
 }
 
 // publishedView is the committer's read-side handoff: the materialized
@@ -365,7 +371,7 @@ func (p *Pipeline) ApplyAsync(ctx context.Context, op core.UpdateOp) (*Pending, 
 	if err := p.brokenErr(); err != nil {
 		return nil, fmt.Errorf("%w: %w", store.ErrSessionBroken, err)
 	}
-	r := &request{ctx: ctx, op: op, done: make(chan result, 1), enqNS: p.clock.NowNS()}
+	r := newRequest(ctx, op, p.clock.NowNS())
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
@@ -379,7 +385,7 @@ func (p *Pipeline) ApplyAsync(ctx context.Context, op core.UpdateOp) (*Pending, 
 			if m := svmetrics.Load(); m != nil {
 				m.submitted.Inc()
 			}
-			return &Pending{done: r.done}, nil
+			return r, nil
 		default:
 			p.mu.RUnlock()
 			if m := svmetrics.Load(); m != nil {
@@ -399,7 +405,7 @@ func (p *Pipeline) ApplyAsync(ctx context.Context, op core.UpdateOp) (*Pending, 
 		if m := svmetrics.Load(); m != nil {
 			m.submitted.Inc()
 		}
-		return &Pending{done: r.done}, nil
+		return r, nil
 	case <-ctx.Done():
 		p.mu.RUnlock()
 		return nil, ctx.Err()
@@ -478,8 +484,8 @@ func (p *Pipeline) Exclusive(ctx context.Context) (*ExclusiveGrant, error) {
 	if err := p.brokenErr(); err != nil {
 		return nil, fmt.Errorf("%w: %w", store.ErrSessionBroken, err)
 	}
-	r := &request{ctx: ctx, op: core.UpdateOp{}, done: make(chan result, 1),
-		enqNS: p.clock.NowNS(), excl: make(chan *ExclusiveGrant, 1)}
+	r := newRequest(ctx, core.UpdateOp{}, p.clock.NowNS())
+	r.exclusive = true
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
@@ -510,12 +516,8 @@ func (p *Pipeline) Exclusive(ctx context.Context) (*ExclusiveGrant, error) {
 	// or fails every admitted request. Waiting on ctx here would leak the
 	// grant.
 	//constvet:allow deadlineflow -- every admitted exclusive is either granted or acked with an error; abandoning the wait on ctx would orphan the grant and deadlock the committer
-	select {
-	case g := <-r.excl:
-		return g, nil
-	case res := <-r.done:
-		return nil, res.err
-	}
+	r.acked.Wait()
+	return r.res.grant, r.res.err
 }
 
 // Close stops accepting submissions, drains every op already accepted
@@ -583,7 +585,7 @@ func (p *Pipeline) process(reqs []*request) {
 		if !p.admit(r) {
 			continue
 		}
-		if r.excl != nil {
+		if r.exclusive {
 			// Exclusive access: everything queued ahead of it commits
 			// first, so the holder sees every earlier op.
 			p.commitBatch(live, false)
@@ -642,7 +644,7 @@ func (p *Pipeline) join(n int) *request {
 		if !p.admit(r) {
 			continue
 		}
-		if r.excl != nil {
+		if r.exclusive {
 			p.held = r
 			return nil
 		}
@@ -739,8 +741,7 @@ func (p *Pipeline) grantExclusive(r *request) {
 	}
 	st := p.store()
 	g := &ExclusiveGrant{p: p, st: st, done: make(chan exclRelease, 1)}
-	//constvet:allow deadlineflow -- excl is buffered (cap 1) and granted exactly once; the send cannot block
-	r.excl <- g
+	r.ack(result{grant: g})
 	// Park until the holder releases. Exclusive's contract obliges every
 	// granted caller to end the grant exactly once, so the receive
 	// terminates.
