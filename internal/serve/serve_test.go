@@ -316,6 +316,55 @@ func TestPipelineCloseDrains(t *testing.T) {
 	}
 }
 
+// TestPendingWaitFromSeveralGoroutines: a Pending is the queued request
+// itself, written by the committer when it acknowledges; several
+// goroutines may Wait on it at once, before and after the ack, and all
+// see the same fate.
+func TestPendingWaitFromSeveralGoroutines(t *testing.T) {
+	pair, db, syms := edmFixture()
+	st, err := store.Create(store.NewMemFS(), pair, db, syms, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := New(st, Options{MaxBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	const n, waiters = 16, 3
+	pends := make([]*Pending, n)
+	for i := range pends {
+		tup := relation.Tuple{syms.Const(fmt.Sprintf("w%02d", i)), syms.Const("dept0")}
+		if pends[i], err = pipe.ApplyAsync(context.Background(), core.Insert(tup)); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	got := make([][waiters]*core.Decision, n)
+	var wg sync.WaitGroup
+	for i, p := range pends {
+		for w := 0; w < waiters; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				d, err := p.Wait()
+				if err != nil || d == nil || !d.Translatable {
+					t.Errorf("op %d waiter %d: %+v, %v", i, w, d, err)
+				}
+				got[i][w] = d
+			}()
+		}
+	}
+	wg.Wait()
+	for i, p := range pends {
+		d, _ := p.Wait()
+		for w := 0; w < waiters; w++ {
+			if got[i][w] != d {
+				t.Errorf("op %d: waiter %d saw a different decision", i, w)
+			}
+		}
+	}
+}
+
 // TestPipelinePublishesFromNew: the read side holds the session's view
 // from New on, and the first read after acked ops shows them — whether
 // or not anyone read before the ops ran.
