@@ -170,7 +170,9 @@ experiments-quick:
 # FuzzCloneCOW also drives the relation kernel's copy-on-write storage
 # through Insert/Delete/Clone sequences, and FuzzKeyTable its KeyTable
 # and TupleIndex through put/get/delete and add/remove/lookup sequences,
-# against map oracles. Every
+# against map oracles. FuzzMaintained drives the maintained chase
+# fixpoint through AddRow/RemoveRow streams against a from-scratch
+# chase of the live rows. Every
 # target uses -run '^$$' so no unit tests are re-run alongside the
 # fuzzing.
 fuzz-smoke:
@@ -183,6 +185,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzResultFrame$$' -fuzztime=5s -run '^$$' ./internal/netserve
 	$(GO) test -fuzz='^FuzzCloneCOW$$' -fuzztime=5s -run '^$$' ./internal/relation
 	$(GO) test -fuzz='^FuzzKeyTable$$' -fuzztime=5s -run '^$$' ./internal/relation
+	$(GO) test -fuzz='^FuzzMaintained$$' -fuzztime=5s -run '^$$' ./internal/chase
 
 fuzz:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s -run '^$$' ./internal/dep
@@ -194,6 +197,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzResultFrame$$' -fuzztime=30s -run '^$$' ./internal/netserve
 	$(GO) test -fuzz='^FuzzCloneCOW$$' -fuzztime=30s -run '^$$' ./internal/relation
 	$(GO) test -fuzz='^FuzzKeyTable$$' -fuzztime=30s -run '^$$' ./internal/relation
+	$(GO) test -fuzz='^FuzzMaintained$$' -fuzztime=30s -run '^$$' ./internal/chase
 
 clean:
 	$(GO) clean ./...

@@ -7,8 +7,7 @@
 //
 //	viewupd -schema schema.txt -data data.txt -view "E D" [-complement "D M"]
 //	        [-script s.txt] [-journal dir] [-recover [-force]] [-timeout 2s]
-//	        [-batch n] [-pipeline] [-incremental=false] [-metrics report.json]
-//	        [-shards K]
+//	        [-batch n] [-pipeline] [-metrics report.json] [-shards K]
 //
 // Without -complement, the minimal complement of Corollary 2 is used.
 // With -batch n (requires -journal), consecutive update commands are
@@ -25,13 +24,12 @@
 // re-running recovery against the same -journal directory (the online
 // form of -recover) — acknowledged updates survive byte-identically,
 // un-acked ones are retried or rejected, never silently dropped.
-// By default the session maintains delta state (view and complement
-// indexes, an incrementally chased padding) so each decide/apply costs
-// time proportional to the update, not the instance; the full
-// re-projection path runs automatically whenever the delta state cannot
-// prove the canonical outcome (and after a pipeline resync, which drops
-// the maintained state). -incremental=false forces the full path for
-// every command. With -metrics, every subsystem is instrumented and a report is
+// The session maintains delta state (view and complement indexes, an
+// incrementally chased padding) so each decide/apply costs time
+// proportional to the update, not the instance; the full re-projection
+// path runs automatically whenever the delta state cannot prove the
+// canonical outcome (and after a pipeline resync, which drops the
+// maintained state). With -metrics, every subsystem is instrumented and a report is
 // written to the given file on exit (even when a scripted run fails):
 // expvar-style JSON by default, Prometheus text format when the file
 // name ends in .prom, stdout when the name is "-".
@@ -45,9 +43,8 @@
 // and resolves any in-doubt cross-shard intent before the first
 // command runs (-recover is implied; -data still seeds shards that
 // have no durable state yet). In sharded mode `view` prints the union
-// across shards, while `show`, `decide`, and -incremental=false are
-// unsupported (the base instance and decision procedure live inside
-// each shard).
+// across shards, while `show` and `decide` are unsupported (the base
+// instance and decision procedure live inside each shard).
 //
 // With -journal, the session is durable: every applied update is
 // journaled and fsynced in dir before it is acknowledged, and -recover
@@ -108,7 +105,6 @@ type updSession interface {
 	View() *relation.Relation
 	DecideCtx(context.Context, core.UpdateOp) (*core.Decision, error)
 	ApplyCtx(context.Context, core.UpdateOp) (*core.Decision, error)
-	SetIncremental(bool)
 }
 
 var (
@@ -130,7 +126,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-command decision budget (0 = unlimited)")
 	batchN := flag.Int("batch", 1, "group up to n consecutive updates into one journal fsync (requires -journal)")
 	pipelineFlag := flag.Bool("pipeline", false, "run updates through the serving pipeline (requires -journal)")
-	incFlag := flag.Bool("incremental", true, "maintain delta state so decide/apply cost tracks the update size; -incremental=false forces the full re-projection path")
 	metricsPath := flag.String("metrics", "", "write a metrics report here on exit (JSON, or Prometheus text if the name ends in .prom; - for stdout)")
 	shardsFlag := flag.Int("shards", 1, "hash-partition the instance across K shard journals (requires -journal and -data)")
 	flag.Parse()
@@ -147,13 +142,8 @@ func main() {
 	if (*batchN > 1 || *pipelineFlag) && *journalDir == "" {
 		log.Fatal("-batch/-pipeline require -journal: group commit is about sharing journal fsyncs")
 	}
-	if *shardsFlag > 1 {
-		if *journalDir == "" || *dataPath == "" {
-			log.Fatal("-shards requires -journal (each shard keeps its own) and -data (fresh shards need the seed instance)")
-		}
-		if !*incFlag {
-			log.Fatal("-incremental=false is not supported with -shards: each shard session manages its own delta state")
-		}
+	if *shardsFlag > 1 && (*journalDir == "" || *dataPath == "") {
+		log.Fatal("-shards requires -journal (each shard keeps its own) and -data (fresh shards need the seed instance)")
 	}
 
 	// With -metrics, instrument every subsystem the session can exercise:
@@ -279,14 +269,6 @@ func main() {
 		}
 		sess = s
 	}
-	// Incremental maintenance defaults on; the decide/apply paths fall
-	// back to the full pass on their own whenever the delta state cannot
-	// prove the canonical outcome, so the flag only forces the baseline.
-	// (Sharded sessions live inside their shards and manage their own.)
-	if sess != nil {
-		sess.SetIncremental(*incFlag)
-	}
-
 	fmt.Printf("view X = %v, constant complement Y = %v\n", x, y)
 	if good, err := pair.IsGoodComplement(); err == nil {
 		fmt.Printf("good complement: %v\n", good)
@@ -313,11 +295,7 @@ func main() {
 			MaxBatch: *batchN,
 			Resurrect: func() (*store.Session, error) {
 				ns, _, err := store.Recover(storeFS, pair, syms, store.Options{ForceRecover: *forceFlag})
-				if err != nil {
-					return nil, err
-				}
-				ns.SetIncremental(*incFlag)
-				return ns, nil
+				return ns, err
 			},
 		})
 		if err != nil {

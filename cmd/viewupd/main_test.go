@@ -116,9 +116,10 @@ func TestExecuteRejectionsAndErrorsKeepDatabase(t *testing.T) {
 }
 
 // TestIncrementalFlagEquivalence runs the same script with the
-// incremental path on (the -incremental default) and off
-// (-incremental=false) and requires byte-identical output and final
-// state — the user-visible contract of the flag.
+// incremental path on (the shipped path) and off (the full-path
+// reference, core.Session.SetIncremental(false)) and requires
+// byte-identical output and final state: the delta state changes only
+// the cost profile.
 func TestIncrementalFlagEquivalence(t *testing.T) {
 	script := []string{
 		"insert ann toys",

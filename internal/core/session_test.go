@@ -43,8 +43,8 @@ func TestSessionBasics(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("applied %d ops", n)
 	}
-	if len(sess.Log()) != 3 {
-		t.Errorf("log has %d entries", len(sess.Log()))
+	if v := sess.ViewVersion(); v != 3 {
+		t.Errorf("view version %d after 3 applied ops", v)
 	}
 	// Complement never changed.
 	if !sess.Database().Project(p.ComplementAttrs()).Equal(r.Project(p.ComplementAttrs())) {
@@ -67,15 +67,18 @@ func TestSessionRejection(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := sess.Database()
-	_, err = sess.Apply(Insert(relation.Tuple{syms.Const("zoe"), syms.Const("plants")}))
+	d, err := sess.Apply(Insert(relation.Tuple{syms.Const("zoe"), syms.Const("plants")}))
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("err = %v, want ErrRejected", err)
+	}
+	if d == nil || d.Translatable {
+		t.Errorf("rejected update returned decision %+v, want untranslatable", d)
 	}
 	if !sess.Database().Equal(before) {
 		t.Error("rejected update changed the database")
 	}
-	if len(sess.Log()) != 1 || sess.Log()[0].Applied {
-		t.Error("rejection not logged")
+	if v := sess.ViewVersion(); v != 0 {
+		t.Errorf("rejected update moved the view version to %d", v)
 	}
 }
 
@@ -96,7 +99,7 @@ func TestSessionDecideDoesNotMutate(t *testing.T) {
 	if _, err := sess.Decide(Insert(relation.Tuple{syms.Const("ann"), syms.Const("toys")})); err != nil {
 		t.Fatal(err)
 	}
-	if !sess.Database().Equal(before) || len(sess.Log()) != 0 {
+	if !sess.Database().Equal(before) || sess.ViewVersion() != 0 {
 		t.Error("Decide mutated session state")
 	}
 }

@@ -201,7 +201,8 @@ func (s *Session) ApplyAllCtx(ctx context.Context, ops []core.UpdateOp) (int, er
 }
 
 // SetIncremental forwards to the wrapped core session, switching the
-// delta-driven incremental decide/apply path on or off.
+// delta-driven incremental decide/apply path on or off (the full path is
+// a reference for tests and benchmarks; see core.Session.SetIncremental).
 func (s *Session) SetIncremental(on bool) { s.sess.SetIncremental(on) }
 
 // IncrementalEnabled forwards to the wrapped core session.

@@ -309,10 +309,6 @@ func (s *Session) View() *relation.Relation { return s.sess.View() }
 // change.
 func (s *Session) ViewRef() *relation.Relation { return s.sess.ViewRef() }
 
-// Log returns the in-memory update log of this process's lifetime
-// (rejections included; the journal holds only applied ops).
-func (s *Session) Log() []core.LogEntry { return s.sess.Log() }
-
 // Seq returns the number of acknowledged operations since Create.
 func (s *Session) Seq() uint64 { return s.seq }
 
