@@ -419,3 +419,42 @@ func TestMOverlayMatchesOverlay(t *testing.T) {
 		})
 	}
 }
+
+// TestMaintainedProbeSkipsOwnStaleEntry pins the probe rule that a row's
+// own bucket entry never stands for its group. With A→C and C→B over
+// rows (key, A, B, C): r8 = (⊥a, ⊥a, 3) takes A = 3 from r1's C→B match,
+// and r12 = (3, ⊥c, ⊥c) then joins r8's A-group without being filed.
+// Removing r1 re-chases r8 and r12 apart and leaves r8 filed under the
+// hash of 3, ahead of r12. When a new row resolves ⊥a to 3 again, r8
+// must still merge with r12.
+func TestMaintainedProbeSkipsOwnStaleEntry(t *testing.T) {
+	u := attr.MustUniverse("K", "A", "B", "C")
+	fds := []dep.FD{
+		dep.NewFD(u.MustSet("A"), u.MustSet("C")),
+		dep.NewFD(u.MustSet("C"), u.MustSet("B")),
+	}
+	fx := &maintainedFixture{u: u, fds: fds, plans: PlanFDs(relation.New(u.All()), fds)}
+	m := NewMaintained(fx.plans)
+	live := map[int]relation.Tuple{}
+	add := func(row relation.Tuple) int {
+		id := m.AddRow(row)
+		live[id] = row
+		checkAgainstBatch(t, fx, m, live)
+		return id
+	}
+	const three = value.Value(3)
+	a, c := fx.gen.Fresh(), fx.gen.Fresh()
+	r1 := add(relation.Tuple{1001, fx.gen.Fresh(), three, three})
+	add(relation.Tuple{1008, a, a, three})
+	add(relation.Tuple{1012, three, c, c})
+	delete(live, r1)
+	m.RemoveRow(r1)
+	checkAgainstBatch(t, fx, m, live)
+	if m.Find(a) == three || m.Find(c) == three {
+		t.Fatal("removing r1 left its merges in place")
+	}
+	add(relation.Tuple{1013, fx.gen.Fresh(), three, three})
+	if m.Find(c) != three {
+		t.Fatalf("Find(%v) = %v, want 3", c, m.Find(c))
+	}
+}
