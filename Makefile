@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race lint cover cover-check bench bench-compare chaos-smoke shard-smoke serve-smoke loadgen examples experiments fuzz fuzz-smoke clean
+.PHONY: all check build vet test race lint cover cover-check bench bench-compare chaos-smoke serve-smoke loadgen examples experiments fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -61,11 +61,11 @@ bench:
 	$(GO) test -bench=. -benchmem . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH.json
 
 # Regression gate: re-run the kernel, pipeline, per-delta, end-to-end
-# serving, sharded, maintained-chase removal, and store encoder
-# benchmarks and fail if any BenchmarkRel*, BenchmarkPipeline*,
-# BenchmarkViewPublish*, BenchmarkE5InsertDelta*, BenchmarkApplyDeltaVsFull*,
-# BenchmarkNetServe*, BenchmarkSharded*, BenchmarkMaintainedRemove*,
-# BenchmarkStoreSnapshot* or BenchmarkStoreJournalAppend grew >30% in
+# serving, maintained-chase removal, and store encoder benchmarks and
+# fail if any BenchmarkRel*, BenchmarkPipeline*, BenchmarkViewPublish*,
+# BenchmarkE5InsertDelta*, BenchmarkApplyDeltaVsFull*, BenchmarkNetServe*,
+# BenchmarkMaintainedRemove*, BenchmarkStoreSnapshot* or
+# BenchmarkStoreJournalAppend grew >30% in
 # ns/op, or in allocs/op where the baseline records them, against the
 # committed baseline. -count=3 runs each benchmark three times and the
 # comparison keeps the fastest, de-noising shared-machine scheduling and
@@ -73,8 +73,8 @@ bench:
 # uploads it as an artifact). A missing baseline makes the comparison
 # advisory-only (exit 0).
 bench-compare:
-	$(GO) test -bench='^Benchmark(Rel|Pipeline|ViewPublish|E5InsertDelta|ApplyDeltaVsFull|NetServe|Sharded|MaintainedRemove|StoreSnapshot|StoreJournalAppend)' -benchmem -count=3 . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH.fresh.json
-	$(GO) run ./cmd/benchjson -compare BENCH.json -filter '^Benchmark(Rel|Pipeline|ViewPublish|E5InsertDelta|ApplyDeltaVsFull|NetServe|Sharded|MaintainedRemove|StoreSnapshot|StoreJournalAppend)' BENCH.fresh.json
+	$(GO) test -bench='^Benchmark(Rel|Pipeline|ViewPublish|E5InsertDelta|ApplyDeltaVsFull|NetServe|MaintainedRemove|StoreSnapshot|StoreJournalAppend)' -benchmem -count=3 . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH.fresh.json
+	$(GO) run ./cmd/benchjson -compare BENCH.json -filter '^Benchmark(Rel|Pipeline|ViewPublish|E5InsertDelta|ApplyDeltaVsFull|NetServe|MaintainedRemove|StoreSnapshot|StoreJournalAppend)' BENCH.fresh.json
 
 # Chaos smoke: six canonical per-kind fault schedules plus a fixed-seed
 # sweep through the self-healing pipeline (internal/chaos). Exits
@@ -83,31 +83,6 @@ bench-compare:
 # keeps it to a few seconds wall-clock.
 chaos-smoke:
 	$(GO) run ./cmd/chaos -seeds 40 -ops 40
-
-# Shard smoke, two halves. First a sharded chaos sweep: per-shard fault
-# plans, scripted mid-two-phase power cuts, and whole-machine crash
-# recovery through the K-shard multi-store — fails on any acked-op
-# loss, orphaned intent, or union-state divergence from the serial
-# oracle. Then an end-to-end run: viewsrv -shards 4 with one fsync
-# fault injected into shard 0's journal, driven by loadgen with
-# -hotshard skew pinning half the traffic to shard 0's key range —
-# fails on any lost ack or if the resurrection didn't fire (the fault
-# is confined to shard 0; the other shards never degrade).
-shard-smoke:
-	$(GO) run ./cmd/chaos -shards 3 -seeds 40 -ops 24
-	@set -e; \
-	tmp=$$(mktemp -d); \
-	trap 'kill -TERM $$pid 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/viewsrv" ./cmd/viewsrv; \
-	$(GO) build -o "$$tmp/loadgen" ./cmd/loadgen; \
-	"$$tmp/viewsrv" -journal "$$tmp/journal" -addr 127.0.0.1:0 -portfile "$$tmp/port" \
-		-views ed -shards 4 -failsync 5 & pid=$$!; \
-	i=0; while [ ! -s "$$tmp/port" ] && [ $$i -lt 100 ]; do sleep 0.1; i=$$((i+1)); done; \
-	[ -s "$$tmp/port" ] || { echo "shard-smoke: viewsrv did not start"; exit 1; }; \
-	"$$tmp/loadgen" -addr "$$(cat "$$tmp/port")" -view ed -clients 6 -ops 1200 -batch 8 \
-		-shards 4 -hotshard 0.5 -expect-resurrection; \
-	kill -TERM $$pid; wait $$pid || true; \
-	echo "shard-smoke: ok"
 
 # Serve smoke: boot viewsrv on a throwaway journal with one injected
 # fsync fault, then drive a CI-sized multi-tenant zipfian burst of mixed
@@ -164,8 +139,8 @@ experiments-quick:
 	$(GO) run ./cmd/experiments -quick
 
 # Quick fuzz pass over every decoder that reads disk or network bytes:
-# the dependency and dependency-set parsers, the journal, snapshot and
-# txlog decoders, and the netserve op-frame (server-side) and
+# the dependency and dependency-set parsers, the journal and snapshot
+# decoders, and the netserve op-frame (server-side) and
 # result-frame (client-side) readers. Malformed input must never panic.
 # FuzzCloneCOW also drives the relation kernel's copy-on-write storage
 # through Insert/Delete/Clone sequences, and FuzzKeyTable its KeyTable
@@ -180,7 +155,6 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzParseSet$$' -fuzztime=5s -run '^$$' ./internal/dep
 	$(GO) test -fuzz='^FuzzJournal$$' -fuzztime=5s -run '^$$' ./internal/store
 	$(GO) test -fuzz='^FuzzSnapshot$$' -fuzztime=5s -run '^$$' ./internal/store
-	$(GO) test -fuzz='^FuzzTxLog$$' -fuzztime=5s -run '^$$' ./internal/shard
 	$(GO) test -fuzz='^FuzzOpFrame$$' -fuzztime=5s -run '^$$' ./internal/netserve
 	$(GO) test -fuzz='^FuzzResultFrame$$' -fuzztime=5s -run '^$$' ./internal/netserve
 	$(GO) test -fuzz='^FuzzCloneCOW$$' -fuzztime=5s -run '^$$' ./internal/relation
@@ -192,7 +166,6 @@ fuzz:
 	$(GO) test -fuzz='^FuzzParseSet$$' -fuzztime=30s -run '^$$' ./internal/dep
 	$(GO) test -fuzz='^FuzzJournal$$' -fuzztime=30s -run '^$$' ./internal/store
 	$(GO) test -fuzz='^FuzzSnapshot$$' -fuzztime=30s -run '^$$' ./internal/store
-	$(GO) test -fuzz='^FuzzTxLog$$' -fuzztime=30s -run '^$$' ./internal/shard
 	$(GO) test -fuzz='^FuzzOpFrame$$' -fuzztime=30s -run '^$$' ./internal/netserve
 	$(GO) test -fuzz='^FuzzResultFrame$$' -fuzztime=30s -run '^$$' ./internal/netserve
 	$(GO) test -fuzz='^FuzzCloneCOW$$' -fuzztime=30s -run '^$$' ./internal/relation

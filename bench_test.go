@@ -30,7 +30,6 @@ import (
 	"github.com/constcomp/constcomp/internal/reductions"
 	"github.com/constcomp/constcomp/internal/relation"
 	"github.com/constcomp/constcomp/internal/serve"
-	"github.com/constcomp/constcomp/internal/shard"
 	"github.com/constcomp/constcomp/internal/store"
 	"github.com/constcomp/constcomp/internal/value"
 	"github.com/constcomp/constcomp/internal/workload"
@@ -674,6 +673,9 @@ func BenchmarkRelChaseInstance(b *testing.B) {
 // removes the row whose null roots the M class and whose entry files
 // the department, so the root is re-picked and the bucket refiled;
 // victim=random removes any other member, which only leaves its class.
+// The fresh row takes the victim's E constant, dead once RemoveRow
+// returns, so the timed loop interns nothing and no two live rows share
+// an E.
 func BenchmarkMaintainedRemoveWideGroup(b *testing.B) {
 	e := workload.NewEDM()
 	fds := e.Schema.Sigma().SplitFDs()
@@ -711,7 +713,7 @@ func BenchmarkMaintainedRemoveWideGroup(b *testing.B) {
 						k = 1 + rng.Intn(g-1)
 					}
 					m.RemoveRow(ids[k])
-					r := row()
+					r := relation.Tuple{rows[k][0], dept, gen.Fresh()}
 					copy(ids[k:], ids[k+1:])
 					copy(rows[k:], rows[k+1:])
 					ids[g-1], rows[g-1] = m.AddRow(r), r
@@ -778,18 +780,23 @@ func benchStoreFixture() (*core.Pair, *relation.Relation, *value.Symbols) {
 // BenchmarkStoreJournalAppend measures the full durable-apply path —
 // decide, apply, encode, journal write, fsync — against an in-memory
 // FS. Each iteration inserts and deletes one employee so the database
-// stays a constant size.
+// stays a constant size; the employees cycle through a pool interned
+// before the timer starts, so the loop measures no symbol-table growth.
 func BenchmarkStoreJournalAppend(b *testing.B) {
 	pair, db, syms := benchStoreFixture()
 	st, err := store.Create(store.NewMemFS(), pair, db, syms, store.Options{SnapshotEvery: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
 	}
+	names := make([]value.Value, 64)
+	for i := range names {
+		names[i] = syms.Const(fmt.Sprintf("t%d", i))
+	}
+	dept := syms.Const("dept0")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		name := syms.Const(fmt.Sprintf("t%d", i))
-		dept := syms.Const("dept0")
+		name := names[i%len(names)]
 		if _, err := st.Apply(core.Insert(relation.Tuple{name, dept})); err != nil {
 			b.Fatal(err)
 		}
@@ -908,7 +915,9 @@ func BenchmarkPipelineOpsPerSec(b *testing.B) {
 				}
 
 				// Sliding async window: keep enough requests in flight
-				// to fill batches without an artificial barrier.
+				// to fill batches without an artificial barrier. The
+				// window is shifted in place, so it never outgrows its
+				// 4×batch slots and an acked Pending is dropped at once.
 				window := make([]*serve.Pending, 0, 4*batch)
 				ctx := context.Background()
 				b.ReportAllocs()
@@ -922,13 +931,13 @@ func BenchmarkPipelineOpsPerSec(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					window = append(window, pend)
 					if len(window) == cap(window) {
 						if _, err := window[0].Wait(); err != nil {
 							b.Fatal(err)
 						}
-						window = window[1:]
+						window = append(window[:0], window[1:]...)
 					}
+					window = append(window, pend)
 				}
 				for _, pend := range window {
 					if _, err := pend.Wait(); err != nil {
@@ -1006,10 +1015,8 @@ func BenchmarkViewPublish(b *testing.B) {
 // benchWideFixture is benchStoreFixture at scale: n employees over n/2
 // two-person departments (plus dept0, which the workload churns).
 // Department equality classes stay O(1), so the chase never blows up;
-// what grows with n is each shard's resident decide state — the
-// maintained padding an insert decide completes against — so per-op
-// cost carries an honest O(residency) term that hash partitioning
-// divides by K.
+// what grows with n is the session's decide state — the maintained
+// padding an insert decide completes against.
 func benchWideFixture(n int) (*core.Pair, *relation.Relation, *value.Symbols) {
 	u := attr.MustUniverse("E", "D", "M")
 	sigma := dep.MustParseSet(u, "E -> D\nD -> M")
@@ -1019,8 +1026,8 @@ func benchWideFixture(n int) (*core.Pair, *relation.Relation, *value.Symbols) {
 	db := relation.New(u.All())
 	for i := 0; i < n; i++ {
 		// The first 64 employees all join dept0, the department the
-		// workload churns: every shard must hold dept0 sharers or the
-		// benchmark ops would be rejected as untranslatable.
+		// workload churns: without dept0 sharers the benchmark ops
+		// would be rejected as untranslatable.
 		d := 0
 		if i >= 64 {
 			d = i / 2
@@ -1032,126 +1039,6 @@ func benchWideFixture(n int) (*core.Pair, *relation.Relation, *value.Symbols) {
 		})
 	}
 	return pair, db, syms
-}
-
-// runShardedBench drives the BenchmarkPipelineOpsPerSec workload (t%d
-// insert/delete pairs against dept0, sliding window of in-flight acks)
-// through a sharded multi-store over the given instance.
-func runShardedBench(b *testing.B, k int, pair *core.Pair, db *relation.Relation, syms *value.Symbols) {
-	mem := store.NewMemFS()
-	fss := make([]store.FS, k)
-	for i := range fss {
-		fss[i] = shard.SubFS(mem, fmt.Sprintf("s%d/", i))
-	}
-	m, _, err := shard.Open(fss, pair, db, syms, shard.Options{
-		Shards: k,
-		Store:  store.Options{SnapshotEvery: 1 << 30},
-		Serve:  serve.Options{MaxBatch: 32},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer m.Close()
-
-	// Every shard must already hold a dept0 sharer or the workload's
-	// inserts and deletes would be rejected on that shard.
-	router := m.Router()
-	have := make([]int, k)
-	for _, t := range db.Tuples() {
-		if syms.Name(t[1]) == "dept0" {
-			have[router.ShardOfName(syms.Name(t[0]))]++
-		}
-	}
-	for s, n := range have {
-		if n < 2 {
-			b.Fatalf("shard %d holds %d dept0 rows; fixture too small for K=%d", s, n, k)
-		}
-	}
-
-	// Pre-intern every name: Symbols is not safe for concurrent
-	// interning and the committer goroutines read interned constants
-	// while we submit.
-	names := make([]relation.Tuple, b.N)
-	dept := syms.Const("dept0")
-	for i := range names {
-		names[i] = relation.Tuple{syms.Const(fmt.Sprintf("t%d", i/2)), dept}
-	}
-
-	// Warm every shard's incremental decide state (built lazily on a
-	// shard's first decide, O(residency) and then delta-maintained)
-	// before the timer starts, so the measurement is steady-state cost.
-	for i, warmed := 0, 0; warmed < k; i++ {
-		name := fmt.Sprintf("warm%d", i)
-		if have[router.ShardOfName(name)] < 0 {
-			continue // shard already warmed
-		}
-		have[router.ShardOfName(name)] = -1
-		warmed++
-		warm := relation.Tuple{syms.Const(name), dept}
-		for _, op := range []core.UpdateOp{core.Insert(warm), core.Delete(warm)} {
-			if _, err := m.Apply(context.Background(), op); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-
-	window := make([]serve.Waiter, 0, 128)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op := core.Insert(names[i])
-		if i%2 == 1 {
-			op = core.Delete(names[i])
-		}
-		pend, err := m.ApplyAsync(ctx, op)
-		if err != nil {
-			b.Fatal(err)
-		}
-		window = append(window, pend)
-		if len(window) == cap(window) {
-			if _, err := window[0].Wait(); err != nil {
-				b.Fatal(err)
-			}
-			window = window[1:]
-		}
-	}
-	for _, pend := range window {
-		if _, err := pend.Wait(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/sec")
-}
-
-// BenchmarkShardedOpsPerSec is the partitioning headline: the pipeline
-// workload against a 4096-employee wide instance at K shards. Each
-// shard decides against only its own residents, so the O(residency)
-// component of an insert decide (completing the candidate against the
-// shard's maintained padding) shrinks by K and ops/sec scales
-// near-linearly — the same division of state-bound work the placement
-// table buys on real multi-core hardware, visible here even serialized
-// onto one core. Every op is single-shard (the fast path); the
-// instance is identical across K.
-func BenchmarkShardedOpsPerSec(b *testing.B) {
-	for _, k := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			pair, db, syms := benchWideFixture(4096)
-			runShardedBench(b, k, pair, db, syms)
-		})
-	}
-}
-
-// BenchmarkShardedParityOpsPerSec is the no-tax check: the exact
-// BenchmarkPipelineOpsPerSec/fs=mem/batch=32 instance and workload
-// through the sharding layer at K=1. Router, placement, and the
-// cross-shard machinery must cost nothing when there is nothing to
-// route — this number is meant to sit within noise of the unsharded
-// baseline.
-func BenchmarkShardedParityOpsPerSec(b *testing.B) {
-	pair, db, syms := benchStoreFixture()
-	runShardedBench(b, 1, pair, db, syms)
 }
 
 // BenchmarkNetServe measures the serving stack end to end: HTTP submit

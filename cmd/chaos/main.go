@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	chaos [-seeds N] [-seed S] [-ops N] [-shards K] [-v]
+//	chaos [-seeds N] [-seed S] [-ops N] [-v]
 //
 // With -seed the runner executes that single generated schedule;
 // otherwise it runs six canonical per-kind schedules (one per fault
@@ -14,12 +14,6 @@
 // runner minimizes it with chaos.Minimize — re-running the pipeline as
 // the failure predicate — and prints the reduced schedule as JSON, so
 // the repro can be pasted straight into a regression test.
-//
-// With -shards K > 1 the runner sweeps the sharded multi-store
-// instead: per-shard fault plans, scripted mid-two-phase power cuts,
-// and a final whole-machine crash, each schedule checked for zero
-// acked-op loss per shard and a recovered union state byte-identical
-// to a serial oracle.
 package main
 
 import (
@@ -39,7 +33,6 @@ type config struct {
 	seeds   int
 	seed    uint64
 	ops     int
-	shards  int
 	verbose bool
 }
 
@@ -57,73 +50,7 @@ func canonical(ops int) []chaos.Schedule {
 	}
 }
 
-// runSharded sweeps generated sharded schedules through
-// chaos.RunSharded, printing a failing schedule as JSON so the repro
-// can be replayed with -seed -shards.
-func runSharded(cfg config, out, errw io.Writer) int {
-	var schedules []chaos.ShardSchedule
-	if cfg.seed != 0 {
-		schedules = []chaos.ShardSchedule{chaos.GenerateSharded(cfg.seed, cfg.ops, cfg.shards)}
-	} else {
-		for s := uint64(1); s <= uint64(cfg.seeds); s++ {
-			schedules = append(schedules, chaos.GenerateSharded(s, cfg.ops, cfg.shards))
-		}
-	}
-
-	start := obs.NowNS()
-	var resurrections int64
-	var acked, crossAcked, cuts, resolved int
-	for i, s := range schedules {
-		rep, err := chaos.RunSharded(s)
-		if err != nil {
-			fmt.Fprintf(errw, "chaos: sharded schedule %d could not run: %v\n", i, err)
-			return 2
-		}
-		if rep.Violation != "" {
-			fmt.Fprintf(errw, "chaos: sharded schedule %d VIOLATION: %s\n", i, rep.Violation)
-			js, _ := json.MarshalIndent(s, "", "  ")
-			fmt.Fprintf(errw, "chaos: repro schedule:\n%s\n", js)
-			return 1
-		}
-		if cfg.verbose {
-			fmt.Fprintf(out,
-				"schedule %3d seed=%-4d shards=%d acked=%-3d cross=%-2d resurrections=%d resolved=%d\n",
-				i, s.Seed, s.Shards, rep.Acked, rep.CrossAcked, rep.Resurrections, len(rep.Resolved))
-		}
-		resurrections += rep.Resurrections
-		acked += rep.Acked
-		crossAcked += rep.CrossAcked
-		if rep.Cut != nil {
-			cuts++
-		}
-		resolved += len(rep.Resolved)
-	}
-	elapsedMS := (obs.NowNS() - start) / 1e6
-
-	fmt.Fprintf(out,
-		"chaos: %d sharded schedules ok in %dms: %d acked (%d cross-shard), %d resurrections, %d cuts, %d intents resolved\n",
-		len(schedules), elapsedMS, acked, crossAcked, resurrections, cuts, resolved)
-	if cfg.seed == 0 {
-		if crossAcked == 0 {
-			fmt.Fprintln(errw, "chaos: sweep committed zero cross-shard ops — two-phase path never ran")
-			return 1
-		}
-		if resurrections == 0 {
-			fmt.Fprintln(errw, "chaos: sweep drove zero resurrections — per-shard heal path never fired")
-			return 1
-		}
-		if cuts == 0 {
-			fmt.Fprintln(errw, "chaos: sweep never scripted a mid-two-phase cut")
-			return 1
-		}
-	}
-	return 0
-}
-
 func run(cfg config, out, errw io.Writer) int {
-	if cfg.shards > 1 {
-		return runSharded(cfg, out, errw)
-	}
 	var schedules []chaos.Schedule
 	if cfg.seed != 0 {
 		schedules = []chaos.Schedule{chaos.Generate(cfg.seed, cfg.ops)}
@@ -189,9 +116,8 @@ func main() {
 	seeds := flag.Int("seeds", 100, "number of generated schedules to sweep")
 	seed := flag.Uint64("seed", 0, "run only the schedule generated from this seed")
 	ops := flag.Int("ops", 40, "workload ops per schedule")
-	shards := flag.Int("shards", 1, "sweep the K-shard multi-store instead of the single pipeline")
 	verbose := flag.Bool("v", false, "print a line per schedule")
 	flag.Parse()
-	os.Exit(run(config{seeds: *seeds, seed: *seed, ops: *ops, shards: *shards, verbose: *verbose},
+	os.Exit(run(config{seeds: *seeds, seed: *seed, ops: *ops, verbose: *verbose},
 		os.Stdout, os.Stderr))
 }

@@ -35,37 +35,6 @@ func TestRunSingleSeed(t *testing.T) {
 	}
 }
 
-// TestRunShardedSweep drives the sharded mode the way the shard-smoke
-// CI job does: generated multi-shard schedules with scripted
-// mid-two-phase cuts, exit 0, and a summary proving the cross-shard
-// commit, heal, and cut paths all fired.
-func TestRunShardedSweep(t *testing.T) {
-	var out, errw bytes.Buffer
-	if code := run(config{seeds: 25, ops: 24, shards: 3}, &out, &errw); code != 0 {
-		t.Fatalf("run exited %d:\n%s%s", code, out.String(), errw.String())
-	}
-	sum := out.String()
-	if !strings.Contains(sum, "sharded schedules ok") {
-		t.Errorf("missing sharded summary line:\n%s", sum)
-	}
-	if strings.Contains(sum, "(0 cross-shard)") || strings.Contains(sum, "0 resurrections") ||
-		strings.Contains(sum, " 0 cuts") {
-		t.Errorf("sharded sweep failed to exercise a required path:\n%s", sum)
-	}
-}
-
-// TestRunShardedSingleSeed reproduces one generated sharded schedule
-// by seed.
-func TestRunShardedSingleSeed(t *testing.T) {
-	var out, errw bytes.Buffer
-	if code := run(config{seed: 4, ops: 24, shards: 2}, &out, &errw); code != 0 {
-		t.Fatalf("run exited %d:\n%s%s", code, out.String(), errw.String())
-	}
-	if !strings.Contains(out.String(), "1 sharded schedules ok") {
-		t.Errorf("single-seed sharded run summary:\n%s", out.String())
-	}
-}
-
 // TestRunVerbose prints one line per schedule.
 func TestRunVerbose(t *testing.T) {
 	var out, errw bytes.Buffer

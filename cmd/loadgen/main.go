@@ -11,7 +11,7 @@
 //	loadgen -addr host:port [-view ed] [-clients 8] [-ops 2000] [-batch 8]
 //	        [-tenants good,hog] [-zipf 1.2] [-keys 256] [-depts 8]
 //	        [-json] [-seed 1] [-report out.json] [-expect-resurrection]
-//	        [-verify=true] [-shards 1] [-hotshard 0]
+//	        [-verify=true]
 //
 // Each client owns a private keyspace (employee names embed the tenant
 // and client index), so the expected final presence of every key is
@@ -25,14 +25,6 @@
 // With -expect-resurrection, the run additionally requires the server's
 // serve_resurrections_total counter to be at least 1 — the smoke test
 // injects a storage fault and demands the pipeline healed through it.
-//
-// Against a sharded server (viewsrv -shards K), -shards K -hotshard F
-// skews the key distribution: fraction F of each client's ops are
-// pinned to keys whose names route to shard 0 under the same placement
-// ring the server uses, so one shard's pipeline saturates while the
-// others idle — the worst case for per-shard group commit. The
-// remaining 1-F of traffic keeps the usual zipfian draw over the whole
-// keyspace.
 package main
 
 import (
@@ -54,7 +46,6 @@ import (
 
 	"github.com/constcomp/constcomp/internal/netserve"
 	"github.com/constcomp/constcomp/internal/obs"
-	"github.com/constcomp/constcomp/internal/shard"
 )
 
 // benchRecord mirrors cmd/benchjson's Record so the -report file can be
@@ -80,13 +71,6 @@ type client struct {
 	// the view according to the acks this client received; -1 = absent.
 	present []int
 
-	// hotKeys are the indices of this client's keys whose names route
-	// to the hot shard; with -hotshard F, fraction F of ops draw
-	// uniformly from this set instead of the zipfian whole-keyspace
-	// draw. Empty when skew is off.
-	hotKeys []int
-	pinned  int64
-
 	// Gates and accounting, written by the client goroutine and read
 	// after the WaitGroup join.
 	acked     int64
@@ -109,8 +93,6 @@ type config struct {
 	keys, depts  int
 	useJSON      bool
 	seed         int64
-	shards       int
-	hotshard     float64
 
 	// attrs is the view's column order as reported by the server; eCol
 	// and dCol locate E and D within it.
@@ -141,8 +123,6 @@ func main() {
 	flag.IntVar(&cfg.depts, "depts", 8, "department domain size")
 	flag.BoolVar(&cfg.useJSON, "json", false, "submit via JSON instead of the binary framing")
 	flag.Int64Var(&cfg.seed, "seed", 1, "workload seed")
-	flag.IntVar(&cfg.shards, "shards", 1, "the server's shard count K (for -hotshard routing)")
-	flag.Float64Var(&cfg.hotshard, "hotshard", 0, "fraction of traffic pinned to shard 0's key range (requires -shards > 1)")
 	report := flag.String("report", "", "write a benchjson-compatible latency report here")
 	expectRes := flag.Bool("expect-resurrection", false, "require serve_resurrections_total >= 1 on the server")
 	verify := flag.Bool("verify", true, "verify the final view against the acks")
@@ -152,12 +132,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.tenants = strings.Split(*tenantsFlag, ",")
-	if cfg.hotshard < 0 || cfg.hotshard > 1 {
-		log.Fatal("-hotshard must be in [0, 1]")
-	}
-	if cfg.hotshard > 0 && cfg.shards < 2 {
-		log.Fatal("-hotshard needs -shards > 1: with one shard every key range is the hot one")
-	}
 
 	if err := run(cfg, *report, *expectRes, *verify); err != nil {
 		log.Fatal(err)
@@ -175,23 +149,6 @@ func run(cfg *config, reportPath string, expectRes, verify bool) error {
 	reg := obs.NewRegistry()
 	clients := newClients(cfg, reg)
 	perClient := clients[0].ops
-
-	// With -hotshard, precompute each client's keys that land on shard
-	// 0 under the same placement ring the server uses: routing hashes
-	// the raw key name, so client and server always agree.
-	if cfg.hotshard > 0 {
-		router, err := shard.NewRouter(cfg.shards, 0, nil)
-		if err != nil {
-			return err
-		}
-		for _, c := range clients {
-			for k := 0; k < cfg.keys; k++ {
-				if router.ShardOfName(fmt.Sprintf("lg_%s_c%d_k%d", c.tenant, c.idx, k)) == 0 {
-					c.hotKeys = append(c.hotKeys, k)
-				}
-			}
-		}
-	}
 
 	t0 := obs.NowNS()
 	var wg sync.WaitGroup
@@ -220,14 +177,6 @@ func run(cfg *config, reportPath string, expectRes, verify bool) error {
 	}
 	fmt.Printf("loadgen: %d clients x %d ops: %d acked (%d identity), %d rejected, %d shed, %d throttled, %d op-errors in %.2fs\n",
 		cfg.clients, perClient, acked, identity, rejected, shed, throttled, opErrs, float64(wallNS)/1e9)
-	if cfg.hotshard > 0 {
-		var pinned int64
-		for _, c := range clients {
-			pinned += c.pinned
-		}
-		fmt.Printf("loadgen: hotshard skew: %d ops pinned to shard 0's key range (target fraction %.2f)\n",
-			pinned, cfg.hotshard)
-	}
 	reasons := map[string]int64{}
 	for _, c := range clients {
 		for msg, n := range c.reasons {
@@ -358,7 +307,7 @@ func (c *client) drive(cfg *config, httpc *http.Client, base string) {
 		ops := make([]netserve.WireOp, n)
 		keys := make([]int, n)
 		for i := range ops {
-			k := c.pickKey(cfg)
+			k := int(c.zipf.Uint64())
 			keys[i] = k
 			ops[i] = c.genFor(cfg, k)
 		}
@@ -391,17 +340,6 @@ func (c *client) drive(cfg *config, httpc *http.Client, base string) {
 		}
 		sent += n
 	}
-}
-
-// pickKey draws the next key index: with -hotshard F, fraction F of
-// draws come uniformly from the keys routing to the hot shard; the
-// rest keep the zipfian whole-keyspace draw.
-func (c *client) pickKey(cfg *config) int {
-	if len(c.hotKeys) > 0 && c.rng.Float64() < cfg.hotshard {
-		c.pinned++
-		return c.hotKeys[c.rng.Intn(len(c.hotKeys))]
-	}
-	return int(c.zipf.Uint64())
 }
 
 // genFor builds the op for key k from current tracked presence.

@@ -8,7 +8,7 @@
 //	viewsrv -journal dir [-addr 127.0.0.1:8085] [-portfile p] [-views ed,dm]
 //	        [-emp 64] [-dept 8] [-failsync n] [-max-batch 32] [-shed]
 //	        [-slots 16] [-rate 0] [-burst 0] [-tenants "hog=1,good=4"]
-//	        [-conn-budget 0] [-max-tenants 64] [-shards 1]
+//	        [-conn-budget 0] [-max-tenants 64]
 //
 // The schema is the paper's Employee–Department–Manager fixture
 // (U = {E, D, M}, Σ = {E → D, D → M}); view "ed" is X = ED with
@@ -22,16 +22,6 @@
 // first view — the smoke test's resurrection trigger: the pipeline
 // quarantines the broken session, re-runs recovery against the same
 // directory, and resumes without losing an acknowledged op.
-//
-// -shards K > 1 serves the "ed" view from a hash-partitioned
-// multi-store instead of a single pipeline: K independent shards under
-// <journal>/ed/s0 … s<K-1>, each with its own journal, snapshot, and
-// group-commit pipeline, fronted by the static placement ring
-// (internal/shard). Single-shard ops ride each shard's fast path;
-// replacements that move a key between shards run the two-phase
-// cross-shard commit. With -failsync, the fault is injected into shard
-// 0's journal only, so the smoke test can check that resurrection is
-// confined to that shard.
 //
 // -portfile writes the bound address (host:port) after listen, so
 // scripts using -addr with port 0 can find the server. /metricz (JSON)
@@ -60,7 +50,6 @@ import (
 	"github.com/constcomp/constcomp/internal/obs"
 	"github.com/constcomp/constcomp/internal/relation"
 	"github.com/constcomp/constcomp/internal/serve"
-	"github.com/constcomp/constcomp/internal/shard"
 	"github.com/constcomp/constcomp/internal/store"
 	"github.com/constcomp/constcomp/internal/workload"
 )
@@ -83,7 +72,6 @@ func main() {
 	tenantSpec := flag.String("tenants", "", "per-tenant weights, e.g. \"hog=1,good=4\"")
 	connBudget := flag.Int64("conn-budget", 0, "ops one connection may submit before it must re-dial (0 = unlimited)")
 	maxTenants := flag.Int("max-tenants", 64, "bound on the tenant admission table")
-	shards := flag.Int("shards", 1, "hash-partition the ed view across K shards (K > 1 restricts -views to ed)")
 	flag.Parse()
 	if *journalDir == "" {
 		flag.Usage()
@@ -118,13 +106,7 @@ func main() {
 		Registry:     reg,
 	})
 
-	if *shards > 1 {
-		if err := addShardedView(srv, edm, db, *journalDir, *views, *shards, *failSync, *maxBatch, *shed); err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		addPipelineViews(srv, edm, db, *journalDir, *views, *failSync, *maxBatch, *shed)
-	}
+	addViews(srv, edm, db, *journalDir, *views, *failSync, *maxBatch, *shed)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -162,60 +144,9 @@ func main() {
 	}
 }
 
-// addShardedView opens the ed view as a K-shard multi-store under
-// <journalDir>/ed/s<k> and registers it. With failSync > 0 the one-shot
-// fsync fault lands on shard 0's journal only, so resurrection must be
-// confined to that shard.
-func addShardedView(srv *netserve.Server, edm *workload.EDM, db *relation.Relation,
-	journalDir, views string, shards, failSync, maxBatch int, shed bool) error {
-	for _, name := range strings.Split(views, ",") {
-		if name = strings.TrimSpace(name); name != "" && name != "ed" {
-			return fmt.Errorf("-shards serves only the ed view (its key attribute E routes ops); got view %q", name)
-		}
-	}
-	pair, err := core.NewPair(edm.Schema, edm.ED, edm.DM)
-	if err != nil {
-		return err
-	}
-	fss := make([]store.FS, shards)
-	for k := range fss {
-		dir := filepath.Join(journalDir, "ed", fmt.Sprintf("s%d", k))
-		if err := os.MkdirAll(dir, 0o777); err != nil {
-			return err
-		}
-		dirFS, err := store.NewDirFS(dir)
-		if err != nil {
-			return err
-		}
-		fss[k] = dirFS
-		if k == 0 && failSync > 0 {
-			fss[k] = store.NewFaultFS(dirFS, store.FaultPlan{
-				Match:      func(fname string) bool { return fname == store.JournalFile },
-				FailSyncAt: failSync,
-			})
-		}
-	}
-	m, rep, err := shard.Open(fss, pair, db.Clone(), edm.Syms, shard.Options{
-		Shards: shards,
-		Serve:  serve.Options{MaxBatch: maxBatch, ShedOnFull: shed},
-	})
-	if err != nil {
-		return err
-	}
-	for k, r := range rep.Shards {
-		if r != nil {
-			log.Printf("view ed shard %d: %v", k, r)
-		}
-	}
-	for _, r := range rep.Resolved {
-		log.Printf("view ed: resolved in-doubt xid %d committed=%v", r.Xid, r.Committed)
-	}
-	return srv.AddSharded("ed", m, edm.Syms)
-}
-
-// addPipelineViews opens each named view as a single self-healing
-// pipeline under <journalDir>/<name> and registers it.
-func addPipelineViews(srv *netserve.Server, edm *workload.EDM, db *relation.Relation,
+// addViews opens each named view as a self-healing pipeline under
+// <journalDir>/<name> and registers it.
+func addViews(srv *netserve.Server, edm *workload.EDM, db *relation.Relation,
 	journalDir, views string, failSync, maxBatch int, shed bool) {
 	for i, name := range strings.Split(views, ",") {
 		name = strings.TrimSpace(name)

@@ -7,7 +7,7 @@
 //
 //	viewupd -schema schema.txt -data data.txt -view "E D" [-complement "D M"]
 //	        [-script s.txt] [-journal dir] [-recover [-force]] [-timeout 2s]
-//	        [-batch n] [-pipeline] [-metrics report.json] [-shards K]
+//	        [-batch n] [-pipeline] [-metrics report.json]
 //
 // Without -complement, the minimal complement of Corollary 2 is used.
 // With -batch n (requires -journal), consecutive update commands are
@@ -33,18 +33,6 @@
 // written to the given file on exit (even when a scripted run fails):
 // expvar-style JSON by default, Prometheus text format when the file
 // name ends in .prom, stdout when the name is "-".
-// With -shards K > 1 (requires -journal and -data), the instance is
-// hash-partitioned by the view's first attribute across K shard
-// directories (<journal>/s0 … s<K-1>), each an independent journal +
-// snapshot + group-commit pipeline behind the placement ring
-// (internal/shard). Updates route to the shard owning their key;
-// replacements that move a key between shards run the two-phase
-// cross-shard commit. Reopening the same -journal recovers every shard
-// and resolves any in-doubt cross-shard intent before the first
-// command runs (-recover is implied; -data still seeds shards that
-// have no durable state yet). In sharded mode `view` prints the union
-// across shards, while `show` and `decide` are unsupported (the base
-// instance and decision procedure live inside each shard).
 //
 // With -journal, the session is durable: every applied update is
 // journaled and fsynced in dir before it is acknowledged, and -recover
@@ -81,7 +69,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -92,7 +79,6 @@ import (
 	"github.com/constcomp/constcomp/internal/obs"
 	"github.com/constcomp/constcomp/internal/relation"
 	"github.com/constcomp/constcomp/internal/serve"
-	"github.com/constcomp/constcomp/internal/shard"
 	"github.com/constcomp/constcomp/internal/store"
 	"github.com/constcomp/constcomp/internal/value"
 	"github.com/constcomp/constcomp/internal/workload"
@@ -127,7 +113,6 @@ func main() {
 	batchN := flag.Int("batch", 1, "group up to n consecutive updates into one journal fsync (requires -journal)")
 	pipelineFlag := flag.Bool("pipeline", false, "run updates through the serving pipeline (requires -journal)")
 	metricsPath := flag.String("metrics", "", "write a metrics report here on exit (JSON, or Prometheus text if the name ends in .prom; - for stdout)")
-	shardsFlag := flag.Int("shards", 1, "hash-partition the instance across K shard journals (requires -journal and -data)")
 	flag.Parse()
 	if *schemaPath == "" || *viewSpec == "" || (*dataPath == "" && !*recoverFlag) {
 		flag.Usage()
@@ -141,9 +126,6 @@ func main() {
 	}
 	if (*batchN > 1 || *pipelineFlag) && *journalDir == "" {
 		log.Fatal("-batch/-pipeline require -journal: group commit is about sharing journal fsyncs")
-	}
-	if *shardsFlag > 1 && (*journalDir == "" || *dataPath == "") {
-		log.Fatal("-shards requires -journal (each shard keeps its own) and -data (fresh shards need the seed instance)")
 	}
 
 	// With -metrics, instrument every subsystem the session can exercise:
@@ -206,40 +188,7 @@ func main() {
 	var sess updSession
 	var st *store.Session
 	var storeFS store.FS
-	var multi *shard.Multi
 	switch {
-	case *shardsFlag > 1:
-		fss := make([]store.FS, *shardsFlag)
-		for k := range fss {
-			dir := filepath.Join(*journalDir, fmt.Sprintf("s%d", k))
-			if err := os.MkdirAll(dir, 0o777); err != nil {
-				log.Fatal(err)
-			}
-			if fss[k], err = store.NewDirFS(dir); err != nil {
-				log.Fatal(err)
-			}
-		}
-		m, rep, err := shard.Open(fss, pair, db, syms, shard.Options{
-			Shards: *shardsFlag,
-			Serve:  serve.Options{MaxBatch: *batchN},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		for k, r := range rep.Shards {
-			if r != nil {
-				fmt.Printf("shard %d: %v\n", k, r)
-			}
-		}
-		for _, r := range rep.Resolved {
-			fmt.Printf("resolved in-doubt cross-shard xid %d: committed=%v\n", r.Xid, r.Committed)
-		}
-		defer func() {
-			if err := m.Close(); err != nil {
-				log.Print(err)
-			}
-		}()
-		multi = m
 	case *journalDir != "":
 		fsys, err := store.NewDirFS(*journalDir)
 		if err != nil {
@@ -284,8 +233,8 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	r := &runner{sess: sess, syms: syms, out: os.Stdout, timeout: *timeout, batch: *batchN, st: st, multi: multi}
-	if *pipelineFlag && multi == nil {
+	r := &runner{sess: sess, syms: syms, out: os.Stdout, timeout: *timeout, batch: *batchN, st: st}
+	if *pipelineFlag {
 		// The pipeline self-heals: when a storage fault breaks the
 		// session, it quarantines it and resurrects a fresh one by
 		// re-running recovery off the same journal directory —
@@ -363,7 +312,6 @@ type runner struct {
 	batch   int
 	st      *store.Session
 	pipe    *serve.Pipeline
-	multi   *shard.Multi
 	pending []bufferedOp
 }
 
@@ -416,15 +364,11 @@ func (r *runner) sessNow() updSession {
 }
 
 // viewRel returns the relation tuple parsing and `view` print against:
-// the published view in pipeline mode (the union across shards in
-// sharded mode), which never touches the session the committer owns,
-// and the session's view otherwise. Both are read-only here.
+// the published view in pipeline mode, which never touches the session
+// the committer owns, and the session's view otherwise. Both are
+// read-only here.
 func (r *runner) viewRel() *relation.Relation {
-	switch {
-	case r.multi != nil:
-		v, _, _ := r.multi.Published()
-		return v
-	case r.pipe != nil:
+	if r.pipe != nil {
 		v, _, _ := r.pipe.Published()
 		return v
 	}
@@ -489,16 +433,10 @@ func (r *runner) execute(line string) error {
 	}
 	switch cmd {
 	case "show":
-		if r.multi != nil {
-			return fmt.Errorf("show is not supported with -shards: each shard holds only its slice of the base instance")
-		}
 		fmt.Fprint(r.out, r.sessNow().Database().Format(r.syms))
 	case "view":
 		fmt.Fprint(r.out, r.viewRel().Format(r.syms))
 	case "decide":
-		if r.multi != nil {
-			return fmt.Errorf("decide is not supported with -shards: the decision runs inside the owning shard on apply")
-		}
 		sub := strings.SplitN(rest, " ", 2)
 		if len(sub) != 2 {
 			return fmt.Errorf("usage: decide <insert|delete|replace> <tuple>")
@@ -529,12 +467,9 @@ func (r *runner) execute(line string) error {
 		ctx, cancel := r.ctx()
 		defer cancel()
 		var d *core.Decision
-		switch {
-		case r.multi != nil:
-			d, err = r.multi.Apply(ctx, op)
-		case r.pipe != nil:
+		if r.pipe != nil {
 			d, err = r.pipe.ApplyCtx(ctx, op)
-		default:
+		} else {
 			d, err = r.sess.ApplyCtx(ctx, op)
 		}
 		r.report(cmd, d, err)
@@ -573,33 +508,6 @@ func (r *runner) flush() {
 	// One timeout bounds the whole flush: the group shares its fate.
 	ctx, cancel := r.ctx()
 	defer cancel()
-	if r.multi != nil {
-		// Submit the window asynchronously so ops routed to the same
-		// shard share its group commit; cross-shard ops resolve eagerly
-		// inside ApplyAsync.
-		waits := make([]serve.Waiter, len(buffered))
-		for i, b := range buffered {
-			w, err := r.multi.ApplyAsync(ctx, b.op)
-			if err != nil {
-				r.errs++
-				fmt.Fprintf(r.out, "batch: %s: error: %v\n", b.cmd, r.describeTimeout(err))
-				continue
-			}
-			waits[i] = w
-		}
-		for i, w := range waits {
-			if w == nil {
-				continue
-			}
-			d, err := w.Wait()
-			r.report(buffered[i].cmd, d, err)
-			if err != nil && !errors.Is(err, core.ErrRejected) {
-				r.errs++
-				fmt.Fprintf(r.out, "batch: %s: error: %v\n", buffered[i].cmd, r.describeTimeout(err))
-			}
-		}
-		return
-	}
 	if r.pipe != nil {
 		pends := make([]*serve.Pending, len(buffered))
 		for i, b := range buffered {

@@ -13,7 +13,6 @@ import (
 	"github.com/constcomp/constcomp/internal/obs"
 	"github.com/constcomp/constcomp/internal/relation"
 	"github.com/constcomp/constcomp/internal/serve"
-	"github.com/constcomp/constcomp/internal/shard"
 	"github.com/constcomp/constcomp/internal/store"
 	"github.com/constcomp/constcomp/internal/value"
 	"github.com/constcomp/constcomp/internal/workload"
@@ -303,91 +302,6 @@ insert pat tools
 	}
 	if !rec.View().Contains(relation.Tuple{syms2.Const("pat"), syms2.Const("tools")}) {
 		t.Error("end-of-script flush was not durable")
-	}
-}
-
-// TestScriptShardedMode drives the command loop through a sharded
-// multi-store: batched updates route to their owning shards, `view`
-// prints the union, `show`/`decide` are refused, and the applied
-// updates survive a crash of every shard.
-func TestScriptShardedMode(t *testing.T) {
-	const k = 3
-	pair, db, syms := fixture(t)
-	mem := store.NewMemFS()
-	fss := make([]store.FS, k)
-	for i := range fss {
-		fss[i] = shard.SubFS(mem, "s"+string(rune('0'+i))+"/")
-	}
-	m, _, err := shard.Open(fss, pair, db, syms, shard.Options{Shards: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Inserts are only translatable on shards already hosting the
-	// department, so pick fresh names that route there: toys lives on
-	// ed's and flo's shards, tools on bob's.
-	router := m.Router()
-	pick := func(prefix string, shards ...int) string {
-		for i := 0; i < 10000; i++ {
-			name := prefix + string(rune('0'+i%10)) + string(rune('a'+i/10%26)) + string(rune('a'+i/260))
-			for _, s := range shards {
-				if router.ShardOfName(name) == s {
-					return name
-				}
-			}
-		}
-		t.Fatalf("no %s name routing to shards %v", prefix, shards)
-		return ""
-	}
-	toyShards := []int{router.ShardOfName("ed"), router.ShardOfName("flo")}
-	toolShard := []int{router.ShardOfName("bob")}
-	ann, zed, pat := pick("ann", toyShards...), pick("zed", toolShard...), pick("pat", toolShard...)
-
-	var out bytes.Buffer
-	r := &runner{syms: syms, out: &out, batch: 4, multi: m}
-	script := "insert " + ann + " toys\n" +
-		"insert " + zed + " tools\n" +
-		"view\nshow\ndecide insert kim toys\n" +
-		"insert " + pat + " tools\n"
-	err = runScript(r, strings.NewReader(script))
-	if err == nil || !strings.Contains(err.Error(), "2 command(s) failed") {
-		t.Fatalf("show/decide should fail under -shards, got %v:\n%s", err, out.String())
-	}
-	for _, want := range []string{"not supported with -shards", ann, zed} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q:\n%s", want, out.String())
-		}
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	mem.Crash()
-	pair2, db2, syms2 := fixture(t)
-	fss2 := make([]store.FS, k)
-	for i := range fss2 {
-		fss2[i] = shard.SubFS(mem, "s"+string(rune('0'+i))+"/")
-	}
-	m2, _, err := shard.Open(fss2, pair2, db2, syms2, shard.Options{Shards: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-	v, _, _ := m2.Published()
-	for _, emp := range []string{ann, zed, pat} {
-		c, ok := syms2.Lookup(emp)
-		found := ok
-		if ok {
-			found = false
-			for _, tup := range v.Tuples() {
-				if tup[0] == c {
-					found = true
-					break
-				}
-			}
-		}
-		if !found {
-			t.Errorf("applied insert %s missing after sharded recovery:\n%s", emp, v.Format(syms2))
-		}
 	}
 }
 

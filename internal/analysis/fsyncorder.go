@@ -20,26 +20,16 @@ import (
 //     obligation to their callers, but it must be discharged before the
 //     API boundary. The helper summaries are a whole-program fact, so an
 //     obligation created in internal/store and leaked through a wrapper
-//     in another package is still caught, and
-//  3. the two-phase ordering: a call to AppendCommit on a txlog-like
-//     value must be dominated, in the same function's CFG, by a call to
-//     AppendIntent. AppendIntent fsyncs its record by contract, so
-//     dominance means every path that writes a commit record first made
-//     the intent durable on the participants — a commit record without
-//     durable intents would commit a transaction recovery cannot redo.
+//     in another package is still caught.
 //
 // "FS-like" is duck-typed: any interface that offers both the mutating
 // method and SyncDir. Methods on types that themselves implement such an
 // interface (DirFS, MemFS, FaultFS) are the substrate, not users of it,
-// and are skipped. "Txlog-like" is likewise duck-typed — any value
-// whose type offers AppendIntent, AppendCommit, and Sync (interface or
-// concrete) — and methods on txlog-like receivers are skipped: they
-// are the substrate encoding records, not protocol users.
+// and are skipped.
 var FsyncOrder = &Analyzer{
 	Name: "fsyncorder",
 	Doc: "flag FS namespace changes (Create/OpenAppend/Rename/Remove) not " +
-		"bracketed by File.Sync and SyncDir on the success path, and " +
-		"two-phase commit records not dominated by their intent append",
+		"bracketed by File.Sync and SyncDir on the success path",
 	Run: runFsyncOrder,
 }
 
@@ -65,48 +55,6 @@ func fsLikeCall(info *types.Info, call *ast.CallExpr) (name string, ok bool) {
 func isFileSyncCall(info *types.Info, call *ast.CallExpr) bool {
 	_, name, isMethod := methodCall(info, call)
 	return isMethod && name == "Sync" && len(call.Args) == 0
-}
-
-// txLogLike reports whether t (interface or concrete) offers the
-// two-phase trio AppendIntent / AppendCommit / Sync.
-func txLogLike(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if iface := ifaceOf(t); iface != nil {
-		return ifaceHasMethod(iface, "AppendIntent") &&
-			ifaceHasMethod(iface, "AppendCommit") &&
-			ifaceHasMethod(iface, "Sync")
-	}
-	want := map[string]bool{"AppendIntent": false, "AppendCommit": false, "Sync": false}
-	for _, typ := range []types.Type{t, types.NewPointer(deref(t))} {
-		ms := types.NewMethodSet(typ)
-		for i := 0; i < ms.Len(); i++ {
-			if _, ok := want[ms.At(i).Obj().Name()]; ok {
-				want[ms.At(i).Obj().Name()] = true
-			}
-		}
-	}
-	return want["AppendIntent"] && want["AppendCommit"] && want["Sync"]
-}
-
-// txLogCall classifies x.M(...) where x is txlog-like, returning M.
-func txLogCall(info *types.Info, call *ast.CallExpr) (name string, ok bool) {
-	recv, name, isMethod := methodCall(info, call)
-	if !isMethod || !txLogLike(info.TypeOf(recv)) {
-		return "", false
-	}
-	return name, true
-}
-
-// implementsTxLogLike reports whether the method's receiver type is
-// itself txlog-like — the record-encoding substrate, exempt from the
-// protocol-ordering rule (AppendCommit's own body appends no intent).
-func implementsTxLogLike(fd *ast.FuncDecl, info *types.Info) bool {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return false
-	}
-	return txLogLike(info.TypeOf(fd.Recv.List[0].Type))
 }
 
 // implementsFSLike reports whether the method's receiver type itself has
@@ -248,40 +196,6 @@ func runFsyncOrder(pass *Pass) error {
 			}
 			return true
 		})
-		// Rule 3: a commit record only after its durable intents. Every
-		// AppendCommit call on a txlog-like value must be dominated by
-		// an AppendIntent call in this function's CFG, so no path can
-		// write the commit record before the intent is on disk.
-		if !implementsTxLogLike(fd, pass.Info) {
-			var ff *funcFlow
-			var intents []ast.Node
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				name, ok := txLogCall(pass.Info, call)
-				if !ok || name != "AppendCommit" {
-					return true
-				}
-				if ff == nil {
-					ff = newFuncFlow(fd)
-					intents = collectGuards(fd.Body, func(m ast.Node) bool {
-						c, ok := m.(*ast.CallExpr)
-						if !ok {
-							return false
-						}
-						in, ok := txLogCall(pass.Info, c)
-						return ok && in == "AppendIntent"
-					})
-				}
-				if !ff.guardedBy(call, intents) {
-					pass.Reportf(call.Pos(),
-						"AppendCommit is not dominated by AppendIntent in this function: a path can write the commit record before the intent is durable, committing a transaction recovery cannot redo")
-				}
-				return true
-			})
-		}
 		// Rule 2: exported entry points must not return with the
 		// namespace dirty.
 		if fd.Name.IsExported() {

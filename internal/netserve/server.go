@@ -59,15 +59,10 @@ func (o Options) maxBody() int64 {
 // viewState is one named view behind the server.
 type viewState struct {
 	name  string
-	be    backend
+	pipe  *serve.Pipeline
 	syms  *value.Symbols
 	attrs []string // column names in view column order
 	width int
-}
-
-// published returns the view to serve a read from right now.
-func (vs *viewState) published() (*relation.Relation, uint64, bool) {
-	return vs.be.Published()
 }
 
 // Server fronts one serve.Pipeline per named view schema with HTTP.
@@ -123,7 +118,7 @@ func (s *Server) AddView(name string, st *store.Session, syms *value.Symbols, po
 	}
 	vs := &viewState{
 		name:  name,
-		be:    &pipelineBackend{pipe: pipe},
+		pipe:  pipe,
 		syms:  syms,
 		attrs: attrs,
 		width: len(attrs),
@@ -164,9 +159,9 @@ func (s *Server) viewNames() []string {
 	return names
 }
 
-// Close drains every backend and shuts the admission gate. Each
-// backend closes its own store sessions (which a resurrection may have
-// swapped since the view was added).
+// Close shuts the admission gate, then drains every pipeline and closes
+// the store session behind it (which a resurrection may have swapped
+// since the view was added).
 func (s *Server) Close() error {
 	s.adm.Close()
 	var firstErr error
@@ -175,7 +170,11 @@ func (s *Server) Close() error {
 		if !ok {
 			continue
 		}
-		if err := vs.be.Close(); err != nil && firstErr == nil {
+		err := vs.pipe.Close()
+		if serr := vs.pipe.Store().Close(); err == nil {
+			err = serr
+		}
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -253,9 +252,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		_, seq, degraded := vs.published()
-		h.Views = append(h.Views, ViewStatus{Name: name, Seq: seq, Degraded: degraded,
-			Shards: vs.be.ShardStatuses()})
+		_, seq, degraded := vs.pipe.Published()
+		h.Views = append(h.Views, ViewStatus{Name: name, Seq: seq, Degraded: degraded})
 	}
 	writeJSON(w, http.StatusOK, h)
 }
@@ -267,9 +265,8 @@ func (s *Server) handleListViews(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		_, seq, degraded := vs.published()
-		out = append(out, ViewStatus{Name: name, Seq: seq, Degraded: degraded,
-			Shards: vs.be.ShardStatuses()})
+		_, seq, degraded := vs.pipe.Published()
+		out = append(out, ViewStatus{Name: name, Seq: seq, Degraded: degraded})
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -281,7 +278,7 @@ func (s *Server) handleGetView(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown view %q", r.PathValue("name"))
 		return
 	}
-	view, seq, degraded := vs.published()
+	view, seq, degraded := vs.pipe.Published()
 	resp := ViewResponse{Name: vs.name, Attrs: vs.attrs, Seq: seq, Degraded: degraded}
 	if view != nil {
 		rows := view.Sorted(view.Attrs())
@@ -478,12 +475,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	// Enqueue the whole request before waiting on any op: ops in flight
-	// together share their pipeline's group commit (one fsync per
-	// touched shard).
-	pends := make([]serve.Waiter, len(ops))
+	// together share the pipeline's group commit (one fsync).
+	pends := make([]*serve.Pending, len(ops))
 	results := make([]OpResult, len(ops))
 	for i, op := range ops {
-		pend, err := vs.be.ApplyAsync(r.Context(), op)
+		pend, err := vs.pipe.ApplyAsync(r.Context(), op)
 		if err != nil {
 			if errors.Is(err, store.ErrSessionBroken) || errors.Is(err, serve.ErrClosed) {
 				writeErr(w, http.StatusServiceUnavailable, "view %q unavailable: %v", vs.name, err)
@@ -513,11 +509,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// The degraded header is scoped to what this request touched: on a
-	// sharded backend a broken shard taints only submissions routed to
-	// its key range, so healthy key ranges keep reporting healthy.
-	_, seq, _ := vs.published()
-	degraded := vs.be.DegradedFor(ops)
+	// The degraded header reports the pipeline's state after this
+	// request's ops settled: true while it heals or once it latched.
+	_, seq, _ := vs.pipe.Published()
+	degraded := vs.pipe.Degraded()
 	w.Header().Set(HeaderDegraded, strconv.FormatBool(degraded))
 	w.Header().Set(HeaderSeq, strconv.FormatUint(seq, 10))
 	status := http.StatusOK

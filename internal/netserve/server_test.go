@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -379,6 +380,111 @@ func TestServerDegradedReadDuringHealing(t *testing.T) {
 	}
 	if !ffs.Tripped() {
 		t.Fatal("fault never fired; test exercised nothing")
+	}
+}
+
+// journalTrackFS records every journal handle opened through it and
+// how often each was closed, so a test can tell which session's
+// journal a Close reached.
+type journalTrackFS struct {
+	store.FS
+	mu      sync.Mutex
+	handles []*trackedFile
+}
+
+type trackedFile struct {
+	store.File
+	fs     *journalTrackFS
+	closes int
+}
+
+func (f *trackedFile) Close() error {
+	f.fs.mu.Lock()
+	f.closes++
+	f.fs.mu.Unlock()
+	return f.File.Close()
+}
+
+func (t *journalTrackFS) track(name string, f store.File, err error) (store.File, error) {
+	if err != nil || name != store.JournalFile {
+		return f, err
+	}
+	tf := &trackedFile{File: f, fs: t}
+	t.mu.Lock()
+	t.handles = append(t.handles, tf)
+	t.mu.Unlock()
+	return tf, nil
+}
+
+func (t *journalTrackFS) Create(name string) (store.File, error) {
+	f, err := t.FS.Create(name)
+	return t.track(name, f, err)
+}
+
+func (t *journalTrackFS) OpenAppend(name string) (store.File, error) {
+	f, err := t.FS.OpenAppend(name)
+	return t.track(name, f, err)
+}
+
+// closes reports each journal handle's close count, in opening order.
+func (t *journalTrackFS) closes() []int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]int, len(t.handles))
+	for i, h := range t.handles {
+		out[i] = h.closes
+	}
+	return out
+}
+
+// TestServerCloseClosesResurrectedSession pins Server.Close after a
+// heal: the pipeline's first session was quarantined (its journal
+// closed by the heal) and a resurrected one serves on, so Close must
+// close the resurrected session's journal, leave the quarantined one
+// alone, and return nil.
+func TestServerCloseClosesResurrectedSession(t *testing.T) {
+	edm := workload.NewEDM()
+	pair := core.MustPair(edm.Schema, edm.ED, edm.DM)
+	tfs := &journalTrackFS{FS: store.NewFaultFS(store.NewMemFS(), store.FaultPlan{
+		Match:      func(name string) bool { return name == store.JournalFile },
+		FailSyncAt: 2,
+	})}
+	sopts := store.Options{SnapshotEvery: 1 << 20}
+	st, err := store.Create(tfs, pair, edm.Instance(8, 4), edm.Syms, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(Options{})
+	err = srv.AddView("ed", st, edm.Syms, serve.Options{
+		MaxBatch: 1,
+		Resurrect: func() (*store.Session, error) {
+			ns, _, err := store.Recover(tfs, pair, edm.Syms, sopts)
+			return ns, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	// The second op trips the journal fault; its ack comes after the
+	// heal re-journals it on the resurrected session.
+	for _, emp := range []string{"w1", "w2"} {
+		resp, sr := postJSON(t, ts.URL+"/v1/views/ed/submit", "", SubmitRequest{
+			Ops: []WireOp{{Kind: KindInsert, Tuple: []string{emp, "dept0"}}},
+		})
+		if resp.StatusCode != http.StatusOK || !sr.Results[0].Applied {
+			t.Fatalf("submit %s: status %d, %+v", emp, resp.StatusCode, sr.Results)
+		}
+	}
+	ts.Close()
+	if got := tfs.closes(); len(got) != 2 || got[0] != 1 || got[1] != 0 {
+		t.Fatalf("journal close counts before Close = %v, want [1 0] (quarantined, resurrected)", got)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Server.Close = %v, want nil", err)
+	}
+	if got := tfs.closes(); got[0] != 1 || got[1] != 1 {
+		t.Errorf("journal close counts after Close = %v, want [1 1]: Close must close the resurrected session, not the quarantined one", got)
 	}
 }
 

@@ -23,8 +23,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-
-	"github.com/constcomp/constcomp/internal/shard"
 )
 
 // Content types of the two submit encodings.
@@ -115,14 +113,10 @@ type ViewResponse struct {
 }
 
 // ViewStatus is one entry of the GET /v1/views listing and /healthz.
-// Shards is present only for views backed by a sharded multi-store:
-// the top-level Degraded is the any-shard union, and Shards says which
-// key ranges are actually affected.
 type ViewStatus struct {
-	Name     string              `json:"name"`
-	Seq      uint64              `json:"seq"`
-	Degraded bool                `json:"degraded"`
-	Shards   []shard.ShardStatus `json:"shards,omitempty"`
+	Name     string `json:"name"`
+	Seq      uint64 `json:"seq"`
+	Degraded bool   `json:"degraded"`
 }
 
 // Binary framing. A stream is a sequence of frames, each a u32

@@ -160,8 +160,8 @@ func (o Options) clock() obs.Clock {
 
 // Pending is one submitted op in flight through the pipeline, and the
 // handle ApplyAsync returns for it: the one object a submission
-// allocates. The submitter writes ctx, op, enqNS and exclusive before
-// it enqueues the request and touches none of them after; the committer
+// allocates. The submitter writes ctx, op and enqNS before it
+// enqueues the request and touches none of them after; the committer
 // writes res exactly once and then marks acked done, which orders that
 // write before every read of res in Wait.
 type Pending struct {
@@ -169,10 +169,6 @@ type Pending struct {
 	op  core.UpdateOp
 	// enqNS is the clock reading at enqueue, for queue-deadline shedding.
 	enqNS int64
-	// exclusive marks an exclusive-access request (see Exclusive):
-	// instead of carrying an op it asks the committer to park and hand
-	// its store session to the caller in res.grant.
-	exclusive bool
 
 	acked sync.WaitGroup
 	res   result
@@ -182,9 +178,8 @@ type Pending struct {
 type request = Pending
 
 type result struct {
-	d     *core.Decision
-	err   error
-	grant *ExclusiveGrant // an exclusive request's grant, when err is nil
+	d   *core.Decision
+	err error
 }
 
 // newRequest returns a request not yet acknowledged.
@@ -251,7 +246,7 @@ type Pipeline struct {
 	degraded atomic.Bool
 
 	// pubView is the read side's view: published by New, then after
-	// every committed batch, grant and resurrection. Never nil.
+	// every committed batch and resurrection. Never nil.
 	pubView atomic.Pointer[publishedView]
 
 	// decBackoff paces decide-domain retries; healBackoff paces
@@ -259,11 +254,6 @@ type Pipeline struct {
 	// seeds keep the two jitter streams independent.
 	decBackoff  *backoff
 	healBackoff *backoff
-
-	// held is a request the committer took off the queue while filling
-	// a batch but could not add to it (an exclusive request): it opens
-	// the next round, so queue order is kept. Committer goroutine only.
-	held *request
 }
 
 type brokenState struct{ err error }
@@ -326,11 +316,11 @@ func (p *Pipeline) Published() (*relation.Relation, uint64, bool) {
 }
 
 // publishView hands the session's view to the read side. Committer
-// goroutine only, New before the committer starts, or an exclusive
-// grant's holder while the committer is parked. The published relation
-// is the session's one maintained view image (core.Session.ViewRef), so
-// a publish never re-projects the database, and the ref stays immutable
-// — the session clones its image before the next op changes it. Past
+// goroutine only, or New before the committer starts. The published
+// relation is the session's one maintained view image
+// (core.Session.ViewRef), so a publish never re-projects the database,
+// and the ref stays immutable — the session clones its image before
+// the next op changes it. Past
 // 2048 rows that clone shares the image's storage copy-on-write
 // (relation.Relation.Clone), so a batch costs O(|batch|), not O(|view|).
 func (p *Pipeline) publishView(st *store.Session) {
@@ -412,112 +402,11 @@ func (p *Pipeline) ApplyAsync(ctx context.Context, op core.UpdateOp) (*Pending, 
 	}
 }
 
-// Waiter is the part of Pending a front-end needs: anything whose fate
-// can be awaited. The sharded layer returns its own pendings for
-// cross-shard ops, so callers that mix single- and multi-shard
-// submissions program against this interface.
+// Waiter is the part of Pending a caller needs to await an op's fate.
+// Code that only waits, such as a client's window of in-flight
+// submissions, holds Waiters rather than *Pending.
 type Waiter interface {
 	Wait() (*core.Decision, error)
-}
-
-// ExclusiveGrant is exclusive ownership of the pipeline's store
-// session, handed out by Exclusive. While a grant is held the committer
-// is parked: no batch commits, no resurrection, no published-view
-// update happens until Release. The holder may read the session and
-// apply operations through it (each Apply journals and fsyncs exactly
-// as the committer's batches do); the serial-session discipline is the
-// holder's to keep.
-type ExclusiveGrant struct {
-	p    *Pipeline
-	st   *store.Session
-	done chan exclRelease
-}
-
-// exclRelease is the holder→committer handoff ending a grant: a
-// session swap (Release) or a terminal verdict (Abandon).
-type exclRelease struct {
-	ns      *store.Session
-	abandon error
-}
-
-// Session returns the live store session the grant covers.
-func (g *ExclusiveGrant) Session() *store.Session { return g.st }
-
-// Release ends the grant and resumes the pipeline. A non-nil ns
-// replaces the pipeline's session — the holder resurrected it after
-// breaking it — exactly as the committer's own healing would have.
-// Ops the holder applied went through the session itself, so its
-// maintained delta state stays current and nothing is invalidated; the
-// next queued op is decided against the holder's changes. Release
-// publishes the holder's view before it returns, so a reader that
-// follows the holder's Release sees the holder's ops. Release must be
-// called exactly once per grant.
-func (g *ExclusiveGrant) Release(ns *store.Session) {
-	st := g.st
-	if ns != nil {
-		st = ns
-	}
-	g.p.publishView(st)
-	//constvet:allow deadlineflow -- done is buffered (cap 1) and each grant ends exactly once; the send cannot block
-	g.done <- exclRelease{ns: ns}
-}
-
-// Abandon ends the grant by latching the pipeline broken with err:
-// queued and future ops fail fast with the error and nothing further
-// touches the store until a fresh recovery reopens it. The two-phase
-// cross-shard path uses it to fence a shard whose commit outcome is
-// genuinely in doubt — applying any later op could collide with what
-// recovery resolution will redo. Call exactly once, instead of Release.
-func (g *ExclusiveGrant) Abandon(err error) {
-	//constvet:allow deadlineflow -- done is buffered (cap 1) and each grant ends exactly once; the send cannot block
-	g.done <- exclRelease{abandon: err}
-}
-
-// Exclusive enqueues a request for exclusive access to the store
-// session and blocks until every op ahead of it has committed and the
-// committer parks. The two-phase cross-shard commit in internal/shard
-// uses it to fence a shard while intent/commit records and op halves
-// land on several shards atomically. ctx bounds the queue wait the same
-// way it does for ApplyAsync; once the request is admitted the grant
-// always arrives and the caller must end it (Release or Abandon).
-func (p *Pipeline) Exclusive(ctx context.Context) (*ExclusiveGrant, error) {
-	if err := p.brokenErr(); err != nil {
-		return nil, fmt.Errorf("%w: %w", store.ErrSessionBroken, err)
-	}
-	r := newRequest(ctx, core.UpdateOp{}, p.clock.NowNS())
-	r.exclusive = true
-	p.mu.RLock()
-	if p.closed {
-		p.mu.RUnlock()
-		return nil, ErrClosed
-	}
-	if p.opts.ShedOnFull {
-		select {
-		case p.submit <- r:
-			p.mu.RUnlock()
-		default:
-			p.mu.RUnlock()
-			if m := svmetrics.Load(); m != nil {
-				m.shed.Inc()
-			}
-			return nil, ErrShed
-		}
-	} else {
-		//constvet:allow lockhold -- RLock only fences Close; the committer drains submit without touching mu, so the send makes progress while readers hold the lock
-		select {
-		case p.submit <- r:
-			p.mu.RUnlock()
-		case <-ctx.Done():
-			p.mu.RUnlock()
-			return nil, ctx.Err()
-		}
-	}
-	// The grant or a terminal error always arrives: the committer grants
-	// or fails every admitted request. Waiting on ctx here would leak the
-	// grant.
-	//constvet:allow deadlineflow -- every admitted exclusive is either granted or acked with an error; abandoning the wait on ctx would orphan the grant and deadlock the committer
-	r.acked.Wait()
-	return r.res.grant, r.res.err
 }
 
 // Close stops accepting submissions, drains every op already accepted
@@ -543,20 +432,17 @@ func (p *Pipeline) Close() error {
 func (p *Pipeline) committer() {
 	defer close(p.done)
 	for {
-		first := p.held
-		p.held = nil
-		if first == nil {
+		var first *request
+		select {
+		case first = <-p.submit:
+		case <-p.quit:
+			// closed was set before quit, and every in-flight send
+			// finished before Close could take the write lock — the
+			// queue can only shrink now. Drain it, then stop.
 			select {
 			case first = <-p.submit:
-			case <-p.quit:
-				// closed was set before quit, and every in-flight send
-				// finished before Close could take the write lock — the
-				// queue can only shrink now. Drain it, then stop.
-				select {
-				case first = <-p.submit:
-				default:
-					return
-				}
+			default:
+				return
 			}
 		}
 		reqs := []*request{first}
@@ -576,30 +462,20 @@ func (p *Pipeline) committer() {
 	}
 }
 
-// process admits the drained requests in queue order, commits the ops
-// ahead of an exclusive request before granting it, and commits the
-// rest as one batch, which requests arriving meanwhile may join.
+// process admits the drained requests in queue order and commits them
+// as one batch, which requests arriving meanwhile may join.
 func (p *Pipeline) process(reqs []*request) {
-	var live []*request
+	live := reqs[:0]
 	for _, r := range reqs {
-		if !p.admit(r) {
-			continue
+		if p.admit(r) {
+			live = append(live, r)
 		}
-		if r.exclusive {
-			// Exclusive access: everything queued ahead of it commits
-			// first, so the holder sees every earlier op.
-			p.commitBatch(live, false)
-			live = nil
-			p.grantExclusive(r)
-			continue
-		}
-		live = append(live, r)
 	}
-	p.commitBatch(live, true)
+	p.commitBatch(live)
 }
 
 // admit reports whether a request taken off the queue goes on to be
-// committed or granted. It fails the request fast on a latched pipeline
+// committed. It fails the request fast on a latched pipeline
 // and sheds it if it was cancelled or aged out while queued; either way
 // it is acknowledged here.
 func (p *Pipeline) admit(r *request) bool {
@@ -630,46 +506,35 @@ func (p *Pipeline) admit(r *request) bool {
 // one is already waiting and the batch (n members so far) has room: an
 // op that arrives while its predecessors are being decided shares their
 // write and fsync instead of waiting a whole batch for the next one. It
-// acknowledges the requests admit turns away, stops at an exclusive
-// request (held for the next round), and never waits; nil closes the
-// batch.
+// acknowledges the requests admit turns away and never waits; nil
+// closes the batch.
 func (p *Pipeline) join(n int) *request {
 	for n < p.opts.maxBatch() {
-		var r *request
 		select {
-		case r = <-p.submit:
+		case r := <-p.submit:
+			if p.admit(r) {
+				return r
+			}
 		default:
 			return nil
 		}
-		if !p.admit(r) {
-			continue
-		}
-		if r.exclusive {
-			p.held = r
-			return nil
-		}
-		return r
 	}
 	return nil
 }
 
 // commitBatch decides, applies and journals reqs as one store batch —
 // one write, one fsync — each op under its submitter's context, with
-// transient decide failures retried in place. With open, requests
-// queued by the time reqs are applied join the batch (join) before it
-// is journaled; a batch followed by an exclusive request in queue order
-// is committed closed. Committer goroutine only.
-func (p *Pipeline) commitBatch(reqs []*request, open bool) {
+// transient decide failures retried in place. Requests queued by the
+// time reqs are applied join the batch (join) before it is journaled.
+// Committer goroutine only.
+func (p *Pipeline) commitBatch(reqs []*request) {
 	if len(reqs) == 0 {
 		return
 	}
 	st := p.store()
 	next := func(i int) (store.BatchOp, bool) {
 		if i == len(reqs) {
-			var r *request
-			if open {
-				r = p.join(i)
-			}
+			r := p.join(i)
 			if r == nil {
 				return store.BatchOp{}, false
 			}
@@ -727,41 +592,6 @@ func (p *Pipeline) retryDecide(r *request, attempt int, err error) bool {
 		m.retryLatency.ObserveDuration(p.clock.NowNS() - t0)
 	}
 	return true
-}
-
-// grantExclusive parks the committer for the duration of an exclusive
-// grant: it hands the live session to the waiting Exclusive caller and
-// blocks until Release. A holder that broke and resurrected the session
-// hands the fresh one back, and it is installed as a resurrection
-// would be. Committer goroutine only.
-func (p *Pipeline) grantExclusive(r *request) {
-	if err := r.ctx.Err(); err != nil {
-		r.ack(result{err: err})
-		return
-	}
-	st := p.store()
-	g := &ExclusiveGrant{p: p, st: st, done: make(chan exclRelease, 1)}
-	r.ack(result{grant: g})
-	// Park until the holder releases. Exclusive's contract obliges every
-	// granted caller to end the grant exactly once, so the receive
-	// terminates.
-	//constvet:allow deadlineflow -- the grant contract obliges the holder to Release or Abandon exactly once; parking the committer IS the exclusivity being granted
-	rel := <-g.done
-	if rel.abandon != nil {
-		// The holder declared the shard unusable (in-doubt two-phase
-		// outcome). Latch: queued and future ops fail fast, reads keep
-		// serving the last published view.
-		p.latch(nil, nil, rel.abandon)
-		return
-	}
-	if ns := rel.ns; ns != nil && ns != st {
-		if m := svmetrics.Load(); m != nil {
-			m.resurrections.Inc()
-		}
-		p.stPtr.Store(ns)
-		st = ns
-	}
-	p.publishView(st)
 }
 
 // latch records the pipeline's terminal error and fails a batch's

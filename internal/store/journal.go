@@ -120,9 +120,9 @@ func decodeRecord(payload []byte) (Record, error) {
 }
 
 // scanRecords hands each intact journal record at the front of data to
-// fn; see ScanFrames for the returned offset and stop reason.
+// fn; see scanFrames for the returned offset and stop reason.
 func scanRecords(data []byte, fn func(Record) error) (int64, error) {
-	return ScanFrames(data, func(payload []byte) error {
+	return scanFrames(data, func(payload []byte) error {
 		rec, err := decodeRecord(payload)
 		if err != nil {
 			return err

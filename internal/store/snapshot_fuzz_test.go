@@ -35,7 +35,8 @@ func FuzzSnapshot(f *testing.F) {
 	f.Add(empty)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		framed := AppendFrame(append([]byte(nil), snapMagic...), data)
+		framed := openFrame(append([]byte(nil), snapMagic...))
+		framed = sealFrame(append(framed, data...), len(snapMagic))
 		for _, img := range [][]byte{data, framed} {
 			syms := value.NewSymbols()
 			seq, db, err := DecodeSnapshot(img, u, syms)
