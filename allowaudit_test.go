@@ -25,7 +25,7 @@ var allowInventory = map[string]int{
 	"internal/chase/depbasis.go#budgetloop":    1,
 	"internal/chase/incremental.go#budgetloop": 1,
 	"internal/chase/instance.go#budgetloop":    2,
-	"internal/chase/maintained.go#budgetloop":  2,
+	"internal/chase/maintained.go#budgetloop":  1,
 	"internal/chase/tableau.go#budgetloop":     1,
 	"internal/core/incremental.go#cachebound":  1,
 	"internal/core/insert.go#cachebound":       2,

@@ -22,7 +22,7 @@ type Prepared struct {
 	// baseBuckets[i]/baseNext[i] chain one representative row per
 	// distinct base Z-key of fds[i], keyed by the Z-key hash. In a
 	// fixpoint, all rows with a chained row's Z-key agree on A.
-	baseBuckets []*bucketTable
+	baseBuckets []*relation.HeadTable
 	baseNext    [][]int
 	// valueRows maps each value to the rows containing it.
 	valueRows map[value.Value][]int
@@ -61,19 +61,23 @@ func Prepare(rel *relation.Relation, fds []dep.FD) *Prepared {
 // rel's attribute set.
 func PrepareWithPlans(rel *relation.Relation, fds []dep.FD, plans Plans) *Prepared {
 	p := &Prepared{rel: rel, plans: plans, valueRows: make(map[value.Value][]int)}
-	p.baseBuckets = make([]*bucketTable, len(p.plans))
+	p.baseBuckets = make([]*relation.HeadTable, len(p.plans))
 	p.baseNext = make([][]int, len(p.plans))
 	for fi, plan := range p.plans {
-		bt := newBucketTable(rel.Len())
+		bt := relation.NewHeadTable(rel.Len())
 		nx := make([]int, rel.Len())
 		rel.Each(func(ri int, row relation.Tuple) bool {
-			h := zHash(row, plan[0], nil)
-			for j := bt.get(h); j >= 0; j = nx[j] {
-				if zEqual(rel.Tuple(j), row, plan[0], nil) {
+			h := relation.HashSeed
+			for _, c := range plan[0] {
+				h = relation.HashWord(h, row[c])
+			}
+			h = relation.HashFinish(h)
+			for j := bt.Get(h); j >= 0; j = nx[j] {
+				if equalOn(rel.Tuple(j), row, plan[0]) {
 					return true
 				}
 			}
-			nx[ri] = bt.put(h, ri)
+			nx[ri] = bt.Put(h, ri)
 			return true
 		})
 		p.baseBuckets[fi] = bt
@@ -92,39 +96,58 @@ func PrepareWithPlans(rel *relation.Relation, fds []dep.FD, plans Plans) *Prepar
 	return p
 }
 
-// zHash hashes the given columns of a row, resolving each value through
-// the overlay when ov is non-nil.
-func zHash(row relation.Tuple, cols []int, ov *Overlay) uint64 {
-	h := uint64(hashSeed)
-	for _, c := range cols {
-		v := row[c]
-		if ov != nil {
-			v = ov.findBase(v)
-		}
-		h = hashVal(h, uint64(v))
-	}
-	return hashMix(h)
+// WithEqualities imposes the given value pairs (over the base relation's
+// canonical values) and propagates the FDs to a new fixpoint. The
+// receiver is not modified; each call returns an independent overlay.
+func (p *Prepared) WithEqualities(pairs [][2]value.Value) *Overlay {
+	return impose(p, p.plans, pairs)
 }
 
-// zEqual compares two rows on the given columns, resolving through the
-// overlay when ov is non-nil.
-func zEqual(a, b relation.Tuple, cols []int, ov *Overlay) bool {
-	for _, c := range cols {
-		va, vb := a[c], b[c]
-		if ov != nil {
-			va, vb = ov.findBase(va), ov.findBase(vb)
-		}
-		if va != vb {
-			return false
-		}
+// find is the identity: a Prepared relation is already canonical.
+func (p *Prepared) find(v value.Value) value.Value { return v }
+
+func (p *Prepared) row(id int) relation.Tuple { return p.rel.Tuple(id) }
+
+func (p *Prepared) addRows(rows map[int]bool, v value.Value) {
+	for _, ri := range p.valueRows[v] {
+		rows[ri] = true
 	}
-	return true
 }
 
-// Overlay is the result of imposing equalities on a Prepared fixpoint:
-// a union-find layered over the base values, closed under the FDs.
+// baseMatch walks the base chain of hash h. The chains are keyed by
+// base hashes, so a hit is only a candidate until verified under the
+// overlay; a row whose key the overlay moved is on the worklist itself.
+func (p *Prepared) baseMatch(ov *Overlay, fi int, h uint64, row relation.Tuple) int {
+	z, nx := p.plans[fi][0], p.baseNext[fi]
+	for j := p.baseBuckets[fi].Get(h); j >= 0; j = nx[j] {
+		if ov.zEqual(p.rel.Tuple(j), row, z) {
+			return j
+		}
+	}
+	return -1
+}
+
+// fixpoint is a chase fixpoint an Overlay can be layered over: a batch
+// Prepared or a Maintained one. Rows are addressed by id.
+type fixpoint interface {
+	// find resolves a raw value to its fixpoint representative.
+	find(v value.Value) value.Value
+	// row returns the tuple of a live row.
+	row(id int) relation.Tuple
+	// addRows adds to rows the live rows holding a raw value of the
+	// class of the fixpoint representative v.
+	addRows(rows map[int]bool, v value.Value)
+	// baseMatch returns a row filed under hash h in plan fi's buckets
+	// whose Z-key equals row's under ov's resolution, or -1.
+	baseMatch(ov *Overlay, fi int, h uint64, row relation.Tuple) int
+}
+
+// Overlay is the result of imposing equalities on a chase fixpoint (a
+// Prepared or a Maintained one) without mutating it: a union-find over
+// the fixpoint's representatives, closed under the FDs. The exact
+// translatability tests impose one per candidate (f, r) pair.
 type Overlay struct {
-	p       *Prepared
+	base    fixpoint
 	parent  map[value.Value]value.Value
 	members map[value.Value][]value.Value
 	clash   bool
@@ -134,15 +157,16 @@ type Overlay struct {
 	overlayBuckets []map[uint64][]int
 }
 
-// WithEqualities imposes the given value pairs (over the base relation's
-// canonical values) and propagates the FDs to a new fixpoint. The
-// receiver is not modified; each call returns an independent overlay.
-func (p *Prepared) WithEqualities(pairs [][2]value.Value) *Overlay {
+// impose imposes the value pairs (over base's representatives) on base
+// and propagates the FDs of plans to a new fixpoint: each merge sends
+// the rows holding a value of the merged class through every plan's
+// bucket probe, the overlay's own buckets first, then base's.
+func impose(base fixpoint, plans Plans, pairs [][2]value.Value) *Overlay {
 	ov := &Overlay{
-		p:              p,
+		base:           base,
 		parent:         make(map[value.Value]value.Value),
 		members:        make(map[value.Value][]value.Value),
-		overlayBuckets: make([]map[uint64][]int, len(p.plans)),
+		overlayBuckets: make([]map[uint64][]int, len(plans)),
 	}
 	for i := range ov.overlayBuckets {
 		ov.overlayBuckets[i] = make(map[uint64][]int)
@@ -164,10 +188,10 @@ func (p *Prepared) WithEqualities(pairs [][2]value.Value) *Overlay {
 		// Visited in sorted order: iteration feeds ov.union, and the
 		// merge order decides class representatives and members order.
 		rows := map[int]bool{}
-		for _, v := range ov.classMembers(loser) {
-			for _, ri := range p.valueRows[v] {
-				rows[ri] = true
-			}
+		r := ov.resolve(loser)
+		base.addRows(rows, r)
+		for _, v := range ov.members[r] {
+			base.addRows(rows, v)
 		}
 		order := make([]int, 0, len(rows))
 		for ri := range rows {
@@ -175,27 +199,18 @@ func (p *Prepared) WithEqualities(pairs [][2]value.Value) *Overlay {
 		}
 		sort.Ints(order)
 		for _, ri := range order {
-			row := p.rel.Tuple(ri)
-			for fi, plan := range p.plans {
-				h := zHash(row, plan[0], ov)
+			row := base.row(ri)
+			for fi, plan := range plans {
+				h := ov.zHash(row, plan[0])
 				other := -1
 				for _, cand := range ov.overlayBuckets[fi][h] {
-					if zEqual(p.rel.Tuple(cand), row, plan[0], ov) {
+					if ov.zEqual(base.row(cand), row, plan[0]) {
 						other = cand
 						break
 					}
 				}
 				if other < 0 {
-					// Fall back to the base chains: a representative whose
-					// resolved key equals this row's (verified, so it does
-					// not matter that chains are keyed by base hashes).
-					nx := p.baseNext[fi]
-					for j := p.baseBuckets[fi].get(h); j >= 0; j = nx[j] {
-						if zEqual(p.rel.Tuple(j), row, plan[0], ov) {
-							other = j
-							break
-						}
-					}
+					other = base.baseMatch(ov, fi, h, row)
 				}
 				if other < 0 {
 					ov.overlayBuckets[fi][h] = append(ov.overlayBuckets[fi][h], ri)
@@ -204,7 +219,7 @@ func (p *Prepared) WithEqualities(pairs [][2]value.Value) *Overlay {
 				if other == ri {
 					continue
 				}
-				otherRow := p.rel.Tuple(other)
+				otherRow := base.row(other)
 				for _, c := range plan[1] {
 					if l, changed := ov.union(row[c], otherRow[c]); changed {
 						queue = append(queue, l)
@@ -219,16 +234,9 @@ func (p *Prepared) WithEqualities(pairs [][2]value.Value) *Overlay {
 	return ov
 }
 
-// classMembers returns the base values currently in v's class (including
-// v itself).
-func (ov *Overlay) classMembers(v value.Value) []value.Value {
-	r := ov.findBase(v)
-	out := append([]value.Value{r}, ov.members[r]...)
-	return out
-}
-
-// findBase resolves a base-canonical value through the overlay.
-func (ov *Overlay) findBase(v value.Value) value.Value {
+// resolve maps a raw value through the base then the overlay union-find.
+func (ov *Overlay) resolve(v value.Value) value.Value {
+	v = ov.base.find(v)
 	for {
 		n, ok := ov.parent[v]
 		if !ok {
@@ -238,11 +246,32 @@ func (ov *Overlay) findBase(v value.Value) value.Value {
 	}
 }
 
-// union merges the overlay classes of a and b. It reports the losing
-// representative and whether a merge happened; a constant/constant merge
-// sets the clash flag instead.
+// zHash hashes the given columns of a row under overlay resolution.
+func (ov *Overlay) zHash(row relation.Tuple, cols []int) uint64 {
+	h := relation.HashSeed
+	for _, c := range cols {
+		h = relation.HashWord(h, ov.resolve(row[c]))
+	}
+	return relation.HashFinish(h)
+}
+
+// zEqual compares two rows on the given columns under overlay
+// resolution.
+func (ov *Overlay) zEqual(a, b relation.Tuple, cols []int) bool {
+	for _, c := range cols {
+		if ov.resolve(a[c]) != ov.resolve(b[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+// union merges the overlay classes of a and b, with the chase's
+// tie-break (constants win; among nulls the numeric maximum). It
+// reports the losing representative and whether a merge happened; a
+// constant/constant merge sets the clash flag instead.
 func (ov *Overlay) union(a, b value.Value) (value.Value, bool) {
-	ra, rb := ov.findBase(a), ov.findBase(b)
+	ra, rb := ov.resolve(a), ov.resolve(b)
 	if ra == rb {
 		return 0, false
 	}
@@ -264,8 +293,18 @@ func (ov *Overlay) union(a, b value.Value) (value.Value, bool) {
 // equal.
 func (ov *Overlay) ConstClash() bool { return ov.clash }
 
-// Same reports whether two values (given in base-canonical form) are
-// equal under the overlay.
+// Same reports whether two values (given in the base's canonical form)
+// are equal under the overlay.
 func (ov *Overlay) Same(a, b value.Value) bool {
-	return ov.findBase(a) == ov.findBase(b)
+	return ov.resolve(a) == ov.resolve(b)
+}
+
+// equalOn reports whether two rows agree on the given columns.
+func equalOn(a, b relation.Tuple, cols []int) bool {
+	for _, c := range cols {
+		if a[c] != b[c] {
+			return false
+		}
+	}
+	return true
 }

@@ -128,22 +128,22 @@ func InstanceBudget(b *budget.B, rel *relation.Relation, fds []dep.FD) (*Result,
 			zc, ac := p[0], p[1]
 			// Bucket rows by the hash of their resolved Z values; one
 			// chain entry per distinct resolved Z (collisions verified).
-			bt := newBucketTable(len(tuples))
+			bt := relation.NewHeadTable(len(tuples))
 			for ti, t := range tuples {
-				h := uint64(hashSeed)
+				h := relation.HashSeed
 				for _, c := range zc {
-					h = hashVal(h, uint64(res.Find(t[c])))
+					h = relation.HashWord(h, res.Find(t[c]))
 				}
-				h = hashMix(h)
+				h = relation.HashFinish(h)
 				rep := -1
-				for j := bt.get(h); j >= 0; j = next[j] {
+				for j := bt.Get(h); j >= 0; j = next[j] {
 					if sameResolved(tuples[j], t, zc, res) {
 						rep = j
 						break
 					}
 				}
 				if rep < 0 {
-					next[ti] = bt.put(h, ti)
+					next[ti] = bt.Put(h, ti)
 					continue
 				}
 				prev := tuples[rep]

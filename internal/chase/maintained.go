@@ -554,11 +554,11 @@ func (m *Maintained) visitRow(ri int, queue []value.Value) []value.Value {
 
 // zHashRow hashes the resolved values of the given columns.
 func (m *Maintained) zHashRow(row relation.Tuple, cols []int) uint64 {
-	h := uint64(hashSeed)
+	h := relation.HashSeed
 	for _, c := range cols {
-		h = hashVal(h, uint64(m.Find(row[c])))
+		h = relation.HashWord(h, m.Find(row[c]))
 	}
-	return hashMix(h)
+	return relation.HashFinish(h)
 }
 
 // zEqualRows compares two rows on the given columns under resolution.
@@ -569,13 +569,6 @@ func (m *Maintained) zEqualRows(a, b relation.Tuple, cols []int) bool {
 		}
 	}
 	return true
-}
-
-// classValues returns the raw values currently in v's class (including
-// the representative).
-func (m *Maintained) classValues(v value.Value) []value.Value {
-	r := m.Find(v)
-	return append([]value.Value{r}, m.members[r]...)
 }
 
 // union merges the classes of a and b, preferring constants and then
@@ -634,177 +627,41 @@ func (m *Maintained) componentOf(id int) []int {
 	return out
 }
 
-// MOverlay is the result of imposing equalities on a Maintained
-// fixpoint without mutating it: the counterpart of Overlay for
-// maintained (rather than batch-prepared) state. The exact
-// translatability tests run one per candidate (f, r) pair.
-type MOverlay struct {
-	m       *Maintained
-	parent  map[value.Value]value.Value
-	members map[value.Value][]value.Value
-	clash   bool
-	// overlayBuckets[fi] maps overlay Z-key hashes discovered during
-	// propagation to representative rows.
-	overlayBuckets []map[uint64][]int
+// WithEqualities imposes the given value pairs (over canonical values)
+// and propagates the FDs to a new fixpoint layered over the maintained
+// one. The receiver is not modified; each call returns an independent
+// overlay. It must not be called on a clashed Maintained.
+func (m *Maintained) WithEqualities(pairs [][2]value.Value) *Overlay {
+	return impose(m, m.plans, pairs)
 }
 
-// WithEqualities imposes the given value pairs and propagates the FDs to
-// a new fixpoint layered over the maintained one. The receiver is not
-// modified; each call returns an independent overlay. It must not be
-// called on a clashed Maintained.
-func (m *Maintained) WithEqualities(pairs [][2]value.Value) *MOverlay {
-	ov := &MOverlay{
-		m:              m,
-		parent:         make(map[value.Value]value.Value),
-		members:        make(map[value.Value][]value.Value),
-		overlayBuckets: make([]map[uint64][]int, len(m.plans)),
-	}
-	for i := range ov.overlayBuckets {
-		ov.overlayBuckets[i] = make(map[uint64][]int)
-	}
-	var queue []value.Value
-	for _, pr := range pairs {
-		if loser, changed := ov.union(pr[0], pr[1]); changed {
-			queue = append(queue, loser)
+func (m *Maintained) find(v value.Value) value.Value { return m.Find(v) }
+
+func (m *Maintained) row(id int) relation.Tuple { return m.rows[id] }
+
+func (m *Maintained) addRows(rows map[int]bool, v value.Value) {
+	for i := -1; i < len(m.members[v]); i++ {
+		rv := v
+		if i >= 0 {
+			rv = m.members[v][i]
 		}
-		if ov.clash {
-			return ov
-		}
-	}
-	//constvet:allow budgetloop -- each pop merges two classes or re-derives nothing; pushes are bounded by the number of merges, which is bounded by the number of distinct values
-	for len(queue) > 0 {
-		loser := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		// Rows containing any raw value of any maintained class merged
-		// into the loser's overlay class.
-		rows := map[int]bool{}
-		for _, mv := range ov.classMembers(loser) {
-			for _, rv := range m.classValues(mv) {
-				for _, ri := range m.valueRows[rv] {
-					if m.rows[ri] != nil {
-						rows[ri] = true
-					}
-				}
-			}
-		}
-		order := make([]int, 0, len(rows))
-		for ri := range rows {
-			order = append(order, ri)
-		}
-		sort.Ints(order)
-		for _, ri := range order {
-			row := m.rows[ri]
-			for fi, plan := range m.plans {
-				h := ov.zHashRow(row, plan[0])
-				other := -1
-				for _, cand := range ov.overlayBuckets[fi][h] {
-					if m.rows[cand] != nil && ov.zEqualRows(m.rows[cand], row, plan[0]) {
-						other = cand
-						break
-					}
-				}
-				if other < 0 {
-					// Fall back to the maintained buckets: entries are
-					// keyed by insertion-time hashes, but every hit is
-					// re-verified under the overlay resolution, and a row
-					// whose key the overlay changed is on the worklist
-					// itself, so missed chains cannot lose merges.
-					for _, cand := range m.buckets[fi][h] {
-						if m.rows[cand] != nil && ov.zEqualRows(m.rows[cand], row, plan[0]) {
-							other = cand
-							break
-						}
-					}
-				}
-				if other < 0 {
-					ov.overlayBuckets[fi][h] = append(ov.overlayBuckets[fi][h], ri)
-					continue
-				}
-				if other == ri {
-					continue
-				}
-				otherRow := m.rows[other]
-				for _, c := range plan[1] {
-					if l, changed := ov.union(row[c], otherRow[c]); changed {
-						queue = append(queue, l)
-					}
-					if ov.clash {
-						return ov
-					}
-				}
+		for _, ri := range m.valueRows[rv] {
+			if m.rows[ri] != nil {
+				rows[ri] = true
 			}
 		}
 	}
-	return ov
 }
 
-// resolve maps a raw value through the maintained then the overlay
-// union-find.
-func (ov *MOverlay) resolve(v value.Value) value.Value {
-	v = ov.m.Find(v)
-	for {
-		n, ok := ov.parent[v]
-		if !ok {
-			return v
-		}
-		v = n
-	}
-}
-
-// classMembers returns the maintained-canonical values currently in v's
-// overlay class (including the representative).
-func (ov *MOverlay) classMembers(v value.Value) []value.Value {
-	r := ov.resolve(v)
-	return append([]value.Value{r}, ov.members[r]...)
-}
-
-// zHashRow hashes the given columns of a row under overlay resolution.
-func (ov *MOverlay) zHashRow(row relation.Tuple, cols []int) uint64 {
-	h := uint64(hashSeed)
-	for _, c := range cols {
-		h = hashVal(h, uint64(ov.resolve(row[c])))
-	}
-	return hashMix(h)
-}
-
-// zEqualRows compares two rows on the given columns under overlay
-// resolution.
-func (ov *MOverlay) zEqualRows(a, b relation.Tuple, cols []int) bool {
-	for _, c := range cols {
-		if ov.resolve(a[c]) != ov.resolve(b[c]) {
-			return false
+// baseMatch probes the maintained buckets: entries are keyed by
+// insertion-time hashes, but every hit is re-verified under the overlay
+// resolution, and a row whose key the overlay changed is on the
+// worklist itself, so missed chains cannot lose merges.
+func (m *Maintained) baseMatch(ov *Overlay, fi int, h uint64, row relation.Tuple) int {
+	for _, cand := range m.buckets[fi][h] {
+		if m.rows[cand] != nil && ov.zEqual(m.rows[cand], row, m.plans[fi][0]) {
+			return cand
 		}
 	}
-	return true
-}
-
-// union merges the overlay classes of a and b (same tie-break as the
-// maintained union). It reports the losing representative and whether a
-// merge happened; a constant/constant merge sets the clash flag.
-func (ov *MOverlay) union(a, b value.Value) (value.Value, bool) {
-	ra, rb := ov.resolve(a), ov.resolve(b)
-	if ra == rb {
-		return 0, false
-	}
-	if ra.IsConst() && rb.IsConst() {
-		ov.clash = true
-		return 0, false
-	}
-	if rb.IsConst() || (!ra.IsConst() && rb > ra) {
-		ra, rb = rb, ra
-	}
-	ov.parent[rb] = ra
-	ov.members[ra] = append(ov.members[ra], rb)
-	ov.members[ra] = append(ov.members[ra], ov.members[rb]...)
-	delete(ov.members, rb)
-	return rb, true
-}
-
-// ConstClash reports whether the imposition forced two distinct
-// constants equal.
-func (ov *MOverlay) ConstClash() bool { return ov.clash }
-
-// Same reports whether two values are equal under the overlay.
-func (ov *MOverlay) Same(a, b value.Value) bool {
-	return ov.resolve(a) == ov.resolve(b)
+	return -1
 }

@@ -2,6 +2,7 @@ package chase
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/constcomp/constcomp/internal/relation"
@@ -26,6 +27,12 @@ const fmMaxSteps = 200
 // take one byte each: c%3 == 0 a fresh null, 1 the constant (c/3)%4, 2
 // a repeat of a null already in this row (fresh when there is none).
 // Rows never share a null, per RemoveRow's precondition.
+//
+// After every step that leaves the fixpoint unclashed, checkOverlay
+// also imposes one or two random pairs of canonical values through
+// WithEqualities and checks the overlay against a from-scratch chase.
+// Its pairs come from an rng seeded by data[0] and data[1], so they
+// consume no stream bytes.
 func FuzzMaintained(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{2, 12, 60, 240} {
@@ -51,6 +58,7 @@ func FuzzMaintained(f *testing.F) {
 			return
 		}
 		fx := newMaintainedFixture(rand.New(rand.NewSource(int64(data[0]))), 3+int(data[1]%2), 2+int(data[1]/2%4))
+		orng := rand.New(rand.NewSource(int64(data[0])<<8 | int64(data[1])))
 		w := fx.u.Size()
 		data = data[2:]
 		m := NewMaintained(fx.plans)
@@ -100,6 +108,119 @@ func FuzzMaintained(f *testing.F) {
 				// Latched broken: callers rebuild, so the stream ends.
 				return
 			}
+			checkOverlay(t, fx, m, live, orng)
 		}
 	})
+}
+
+// checkOverlay imposes one or two random pairs of the live rows'
+// canonical values on m through WithEqualities and checks the overlay
+// against the definition, as core's ImposeRebuild computes it: the live
+// rows, canonicalized, with the pairs substituted in and chased from
+// scratch. The overlay must clash exactly when that chase (or the
+// substitution itself) equates two constants, and otherwise Same must
+// partition the live rows' raw values exactly as the chase does. The
+// Maintained may carry stale bucket entries from earlier removals,
+// which the overlay's base probe must see past.
+func checkOverlay(t *testing.T, fx *maintainedFixture, m *Maintained, live map[int]relation.Tuple, rng *rand.Rand) {
+	t.Helper()
+	if len(live) == 0 {
+		return
+	}
+	ids := make([]int, 0, len(live))
+	for id := range live {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	var raw, canon []value.Value
+	seen := map[value.Value]bool{}
+	for _, id := range ids {
+		for _, v := range live[id] {
+			if !seen[v] {
+				seen[v] = true
+				raw = append(raw, v)
+			}
+		}
+	}
+	seenCanon := map[value.Value]bool{}
+	for _, v := range raw {
+		if cv := m.Find(v); !seenCanon[cv] {
+			seenCanon[cv] = true
+			canon = append(canon, cv)
+		}
+	}
+	var pairs [][2]value.Value
+	for k := 0; k < 1+rng.Intn(2); k++ {
+		pairs = append(pairs, [2]value.Value{canon[rng.Intn(len(canon))], canon[rng.Intn(len(canon))]})
+	}
+	ov := m.WithEqualities(pairs)
+
+	// The definition: substitute the pairs (union tie-break: constants
+	// win, else the numeric maximum), then chase.
+	sub := map[value.Value]value.Value{}
+	resolve := func(v value.Value) value.Value {
+		for {
+			n, ok := sub[v]
+			if !ok {
+				return v
+			}
+			v = n
+		}
+	}
+	clash := false
+	for _, pr := range pairs {
+		a, b := resolve(pr[0]), resolve(pr[1])
+		if a == b {
+			continue
+		}
+		if a.IsConst() && b.IsConst() {
+			clash = true
+			break
+		}
+		if b.IsConst() || (!a.IsConst() && b > a) {
+			a, b = b, a
+		}
+		sub[b] = a
+	}
+	var res *Result
+	if !clash {
+		rows := make([]relation.Tuple, 0, len(ids))
+		for _, id := range ids {
+			nt := make(relation.Tuple, len(live[id]))
+			for c, v := range live[id] {
+				nt[c] = resolve(m.Find(v))
+			}
+			rows = append(rows, nt)
+		}
+		res = fx.batchChase(rows)
+		clash = res.ConstClash()
+	}
+	if ov.ConstClash() != clash {
+		t.Fatalf("pairs %v: overlay clash=%v, chase clash=%v", pairs, ov.ConstClash(), clash)
+	}
+	if clash {
+		return
+	}
+	// Same(a, b) must hold exactly when the chase equates a and b: map
+	// each chase class to the first raw value met in it, and check every
+	// value against its class's first and every first against the others
+	// through the overlay's representatives.
+	first := map[value.Value]value.Value{}
+	owner := map[value.Value]value.Value{}
+	for _, v := range raw {
+		want := res.Find(resolve(m.Find(v)))
+		f, ok := first[want]
+		if !ok {
+			first[want] = v
+			got := ov.resolve(v)
+			if o, dup := owner[got]; dup {
+				t.Fatalf("pairs %v: Same(%v, %v) under the overlay, not under the chase", pairs, v, o)
+			}
+			owner[got] = v
+			continue
+		}
+		if !ov.Same(v, f) {
+			t.Fatalf("pairs %v: Same(%v, %v) under the chase, not under the overlay", pairs, v, f)
+		}
+	}
 }

@@ -18,6 +18,8 @@ import (
 	"github.com/constcomp/constcomp/internal/attr"
 	"github.com/constcomp/constcomp/internal/budget"
 	"github.com/constcomp/constcomp/internal/dep"
+	"github.com/constcomp/constcomp/internal/relation"
+	"github.com/constcomp/constcomp/internal/value"
 )
 
 // maxTableauRows bounds tableau growth under JD rules. The chase with FDs
@@ -132,11 +134,11 @@ func (t *tableau) addRow(row []int) bool {
 
 // hashInts hashes a symbol row (FNV-1a over the words, mixed).
 func hashInts(xs []int) uint64 {
-	h := uint64(hashSeed)
+	h := relation.HashSeed
 	for _, x := range xs {
-		h = hashVal(h, uint64(x))
+		h = relation.HashWord(h, value.Value(x))
 	}
-	return hashMix(h)
+	return relation.HashFinish(h)
 }
 
 func intsEqual(a, b []int) bool {
@@ -175,23 +177,23 @@ func (t *tableau) applyFDs(fds []dep.FD, cols map[attr.ID]int) bool {
 			ac := colIdx(f.To, cols)
 			// Chain rows by the hash of their resolved Z symbols; one
 			// entry per distinct resolved Z (collisions verified).
-			bt := newBucketTable(len(t.rows))
+			bt := relation.NewHeadTable(len(t.rows))
 			next := make([]int, len(t.rows))
 			for ri, row := range t.rows {
-				h := uint64(hashSeed)
+				h := relation.HashSeed
 				for _, c := range zc {
-					h = hashVal(h, uint64(t.find(row[c])))
+					h = relation.HashWord(h, value.Value(t.find(row[c])))
 				}
-				h = hashMix(h)
+				h = relation.HashFinish(h)
 				rep := -1
-				for j := bt.get(h); j >= 0; j = next[j] {
+				for j := bt.Get(h); j >= 0; j = next[j] {
 					if t.sameFind(t.rows[j], row, zc) {
 						rep = j
 						break
 					}
 				}
 				if rep < 0 {
-					next[ri] = bt.put(h, ri)
+					next[ri] = bt.Put(h, ri)
 					continue
 				}
 				for _, c := range ac {

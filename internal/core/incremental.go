@@ -10,7 +10,7 @@ package core
 //   - decideInc answers Theorems 3/8/9 by probing the indexes for the
 //     condition-(a) matches and the per-FD candidate sets instead of
 //     scanning the view, and by imposing candidate equalities as
-//     MOverlays on the maintained fixpoint instead of re-padding and
+//     Overlays on the maintained fixpoint instead of re-padding and
 //     re-chasing the whole view instance;
 //   - applyInc represents the base-instance change as a delta.Delta
 //     (Δ⁺, Δ⁻), verifies legality and complement constancy against
@@ -229,7 +229,7 @@ func (st *incState) assemble(vt, comp relation.Tuple) relation.Tuple {
 // overlay imposes candidate ri's Z∩(U−X) cells equal to μ's on the
 // maintained fixpoint, memoized per decide by imposed-pair signature
 // (distinct candidates frequently impose identical equalities).
-func (st *incState) overlay(cache map[string]*chase.MOverlay, ri, mu int, zOutU []int) *chase.MOverlay {
+func (st *incState) overlay(cache map[string]*chase.Overlay, ri, mu int, zOutU []int) *chase.Overlay {
 	var pairs [][2]value.Value
 	for _, c := range zOutU {
 		a, b := st.pad.Cell(ri, c), st.pad.Cell(mu, c)
@@ -435,7 +435,7 @@ func (s *Session) decideReplaceInc(ctx context.Context, st *incState, t1, t2 rel
 // success set (the fixpoint satisfies every FD Σ implies).
 func (s *Session) chaseCandidatesInc(ctx context.Context, st *incState, d *Decision, t relation.Tuple, mu int, skip relation.Tuple) bool {
 	v := st.view
-	ovCache := make(map[string]*chase.MOverlay)
+	ovCache := make(map[string]*chase.Overlay)
 	for i, fp := range s.pair.artifacts().fdPlans {
 		if fp.skippable {
 			continue // no candidate chase for this FD can fail (see fdPlan)

@@ -16,19 +16,23 @@ import "github.com/constcomp/constcomp/internal/value"
 // tuple array. Insert/Contains/Delete therefore allocate nothing per
 // tuple (the old implementation rendered every tuple into a fresh
 // string key on every operation).
+//
+// The word hash (HashSeed, HashWord, HashFinish) and the chain-head
+// table (HeadTable) are exported: the chase buckets rows by their
+// resolved FD left-hand sides with the same kernel.
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// HashSeed is the FNV-1a offset basis a word hash starts from.
+const HashSeed uint64 = 14695981039346656037
 
-// hashWord folds one value into a running FNV-1a word hash.
-func hashWord(h uint64, v value.Value) uint64 {
+const fnvPrime64 = 1099511628211
+
+// HashWord folds one value into a running FNV-1a word hash.
+func HashWord(h uint64, v value.Value) uint64 {
 	return (h ^ uint64(v)) * fnvPrime64
 }
 
-// hashFinish applies a splitmix64 finalizer to the accumulated hash.
-func hashFinish(h uint64) uint64 {
+// HashFinish applies a splitmix64 finalizer to the accumulated hash.
+func HashFinish(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
@@ -39,20 +43,20 @@ func hashFinish(h uint64) uint64 {
 
 // hashTuple hashes a whole tuple.
 func hashTuple(t Tuple) uint64 {
-	h := uint64(fnvOffset64)
+	h := HashSeed
 	for _, v := range t {
-		h = hashWord(h, v)
+		h = HashWord(h, v)
 	}
-	return hashFinish(h)
+	return HashFinish(h)
 }
 
 // hashCols hashes the projection of t onto the given columns.
 func hashCols(t Tuple, cols []int) uint64 {
-	h := uint64(fnvOffset64)
+	h := HashSeed
 	for _, c := range cols {
-		h = hashWord(h, t[c])
+		h = HashWord(h, t[c])
 	}
-	return hashFinish(h)
+	return HashFinish(h)
 }
 
 // equalOn reports whether a's cols am equal b's cols bm pointwise.
@@ -211,28 +215,25 @@ type headSlot struct {
 	head int
 }
 
-// headTable is a fixed-size open-addressing map from hash to chain head,
-// used by the hash join and the FD-satisfaction scan. It is sized once
-// for a known number of entries and never grows.
-type headTable struct {
+// HeadTable is a fixed-size open-addressing map from hash to chain head.
+// It is sized once for a known number of entries and never grows;
+// chains are threaded through a caller-owned next array. The hash join,
+// the FD-satisfaction scan and the chase passes bucket rows with it.
+type HeadTable struct {
 	slots []headSlot
 }
 
-// newHeadTable returns a table with room for n entries at ≤3/4 load.
-func newHeadTable(n int) *headTable {
-	size := minTableSize
-	for size*3 < n*4 {
-		size *= 2
-	}
-	ht := &headTable{slots: make([]headSlot, size)}
+// NewHeadTable returns a table with room for n entries at ≤3/4 load.
+func NewHeadTable(n int) *HeadTable {
+	ht := &HeadTable{slots: make([]headSlot, tableSize(n))}
 	for i := range ht.slots {
 		ht.slots[i].head = -1
 	}
 	return ht
 }
 
-// get returns the chain head for key h, or -1.
-func (ht *headTable) get(h uint64) int {
+// Get returns the chain head for key h, or -1.
+func (ht *HeadTable) Get(h uint64) int {
 	m := len(ht.slots) - 1
 	for i := int(h & uint64(m)); ; i = (i + 1) & m {
 		s := ht.slots[i]
@@ -245,8 +246,8 @@ func (ht *headTable) get(h uint64) int {
 	}
 }
 
-// put sets the chain head for key h, returning the previous head or -1.
-func (ht *headTable) put(h uint64, head int) int {
+// Put sets the chain head for key h, returning the previous head or -1.
+func (ht *HeadTable) Put(h uint64, head int) int {
 	m := len(ht.slots) - 1
 	for i := int(h & uint64(m)); ; i = (i + 1) & m {
 		s := &ht.slots[i]

@@ -169,7 +169,7 @@ func joinHashParallel(r, s, build, probe *Relation, shared attr.Set) *Relation {
 
 	// Partition count: power of two ≥ nw, selected by the hash top bits.
 	parts := 1
-	shift := 64
+	shift := uint(64)
 	for parts < nw {
 		parts *= 2
 		shift--
@@ -187,10 +187,10 @@ func joinHashParallel(r, s, build, probe *Relation, shared attr.Set) *Relation {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			ji := &joinIndex{heads: newHeadTable(build.Len()/parts + 1), next: next}
+			ji := &joinIndex{heads: NewHeadTable(build.Len()/parts + 1), next: next}
 			for i, h := range hashes {
-				if int(h>>uint(shift)) == p {
-					next[i] = ji.heads.put(h, i)
+				if int(h>>shift) == p {
+					next[i] = ji.heads.Put(h, i)
 				}
 			}
 			indexes[p] = ji
@@ -201,42 +201,13 @@ func joinHashParallel(r, s, build, probe *Relation, shared attr.Set) *Relation {
 	planRel, fromR, fromS := joinPlan(r, s)
 	union := planRel.attrs
 	buildIsR := build == r
-	w := len(planRel.cols)
 	outs := make([]*Relation, nw)
 	visits := make([]int64, nw)
 	forChunks(probe.Len(), nw, func(wk, lo, hi int) {
 		loc := New(union)
 		var sl slab
-		var myVisits int64
-		for pi := lo; pi < hi; pi++ {
-			t := probe.tuples.at(pi)
-			h := hashCols(t, pm)
-			ji := indexes[h>>uint(shift)]
-			for j := ji.heads.get(h); j >= 0; j = ji.next[j] {
-				myVisits++
-				bt := build.tuples.at(j)
-				if !equalOn(bt, bm, t, pm) {
-					continue
-				}
-				rt, st := bt, t
-				if !buildIsR {
-					rt, st = t, bt
-				}
-				nt := sl.tuple(w)
-				for i := range nt {
-					if fromR[i] >= 0 {
-						nt[i] = rt[fromR[i]]
-					} else {
-						nt[i] = st[fromS[i]]
-					}
-				}
-				if !loc.Insert(nt) {
-					sl.undo(w)
-				}
-			}
-		}
+		visits[wk] = probeJoin(loc, indexes, shift, build, probe, bm, pm, fromR, fromS, buildIsR, lo, hi, &sl)
 		outs[wk] = loc
-		visits[wk] = myVisits
 	})
 	out := outs[0]
 	if out == nil {
@@ -269,14 +240,14 @@ func satisfiesFDParallel(tuples *chunks[Tuple], fm, tm []int) bool {
 	var bad atomic.Bool
 	wits := make([][]Tuple, nw)
 	forChunks(tuples.len(), nw, func(w, lo, hi int) {
-		heads := newHeadTable(hi - lo)
+		heads := NewHeadTable(hi - lo)
 		next := make([]int, hi-lo)
 		wit := make([]Tuple, 0, 64)
 		for i := lo; i < hi; i++ {
 			t := tuples.at(i)
 			h := hashCols(t, fm)
 			matched := false
-			for j := heads.get(h); j >= 0; j = next[j] {
+			for j := heads.Get(h); j >= 0; j = next[j] {
 				if equalOn(wit[j], fm, t, fm) {
 					if !equalOn(wit[j], tm, t, tm) {
 						bad.Store(true)
@@ -287,7 +258,7 @@ func satisfiesFDParallel(tuples *chunks[Tuple], fm, tm []int) bool {
 				}
 			}
 			if !matched {
-				next[len(wit)] = heads.put(h, len(wit))
+				next[len(wit)] = heads.Put(h, len(wit))
 				wit = append(wit, t)
 			}
 		}

@@ -333,11 +333,7 @@ func joinHint(b, p int) int {
 // insertProjection inserts π_m(src) into r, carving storage from sl only
 // when the projected tuple is new; duplicates allocate nothing.
 func (r *Relation) insertProjection(src Tuple, m []int, sl *slab) bool {
-	h := uint64(fnvOffset64)
-	for _, c := range m {
-		h = hashWord(h, src[c])
-	}
-	h = hashFinish(h)
+	h := hashCols(src, m)
 	if size := r.index.slots.len(); size > 0 {
 		msk := size - 1
 		for i := int(h & uint64(msk)); ; i = (i + 1) & msk {
@@ -534,30 +530,34 @@ func joinPlan(r, s *Relation) (out *Relation, fromR, fromS []int) {
 // threads tuples with equal hash. Collisions are verified by comparing
 // the actual shared columns.
 type joinIndex struct {
-	heads *headTable
+	heads *HeadTable
 	next  []int
 }
 
 // buildJoinIndex indexes every tuple of build by hashCols(·, bm) into ji.
 func buildJoinIndex(ji *joinIndex, build *Relation, bm []int) {
 	build.Each(func(i int, t Tuple) bool {
-		ji.next[i] = ji.heads.put(hashCols(t, bm), i)
+		ji.next[i] = ji.heads.Put(hashCols(t, bm), i)
 		return true
 	})
 }
 
 // probeJoin emits the join of probe tuples [lo, hi) against the build
-// index into out (which must be over the joinPlan schema). emit order
+// indexes into out (which must be over the joinPlan schema). A probe
+// hash h looks in partition indexes[h>>shift]: the serial join passes
+// its one index and shift 64 (every hash selects partition 0), the
+// partitioned parallel join its per-partition indexes. emit order
 // follows probe order, so chunked parallel probes merged in chunk order
 // reproduce the serial output exactly. It returns the number of hash
 // chain entries visited (the probe cost the obs layer reports).
-func probeJoin(out *Relation, ji *joinIndex, build, probe *Relation, bm, pm, fromR, fromS []int, buildIsR bool, lo, hi int, sl *slab) int64 {
+func probeJoin(out *Relation, indexes []*joinIndex, shift uint, build, probe *Relation, bm, pm, fromR, fromS []int, buildIsR bool, lo, hi int, sl *slab) int64 {
 	w := len(out.cols)
 	var visits int64
 	for pi := lo; pi < hi; pi++ {
 		t := probe.tuples.at(pi)
 		h := hashCols(t, pm)
-		for j := ji.heads.get(h); j >= 0; j = ji.next[j] {
+		ji := indexes[h>>shift]
+		for j := ji.heads.Get(h); j >= 0; j = ji.next[j] {
 			visits++
 			bt := build.tuples.at(j)
 			if !equalOn(bt, bm, t, pm) {
@@ -604,11 +604,11 @@ func joinHash(r, s *Relation) *Relation {
 	}
 	bm := build.projector(shared)
 	pm := probe.projector(shared)
-	ji := &joinIndex{heads: newHeadTable(build.Len()), next: make([]int, build.Len())}
+	ji := &joinIndex{heads: NewHeadTable(build.Len()), next: make([]int, build.Len())}
 	buildJoinIndex(ji, build, bm)
 	out, fromR, fromS := joinPlan(r, s)
 	sl := slab{hint: joinHint(build.Len(), probe.Len())}
-	visits := probeJoin(out, ji, build, probe, bm, pm, fromR, fromS, build == r, 0, probe.Len(), &sl)
+	visits := probeJoin(out, []*joinIndex{ji}, 64, build, probe, bm, pm, fromR, fromS, build == r, 0, probe.Len(), &sl)
 	if m := kmetrics.Load(); m != nil {
 		recordJoin(m, build, probe, out, visits)
 	}

@@ -29,13 +29,13 @@ func (r *Relation) SatisfiesFD(f dep.FD) bool {
 // with that key must agree on the To columns.
 func satisfiesFDScan(tuples *chunks[Tuple], fm, tm []int) bool {
 	n := tuples.len()
-	heads := newHeadTable(n)
+	heads := NewHeadTable(n)
 	next := make([]int, n)
 	for i := 0; i < n; i++ {
 		t := tuples.at(i)
 		h := hashCols(t, fm)
 		matched := false
-		for j := heads.get(h); j >= 0; j = next[j] {
+		for j := heads.Get(h); j >= 0; j = next[j] {
 			if w := tuples.at(j); equalOn(w, fm, t, fm) {
 				if !equalOn(w, tm, t, tm) {
 					return false
@@ -45,7 +45,7 @@ func satisfiesFDScan(tuples *chunks[Tuple], fm, tm []int) bool {
 			}
 		}
 		if !matched {
-			next[i] = heads.put(h, i)
+			next[i] = heads.Put(h, i)
 		}
 	}
 	return true
