@@ -138,15 +138,6 @@ func TestCacheBoundFixtures(t *testing.T) {
 	}
 }
 
-// TestDeltaResetFixtures: the ok fixture carries one sanctioned
-// decisions-only drop behind an allow comment.
-func TestDeltaResetFixtures(t *testing.T) {
-	suppressed := runFixtures(t, DeltaReset, "deltareset/...")
-	if len(suppressed) != 1 {
-		t.Errorf("want 1 suppressed finding from the ok fixture's allow comment, got %d", len(suppressed))
-	}
-}
-
 // The three concurrency analyzers each pin one sanctioned exception in
 // their ok fixture, so the allow grammar is covered for every new name.
 func TestLockHoldFixtures(t *testing.T) {
@@ -184,7 +175,6 @@ func TestEveryAnalyzerHasFixtures(t *testing.T) {
 		"budgetloop":   {"budgetloop/ok", "budgetloop/bad"},
 		"cachebound":   {"cachebound/ok", "cachebound/bad"},
 		"deadlineflow": {"deadlineflow/ok", "deadlineflow/bad"},
-		"deltareset":   {"deltareset/ok", "deltareset/bad"},
 		"errclass":     {"errclass/ok", "errclass/bad"},
 		"errflow":      {"errflow/ok", "errflow/bad"},
 		"fsyncorder":   {"fsyncorder/ok", "fsyncorder/bad"},

@@ -6,7 +6,6 @@ func All() []*Analyzer {
 		BudgetLoop,
 		CacheBound,
 		DeadlineFlow,
-		DeltaReset,
 		ErrClass,
 		ErrFlow,
 		FsyncOrder,

@@ -19,11 +19,6 @@ type Prepared struct {
 	rel *relation.Relation
 	// plans[i] holds the Z and A column indexes of fds[i].
 	plans [][2][]int
-	// baseBuckets[i]/baseNext[i] chain one representative row per
-	// distinct base Z-key of fds[i], keyed by the Z-key hash. In a
-	// fixpoint, all rows with a chained row's Z-key agree on A.
-	baseBuckets []*relation.HeadTable
-	baseNext    [][]int
 	// valueRows maps each value to the rows containing it.
 	valueRows map[value.Value][]int
 }
@@ -53,36 +48,14 @@ func PlanFDs(rel *relation.Relation, fds []dep.FD) Plans {
 // values (as produced by Result.Relation()). fds must be the FD set the
 // fixpoint was computed under.
 func Prepare(rel *relation.Relation, fds []dep.FD) *Prepared {
-	return PrepareWithPlans(rel, fds, PlanFDs(rel, fds))
+	return PrepareWithPlans(rel, PlanFDs(rel, fds))
 }
 
 // PrepareWithPlans is Prepare with the column plans precomputed (see
-// Plans); plans must have been computed for fds over a relation with
-// rel's attribute set.
-func PrepareWithPlans(rel *relation.Relation, fds []dep.FD, plans Plans) *Prepared {
+// Plans); plans must have been computed for the fixpoint's FD set over
+// a relation with rel's attribute set.
+func PrepareWithPlans(rel *relation.Relation, plans Plans) *Prepared {
 	p := &Prepared{rel: rel, plans: plans, valueRows: make(map[value.Value][]int)}
-	p.baseBuckets = make([]*relation.HeadTable, len(p.plans))
-	p.baseNext = make([][]int, len(p.plans))
-	for fi, plan := range p.plans {
-		bt := relation.NewHeadTable(rel.Len())
-		nx := make([]int, rel.Len())
-		rel.Each(func(ri int, row relation.Tuple) bool {
-			h := relation.HashSeed
-			for _, c := range plan[0] {
-				h = relation.HashWord(h, row[c])
-			}
-			h = relation.HashFinish(h)
-			for j := bt.Get(h); j >= 0; j = nx[j] {
-				if equalOn(rel.Tuple(j), row, plan[0]) {
-					return true
-				}
-			}
-			nx[ri] = bt.Put(h, ri)
-			return true
-		})
-		p.baseBuckets[fi] = bt
-		p.baseNext[fi] = nx
-	}
 	rel.Each(func(ri int, row relation.Tuple) bool {
 		seen := map[value.Value]bool{}
 		for _, v := range row {
@@ -114,19 +87,6 @@ func (p *Prepared) addRows(rows map[int]bool, v value.Value) {
 	}
 }
 
-// baseMatch walks the base chain of hash h. The chains are keyed by
-// base hashes, so a hit is only a candidate until verified under the
-// overlay; a row whose key the overlay moved is on the worklist itself.
-func (p *Prepared) baseMatch(ov *Overlay, fi int, h uint64, row relation.Tuple) int {
-	z, nx := p.plans[fi][0], p.baseNext[fi]
-	for j := p.baseBuckets[fi].Get(h); j >= 0; j = nx[j] {
-		if ov.zEqual(p.rel.Tuple(j), row, z) {
-			return j
-		}
-	}
-	return -1
-}
-
 // fixpoint is a chase fixpoint an Overlay can be layered over: a batch
 // Prepared or a Maintained one. Rows are addressed by id.
 type fixpoint interface {
@@ -137,9 +97,6 @@ type fixpoint interface {
 	// addRows adds to rows the live rows holding a raw value of the
 	// class of the fixpoint representative v.
 	addRows(rows map[int]bool, v value.Value)
-	// baseMatch returns a row filed under hash h in plan fi's buckets
-	// whose Z-key equals row's under ov's resolution, or -1.
-	baseMatch(ov *Overlay, fi int, h uint64, row relation.Tuple) int
 }
 
 // Overlay is the result of imposing equalities on a chase fixpoint (a
@@ -160,7 +117,18 @@ type Overlay struct {
 // impose imposes the value pairs (over base's representatives) on base
 // and propagates the FDs of plans to a new fixpoint: each merge sends
 // the rows holding a value of the merged class through every plan's
-// bucket probe, the overlay's own buckets first, then base's.
+// probe of the overlay's own buckets.
+//
+// Those buckets are the only partner lookup, by a revisit invariant:
+// each merge revisits every row holding any value of the merged class,
+// the winner's values included, so every row whose Z-key the overlay
+// changes is visited after the last merge that changed it. Two rows
+// whose Z-keys are equal under the overlay but not in base differ in
+// base on some Z column whose two values the overlay merged, so both
+// are visited with their final keys, and the later visit finds the
+// earlier row, or the row it joined, in the bucket of their common key.
+// Rows whose Z-keys are already equal in base agree on A in the base
+// fixpoint and need no partner. So the base's buckets are never probed.
 func impose(base fixpoint, plans Plans, pairs [][2]value.Value) *Overlay {
 	ov := &Overlay{
 		base:           base,
@@ -184,9 +152,10 @@ func impose(base fixpoint, plans Plans, pairs [][2]value.Value) *Overlay {
 	for len(queue) > 0 {
 		loser := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		// Rows containing any member of the loser's (pre-merge) class.
-		// Visited in sorted order: iteration feeds ov.union, and the
-		// merge order decides class representatives and members order.
+		// Rows containing any member of the merged class the loser now
+		// belongs to, the winner's values included (the revisit
+		// invariant above). Visited in sorted order: iteration feeds
+		// ov.union, and the merge order decides the members order.
 		rows := map[int]bool{}
 		r := ov.resolve(loser)
 		base.addRows(rows, r)
@@ -208,9 +177,6 @@ func impose(base fixpoint, plans Plans, pairs [][2]value.Value) *Overlay {
 						other = cand
 						break
 					}
-				}
-				if other < 0 {
-					other = base.baseMatch(ov, fi, h, row)
 				}
 				if other < 0 {
 					ov.overlayBuckets[fi][h] = append(ov.overlayBuckets[fi][h], ri)
@@ -266,10 +232,9 @@ func (ov *Overlay) zEqual(a, b relation.Tuple, cols []int) bool {
 	return true
 }
 
-// union merges the overlay classes of a and b, with the chase's
-// tie-break (constants win; among nulls the numeric maximum). It
-// reports the losing representative and whether a merge happened; a
-// constant/constant merge sets the clash flag instead.
+// union merges the overlay classes of a and b under outranks'
+// tie-break. It reports the losing representative and whether a merge
+// happened; a constant/constant merge sets the clash flag instead.
 func (ov *Overlay) union(a, b value.Value) (value.Value, bool) {
 	ra, rb := ov.resolve(a), ov.resolve(b)
 	if ra == rb {
@@ -279,7 +244,7 @@ func (ov *Overlay) union(a, b value.Value) (value.Value, bool) {
 		ov.clash = true
 		return 0, false
 	}
-	if rb.IsConst() || (!ra.IsConst() && rb > ra) {
+	if outranks(rb, ra) {
 		ra, rb = rb, ra
 	}
 	ov.parent[rb] = ra
@@ -297,14 +262,4 @@ func (ov *Overlay) ConstClash() bool { return ov.clash }
 // are equal under the overlay.
 func (ov *Overlay) Same(a, b value.Value) bool {
 	return ov.resolve(a) == ov.resolve(b)
-}
-
-// equalOn reports whether two rows agree on the given columns.
-func equalOn(a, b relation.Tuple, cols []int) bool {
-	for _, c := range cols {
-		if a[c] != b[c] {
-			return false
-		}
-	}
-	return true
 }

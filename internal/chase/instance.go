@@ -54,9 +54,20 @@ func (r *Result) Same(a, b value.Value) bool { return r.Find(a) == r.Find(b) }
 // representative, duplicate rows removed. It is nil if the chase clashed.
 func (r *Result) Relation() *relation.Relation { return r.rel }
 
-// union merges the classes of a and b, preferring constants (and, among
-// constants, failing on distinctness; among nulls, the smaller index) as
-// representative. Reports whether a merge happened.
+// outranks reports whether representative a beats b as the
+// representative of their merged class, for two distinct values that
+// are not both constants (which clash): a constant wins, and between
+// two nulls the numeric maximum (the smaller null index). Every
+// union-find of the chase merges by this rule, so representatives do
+// not depend on merge order and the batch, maintained and overlay
+// chases agree on them.
+func outranks(a, b value.Value) bool {
+	return a.IsConst() || (!b.IsConst() && a > b)
+}
+
+// union merges the classes of a and b under outranks' tie-break;
+// merging two distinct constants sets the clash flag instead. Reports
+// whether a merge happened.
 func (r *Result) union(a, b value.Value) bool {
 	ra, rb := r.Find(a), r.Find(b)
 	if ra == rb {
@@ -66,8 +77,7 @@ func (r *Result) union(a, b value.Value) bool {
 		r.clash = true
 		return false
 	}
-	// Constant wins; otherwise smaller null index wins.
-	if rb.IsConst() || (!ra.IsConst() && rb > ra) {
+	if outranks(rb, ra) {
 		ra, rb = rb, ra
 	}
 	r.parent[rb] = ra

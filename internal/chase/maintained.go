@@ -571,8 +571,7 @@ func (m *Maintained) zEqualRows(a, b relation.Tuple, cols []int) bool {
 	return true
 }
 
-// union merges the classes of a and b, preferring constants and then
-// smaller-index nulls (the numeric maximum — order-independent). It
+// union merges the classes of a and b under outranks' tie-break. It
 // appends to queue the raw values whose representative changed — the
 // losing class, representative included — and returns it, having
 // re-pointed each of them straight at the winner; a constant/constant
@@ -586,7 +585,7 @@ func (m *Maintained) union(a, b value.Value, queue []value.Value) []value.Value 
 		m.clash = true
 		return queue
 	}
-	if rb.IsConst() || (!ra.IsConst() && rb > ra) {
+	if outranks(rb, ra) {
 		ra, rb = rb, ra
 	}
 	moved := m.members[rb]
@@ -651,17 +650,4 @@ func (m *Maintained) addRows(rows map[int]bool, v value.Value) {
 			}
 		}
 	}
-}
-
-// baseMatch probes the maintained buckets: entries are keyed by
-// insertion-time hashes, but every hit is re-verified under the overlay
-// resolution, and a row whose key the overlay changed is on the
-// worklist itself, so missed chains cannot lose merges.
-func (m *Maintained) baseMatch(ov *Overlay, fi int, h uint64, row relation.Tuple) int {
-	for _, cand := range m.buckets[fi][h] {
-		if m.rows[cand] != nil && ov.zEqual(m.rows[cand], row, m.plans[fi][0]) {
-			return cand
-		}
-	}
-	return -1
 }

@@ -29,8 +29,9 @@ const fmMaxSteps = 200
 // Rows never share a null, per RemoveRow's precondition.
 //
 // After every step that leaves the fixpoint unclashed, checkOverlay
-// also imposes one or two random pairs of canonical values through
-// WithEqualities and checks the overlay against a from-scratch chase.
+// also imposes one or two random pairs of canonical values, on m
+// through WithEqualities and on a Prepare of the live rows' batch
+// chase, and checks both overlays against a from-scratch chase.
 // Its pairs come from an rng seeded by data[0] and data[1], so they
 // consume no stream bytes.
 func FuzzMaintained(f *testing.F) {
@@ -114,14 +115,14 @@ func FuzzMaintained(f *testing.F) {
 }
 
 // checkOverlay imposes one or two random pairs of the live rows'
-// canonical values on m through WithEqualities and checks the overlay
-// against the definition, as core's ImposeRebuild computes it: the live
-// rows, canonicalized, with the pairs substituted in and chased from
-// scratch. The overlay must clash exactly when that chase (or the
-// substitution itself) equates two constants, and otherwise Same must
-// partition the live rows' raw values exactly as the chase does. The
-// Maintained may carry stale bucket entries from earlier removals,
-// which the overlay's base probe must see past.
+// canonical values on both kinds of fixpoint an Overlay layers over: on
+// m through WithEqualities, and on the batch chase of the live rows
+// through Prepare. It checks each overlay against the definition, as
+// core's ImposeRebuild computes it: the live rows, canonicalized, with
+// the pairs substituted in and chased from scratch. An overlay must
+// clash exactly when that chase (or the substitution itself) equates
+// two constants, and otherwise Same must partition the live rows' raw
+// values exactly as the chase does.
 func checkOverlay(t *testing.T, fx *maintainedFixture, m *Maintained, live map[int]relation.Tuple, rng *rand.Rand) {
 	t.Helper()
 	if len(live) == 0 {
@@ -153,7 +154,6 @@ func checkOverlay(t *testing.T, fx *maintainedFixture, m *Maintained, live map[i
 	for k := 0; k < 1+rng.Intn(2); k++ {
 		pairs = append(pairs, [2]value.Value{canon[rng.Intn(len(canon))], canon[rng.Intn(len(canon))]})
 	}
-	ov := m.WithEqualities(pairs)
 
 	// The definition: substitute the pairs (union tie-break: constants
 	// win, else the numeric maximum), then chase.
@@ -195,32 +195,51 @@ func checkOverlay(t *testing.T, fx *maintainedFixture, m *Maintained, live map[i
 		res = fx.batchChase(rows)
 		clash = res.ConstClash()
 	}
-	if ov.ConstClash() != clash {
-		t.Fatalf("pairs %v: overlay clash=%v, chase clash=%v", pairs, ov.ConstClash(), clash)
+
+	rows := make([]relation.Tuple, 0, len(ids))
+	for _, id := range ids {
+		rows = append(rows, live[id])
 	}
-	if clash {
-		return
+	batch := fx.batchChase(rows)
+	overlays := []struct {
+		name string
+		ov   *Overlay
+		// canon maps a raw value to the form the overlay takes: the
+		// Maintained overlay resolves raw values itself, the Prepared
+		// one is over the batch chase's representatives.
+		canon func(value.Value) value.Value
+	}{
+		{"maintained", m.WithEqualities(pairs), func(v value.Value) value.Value { return v }},
+		{"prepared", Prepare(batch.Relation(), fx.fds).WithEqualities(pairs), batch.Find},
 	}
-	// Same(a, b) must hold exactly when the chase equates a and b: map
-	// each chase class to the first raw value met in it, and check every
-	// value against its class's first and every first against the others
-	// through the overlay's representatives.
-	first := map[value.Value]value.Value{}
-	owner := map[value.Value]value.Value{}
-	for _, v := range raw {
-		want := res.Find(resolve(m.Find(v)))
-		f, ok := first[want]
-		if !ok {
-			first[want] = v
-			got := ov.resolve(v)
-			if o, dup := owner[got]; dup {
-				t.Fatalf("pairs %v: Same(%v, %v) under the overlay, not under the chase", pairs, v, o)
-			}
-			owner[got] = v
+	for _, o := range overlays {
+		if o.ov.ConstClash() != clash {
+			t.Fatalf("pairs %v: %s overlay clash=%v, chase clash=%v", pairs, o.name, o.ov.ConstClash(), clash)
+		}
+		if clash {
 			continue
 		}
-		if !ov.Same(v, f) {
-			t.Fatalf("pairs %v: Same(%v, %v) under the chase, not under the overlay", pairs, v, f)
+		// Same(a, b) must hold exactly when the chase equates a and b:
+		// map each chase class to the first raw value met in it, and
+		// check every value against its class's first and every first
+		// against the others through the overlay's representatives.
+		first := map[value.Value]value.Value{}
+		owner := map[value.Value]value.Value{}
+		for _, v := range raw {
+			want := res.Find(resolve(m.Find(v)))
+			f, ok := first[want]
+			if !ok {
+				first[want] = v
+				got := o.ov.resolve(o.canon(v))
+				if w, dup := owner[got]; dup {
+					t.Fatalf("pairs %v: Same(%v, %v) under the %s overlay, not under the chase", pairs, v, w, o.name)
+				}
+				owner[got] = v
+				continue
+			}
+			if !o.ov.Same(o.canon(v), o.canon(f)) {
+				t.Fatalf("pairs %v: Same(%v, %v) under the chase, not under the %s overlay", pairs, v, f, o.name)
+			}
 		}
 	}
 }

@@ -119,8 +119,8 @@ type padding struct {
 func (pd *padding) overlayFor(ri, mu int, zOut attr.Set) *chase.Overlay {
 	if pd.prep == nil {
 		// The column plans are a per-Pair constant (the padded relation
-		// is always over U); only the row buckets are rebuilt here.
-		pd.prep = chase.PrepareWithPlans(pd.res.Relation(), pd.fds, pd.pair.artifacts().plans)
+		// is always over U); only the value index is rebuilt here.
+		pd.prep = chase.PrepareWithPlans(pd.res.Relation(), pd.pair.artifacts().plans)
 		pd.ovCache = make(map[string]*chase.Overlay)
 	}
 	var pairs [][2]value.Value

@@ -29,7 +29,8 @@ type Options struct {
 	// MaxOpsPerRequest bounds one submit's op count (413 beyond it).
 	// Default 256.
 	MaxOpsPerRequest int
-	// MaxBodyBytes bounds a JSON submit body. Default 1 MiB.
+	// MaxBodyBytes bounds a submit body in either encoding, JSON or
+	// binary frames. Default 1 MiB.
 	MaxBodyBytes int64
 	// ConnOpBudget bounds the ops one client connection may submit over
 	// its lifetime; 0 disables. Exhausted connections get 429 with
