@@ -10,7 +10,6 @@ package constcomp
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -1044,87 +1043,70 @@ func benchWideFixture(n int) (*core.Pair, *relation.Relation, *value.Symbols) {
 // BenchmarkNetServe measures the serving stack end to end: HTTP submit
 // requests through internal/netserve into a self-healing pipeline over
 // a MemFS store, on a keepalive connection. One benchmark op is one
-// view update; each request carries a 16-op batch (alternating
-// insert/delete so the view stays bounded) in the binary frame or JSON
-// encoding. Client-observed ops/sec and per-request p99 land beside
-// ns/op in the report.
+// view update; each request carries a 16-op batch of op frames
+// (alternating insert/delete so the view stays bounded). Client-observed
+// ops/sec and per-request p99 land beside ns/op in the report.
 func BenchmarkNetServe(b *testing.B) {
 	const perReq = 16
-	for _, enc := range []string{"frame", "json"} {
-		b.Run(fmt.Sprintf("encode=%s/batch=%d", enc, perReq), func(b *testing.B) {
-			pair, db, syms := benchStoreFixture()
-			st, err := store.Create(store.NewMemFS(), pair, db, syms,
-				store.Options{SnapshotEvery: 1 << 30})
+	b.Run(fmt.Sprintf("encode=frame/batch=%d", perReq), func(b *testing.B) {
+		pair, db, syms := benchStoreFixture()
+		st, err := store.Create(store.NewMemFS(), pair, db, syms,
+			store.Options{SnapshotEvery: 1 << 30})
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := netserve.NewServer(netserve.Options{})
+		if err := srv.AddView("ed", st, syms, serve.Options{MaxBatch: 64}); err != nil {
+			b.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer func() {
+			ts.Close()
+			_ = srv.Close()
+		}()
+		url := ts.URL + "/v1/views/ed/submit"
+
+		// Pre-encode every request body outside the timed loop: the
+		// benchmark measures the server, not the client's encoder.
+		nReq := (b.N + perReq - 1) / perReq
+		bodies := make([][]byte, nReq)
+		for r := range bodies {
+			var body []byte
+			for j := 0; j < perReq; j++ {
+				i := r*perReq + j
+				op := netserve.WireOp{Kind: netserve.KindInsert,
+					Tuple: []string{fmt.Sprintf("t%d", i/2), "dept0"}}
+				if i%2 == 1 {
+					op.Kind = netserve.KindDelete
+				}
+				if body, err = netserve.AppendOpFrame(body, op); err != nil {
+					b.Fatal(err)
+				}
+			}
+			bodies[r] = body
+		}
+
+		lat := obs.NewRegistry().Histogram("req_ns")
+		client := ts.Client()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for _, body := range bodies {
+			t0 := obs.NowNS()
+			resp, err := client.Post(url, netserve.ContentTypeFrame, bytes.NewReader(body))
 			if err != nil {
 				b.Fatal(err)
 			}
-			srv := netserve.NewServer(netserve.Options{})
-			if err := srv.AddView("ed", st, syms, serve.Options{MaxBatch: 64}); err != nil {
+			if resp.StatusCode != http.StatusOK {
+				b.Fatalf("submit status %d", resp.StatusCode)
+			}
+			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 				b.Fatal(err)
 			}
-			ts := httptest.NewServer(srv.Handler())
-			defer func() {
-				ts.Close()
-				_ = srv.Close()
-			}()
-			url := ts.URL + "/v1/views/ed/submit"
-
-			// Pre-encode every request body outside the timed loop: the
-			// benchmark measures the server, not the client's encoder.
-			nReq := (b.N + perReq - 1) / perReq
-			bodies := make([][]byte, nReq)
-			ctype := netserve.ContentTypeFrame
-			for r := range bodies {
-				ops := make([]netserve.WireOp, perReq)
-				for j := range ops {
-					i := r*perReq + j
-					op := netserve.WireOp{Kind: netserve.KindInsert,
-						Tuple: []string{fmt.Sprintf("t%d", i/2), "dept0"}}
-					if i%2 == 1 {
-						op.Kind = netserve.KindDelete
-					}
-					ops[j] = op
-				}
-				if enc == "frame" {
-					var body []byte
-					for _, op := range ops {
-						if body, err = netserve.AppendOpFrame(body, op); err != nil {
-							b.Fatal(err)
-						}
-					}
-					bodies[r] = body
-				} else {
-					ctype = netserve.ContentTypeJSON
-					body, err := json.Marshal(netserve.SubmitRequest{Ops: ops})
-					if err != nil {
-						b.Fatal(err)
-					}
-					bodies[r] = body
-				}
-			}
-
-			lat := obs.NewRegistry().Histogram("req_ns")
-			client := ts.Client()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for _, body := range bodies {
-				t0 := obs.NowNS()
-				resp, err := client.Post(url, ctype, bytes.NewReader(body))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if resp.StatusCode != http.StatusOK {
-					b.Fatalf("submit status %d", resp.StatusCode)
-				}
-				if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-					b.Fatal(err)
-				}
-				resp.Body.Close()
-				lat.ObserveDuration(obs.NowNS() - t0)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/sec")
-			b.ReportMetric(lat.Quantile(0.99), "p99-req-ns")
-		})
-	}
+			resp.Body.Close()
+			lat.ObserveDuration(obs.NowNS() - t0)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/sec")
+		b.ReportMetric(lat.Quantile(0.99), "p99-req-ns")
+	})
 }

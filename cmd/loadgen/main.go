@@ -10,7 +10,7 @@
 //
 //	loadgen -addr host:port [-view ed] [-clients 8] [-ops 2000] [-batch 8]
 //	        [-tenants good,hog] [-zipf 1.2] [-keys 256] [-depts 8]
-//	        [-json] [-seed 1] [-report out.json] [-expect-resurrection]
+//	        [-seed 1] [-report out.json] [-expect-resurrection]
 //	        [-verify=true]
 //
 // Each client owns a private keyspace (employee names embed the tenant
@@ -18,9 +18,10 @@
 // exactly determined by that client's acknowledged ops — concurrent
 // clients cannot perturb each other's verification. Keys are drawn from
 // a zipfian distribution, so hot keys see long insert/delete/replace
-// chains. Ops ride the binary-framed submit path unless -json is given.
-// Throttled requests (429) honor Retry-After and retry; shed ops are
-// definite non-applications and simply leave state unchanged.
+// chains. Each submit is one request of op frames, answered in result
+// frames (internal/netserve's wire.go). Throttled requests (429) honor
+// Retry-After and retry; shed ops are definite non-applications and
+// simply leave state unchanged.
 //
 // With -expect-resurrection, the run additionally requires the server's
 // serve_resurrections_total counter to be at least 1 — the smoke test
@@ -91,7 +92,6 @@ type config struct {
 	tenants      []string
 	zipfS        float64
 	keys, depts  int
-	useJSON      bool
 	seed         int64
 
 	// attrs is the view's column order as reported by the server; eCol
@@ -121,7 +121,6 @@ func main() {
 	flag.Float64Var(&cfg.zipfS, "zipf", 1.2, "zipf skew s (>1) for key selection")
 	flag.IntVar(&cfg.keys, "keys", 256, "keys per client")
 	flag.IntVar(&cfg.depts, "depts", 8, "department domain size")
-	flag.BoolVar(&cfg.useJSON, "json", false, "submit via JSON instead of the binary framing")
 	flag.Int64Var(&cfg.seed, "seed", 1, "workload seed")
 	report := flag.String("report", "", "write a benchjson-compatible latency report here")
 	expectRes := flag.Bool("expect-resurrection", false, "require serve_resurrections_total >= 1 on the server")
@@ -311,7 +310,7 @@ func (c *client) drive(cfg *config, httpc *http.Client, base string) {
 			keys[i] = k
 			ops[i] = c.genFor(cfg, k)
 		}
-		results, status, retryAfter, err := c.submit(cfg, httpc, url, ops)
+		results, status, retryAfter, err := c.submit(httpc, url, ops)
 		if err != nil {
 			c.failures = append(c.failures, fmt.Sprintf("client %d: %v", c.idx, err))
 			return
@@ -413,22 +412,13 @@ func deptOf(cfg *config, tuple []string) int {
 	return d
 }
 
-// submit sends one batch in the configured encoding and decodes the
-// per-op results. retryAfter is the parsed Retry-After on 429.
-func (c *client) submit(cfg *config, httpc *http.Client, url string, ops []netserve.WireOp) ([]netserve.OpResult, int, int, error) {
+// submit sends one batch as op frames and decodes the per-op result
+// frames. retryAfter is the parsed Retry-After on 429.
+func (c *client) submit(httpc *http.Client, url string, ops []netserve.WireOp) ([]netserve.OpResult, int, int, error) {
 	var body []byte
-	contentType := netserve.ContentTypeJSON
-	if !cfg.useJSON {
-		contentType = netserve.ContentTypeFrame
+	for _, op := range ops {
 		var err error
-		for _, op := range ops {
-			if body, err = netserve.AppendOpFrame(body, op); err != nil {
-				return nil, 0, 0, err
-			}
-		}
-	} else {
-		var err error
-		if body, err = json.Marshal(netserve.SubmitRequest{Ops: ops}); err != nil {
+		if body, err = netserve.AppendOpFrame(body, op); err != nil {
 			return nil, 0, 0, err
 		}
 	}
@@ -436,7 +426,7 @@ func (c *client) submit(cfg *config, httpc *http.Client, url string, ops []netse
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", netserve.ContentTypeFrame)
 	req.Header.Set(netserve.HeaderTenant, c.tenant)
 	t0 := obs.NowNS()
 	resp, err := httpc.Do(req)
@@ -457,25 +447,18 @@ func (c *client) submit(cfg *config, httpc *http.Client, url string, ops []netse
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil, resp.StatusCode, 0, nil
 	}
-	if resp.Header.Get("Content-Type") == netserve.ContentTypeFrame {
-		br := bufio.NewReader(resp.Body)
-		var results []netserve.OpResult
-		for {
-			res, err := netserve.ReadResultFrame(br)
-			if err == io.EOF {
-				return results, resp.StatusCode, 0, nil
-			}
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			results = append(results, res)
+	br := bufio.NewReader(resp.Body)
+	var results []netserve.OpResult
+	for {
+		res, err := netserve.ReadResultFrame(br)
+		if err == io.EOF {
+			return results, resp.StatusCode, 0, nil
 		}
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		results = append(results, res)
 	}
-	var sr netserve.SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, 0, 0, err
-	}
-	return sr.Results, resp.StatusCode, 0, nil
 }
 
 // verifyFinalView checks the lost-ack gate: for every key loadgen owns,

@@ -1,7 +1,8 @@
 // Command viewsrv serves constant-complement views over HTTP: one
 // self-healing serve pipeline per named view, fronted by the
-// internal/netserve protocol (JSON control plane, binary-framed hot
-// submit path, per-tenant admission control, degraded-read headers).
+// internal/netserve protocol (JSON reads, listings and health; submits
+// as binary op frames only; per-tenant admission control;
+// degraded-read headers).
 //
 // Usage:
 //

@@ -26,12 +26,6 @@ import (
 type Options struct {
 	// Admission configures the per-tenant gate on the submit path.
 	Admission AdmissionOptions
-	// MaxOpsPerRequest bounds one submit's op count (413 beyond it).
-	// Default 256.
-	MaxOpsPerRequest int
-	// MaxBodyBytes bounds a submit body in either encoding, JSON or
-	// binary frames. Default 1 MiB.
-	MaxBodyBytes int64
 	// ConnOpBudget bounds the ops one client connection may submit over
 	// its lifetime; 0 disables. Exhausted connections get 429 with
 	// Connection: close, so a runaway client is forced to re-dial
@@ -43,19 +37,12 @@ type Options struct {
 	Registry *obs.Registry
 }
 
-func (o Options) maxOps() int {
-	if o.MaxOpsPerRequest > 0 {
-		return o.MaxOpsPerRequest
-	}
-	return 256
-}
-
-func (o Options) maxBody() int64 {
-	if o.MaxBodyBytes > 0 {
-		return o.MaxBodyBytes
-	}
-	return 1 << 20
-}
+// Bounds on one submit request: its op count (413 beyond it) and its
+// body size (400 beyond it).
+const (
+	maxOpsPerRequest = 256
+	maxBodyBytes     = 1 << 20
+)
 
 // viewState is one named view behind the server.
 type viewState struct {
@@ -242,24 +229,9 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errBody{Error: fmt.Sprintf(format, args...)})
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	type health struct {
-		OK    bool         `json:"ok"`
-		Views []ViewStatus `json:"views"`
-	}
-	h := health{OK: true}
-	for _, name := range s.viewNames() {
-		vs, ok := s.view(name)
-		if !ok {
-			continue
-		}
-		_, seq, degraded := vs.pipe.Published()
-		h.Views = append(h.Views, ViewStatus{Name: name, Seq: seq, Degraded: degraded})
-	}
-	writeJSON(w, http.StatusOK, h)
-}
-
-func (s *Server) handleListViews(w http.ResponseWriter, r *http.Request) {
+// viewStatuses lists every registered view's published state, sorted
+// by name.
+func (s *Server) viewStatuses() []ViewStatus {
 	out := []ViewStatus{}
 	for _, name := range s.viewNames() {
 		vs, ok := s.view(name)
@@ -269,7 +241,19 @@ func (s *Server) handleListViews(w http.ResponseWriter, r *http.Request) {
 		_, seq, degraded := vs.pipe.Published()
 		out = append(out, ViewStatus{Name: name, Seq: seq, Degraded: degraded})
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out
+}
+
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	type health struct {
+		OK    bool         `json:"ok"`
+		Views []ViewStatus `json:"views"`
+	}
+	writeJSON(w, http.StatusOK, health{OK: true, Views: s.viewStatuses()})
+}
+
+func (s *Server) handleListViews(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.viewStatuses())
 }
 
 func (s *Server) handleGetView(w http.ResponseWriter, r *http.Request) {
@@ -343,47 +327,27 @@ func (vs *viewState) parseOp(op WireOp) (core.UpdateOp, error) {
 	return core.UpdateOp{}, fmt.Errorf("unknown op kind %q", op.Kind)
 }
 
-// decodeOps reads the submit body in either encoding.
-func (s *Server) decodeOps(r *http.Request, vs *viewState) ([]core.UpdateOp, error) {
-	maxOps := s.opts.maxOps()
-	if r.Header.Get("Content-Type") == ContentTypeFrame {
-		br := bufio.NewReader(http.MaxBytesReader(nil, r.Body, s.opts.maxBody()))
-		var ops []core.UpdateOp
-		for {
-			wop, err := ReadOpFrame(br)
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					return ops, nil
-				}
-				return nil, err
+// decodeOps reads a submit body of op frames.
+func decodeOps(r *http.Request, vs *viewState) ([]core.UpdateOp, error) {
+	br := bufio.NewReader(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	var ops []core.UpdateOp
+	for {
+		wop, err := ReadOpFrame(br)
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				return ops, nil
 			}
-			op, err := vs.parseOp(wop)
-			if err != nil {
-				return nil, err
-			}
-			if len(ops) >= maxOps {
-				return nil, errTooManyOps
-			}
-			ops = append(ops, op)
+			return nil, err
 		}
-	}
-	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.opts.maxBody()))
-	if err := dec.Decode(&req); err != nil {
-		return nil, err
-	}
-	if len(req.Ops) > maxOps {
-		return nil, errTooManyOps
-	}
-	ops := make([]core.UpdateOp, len(req.Ops))
-	for i, wop := range req.Ops {
 		op, err := vs.parseOp(wop)
 		if err != nil {
 			return nil, err
 		}
-		ops[i] = op
+		if len(ops) >= maxOpsPerRequest {
+			return nil, errTooManyOps
+		}
+		ops = append(ops, op)
 	}
-	return ops, nil
 }
 
 var errTooManyOps = errors.New("too many ops in one request")
@@ -419,10 +383,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown view %q", r.PathValue("name"))
 		return
 	}
-	ops, err := s.decodeOps(r, vs)
+	if ct := r.Header.Get("Content-Type"); ct != ContentTypeFrame {
+		writeErr(w, http.StatusUnsupportedMediaType, "submit body must be %s, got %q", ContentTypeFrame, ct)
+		return
+	}
+	ops, err := decodeOps(r, vs)
 	if err != nil {
 		if errors.Is(err, errTooManyOps) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "%v (limit %d)", err, s.opts.maxOps())
+			writeErr(w, http.StatusRequestEntityTooLarge, "%v (limit %d)", err, maxOpsPerRequest)
 			return
 		}
 		writeErr(w, http.StatusBadRequest, "decode: %v", err)
@@ -513,8 +481,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The degraded header reports the pipeline's state after this
 	// request's ops settled: true while it heals or once it latched.
 	_, seq, _ := vs.pipe.Published()
-	degraded := vs.pipe.Degraded()
-	w.Header().Set(HeaderDegraded, strconv.FormatBool(degraded))
+	w.Header().Set(HeaderDegraded, strconv.FormatBool(vs.pipe.Degraded()))
 	w.Header().Set(HeaderSeq, strconv.FormatUint(seq, 10))
 	status := http.StatusOK
 	if broken {
@@ -526,23 +493,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if m != nil {
 		m.submitNs.ObserveDuration(obs.NowNS() - t0)
 	}
-	if r.Header.Get("Content-Type") == ContentTypeFrame {
-		w.Header().Set("Content-Type", ContentTypeFrame)
-		w.WriteHeader(status)
-		var buf []byte
-		for _, res := range results {
-			buf = AppendResultFrame(buf, res)
-		}
-		_, _ = w.Write(buf)
-		if m != nil {
-			m.responses.Inc()
-			if status >= 500 {
-				m.errors5xx.Inc()
-			}
-		}
-		return
+	w.Header().Set("Content-Type", ContentTypeFrame)
+	w.WriteHeader(status)
+	var buf []byte
+	for _, res := range results {
+		buf = AppendResultFrame(buf, res)
 	}
-	writeJSON(w, status, SubmitResponse{Results: results, Seq: seq, Degraded: degraded})
+	_, _ = w.Write(buf)
+	if m != nil {
+		m.responses.Inc()
+		if status >= 500 {
+			m.errors5xx.Inc()
+		}
+	}
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,17 +43,30 @@ func newEDMServer(t *testing.T, fsys store.FS, sopts Options, popts serve.Option
 	return srv, ts, edm
 }
 
-func postJSON(t *testing.T, url, tenant string, req SubmitRequest) (*http.Response, SubmitResponse) {
+// encodeOps renders ops as a submit body of op frames.
+func encodeOps(t *testing.T, ops []WireOp) []byte {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
+	var body []byte
+	for _, op := range ops {
+		var err error
+		if body, err = AppendOpFrame(body, op); err != nil {
+			t.Fatal(err)
+		}
 	}
+	return body
+}
+
+// post sends one submit body with the given Content-Type ("" sends
+// none) and tenant ("" sends none). The caller closes the body.
+func post(t *testing.T, url, ctype, tenant string, body []byte) *http.Response {
+	t.Helper()
 	hreq, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hreq.Header.Set("Content-Type", ContentTypeJSON)
+	if ctype != "" {
+		hreq.Header.Set("Content-Type", ctype)
+	}
 	if tenant != "" {
 		hreq.Header.Set(HeaderTenant, tenant)
 	}
@@ -62,14 +74,33 @@ func postJSON(t *testing.T, url, tenant string, req SubmitRequest) (*http.Respon
 	if err != nil {
 		t.Fatal(err)
 	}
+	return resp
+}
+
+// postFrames submits ops as op frames and decodes the reply's result
+// frames; a reply without them (an error body) decodes to none.
+func postFrames(t *testing.T, url, tenant string, ops []WireOp) (*http.Response, []OpResult) {
+	t.Helper()
+	resp := post(t, url, ContentTypeFrame, tenant, encodeOps(t, ops))
 	defer resp.Body.Close()
-	var sr SubmitResponse
-	if resp.Header.Get("Content-Type") == ContentTypeJSON {
-		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil && resp.StatusCode == http.StatusOK {
-			t.Fatalf("decode submit response: %v", err)
+	if ct := resp.Header.Get("Content-Type"); ct != ContentTypeFrame {
+		if resp.StatusCode == http.StatusOK {
+			t.Fatalf("submit reply Content-Type = %q, want %q", ct, ContentTypeFrame)
 		}
+		return resp, nil
 	}
-	return resp, sr
+	br := bufio.NewReader(resp.Body)
+	var results []OpResult
+	for {
+		res, err := ReadResultFrame(br)
+		if err == io.EOF {
+			return resp, results
+		}
+		if err != nil {
+			t.Fatalf("decode result frame: %v", err)
+		}
+		results = append(results, res)
+	}
 }
 
 func getView(t *testing.T, url string) (*http.Response, ViewResponse) {
@@ -104,34 +135,35 @@ func pollView(t *testing.T, url string, pred func(*http.Response, ViewResponse) 
 	}
 }
 
-// TestServerSubmitAndReadJSON: the JSON protocol end to end — submit a
-// mixed batch, read the view back, check headers and identity marking.
+// TestServerSubmitAndReadJSON: the protocol end to end — submit a
+// mixed batch in op frames, read the view back as JSON, check headers
+// and identity marking.
 func TestServerSubmitAndReadJSON(t *testing.T) {
 	_, ts, _ := newEDMServer(t, nil, Options{}, serve.Options{MaxBatch: 4})
 
-	resp, sr := postJSON(t, ts.URL+"/v1/views/ed/submit", "", SubmitRequest{Ops: []WireOp{
+	resp, results := postFrames(t, ts.URL+"/v1/views/ed/submit", "", []WireOp{
 		{Kind: KindInsert, Tuple: []string{"alice", "dept1"}},
 		{Kind: KindReplace, Tuple: []string{"alice", "dept1"}, With: []string{"alice", "dept2"}},
 		{Kind: KindDelete, Tuple: []string{"nobody", "dept1"}}, // identity: not in the view
 		{Kind: KindInsert, Tuple: []string{"bob", "dept9"}},    // no such department: rejected
-	}})
+	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("submit status = %d", resp.StatusCode)
 	}
-	if len(sr.Results) != 4 {
-		t.Fatalf("got %d results, want 4", len(sr.Results))
+	if len(results) != 4 {
+		t.Fatalf("got %d results, want 4", len(results))
 	}
-	if !sr.Results[0].Applied || sr.Results[0].Identity {
-		t.Errorf("insert: %+v, want applied non-identity", sr.Results[0])
+	if !results[0].Applied || results[0].Identity {
+		t.Errorf("insert: %+v, want applied non-identity", results[0])
 	}
-	if !sr.Results[1].Applied {
-		t.Errorf("replace: %+v, want applied", sr.Results[1])
+	if !results[1].Applied {
+		t.Errorf("replace: %+v, want applied", results[1])
 	}
-	if !sr.Results[2].Applied || !sr.Results[2].Identity {
-		t.Errorf("delete of absent tuple: %+v, want applied identity", sr.Results[2])
+	if !results[2].Applied || !results[2].Identity {
+		t.Errorf("delete of absent tuple: %+v, want applied identity", results[2])
 	}
-	if !sr.Results[3].Rejected || (sr.Results[3].Reason == "" && sr.Results[3].Error == "") {
-		t.Errorf("impossible insert: %+v, want rejected with a reason", sr.Results[3])
+	if !results[3].Rejected || (results[3].Reason == "" && results[3].Error == "") {
+		t.Errorf("impossible insert: %+v, want rejected with a reason", results[3])
 	}
 
 	vresp, vr := pollView(t, ts.URL+"/v1/views/ed", func(_ *http.Response, vr ViewResponse) bool {
@@ -163,11 +195,10 @@ func TestServerSubmitAndReadJSON(t *testing.T) {
 // seq it committed at — not the view the server opened with.
 func TestServerReadYourWritesWithoutPriorRead(t *testing.T) {
 	_, ts, _ := newEDMServer(t, nil, Options{}, serve.Options{MaxBatch: 4})
-	resp, sr := postJSON(t, ts.URL+"/v1/views/ed/submit", "", SubmitRequest{
-		Ops: []WireOp{{Kind: KindInsert, Tuple: []string{"ryw", "dept1"}}},
-	})
-	if resp.StatusCode != http.StatusOK || len(sr.Results) != 1 || !sr.Results[0].Applied {
-		t.Fatalf("submit: status %d, %+v", resp.StatusCode, sr.Results)
+	resp, results := postFrames(t, ts.URL+"/v1/views/ed/submit", "",
+		[]WireOp{{Kind: KindInsert, Tuple: []string{"ryw", "dept1"}}})
+	if resp.StatusCode != http.StatusOK || len(results) != 1 || !results[0].Applied {
+		t.Fatalf("submit: status %d, %+v", resp.StatusCode, results)
 	}
 	vresp, vr := getView(t, ts.URL+"/v1/views/ed")
 	if vresp.StatusCode != http.StatusOK {
@@ -181,49 +212,18 @@ func TestServerReadYourWritesWithoutPriorRead(t *testing.T) {
 	}
 }
 
-// TestServerSubmitFramePath: the binary framing roundtrips the same
-// semantics as JSON, including the identity status byte.
+// TestServerSubmitFramePath: a submit's reply is one result frame per
+// op, in request order, including the identity status byte.
 func TestServerSubmitFramePath(t *testing.T) {
 	_, ts, _ := newEDMServer(t, nil, Options{}, serve.Options{MaxBatch: 4})
 
-	var body []byte
-	var err error
-	for _, op := range []WireOp{
+	resp, results := postFrames(t, ts.URL+"/v1/views/ed/submit", "", []WireOp{
 		{Kind: KindInsert, Tuple: []string{"carol", "dept0"}},
 		{Kind: KindDelete, Tuple: []string{"carol", "dept0"}},
 		{Kind: KindDelete, Tuple: []string{"carol", "dept0"}}, // now absent: identity
-	} {
-		if body, err = AppendOpFrame(body, op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/views/ed/submit", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", ContentTypeFrame)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != ContentTypeFrame {
-		t.Fatalf("response Content-Type = %q", ct)
-	}
-	br := bufio.NewReader(resp.Body)
-	var results []OpResult
-	for {
-		res, err := ReadResultFrame(br)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, res)
 	}
 	if len(results) != 3 {
 		t.Fatalf("got %d results, want 3", len(results))
@@ -239,6 +239,44 @@ func TestServerSubmitFramePath(t *testing.T) {
 	}
 }
 
+// TestServerSubmitRequiresFrames: a submit whose Content-Type is not
+// the op-frame type gets 415 and applies nothing, whatever its body
+// holds: the published seq and the view stay as they were.
+func TestServerSubmitRequiresFrames(t *testing.T) {
+	_, ts, _ := newEDMServer(t, nil, Options{}, serve.Options{MaxBatch: 4})
+	jsonBody := []byte(`{"ops":[{"kind":"insert","tuple":["viajson","dept1"]}]}`)
+	frameBody := encodeOps(t, []WireOp{{Kind: KindInsert, Tuple: []string{"viajson", "dept1"}}})
+
+	before, _ := getView(t, ts.URL+"/v1/views/ed")
+	seq0 := before.Header.Get(HeaderSeq)
+	for _, tc := range []struct {
+		name, ctype string
+		body        []byte
+	}{
+		{"json body", ContentTypeJSON, jsonBody},
+		{"json body, no Content-Type", "", jsonBody},
+		{"frame body, no Content-Type", "", frameBody},
+	} {
+		resp := post(t, ts.URL+"/v1/views/ed/submit", tc.ctype, "", tc.body)
+		var eb errBody
+		err := json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnsupportedMediaType {
+			t.Errorf("%s: status %d, want 415", tc.name, resp.StatusCode)
+		}
+		if err != nil || eb.Error == "" {
+			t.Errorf("%s: error body %+v (%v), want a JSON error", tc.name, eb, err)
+		}
+	}
+	after, vr := getView(t, ts.URL+"/v1/views/ed")
+	if got := after.Header.Get(HeaderSeq); got != seq0 {
+		t.Errorf("%s = %s after refused submits, want %s", HeaderSeq, got, seq0)
+	}
+	if hasRow(vr, "viajson") {
+		t.Errorf("a refused submit reached the view: %v", vr.Rows)
+	}
+}
+
 // TestServerTenantThrottle: a metered tenant gets 429 + Retry-After past
 // its burst; an unmetered tenant on the same server is unaffected.
 func TestServerTenantThrottle(t *testing.T) {
@@ -249,9 +287,8 @@ func TestServerTenantThrottle(t *testing.T) {
 	}, serve.Options{MaxBatch: 4})
 
 	submit := func(tenant, emp string) *http.Response {
-		resp, _ := postJSON(t, ts.URL+"/v1/views/ed/submit", tenant, SubmitRequest{
-			Ops: []WireOp{{Kind: KindInsert, Tuple: []string{emp, "dept0"}}},
-		})
+		resp, _ := postFrames(t, ts.URL+"/v1/views/ed/submit", tenant,
+			[]WireOp{{Kind: KindInsert, Tuple: []string{emp, "dept0"}}})
 		return resp
 	}
 	if resp := submit("metered", "m1"); resp.StatusCode != http.StatusOK {
@@ -312,11 +349,10 @@ func TestServerDegradedReadDuringHealing(t *testing.T) {
 
 	// Land one op that syncs fine and wait for its publish — the stale
 	// view served during healing must contain it.
-	resp, sr := postJSON(t, ts.URL+"/v1/views/ed/submit", "", SubmitRequest{
-		Ops: []WireOp{{Kind: KindInsert, Tuple: []string{"w1", "dept0"}}},
-	})
-	if resp.StatusCode != http.StatusOK || !sr.Results[0].Applied {
-		t.Fatalf("warm-up submit: status %d, %+v", resp.StatusCode, sr.Results)
+	resp, results := postFrames(t, ts.URL+"/v1/views/ed/submit", "",
+		[]WireOp{{Kind: KindInsert, Tuple: []string{"w1", "dept0"}}})
+	if resp.StatusCode != http.StatusOK || !results[0].Applied {
+		t.Fatalf("warm-up submit: status %d, %+v", resp.StatusCode, results)
 	}
 	if resp.Header.Get(HeaderDegraded) != "false" {
 		t.Fatalf("healthy submit marked degraded")
@@ -327,12 +363,11 @@ func TestServerDegradedReadDuringHealing(t *testing.T) {
 
 	// Second op trips the journal fault; its ack blocks until healing
 	// completes, so submit from the background.
-	done := make(chan SubmitResponse, 1)
+	done := make(chan []OpResult, 1)
 	go func() {
-		_, sr := postJSON(t, ts.URL+"/v1/views/ed/submit", "", SubmitRequest{
-			Ops: []WireOp{{Kind: KindInsert, Tuple: []string{"w2", "dept1"}}},
-		})
-		done <- sr
+		_, results := postFrames(t, ts.URL+"/v1/views/ed/submit", "",
+			[]WireOp{{Kind: KindInsert, Tuple: []string{"w2", "dept1"}}})
+		done <- results
 	}()
 
 	// The pipeline enters its healing window (Resurrect blocked on the
@@ -361,9 +396,9 @@ func TestServerDegradedReadDuringHealing(t *testing.T) {
 	}
 
 	close(gate) // let the resurrection proceed
-	sr = <-done
-	if len(sr.Results) != 1 || !sr.Results[0].Applied {
-		t.Fatalf("faulted op after healing: %+v", sr.Results)
+	results = <-done
+	if len(results) != 1 || !results[0].Applied {
+		t.Fatalf("faulted op after healing: %+v", results)
 	}
 	for {
 		resp, vr := getView(t, ts.URL+"/v1/views/ed")
@@ -469,11 +504,10 @@ func TestServerCloseClosesResurrectedSession(t *testing.T) {
 	// The second op trips the journal fault; its ack comes after the
 	// heal re-journals it on the resurrected session.
 	for _, emp := range []string{"w1", "w2"} {
-		resp, sr := postJSON(t, ts.URL+"/v1/views/ed/submit", "", SubmitRequest{
-			Ops: []WireOp{{Kind: KindInsert, Tuple: []string{emp, "dept0"}}},
-		})
-		if resp.StatusCode != http.StatusOK || !sr.Results[0].Applied {
-			t.Fatalf("submit %s: status %d, %+v", emp, resp.StatusCode, sr.Results)
+		resp, results := postFrames(t, ts.URL+"/v1/views/ed/submit", "",
+			[]WireOp{{Kind: KindInsert, Tuple: []string{emp, "dept0"}}})
+		if resp.StatusCode != http.StatusOK || !results[0].Applied {
+			t.Fatalf("submit %s: status %d, %+v", emp, resp.StatusCode, results)
 		}
 	}
 	ts.Close()
@@ -499,41 +533,36 @@ func hasRow(vr ViewResponse, emp string) bool {
 
 // TestServerRequestLimits: op-count and malformed-body handling.
 func TestServerRequestLimits(t *testing.T) {
-	_, ts, _ := newEDMServer(t, nil, Options{MaxOpsPerRequest: 2}, serve.Options{MaxBatch: 4})
+	_, ts, _ := newEDMServer(t, nil, Options{}, serve.Options{MaxBatch: 4})
 
-	ops := make([]WireOp, 3)
+	ops := make([]WireOp, maxOpsPerRequest+1)
 	for i := range ops {
 		ops[i] = WireOp{Kind: KindInsert, Tuple: []string{fmt.Sprintf("e%d", i), "dept0"}}
 	}
-	resp, _ := postJSON(t, ts.URL+"/v1/views/ed/submit", "", SubmitRequest{Ops: ops})
+	resp, _ := postFrames(t, ts.URL+"/v1/views/ed/submit", "", ops)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("3 ops with limit 2: status %d, want 413", resp.StatusCode)
+		t.Errorf("%d ops with limit %d: status %d, want 413", len(ops), maxOpsPerRequest, resp.StatusCode)
 	}
 
-	resp, _ = postJSON(t, ts.URL+"/v1/views/ed/submit", "", SubmitRequest{})
+	resp, _ = postFrames(t, ts.URL+"/v1/views/ed/submit", "", nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty op list: status %d, want 400", resp.StatusCode)
 	}
 
-	hreq, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/views/ed/submit", strings.NewReader("{not json"))
-	hreq.Header.Set("Content-Type", ContentTypeJSON)
-	bresp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// One frame of an unknown op kind.
+	bresp := post(t, ts.URL+"/v1/views/ed/submit", ContentTypeFrame, "", []byte{1, 0, 0, 0, 'z'})
 	bresp.Body.Close()
 	if bresp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body: status %d, want 400", bresp.StatusCode)
 	}
 
-	resp, _ = postJSON(t, ts.URL+"/v1/views/nope/submit", "", SubmitRequest{Ops: ops[:1]})
+	resp, _ = postFrames(t, ts.URL+"/v1/views/nope/submit", "", ops[:1])
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown view: status %d, want 404", resp.StatusCode)
 	}
 
-	wresp, _ := postJSON(t, ts.URL+"/v1/views/ed/submit", "", SubmitRequest{
-		Ops: []WireOp{{Kind: KindInsert, Tuple: []string{"only-one-field"}}},
-	})
+	wresp, _ := postFrames(t, ts.URL+"/v1/views/ed/submit", "",
+		[]WireOp{{Kind: KindInsert, Tuple: []string{"only-one-field"}}})
 	if wresp.StatusCode != http.StatusBadRequest {
 		t.Errorf("wrong tuple width: status %d, want 400", wresp.StatusCode)
 	}

@@ -3,12 +3,13 @@
 // serve.Pipeline per named view schema.
 //
 // The wire protocol is JSON for control-plane traffic (view reads,
-// listings, health) plus a small length-prefixed binary framing for the
-// hot submit path, where per-request JSON encode/decode would dominate
-// the cost of an op that the pipeline itself decides in microseconds.
-// Both encodings carry the same operations — the paper's three view
-// updates (insert, Thm-8 delete, Thm-9 replacement) with tuples as
-// constant names in view column order.
+// listings, health, error bodies) and a small length-prefixed binary
+// framing for submits, where per-request JSON encode/decode would
+// dominate the cost of an op that the pipeline itself decides in
+// microseconds. A submit body is a stream of op frames — the paper's
+// three view updates (insert, Thm-8 delete, Thm-9 replacement) with
+// tuples as constant names in view column order — and its reply is one
+// result frame per op; any other submit Content-Type gets 415.
 //
 // Admission is per tenant (X-Constcomp-Tenant): a token bucket bounds
 // each tenant's sustained op rate, and weighted fair queueing arbitrates
@@ -25,12 +26,12 @@ import (
 	"io"
 )
 
-// Content types of the two submit encodings.
+// Content types of the two encodings.
 const (
 	// ContentTypeJSON is the control-plane encoding.
 	ContentTypeJSON = "application/json"
-	// ContentTypeFrame is the length-prefixed binary encoding for the
-	// hot submit path.
+	// ContentTypeFrame is the length-prefixed binary encoding of submit
+	// bodies and replies.
 	ContentTypeFrame = "application/x-constcomp-frame"
 )
 
@@ -58,19 +59,15 @@ const (
 	KindReplace = "replace"
 )
 
-// WireOp is one view update in transit. Tuple entries are constant
-// names in the view's column order (ascending attribute order, the
-// order GET /v1/views/{name} reports in "attrs"). With is the
-// replacement tuple of a replace, absent otherwise.
+// WireOp is one view update in transit, the content of an op frame.
+// Tuple entries are constant names in the view's column order
+// (ascending attribute order, the order GET /v1/views/{name} reports
+// in "attrs"). With is the replacement tuple of a replace, absent
+// otherwise.
 type WireOp struct {
-	Kind  string   `json:"kind"`
-	Tuple []string `json:"tuple"`
-	With  []string `json:"with,omitempty"`
-}
-
-// SubmitRequest is the JSON submit body.
-type SubmitRequest struct {
-	Ops []WireOp `json:"ops"`
+	Kind  string
+	Tuple []string
+	With  []string
 }
 
 // OpResult is the fate of one submitted op. Exactly one of Applied,
@@ -85,20 +82,12 @@ type SubmitRequest struct {
 // nothing. Clients tracking view state must not model an identity ack
 // as a state change.
 type OpResult struct {
-	Applied  bool   `json:"applied"`
-	Identity bool   `json:"identity,omitempty"`
-	Rejected bool   `json:"rejected,omitempty"`
-	Shed     bool   `json:"shed,omitempty"`
-	Reason   string `json:"reason,omitempty"`
-	Error    string `json:"error,omitempty"`
-}
-
-// SubmitResponse is the JSON submit reply: one result per op in
-// request order.
-type SubmitResponse struct {
-	Results  []OpResult `json:"results"`
-	Seq      uint64     `json:"seq"`
-	Degraded bool       `json:"degraded"`
+	Applied  bool
+	Identity bool
+	Rejected bool
+	Shed     bool
+	Reason   string
+	Error    string
 }
 
 // ViewResponse is the GET /v1/views/{name} reply. Rows are sorted

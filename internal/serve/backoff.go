@@ -1,25 +1,24 @@
 package serve
 
 // backoff produces a deterministic capped exponential retry schedule:
-// delay n is base·2ⁿ clamped to ceil, with jitter drawn from a seeded
-// splitmix64 stream into [delay/2, delay]. Determinism is the point —
-// the walltime discipline (internal/analysis) bans wall-clock reads
-// outside internal/obs, and the chaos harness asserts that the same
-// seed and fault schedule reproduce the exact same retry timings, so
-// the jitter source must be a PRNG the caller seeds, never the clock.
+// delay n is backoffBaseNS·2ⁿ clamped to backoffCapNS, with jitter
+// drawn from a seeded splitmix64 stream into [delay/2, delay].
+// Determinism is the point — the walltime discipline
+// (internal/analysis) bans wall-clock reads outside internal/obs, and
+// the chaos harness asserts that the same seed and fault schedule
+// reproduce the exact same retry timings, so the jitter source must be
+// a PRNG the caller seeds, never the clock.
 //
 // A backoff is owned by the pipeline's committer goroutine (which
 // carries one per fault domain, with decorrelated seeds); it is not
 // safe for concurrent use.
 type backoff struct {
-	base    int64 // first delay, ns
-	ceil    int64 // clamp, ns
 	attempt uint
 	rng     uint64
 }
 
-func newBackoff(base, ceil int64, seed uint64) *backoff {
-	return &backoff{base: base, ceil: ceil, rng: seed}
+func newBackoff(seed uint64) *backoff {
+	return &backoff{rng: seed}
 }
 
 // rand advances the splitmix64 stream one step (Vigna's finalizer; the
@@ -35,9 +34,9 @@ func (b *backoff) rand() uint64 {
 // next returns the next delay in nanoseconds and escalates the attempt
 // counter.
 func (b *backoff) next() int64 {
-	d := b.ceil
+	d := int64(backoffCapNS)
 	if b.attempt < 63 {
-		if shifted := b.base << b.attempt; shifted > 0 && shifted < b.ceil {
+		if shifted := int64(backoffBaseNS) << b.attempt; shifted > 0 && shifted < backoffCapNS {
 			d = shifted
 		}
 	}

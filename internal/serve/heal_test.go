@@ -184,7 +184,7 @@ func TestPipelineResurrectsAfterPowerLoss(t *testing.T) {
 
 // TestPipelineResurrectExhaustionLatches: when every resurrection
 // attempt fails transiently, the pipeline must stop after
-// ResurrectRetries backoff sleeps, latch broken, and fail pending and
+// resurrectRetries backoff sleeps, latch broken, and fail pending and
 // future submitters — degraded, but never hung.
 func TestPipelineResurrectExhaustionLatches(t *testing.T) {
 	pair, db, syms := edmFixture()
@@ -197,11 +197,10 @@ func TestPipelineResurrectExhaustionLatches(t *testing.T) {
 	attempts := 0
 	clk := obs.NewManualClock()
 	pipe, err := New(st, Options{
-		MaxBatch:         1,
-		Resurrect:        func() (*store.Session, error) { attempts++; return nil, store.ErrInjected },
-		ResurrectRetries: 3,
-		Clock:            clk,
-		Seed:             3,
+		MaxBatch:  1,
+		Resurrect: func() (*store.Session, error) { attempts++; return nil, store.ErrInjected },
+		Clock:     clk,
+		Seed:      3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,11 +209,11 @@ func TestPipelineResurrectExhaustionLatches(t *testing.T) {
 	if _, err := pipe.Apply(core.Insert(tup)); !errors.Is(err, store.ErrSessionBroken) {
 		t.Fatalf("op after exhausted healing = %v, want ErrSessionBroken", err)
 	}
-	if attempts != 3 {
-		t.Fatalf("resurrection attempts = %d, want 3", attempts)
+	if attempts != resurrectRetries {
+		t.Fatalf("resurrection attempts = %d, want %d", attempts, resurrectRetries)
 	}
-	if got := len(clk.SleepLog()); got != 3 {
-		t.Fatalf("backoff sleeps = %d, want 3", got)
+	if got := len(clk.SleepLog()); got != resurrectRetries {
+		t.Fatalf("backoff sleeps = %d, want %d", got, resurrectRetries)
 	}
 	if !pipe.Degraded() {
 		t.Error("latched pipeline must report degraded")
@@ -250,8 +249,7 @@ func TestPipelinePermanentCauseSkipsResurrection(t *testing.T) {
 			attempts++
 			return nil, store.ErrDataLoss
 		},
-		ResurrectRetries: 5,
-		Clock:            obs.NewManualClock(),
+		Clock: obs.NewManualClock(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -357,97 +355,6 @@ func TestPipelineShedOnFull(t *testing.T) {
 	}
 	// Admitted ops all landed: 1 + boom + len(pend).
 	if want := uint64(2 + len(pend)); pipe.Store().Seq() != want {
-		t.Fatalf("Seq = %d, want %d", pipe.Store().Seq(), want)
-	}
-}
-
-// TestPipelineQueueDeadlineShed: ops that age out in the submit queue
-// past QueueDeadlineNS are shed with ErrShed instead of being decided
-// at a latency nobody is waiting for.
-func TestPipelineQueueDeadlineShed(t *testing.T) {
-	reg := obs.NewRegistry()
-	SetMetrics(reg)
-	defer SetMetrics(nil)
-
-	pair, db, syms := edmFixture()
-	mem := store.NewMemFS()
-	ffs := store.NewFaultFS(mem, store.FaultPlan{Match: journalMatch, FailSyncAt: 2})
-	st, err := store.Create(ffs, pair, db, syms, store.Options{SnapshotEvery: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	healing := make(chan struct{})
-	release := make(chan struct{})
-	resurrect := func() (*store.Session, error) {
-		close(healing)
-		<-release
-		ns, _, err := store.Recover(ffs, pair, syms, store.Options{SnapshotEvery: 1 << 20})
-		return ns, err
-	}
-	clk := obs.NewManualClock()
-	pipe, err := New(st, Options{
-		MaxBatch:        1,
-		QueueDepth:      16,
-		ShedOnFull:      true,
-		QueueDeadlineNS: 1_000_000, // 1ms of virtual time
-		Resurrect:       resurrect,
-		Clock:           clk,
-		Seed:            17,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tup := func(e string) relation.Tuple {
-		return relation.Tuple{syms.Const(e), syms.Const("dept0")}
-	}
-	if _, err := pipe.Apply(core.Insert(tup("ok1"))); err != nil {
-		t.Fatal(err)
-	}
-	boom, err := pipe.ApplyAsync(context.Background(), core.Insert(tup("boom")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-healing
-	const burst = 8
-	var pend []*Pending
-	for i := 0; i < burst; i++ {
-		h, err := pipe.ApplyAsync(context.Background(), core.Insert(tup(fmt.Sprintf("q%02d", i))))
-		if err != nil {
-			t.Fatalf("burst op %d: %v", i, err) // queue depth 16 > burst: no full-queue shed
-		}
-		pend = append(pend, h)
-	}
-	// Everything still queued is now past its deadline.
-	clk.Advance(10_000_000)
-	close(release)
-	if _, err := boom.Wait(); err != nil {
-		t.Fatalf("faulted op after healing: %v", err)
-	}
-	shed, served := 0, 0
-	for i, h := range pend {
-		_, err := h.Wait()
-		switch {
-		case err == nil:
-			served++
-		case errors.Is(err, ErrShed):
-			shed++
-		default:
-			t.Fatalf("burst op %d: unexpected error %v", i, err)
-		}
-	}
-	// The committer stalled before any burst op was submitted, so every
-	// one of them was still queued when the clock passed its deadline.
-	if shed < burst {
-		t.Fatalf("age-based sheds = %d, want %d", shed, burst)
-	}
-	if err := pipe.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if got := reg.Snapshot().Counters["serve_shed_total"]; got < int64(shed) {
-		t.Errorf("serve_shed_total = %v, want >= %d", got, shed)
-	}
-	// Acked-op accounting: ok1 + boom + served landed durably.
-	if want := uint64(2 + served); pipe.Store().Seq() != want {
 		t.Fatalf("Seq = %d, want %d", pipe.Store().Seq(), want)
 	}
 }

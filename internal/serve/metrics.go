@@ -18,7 +18,7 @@ type serveMetrics struct {
 	// Self-healing instrumentation: retries counts transient-failure
 	// re-attempts in both fault domains (decide retries and re-journaled
 	// batch suffixes); shed counts ops rejected by bounded admission
-	// (full queue or queue-deadline ageout); resurrections counts
+	// (a full submit queue); resurrections counts
 	// successful session replacements; degradedReads counts Published calls
 	// served while the store was healing or latched broken.
 	retries       *obs.Counter

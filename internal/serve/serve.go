@@ -53,8 +53,7 @@
 //
 //   - Admission domain (submitters): the submit queue is bounded.
 //     Options.ShedOnFull rejects new ops with ErrShed instead of
-//     blocking when it is full; Options.QueueDeadlineNS sheds ops that
-//     aged out while queued. Reads never enter the queue at all —
+//     blocking when it is full. Reads never enter the queue at all —
 //     Published serves the last committed view lock-free, so
 //     updates hold strict admission priority over reads and a healing
 //     (degraded) pipeline keeps serving reads while writes wait.
@@ -77,11 +76,15 @@ import (
 var ErrClosed = errors.New("serve: pipeline closed")
 
 // Retry policy constants: in-place retries of a transient decide
-// failure (budget trip, injected fault), and the cap on the exponential
-// backoff both fault domains sleep between attempts.
+// failure (budget trip, injected fault), resurrection attempts per
+// healing episode (each preceded by a backoff sleep), and the first
+// rung and cap of the exponential backoff both fault domains sleep
+// between attempts.
 const (
-	opRetries    = 2
-	backoffCapNS = 64_000_000 // 64ms
+	opRetries        = 2
+	resurrectRetries = 4
+	backoffBaseNS    = 1_000_000  // 1ms
+	backoffCapNS     = 64_000_000 // 64ms
 )
 
 // Options tunes the pipeline. The zero value is ready to use.
@@ -95,10 +98,6 @@ type Options struct {
 	// ShedOnFull makes ApplyAsync non-blocking: a full submit queue
 	// returns ErrShed immediately instead of blocking the submitter.
 	ShedOnFull bool
-	// QueueDeadlineNS sheds an op (ErrShed) if it waited in the submit
-	// queue longer than this before the committer reached it. 0 disables
-	// age-based shedding.
-	QueueDeadlineNS int64
 
 	// Resurrect enables self-healing: when a batch breaks the store
 	// session, the committer quarantines it and calls Resurrect —
@@ -106,17 +105,11 @@ type Options struct {
 	// fresh session continuing the same journal. Nil keeps the legacy
 	// behavior: the first broken session latches the pipeline.
 	Resurrect func() (*store.Session, error)
-	// ResurrectRetries caps resurrection attempts per healing episode
-	// (each preceded by a backoff sleep). Default 4.
-	ResurrectRetries int
 
-	// BackoffBaseNS is the first retry backoff for both fault domains,
-	// doubled per attempt up to a 64ms cap. Default 1ms.
-	BackoffBaseNS int64
 	// Seed fixes the backoff jitter streams; the same seed, workload,
 	// and fault schedule reproduce identical retry timings.
 	Seed uint64
-	// Clock is the time source for backoff sleeps and queue deadlines.
+	// Clock is the time source for backoff sleeps.
 	// Nil means the real monotonic clock (obs.SystemClock); tests and
 	// the chaos harness inject an obs.ManualClock for instant,
 	// fully-deterministic schedules.
@@ -137,20 +130,6 @@ func (o Options) queueDepth() int {
 	return 4 * o.maxBatch()
 }
 
-func (o Options) resurrectRetries() int {
-	if o.ResurrectRetries > 0 {
-		return o.ResurrectRetries
-	}
-	return 4
-}
-
-func (o Options) backoffBase() int64 {
-	if o.BackoffBaseNS > 0 {
-		return o.BackoffBaseNS
-	}
-	return 1_000_000 // 1ms
-}
-
 func (o Options) clock() obs.Clock {
 	if o.Clock != nil {
 		return o.Clock
@@ -160,15 +139,13 @@ func (o Options) clock() obs.Clock {
 
 // Pending is one submitted op in flight through the pipeline, and the
 // handle ApplyAsync returns for it: the one object a submission
-// allocates. The submitter writes ctx, op and enqNS before it
-// enqueues the request and touches none of them after; the committer
-// writes res exactly once and then marks acked done, which orders that
-// write before every read of res in Wait.
+// allocates. The submitter writes ctx and op before it enqueues the
+// request and touches neither after; the committer writes res exactly
+// once and then marks acked done, which orders that write before every
+// read of res in Wait.
 type Pending struct {
 	ctx context.Context
 	op  core.UpdateOp
-	// enqNS is the clock reading at enqueue, for queue-deadline shedding.
-	enqNS int64
 
 	acked sync.WaitGroup
 	res   result
@@ -183,8 +160,8 @@ type result struct {
 }
 
 // newRequest returns a request not yet acknowledged.
-func newRequest(ctx context.Context, op core.UpdateOp, enqNS int64) *request {
-	r := &request{ctx: ctx, op: op, enqNS: enqNS}
+func newRequest(ctx context.Context, op core.UpdateOp) *request {
+	r := &request{ctx: ctx, op: op}
 	r.acked.Add(1)
 	return r
 }
@@ -270,8 +247,8 @@ func New(st *store.Session, opts Options) (*Pipeline, error) {
 		submit:      make(chan *request, opts.queueDepth()),
 		quit:        make(chan struct{}),
 		done:        make(chan struct{}),
-		decBackoff:  newBackoff(opts.backoffBase(), backoffCapNS, opts.Seed),
-		healBackoff: newBackoff(opts.backoffBase(), backoffCapNS, opts.Seed^0x9e3779b97f4a7c15),
+		decBackoff:  newBackoff(opts.Seed),
+		healBackoff: newBackoff(opts.Seed ^ 0x9e3779b97f4a7c15),
 	}
 	p.stPtr.Store(st)
 	p.publishView(st)
@@ -361,7 +338,7 @@ func (p *Pipeline) ApplyAsync(ctx context.Context, op core.UpdateOp) (*Pending, 
 	if err := p.brokenErr(); err != nil {
 		return nil, fmt.Errorf("%w: %w", store.ErrSessionBroken, err)
 	}
-	r := newRequest(ctx, op, p.clock.NowNS())
+	r := newRequest(ctx, op)
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
@@ -475,9 +452,8 @@ func (p *Pipeline) process(reqs []*request) {
 }
 
 // admit reports whether a request taken off the queue goes on to be
-// committed. It fails the request fast on a latched pipeline
-// and sheds it if it was cancelled or aged out while queued; either way
-// it is acknowledged here.
+// committed. It fails the request fast on a latched pipeline or if it
+// was cancelled while queued; either way it is acknowledged here.
 func (p *Pipeline) admit(r *request) bool {
 	if err := p.brokenErr(); err != nil {
 		r.ack(result{err: fmt.Errorf("%w: %w", store.ErrSessionBroken, err)})
@@ -487,16 +463,6 @@ func (p *Pipeline) admit(r *request) bool {
 		// Cancelled while queued: never reached the store, exactly as a
 		// serial ApplyCtx would have failed before deciding.
 		r.ack(result{err: err})
-		return false
-	}
-	if dl := p.opts.QueueDeadlineNS; dl > 0 && p.clock.NowNS()-r.enqNS > dl {
-		// Aged out while queued: the queue is saturated past its
-		// deadline, shed rather than decide work nobody is waiting for
-		// at this latency.
-		r.ack(result{err: ErrShed})
-		if m := svmetrics.Load(); m != nil {
-			m.shed.Inc()
-		}
 		return false
 	}
 	return true
@@ -572,7 +538,7 @@ func (p *Pipeline) commitBatch(reqs []*request) {
 
 // retryDecide is the decide domain's recovery policy: a transient
 // failure (budget trip, injected fault) of r's decide is retried in
-// place, after a deterministic backoff, up to OpRetries times while r's
+// place, after a deterministic backoff, up to opRetries times while r's
 // context lives. A failed decide never touched the session, so the
 // retry re-decides from exactly the state a serial session would see.
 func (p *Pipeline) retryDecide(r *request, attempt int, err error) bool {
@@ -630,7 +596,7 @@ func (p *Pipeline) heal(st *store.Session, reqs []*request, items []store.BatchI
 	// Its own close error is unreachable state — the batch error is the
 	// one that matters.
 	_ = st.Close()
-	for attempt := 0; attempt < p.opts.resurrectRetries(); attempt++ {
+	for attempt := 0; attempt < resurrectRetries; attempt++ {
 		if store.Classify(batchErr) == store.ClassPermanent {
 			break // resurrection cannot cure a permanent cause
 		}
