@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race lint cover cover-check bench bench-compare chaos-smoke serve-smoke loadgen examples experiments fuzz fuzz-smoke clean
+.PHONY: all check build vet test race lint cover cover-check bench bench-compare chaos-smoke serve-smoke cli-smoke loadgen examples experiments fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -107,6 +107,28 @@ serve-smoke:
 		-tenants good,hog -report SERVE.report.json -expect-resurrection; \
 	kill -TERM $$pid; wait $$pid || true; \
 	echo "serve-smoke: ok"
+
+# CLI smoke: run README's group-commit walkthrough (the sh block under
+# "### Group commit") as written, with a built viewupd and a throwaway
+# journal directory in place of /tmp/edm, then resume that directory
+# with -recover and a `view` script, failing unless both walkthrough
+# inserts (ann toys, zed tools) survived. A flag the README documents
+# but viewupd no longer has fails the first step.
+cli-smoke:
+	@set -e; \
+	tmp=$$(mktemp -d); \
+	trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/viewupd" ./cmd/viewupd; \
+	awk '/^### Group commit/ { sec = 1 } sec && /^```sh/ { code = 1; next } code && /^```/ { exit } code' README.md \
+		| sed -e "s|go run ./cmd/viewupd|$$tmp/viewupd|" -e "s|/tmp/edm|$$tmp/journal|" > "$$tmp/walkthrough.sh"; \
+	grep -q -e '-batch 32' "$$tmp/walkthrough.sh" || { echo "cli-smoke: README walkthrough not found"; exit 1; }; \
+	bash -e "$$tmp/walkthrough.sh"; \
+	echo view > "$$tmp/view.txt"; \
+	"$$tmp/viewupd" -schema testdata/edm.schema -view "E D" -complement "D M" \
+		-journal "$$tmp/journal" -recover -script "$$tmp/view.txt" | tee "$$tmp/recovered"; \
+	grep -Eq '^ann +toys' "$$tmp/recovered" && grep -Eq '^zed +tools' "$$tmp/recovered" \
+		|| { echo "cli-smoke: an acknowledged walkthrough update did not survive -recover"; exit 1; }; \
+	echo "cli-smoke: ok"
 
 # Interactive-scale load run against a self-hosted server, fault-free:
 # prints the per-tenant latency table and verifies the final view.

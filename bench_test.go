@@ -213,23 +213,23 @@ func BenchmarkApplyDeltaVsFull(b *testing.B) {
 				}
 				st.SetIncremental(inc)
 				ctx := context.Background()
-				batches := make([][]core.UpdateOp, b.N)
+				batches := make([][]store.BatchOp, b.N)
 				for i := range batches {
-					batch := make([]core.UpdateOp, 0, 8)
+					batch := make([]store.BatchOp, 0, 8)
 					for j := 0; j < 4; j++ {
 						t := e.NewEmployeeTuple(fmt.Sprintf("d%d_%d", i, j), j)
-						batch = append(batch, core.Insert(t))
+						batch = append(batch, store.BatchOp{Ctx: ctx, Op: core.Insert(t)})
 					}
 					for j := 0; j < 4; j++ {
 						t := e.NewEmployeeTuple(fmt.Sprintf("d%d_%d", i, j), j)
-						batch = append(batch, core.Delete(t))
+						batch = append(batch, store.BatchOp{Ctx: ctx, Op: core.Delete(t)})
 					}
 					batches[i] = batch
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					items, err := st.ApplyBatchCtx(ctx, batches[i])
+					items, err := st.ApplyOpsCtx(store.Ops(batches[i]), nil)
 					if err != nil {
 						b.Fatal(err)
 					}

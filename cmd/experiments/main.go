@@ -9,7 +9,7 @@
 //	experiments -run E5,E7   # run selected experiments
 //	experiments -quick       # smaller sweeps (CI-sized)
 //	experiments -parallel 8  # 8-way parallel relational kernels
-//	experiments -trace       # instrument + trace every experiment
+//	experiments -trace       # instrument every experiment
 //
 // -parallel n sets relation.Parallelism: n > 1 switches the joins,
 // Project, SelectEq and FD-satisfaction scans to n worker goroutines
@@ -18,10 +18,10 @@
 // meaningful only at the default -parallel=1.
 //
 // -trace instruments every subsystem through the obs layer: each
-// experiment runs under a span, prints an instrumented-cost summary
-// line (chase row visits, DPLL nodes, join probes, budget steps), some
-// tables gain an instrumented-cost column, and the run ends with the
-// full metrics report and the span tree.
+// experiment prints an instrumented-cost summary line (chase row
+// visits, DPLL nodes, join probes, budget steps), some tables gain an
+// instrumented-cost column, and the run ends with the full metrics
+// report.
 package main
 
 import (
@@ -67,12 +67,11 @@ func main() {
 	quick := flag.Bool("quick", false, "smaller parameter sweeps")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	par := flag.Int("parallel", 1, "relational kernel workers (0 = GOMAXPROCS; >1 enables parallel kernels)")
-	trace := flag.Bool("trace", false, "instrument all subsystems and print per-experiment costs, metrics, and the span tree")
+	trace := flag.Bool("trace", false, "instrument all subsystems and print per-experiment costs and the metrics report")
 	flag.Parse()
 	relation.Parallelism(*par)
 
 	var reg *obs.Registry
-	var tracer *obs.Tracer
 	if *trace {
 		reg = obs.NewRegistry()
 		relation.SetMetrics(reg)
@@ -81,8 +80,6 @@ func main() {
 		budget.SetMetrics(reg)
 		core.SetMetrics(reg)
 		store.SetMetrics(reg)
-		tracer = obs.NewTracer()
-		core.SetTracer(tracer)
 	}
 
 	sort.Slice(registry, func(i, j int) bool { return registry[i].id < registry[j].id })
@@ -109,10 +106,8 @@ func main() {
 		if reg != nil {
 			before = reg.Snapshot()
 		}
-		sp := tracer.Start(e.id)
 		start := obs.NowNS()
 		e.run(cfg)
-		sp.End()
 		if reg != nil {
 			fmt.Printf("   cost: %s\n", costSummary(before, reg.Snapshot()))
 		}
@@ -126,10 +121,6 @@ func main() {
 	if reg != nil {
 		fmt.Println("== metrics ==")
 		if err := reg.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-		fmt.Println("== trace ==")
-		if err := tracer.WriteTree(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 		}
 	}

@@ -18,7 +18,9 @@
 // exactly determined by that client's acknowledged ops — concurrent
 // clients cannot perturb each other's verification. Keys are drawn from
 // a zipfian distribution, so hot keys see long insert/delete/replace
-// chains. Each submit is one request of op frames, answered in result
+// chains; the keys of one submit are distinct (so -keys must be at
+// least -batch), which makes every op meet the state it was built
+// from. Each submit is one request of op frames, answered in result
 // frames (internal/netserve's wire.go). Throttled requests (429) honor
 // Retry-After and retry; shed ops are definite non-applications and
 // simply leave state unchanged.
@@ -39,6 +41,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -138,6 +141,9 @@ func main() {
 }
 
 func run(cfg *config, reportPath string, expectRes, verify bool) error {
+	if cfg.keys < cfg.batch {
+		return fmt.Errorf("-keys %d is below -batch %d: the ops of one submit need distinct keys", cfg.keys, cfg.batch)
+	}
 	base := "http://" + cfg.addr
 	httpc := &http.Client{Timeout: 60 * time.Second}
 
@@ -306,7 +312,7 @@ func (c *client) drive(cfg *config, httpc *http.Client, base string) {
 		ops := make([]netserve.WireOp, n)
 		keys := make([]int, n)
 		for i := range ops {
-			k := int(c.zipf.Uint64())
+			k := c.drawKey(cfg, keys[:i])
 			keys[i] = k
 			ops[i] = c.genFor(cfg, k)
 		}
@@ -341,6 +347,19 @@ func (c *client) drive(cfg *config, httpc *http.Client, base string) {
 	}
 }
 
+// drawKey draws a zipfian key not in taken, the keys of the batch so
+// far: on a repeat it takes the next unused key (k+1 mod -keys), at
+// most len(taken) steps away. Every op of a batch is built from the
+// presence tracked before the batch, so distinct keys are what make
+// each op meet exactly the state it was built against.
+func (c *client) drawKey(cfg *config, taken []int) int {
+	k := int(c.zipf.Uint64())
+	for slices.Contains(taken, k) {
+		k = (k + 1) % cfg.keys
+	}
+	return k
+}
+
 // genFor builds the op for key k from current tracked presence.
 func (c *client) genFor(cfg *config, k int) netserve.WireOp {
 	name := fmt.Sprintf("lg_%s_c%d_k%d", c.tenant, c.idx, k)
@@ -349,14 +368,14 @@ func (c *client) genFor(cfg *config, k int) netserve.WireOp {
 		return netserve.WireOp{Kind: netserve.KindInsert, Tuple: cfg.tuple(name, fmt.Sprintf("dept%d", dept))}
 	}
 	cur := fmt.Sprintf("dept%d", c.present[k])
-	switch c.rng.Intn(10) {
-	case 0, 1, 2:
+	if c.rng.Intn(10) < 3 || cfg.depts < 2 {
 		return netserve.WireOp{Kind: netserve.KindDelete, Tuple: cfg.tuple(name, cur)}
-	default:
-		dept := c.rng.Intn(cfg.depts)
-		return netserve.WireOp{Kind: netserve.KindReplace,
-			Tuple: cfg.tuple(name, cur), With: cfg.tuple(name, fmt.Sprintf("dept%d", dept))}
 	}
+	// A replace moves the key to another department: a tuple replaced
+	// by itself is refused, since the replacement is already in the view.
+	dept := (c.present[k] + 1 + c.rng.Intn(cfg.depts-1)) % cfg.depts
+	return netserve.WireOp{Kind: netserve.KindReplace,
+		Tuple: cfg.tuple(name, cur), With: cfg.tuple(name, fmt.Sprintf("dept%d", dept))}
 }
 
 // apply advances tracked state by one result: only acked (applied) ops
@@ -368,8 +387,7 @@ func (c *client) apply(cfg *config, k int, op netserve.WireOp, res netserve.OpRe
 		c.acked++
 		if res.Identity {
 			// An identity translation is acknowledged but changed
-			// nothing (e.g. deleting a tuple the view no longer holds
-			// because an earlier op in the same batch replaced it).
+			// nothing: the view already reflected the op.
 			c.identity++
 			return
 		}
@@ -383,11 +401,7 @@ func (c *client) apply(cfg *config, k int, op netserve.WireOp, res netserve.OpRe
 		}
 	case res.Rejected:
 		c.rejected++
-		msg := res.Reason
-		if msg == "" {
-			msg = res.Error
-		}
-		c.reason("rejected: " + msg)
+		c.reason("rejected: " + res.Reason)
 	case res.Shed:
 		c.shed++
 	default:

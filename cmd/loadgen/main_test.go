@@ -111,3 +111,35 @@ func TestVerifyFinalViewFirstReadAfterAcks(t *testing.T) {
 		t.Fatalf("first read after the acks missed acked ops: %v", errs)
 	}
 }
+
+// TestDriveSmallKeySpaceNoOpErrors: with as many keys as a batch holds,
+// every batch draws each key at most once, so every op meets the state
+// it was built from — no op errors — and the acks match the final view.
+func TestDriveSmallKeySpaceNoOpErrors(t *testing.T) {
+	base := startServer(t)
+	httpc := &http.Client{}
+	cfg := testConfig()
+	cfg.ops, cfg.keys, cfg.batch = 240, 8, 8
+	if err := discoverLayout(httpc, base, cfg); err != nil {
+		t.Fatal(err)
+	}
+	clients := driveAll(t, cfg, httpc, base)
+	for _, c := range clients {
+		if c.opErrs != 0 {
+			t.Errorf("client %d: %d op errors: %v", c.idx, c.opErrs, c.reasons)
+		}
+	}
+	if errs := verifyFinalView(httpc, base, cfg, clients); len(errs) > 0 {
+		t.Fatalf("acks do not match the final view: %v", errs)
+	}
+}
+
+// TestRunRejectsFewerKeysThanBatch: a batch cannot draw distinct keys
+// from a smaller key space, so run refuses before sending anything.
+func TestRunRejectsFewerKeysThanBatch(t *testing.T) {
+	cfg := testConfig()
+	cfg.keys, cfg.batch = 4, 8
+	if err := run(cfg, "", false, false); err == nil || !strings.Contains(err.Error(), "-keys") {
+		t.Fatalf("run with -keys 4 -batch 8 = %v, want a -keys error", err)
+	}
+}

@@ -7,32 +7,22 @@
 //
 //	viewupd -schema schema.txt -data data.txt -view "E D" [-complement "D M"]
 //	        [-script s.txt] [-journal dir] [-recover [-force]] [-timeout 2s]
-//	        [-batch n] [-pipeline] [-metrics report.json]
+//	        [-batch n] [-metrics report.json]
 //
 // Without -complement, the minimal complement of Corollary 2 is used.
 // With -batch n (requires -journal), consecutive update commands are
 // buffered and applied as one group commit — one journal write and one
 // fsync shared by up to n updates — flushing on a non-update command,
 // a full buffer, or end of script. Durability is unchanged: a command's
-// outcome is printed only after the fsync covering it. With -pipeline
-// (requires -journal), updates run through the serving pipeline
-// (internal/serve), which overlaps the decision chase with journal
-// fsyncs; combined with -batch n, updates are submitted asynchronously
-// in windows of n so they share fsyncs through the pipeline. The
-// pipeline is self-healing: if a storage fault breaks the session
-// mid-run, it is quarantined and a fresh session is resurrected by
-// re-running recovery against the same -journal directory (the online
-// form of -recover) — acknowledged updates survive byte-identically,
-// un-acked ones are retried or rejected, never silently dropped.
-// The session maintains delta state (view and complement indexes, an
-// incrementally chased padding) so each decide/apply costs time
-// proportional to the update, not the instance; the full re-projection
-// path runs automatically whenever the delta state cannot prove the
-// canonical outcome (and after a pipeline resync, which drops the
-// maintained state). With -metrics, every subsystem is instrumented and a report is
-// written to the given file on exit (even when a scripted run fails):
-// expvar-style JSON by default, Prometheus text format when the file
-// name ends in .prom, stdout when the name is "-".
+// outcome is printed only after the fsync covering it. The session
+// maintains delta state (view and complement indexes, an incrementally
+// chased padding) so each decide/apply costs time proportional to the
+// update, not the instance; the full re-projection path runs
+// automatically whenever the delta state cannot prove the canonical
+// outcome. With -metrics, every subsystem is instrumented and a report
+// is written to the given file on exit (even when a scripted run
+// fails): expvar-style JSON by default, Prometheus text format when the
+// file name ends in .prom, stdout when the name is "-".
 //
 // With -journal, the session is durable: every applied update is
 // journaled and fsynced in dir before it is acknowledged, and -recover
@@ -41,7 +31,11 @@
 // is not needed). Recovery refuses to truncate mid-journal corruption
 // that would drop acknowledged updates unless -force is given. With
 // -timeout, each command's decision procedure is bounded and times out
-// instead of hanging on adversarial schemas.
+// instead of hanging on adversarial schemas. A storage fault that
+// breaks the durable session fails every later update of the run;
+// -recover on the same directory resumes with every acknowledged
+// update. (Resurrecting a broken session online is the serving
+// pipeline's job, in viewsrv.)
 //
 // Commands (from -script or stdin), one per line:
 //
@@ -78,7 +72,6 @@ import (
 	"github.com/constcomp/constcomp/internal/logic"
 	"github.com/constcomp/constcomp/internal/obs"
 	"github.com/constcomp/constcomp/internal/relation"
-	"github.com/constcomp/constcomp/internal/serve"
 	"github.com/constcomp/constcomp/internal/store"
 	"github.com/constcomp/constcomp/internal/value"
 	"github.com/constcomp/constcomp/internal/workload"
@@ -111,7 +104,6 @@ func main() {
 	forceFlag := flag.Bool("force", false, "with -recover: truncate mid-journal corruption even if intact records past the damage are lost")
 	timeout := flag.Duration("timeout", 0, "per-command decision budget (0 = unlimited)")
 	batchN := flag.Int("batch", 1, "group up to n consecutive updates into one journal fsync (requires -journal)")
-	pipelineFlag := flag.Bool("pipeline", false, "run updates through the serving pipeline (requires -journal)")
 	metricsPath := flag.String("metrics", "", "write a metrics report here on exit (JSON, or Prometheus text if the name ends in .prom; - for stdout)")
 	flag.Parse()
 	if *schemaPath == "" || *viewSpec == "" || (*dataPath == "" && !*recoverFlag) {
@@ -124,8 +116,8 @@ func main() {
 	if *batchN < 1 {
 		log.Fatal("-batch must be at least 1")
 	}
-	if (*batchN > 1 || *pipelineFlag) && *journalDir == "" {
-		log.Fatal("-batch/-pipeline require -journal: group commit is about sharing journal fsyncs")
+	if *batchN > 1 && *journalDir == "" {
+		log.Fatal("-batch requires -journal: group commit is about sharing journal fsyncs")
 	}
 
 	// With -metrics, instrument every subsystem the session can exercise:
@@ -140,7 +132,6 @@ func main() {
 		budget.SetMetrics(reg)
 		core.SetMetrics(reg)
 		store.SetMetrics(reg)
-		serve.SetMetrics(reg)
 	}
 
 	schemaText, err := os.ReadFile(*schemaPath)
@@ -187,14 +178,12 @@ func main() {
 
 	var sess updSession
 	var st *store.Session
-	var storeFS store.FS
 	switch {
 	case *journalDir != "":
 		fsys, err := store.NewDirFS(*journalDir)
 		if err != nil {
 			log.Fatal(err)
 		}
-		storeFS = fsys
 		if *recoverFlag {
 			s, rep, err := store.Recover(fsys, pair, syms, store.Options{ForceRecover: *forceFlag})
 			if err != nil {
@@ -234,34 +223,6 @@ func main() {
 		in = f
 	}
 	r := &runner{sess: sess, syms: syms, out: os.Stdout, timeout: *timeout, batch: *batchN, st: st}
-	if *pipelineFlag {
-		// The pipeline self-heals: when a storage fault breaks the
-		// session, it quarantines it and resurrects a fresh one by
-		// re-running recovery off the same journal directory —
-		// acknowledged updates are replayed, un-acked ones retried. This
-		// is the same machinery -recover uses at startup, run online.
-		pipe, err := serve.New(st, serve.Options{
-			MaxBatch: *batchN,
-			Resurrect: func() (*store.Session, error) {
-				ns, _, err := store.Recover(storeFS, pair, syms, store.Options{ForceRecover: *forceFlag})
-				return ns, err
-			},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			if err := pipe.Close(); err != nil {
-				log.Print(err)
-			}
-			// A resurrection replaced the session we opened; close the
-			// replacement too (the original is covered by its own defer).
-			if cur := pipe.Store(); cur != st {
-				cur.Close()
-			}
-		}()
-		r.pipe = pipe
-	}
 	scriptErr := runScript(r, in)
 	// The metrics report is written before the exit status is decided so
 	// a failing script still leaves its instrumentation behind.
@@ -306,12 +267,11 @@ type runner struct {
 	errs    int
 
 	// Group commit state. With batch > 1, consecutive update commands
-	// accumulate in pending and are applied as one store batch (or one
-	// pipeline window); any non-update command flushes first so the
-	// state it shows includes every buffered update.
+	// accumulate in pending and are applied as one store group commit;
+	// any non-update command flushes first so the state it shows
+	// includes every buffered update.
 	batch   int
 	st      *store.Session
-	pipe    *serve.Pipeline
 	pending []bufferedOp
 }
 
@@ -352,29 +312,6 @@ func runScript(r *runner, in io.Reader) error {
 	return nil
 }
 
-// sessNow returns the session reads and decides should target: the
-// pipeline's current store session when one is running — resurrection
-// may have replaced the session the runner was built with — and the
-// fixed session otherwise.
-func (r *runner) sessNow() updSession {
-	if r.pipe != nil {
-		return r.pipe.Store()
-	}
-	return r.sess
-}
-
-// viewRel returns the relation tuple parsing and `view` print against:
-// the published view in pipeline mode, which never touches the session
-// the committer owns, and the session's view otherwise. Both are
-// read-only here.
-func (r *runner) viewRel() *relation.Relation {
-	if r.pipe != nil {
-		v, _, _ := r.pipe.Published()
-		return v
-	}
-	return r.sess.View()
-}
-
 func (r *runner) ctx() (context.Context, context.CancelFunc) {
 	if r.timeout > 0 {
 		return context.WithTimeout(context.Background(), r.timeout)
@@ -385,7 +322,7 @@ func (r *runner) ctx() (context.Context, context.CancelFunc) {
 // parseOp parses "insert"/"delete"/"replace" operand text into an
 // update op over the current view.
 func (r *runner) parseOp(kind, rest string) (core.UpdateOp, error) {
-	view := r.viewRel()
+	view := r.sess.View()
 	switch kind {
 	case "insert", "delete":
 		t, err := workload.ParseTuple(view, r.syms, rest)
@@ -433,9 +370,9 @@ func (r *runner) execute(line string) error {
 	}
 	switch cmd {
 	case "show":
-		fmt.Fprint(r.out, r.sessNow().Database().Format(r.syms))
+		fmt.Fprint(r.out, r.sess.Database().Format(r.syms))
 	case "view":
-		fmt.Fprint(r.out, r.viewRel().Format(r.syms))
+		fmt.Fprint(r.out, r.sess.View().Format(r.syms))
 	case "decide":
 		sub := strings.SplitN(rest, " ", 2)
 		if len(sub) != 2 {
@@ -447,7 +384,7 @@ func (r *runner) execute(line string) error {
 		}
 		ctx, cancel := r.ctx()
 		defer cancel()
-		d, err := r.sessNow().DecideCtx(ctx, op)
+		d, err := r.sess.DecideCtx(ctx, op)
 		if err != nil {
 			return r.describeTimeout(err)
 		}
@@ -466,12 +403,7 @@ func (r *runner) execute(line string) error {
 		}
 		ctx, cancel := r.ctx()
 		defer cancel()
-		var d *core.Decision
-		if r.pipe != nil {
-			d, err = r.pipe.ApplyCtx(ctx, op)
-		} else {
-			d, err = r.sess.ApplyCtx(ctx, op)
-		}
+		d, err := r.sess.ApplyCtx(ctx, op)
 		r.report(cmd, d, err)
 		if err != nil && !errors.Is(err, core.ErrRejected) {
 			return r.describeTimeout(err)
@@ -493,9 +425,9 @@ func (r *runner) report(cmd string, d *core.Decision, err error) {
 	}
 }
 
-// flush applies the buffered updates as one group commit — through the
-// pipeline when one is running, directly via the store's batch apply
-// otherwise — and reports each outcome in submission order. Per-op
+// flush applies the buffered updates as one store group commit — one
+// journal write and one fsync — and reports each outcome in submission
+// order. Per-op
 // failures (beyond ordinary rejections) no longer have their script
 // line at hand, so they are reported here with the command text and
 // counted toward the script's exit status.
@@ -508,35 +440,11 @@ func (r *runner) flush() {
 	// One timeout bounds the whole flush: the group shares its fate.
 	ctx, cancel := r.ctx()
 	defer cancel()
-	if r.pipe != nil {
-		pends := make([]*serve.Pending, len(buffered))
-		for i, b := range buffered {
-			p, err := r.pipe.ApplyAsync(ctx, b.op)
-			if err != nil {
-				r.errs++
-				fmt.Fprintf(r.out, "batch: %s: error: %v\n", b.cmd, r.describeTimeout(err))
-				continue
-			}
-			pends[i] = p
-		}
-		for i, p := range pends {
-			if p == nil {
-				continue
-			}
-			d, err := p.Wait()
-			r.report(buffered[i].cmd, d, err)
-			if err != nil && !errors.Is(err, core.ErrRejected) {
-				r.errs++
-				fmt.Fprintf(r.out, "batch: %s: error: %v\n", buffered[i].cmd, r.describeTimeout(err))
-			}
-		}
-		return
-	}
-	ops := make([]core.UpdateOp, len(buffered))
+	ops := make([]store.BatchOp, len(buffered))
 	for i, b := range buffered {
-		ops[i] = b.op
+		ops[i] = store.BatchOp{Ctx: ctx, Op: b.op}
 	}
-	items, err := r.st.ApplyBatchCtx(ctx, ops)
+	items, err := r.st.ApplyOpsCtx(store.Ops(ops), nil)
 	for i, it := range items {
 		r.report(buffered[i].cmd, it.Decision, it.Err)
 		if it.Err != nil && !errors.Is(it.Err, core.ErrRejected) {

@@ -12,7 +12,6 @@ import (
 	"github.com/constcomp/constcomp/internal/core"
 	"github.com/constcomp/constcomp/internal/obs"
 	"github.com/constcomp/constcomp/internal/relation"
-	"github.com/constcomp/constcomp/internal/serve"
 	"github.com/constcomp/constcomp/internal/store"
 	"github.com/constcomp/constcomp/internal/value"
 	"github.com/constcomp/constcomp/internal/workload"
@@ -302,117 +301,6 @@ insert pat tools
 	}
 	if !rec.View().Contains(relation.Tuple{syms2.Const("pat"), syms2.Const("tools")}) {
 		t.Error("end-of-script flush was not durable")
-	}
-}
-
-// TestScriptPipelineMode drives the same command loop through the
-// serving pipeline and checks updates land durably in order.
-func TestScriptPipelineMode(t *testing.T) {
-	pair, db, syms := fixture(t)
-	mem := store.NewMemFS()
-	st, err := store.Create(mem, pair, db, syms, store.Options{SnapshotEvery: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe, err := serve.New(st, serve.Options{MaxBatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	r := &runner{sess: st, syms: syms, out: &out, batch: 4, st: st, pipe: pipe}
-	script := "insert ann toys\ninsert zed tools\ndelete ed toys\nshow\n"
-	if err := runScript(r, strings.NewReader(script)); err != nil {
-		t.Fatal(err)
-	}
-	if err := pipe.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !viewHas(r, "ann", "toys") || viewHas(r, "ed", "toys") {
-		t.Errorf("pipelined updates not applied:\n%s", out.String())
-	}
-	mem.Crash()
-	syms2 := value.NewSymbols()
-	rec, _, err := store.Recover(mem, pair, syms2, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rec.View().Contains(relation.Tuple{syms2.Const("zed"), syms2.Const("tools")}) {
-		t.Error("pipelined update lost after crash")
-	}
-	// Unbatched pipeline submissions (batch == 1) go through the
-	// synchronous path.
-	st2, err := store.Create(store.NewMemFS(), pair, db, syms, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe2, err := serve.New(st2, serve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2 := &runner{sess: st2, syms: syms, out: &bytes.Buffer{}, batch: 1, st: st2, pipe: pipe2}
-	if err := runScript(r2, strings.NewReader("insert ann toys\n")); err != nil {
-		t.Fatal(err)
-	}
-	if err := pipe2.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestScriptPipelineResurrection wires the -pipeline self-healing path
-// exactly the way main does: a journal fsync fault breaks the first
-// session mid-script, the pipeline resurrects a fresh one by
-// re-running recovery off the same filesystem, and every scripted
-// update still lands durably — the script reports zero failures.
-func TestScriptPipelineResurrection(t *testing.T) {
-	pair, db, syms := fixture(t)
-	mem := store.NewMemFS()
-	fsys := store.NewFaultFS(mem, store.FaultPlan{
-		Match:      func(name string) bool { return name == store.JournalFile },
-		FailSyncAt: 2,
-	})
-	st, err := store.Create(fsys, pair, db, syms, store.Options{SnapshotEvery: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe, err := serve.New(st, serve.Options{
-		MaxBatch: 2,
-		Resurrect: func() (*store.Session, error) {
-			ns, _, err := store.Recover(mem, pair, syms, store.Options{})
-			if err != nil {
-				return nil, err
-			}
-			return ns, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	r := &runner{sess: st, syms: syms, out: &out, batch: 2, st: st, pipe: pipe}
-	script := "insert ann toys\ninsert zed tools\ninsert kim toys\ninsert pat tools\nshow\n"
-	if err := runScript(r, strings.NewReader(script)); err != nil {
-		t.Fatalf("script failed despite self-healing: %v\n%s", err, out.String())
-	}
-	if pipe.Store() == st {
-		t.Fatal("sync fault never fired: pipeline still on the original session")
-	}
-	if err := pipe.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The post-resurrection `show` must reflect the healed session.
-	if !strings.Contains(out.String(), "pat") {
-		t.Errorf("show after resurrection missing batched update:\n%s", out.String())
-	}
-	mem.Crash()
-	syms2 := value.NewSymbols()
-	rec, _, err := store.Recover(mem, pair, syms2, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range [][2]string{{"ann", "toys"}, {"zed", "tools"}, {"kim", "toys"}, {"pat", "tools"}} {
-		if !rec.View().Contains(relation.Tuple{syms2.Const(want[0]), syms2.Const(want[1])}) {
-			t.Errorf("update %v lost across resurrection + crash", want)
-		}
 	}
 }
 

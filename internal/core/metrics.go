@@ -32,10 +32,7 @@ type coreMetrics struct {
 	applyNs  [3]*obs.Histogram
 }
 
-var (
-	coremetrics atomic.Pointer[coreMetrics]
-	coretracer  atomic.Pointer[obs.Tracer]
-)
+var coremetrics atomic.Pointer[coreMetrics]
 
 // SetMetrics installs (or, with nil, removes) the metrics sink for
 // session decide/apply accounting.
@@ -64,34 +61,6 @@ func SetMetrics(s obs.Sink) {
 		m.applyNs[k] = s.Histogram("core_apply_" + k.String() + "_ns")
 	}
 	coremetrics.Store(m)
-}
-
-// SetTracer installs (or, with nil, removes) the span tracer for
-// session operations: ApplyCtx opens an apply/<kind> root span with a
-// nested decide/<kind> child (and a translate child for the mutation
-// itself), so a trace shows where a slow update spent its time.
-func SetTracer(t *obs.Tracer) {
-	coretracer.Store(t)
-}
-
-// rootSpan opens a root span when tracing is on (the name is not even
-// built otherwise).
-func rootSpan(prefix string, kind UpdateKind) *obs.Span {
-	tr := coretracer.Load()
-	if tr == nil {
-		return nil
-	}
-	return tr.Start(prefix + kind.String())
-}
-
-// childSpan opens a child of parent, which may be nil (no-op).
-func childSpan(parent *obs.Span, prefix string, kind UpdateKind) *obs.Span {
-	if parent == nil {
-		// Fall back to a root span so DecideCtx traces even outside
-		// ApplyCtx.
-		return rootSpan(prefix, kind)
-	}
-	return parent.Child(prefix + kind.String())
 }
 
 // validKind reports whether k indexes the per-kind histogram arrays.

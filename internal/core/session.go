@@ -214,14 +214,6 @@ func (s *Session) Decide(op UpdateOp) (*Decision, error) {
 // replace tests honor cancellation within one chase step and return an
 // error wrapping ErrBudgetExceeded instead of hanging.
 func (s *Session) DecideCtx(ctx context.Context, op UpdateOp) (*Decision, error) {
-	return s.decideCtx(ctx, op, nil)
-}
-
-// decideCtx is DecideCtx with an optional parent span (ApplyCtx nests
-// its decision under the apply span).
-func (s *Session) decideCtx(ctx context.Context, op UpdateOp, parent *obs.Span) (*Decision, error) {
-	sp := childSpan(parent, "decide/", op.Kind)
-	defer sp.End()
 	m := coremetrics.Load()
 	var t0 int64
 	if m != nil {
@@ -296,17 +288,14 @@ func (s *Session) Apply(op UpdateOp) (*Decision, error) {
 // decision leaves the database and the view version untouched; the returned
 // error wraps ErrBudgetExceeded.
 func (s *Session) ApplyCtx(ctx context.Context, op UpdateOp) (*Decision, error) {
-	sp := rootSpan("apply/", op.Kind)
-	defer sp.End()
 	m := coremetrics.Load()
-	d, err := s.decideCtx(ctx, op, sp)
+	d, err := s.DecideCtx(ctx, op)
 	if err != nil {
 		return nil, err
 	}
 	if !d.Translatable {
 		return d, fmt.Errorf("%w: %s", ErrRejected, d.Reason)
 	}
-	tsp := sp.Child("translate/" + op.Kind.String())
 	var t0 int64
 	if m != nil {
 		t0 = obs.NowNS()
@@ -324,7 +313,6 @@ func (s *Session) ApplyCtx(ctx context.Context, op UpdateOp) (*Decision, error) 
 				}
 				m.applied.Inc()
 			}
-			tsp.End()
 			s.version++
 			return d, nil
 		}
@@ -347,7 +335,6 @@ func (s *Session) ApplyCtx(ctx context.Context, op UpdateOp) (*Decision, error) 
 	if m != nil && validKind(op.Kind) {
 		m.applyNs[op.Kind].ObserveDuration(obs.SinceNS(t0))
 	}
-	tsp.End()
 	if err != nil {
 		return d, err
 	}
@@ -367,20 +354,4 @@ func (s *Session) ApplyCtx(ctx context.Context, op UpdateOp) (*Decision, error) 
 		m.applied.Inc()
 	}
 	return d, nil
-}
-
-// ApplyAll applies a sequence of updates, stopping at the first rejection
-// or error. It returns the number applied.
-func (s *Session) ApplyAll(ops []UpdateOp) (int, error) {
-	return s.ApplyAllCtx(context.Background(), ops)
-}
-
-// ApplyAllCtx is ApplyAll bounded by a context, checked per update.
-func (s *Session) ApplyAllCtx(ctx context.Context, ops []UpdateOp) (int, error) {
-	for i, op := range ops {
-		if _, err := s.ApplyCtx(ctx, op); err != nil {
-			return i, err
-		}
-	}
-	return len(ops), nil
 }

@@ -36,9 +36,12 @@ func TestSessionBasics(t *testing.T) {
 		Replace(relation.Tuple{syms.Const("ann"), syms.Const("toys")},
 			relation.Tuple{syms.Const("ann"), syms.Const("tools")}),
 	}
-	n, err := sess.ApplyAll(ops)
-	if err != nil {
-		t.Fatalf("applied %d: %v", n, err)
+	n := 0
+	for _, op := range ops {
+		if _, err := sess.Apply(op); err != nil {
+			t.Fatalf("applied %d: %v", n, err)
+		}
+		n++
 	}
 	if n != 3 {
 		t.Fatalf("applied %d ops", n)
@@ -147,8 +150,10 @@ func TestQuickSessionMorphism(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if _, err := s2a.ApplyAll(ops[:cut]); err != nil {
-			return false
+		for _, op := range ops[:cut] {
+			if _, err := s2a.Apply(op); err != nil {
+				return false
+			}
 		}
 		s2b, err := NewSession(p, s2a.Database())
 		if err != nil {

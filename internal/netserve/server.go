@@ -363,7 +363,7 @@ func opOutcome(d *core.Decision, err error) OpResult {
 		}
 		return res
 	case errors.Is(err, core.ErrRejected):
-		res := OpResult{Rejected: true, Error: err.Error()}
+		res := OpResult{Rejected: true}
 		if d != nil {
 			res.Reason = d.Reason.String()
 		}

@@ -239,6 +239,19 @@ func TestServerSubmitFramePath(t *testing.T) {
 	}
 }
 
+// TestOpOutcomeRejectedCarriesReasonOnly pins OpResult's "exactly one
+// of Applied, Rejected, Shed, or a non-empty Error" contract for a
+// rejection: the outcome is Rejected with the decision's reason, and
+// Error stays empty (a result frame carries only the reason).
+func TestOpOutcomeRejectedCarriesReasonOnly(t *testing.T) {
+	d := &core.Decision{Reason: core.ReasonNoSharedMatch}
+	res := opOutcome(d, fmt.Errorf("%w: %s", core.ErrRejected, d.Reason))
+	want := OpResult{Rejected: true, Reason: core.ReasonNoSharedMatch.String()}
+	if res != want {
+		t.Fatalf("opOutcome(rejected) = %+v, want %+v", res, want)
+	}
+}
+
 // TestServerSubmitRequiresFrames: a submit whose Content-Type is not
 // the op-frame type gets 415 and applies nothing, whatever its body
 // holds: the published seq and the view stay as they were.

@@ -1,10 +1,10 @@
 // Package obs is the repository's zero-dependency observability layer:
-// atomic counters, bounded histograms with quantile estimates, and a
-// monotonic-clock span tracer, collected in a Registry and exported as
-// expvar-style JSON or Prometheus text format (see report.go).
+// atomic counters and bounded histograms with quantile estimates,
+// collected in a Registry and exported as expvar-style JSON or
+// Prometheus text format (see report.go).
 //
 // The layer is built to cost ~nothing when disabled. Every handle type
-// (*Counter, *Histogram, *Tracer, *Span) is nil-safe: methods on a nil
+// (*Counter, *Histogram) is nil-safe: methods on a nil
 // receiver are no-ops, so instrumented code holds a possibly-nil handle
 // and calls it unconditionally. Instrumented packages expose a
 // SetMetrics(obs.Sink) knob; passing nil restores the nil handles and

@@ -28,25 +28,6 @@ type BatchItem struct {
 	Err      error
 }
 
-// ApplyBatchCtx applies ops as one group commit. Every op is attempted
-// independently: a rejection or a per-op error (budget trip, context
-// cancellation) is recorded in its BatchItem and does not stop the
-// batch — the semantics of concurrent submitters whose ops happen to
-// share an fsync, not of a script. Applied ops are journaled together
-// with a single fsync; they are durable when the call returns, even
-// when some items carry errors. The returned error is non-nil only when
-// the session is (or becomes) broken — then items reports how far the
-// batch got, and applied ops' durability is indeterminate (see
-// ErrSessionBroken).
-func (s *Session) ApplyBatchCtx(ctx context.Context, ops []core.UpdateOp) ([]BatchItem, error) {
-	return s.applyBatch(batchOps(ctx, ops), nil, false)
-}
-
-// ApplyBatch is ApplyBatchCtx without a context bound.
-func (s *Session) ApplyBatch(ops []core.UpdateOp) ([]BatchItem, error) {
-	return s.ApplyBatchCtx(context.Background(), ops)
-}
-
 // BatchOp is one member of a group commit: the op and the context that
 // bounds its decide. Each op carries its own context, so one member's
 // deadline, cancellation or budget plan never bounds another's.
@@ -78,30 +59,21 @@ func Ops(ops []BatchOp) BatchSource {
 	}
 }
 
-// ApplyOpsCtx is ApplyBatchCtx with a context per op, the members
-// pulled from next until it closes, and an optional in-place retry
-// policy (nil never retries). A failed apply never touches the session,
-// so a retry decides from exactly the state the failed attempt saw.
-// Journaling, durability and crash semantics are those of
-// ApplyBatchCtx; items[i] is the outcome of the i-th member.
+// ApplyOpsCtx applies the members pulled from next, until it closes,
+// as one group commit. Every member is attempted independently under
+// its own context: a rejection or a per-op error (budget trip, context
+// cancellation) is recorded in its BatchItem and does not stop the
+// batch — the semantics of concurrent submitters whose ops happen to
+// share an fsync. retry is an optional in-place retry policy (nil
+// never retries); a failed apply never touches the session, so a retry
+// decides from exactly the state the failed attempt saw. Applied ops
+// are journaled together with a single write and fsync; they are
+// durable when the call returns, even when some items carry errors.
+// items[i] is the outcome of the i-th member. The returned error is
+// non-nil only when the session is (or becomes) broken — then items
+// reports how far the batch got, and applied ops' durability is
+// indeterminate (see ErrSessionBroken).
 func (s *Session) ApplyOpsCtx(next BatchSource, retry RetryFunc) ([]BatchItem, error) {
-	return s.applyBatch(next, retry, false)
-}
-
-func batchOps(ctx context.Context, ops []core.UpdateOp) BatchSource {
-	out := make([]BatchOp, len(ops))
-	for i, op := range ops {
-		out[i] = BatchOp{Ctx: ctx, Op: op}
-	}
-	return Ops(out)
-}
-
-// applyBatch is the group-commit engine. With stopOnErr the loop stops
-// at the first rejection or error (script semantics, backing ApplyAll);
-// without it every op is attempted (pipeline semantics). Either way the
-// applied prefix is journaled in one write + one fsync before
-// returning, so in-memory state never runs ahead of an acknowledgement.
-func (s *Session) applyBatch(next BatchSource, retry RetryFunc, stopOnErr bool) ([]BatchItem, error) {
 	if s.broken != nil {
 		return nil, fmt.Errorf("%w: %w", ErrSessionBroken, s.broken)
 	}
@@ -125,9 +97,6 @@ func (s *Session) applyBatch(next BatchSource, retry RetryFunc, stopOnErr bool) 
 		}
 		if err != nil {
 			items = append(items, BatchItem{Decision: d, Err: err})
-			if stopOnErr {
-				break
-			}
 			continue
 		}
 		buf, err = enc.appendOp(buf, s.seq+uint64(applied)+1, op)
@@ -159,45 +128,6 @@ func (s *Session) applyBatch(next BatchSource, retry RetryFunc, stopOnErr bool) 
 		return items, fmt.Errorf("%w: %w", ErrSessionBroken, encodeErr)
 	}
 	return items, nil
-}
-
-// applyAllChunk bounds how many ops share one group commit in ApplyAll:
-// large enough to amortize the fsync, small enough that a failed script
-// does not hold a long applied-but-unacknowledged prefix in memory.
-const applyAllChunk = 64
-
-// ApplyAll applies a sequence of updates with group commit, stopping at
-// the first rejection or error, mirroring core.Session.ApplyAll: it
-// returns the number applied (all of them durable) and the stopping
-// error. A 100-op script pays ⌈100/64⌉ fsyncs instead of 100.
-func (s *Session) ApplyAll(ops []core.UpdateOp) (int, error) {
-	return s.ApplyAllCtx(context.Background(), ops)
-}
-
-// ApplyAllCtx is ApplyAll bounded by a context, checked per update.
-func (s *Session) ApplyAllCtx(ctx context.Context, ops []core.UpdateOp) (int, error) {
-	applied := 0
-	for start := 0; start < len(ops); start += applyAllChunk {
-		end := start + applyAllChunk
-		if end > len(ops) {
-			end = len(ops)
-		}
-		items, err := s.applyBatch(batchOps(ctx, ops[start:end]), nil, true)
-		for _, it := range items {
-			if it.Err == nil {
-				applied++
-			}
-		}
-		if err != nil {
-			return applied, err
-		}
-		for _, it := range items {
-			if it.Err != nil {
-				return applied, it.Err
-			}
-		}
-	}
-	return applied, nil
 }
 
 // SetIncremental forwards to the wrapped core session, switching the

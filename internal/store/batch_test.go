@@ -12,7 +12,7 @@ import (
 	"github.com/constcomp/constcomp/internal/value"
 )
 
-// batchImage frames ops[0:n] exactly as applyBatch does (seq 1..n) so
+// batchImage frames ops[0:n] exactly as ApplyOpsCtx does (seq 1..n) so
 // tests can locate record boundaries inside the single group-commit
 // write.
 func batchImage(t *testing.T, n int) (image []byte, boundaries []int) {
@@ -47,7 +47,7 @@ func TestBatchCrashMatrixEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("keep=%d: create: %v", keep, err)
 		}
-		items, err := st.ApplyBatch(ops50(syms)[:batchN])
+		items, err := applyOps(context.Background(), st, ops50(syms)[:batchN])
 		if !errors.Is(err, ErrSessionBroken) {
 			t.Fatalf("keep=%d: torn batch write surfaced as %v, want ErrSessionBroken", keep, err)
 		}
@@ -56,7 +56,7 @@ func TestBatchCrashMatrixEveryByte(t *testing.T) {
 			t.Fatalf("keep=%d: %d items, want %d", keep, len(items), batchN)
 		}
 		// The broken session refuses further batches.
-		if _, err := st.ApplyBatch(ops50(syms)[:1]); !errors.Is(err, ErrSessionBroken) {
+		if _, err := applyOps(context.Background(), st, ops50(syms)[:1]); !errors.Is(err, ErrSessionBroken) {
 			t.Fatalf("keep=%d: broken session accepted a batch (%v)", keep, err)
 		}
 
@@ -89,8 +89,14 @@ func TestBatchCrashMatrixEveryByte(t *testing.T) {
 		// The revived session finishes the workload from the surviving
 		// prefix and lands on the full-run state.
 		ops2 := ops50(syms2)
-		if _, err := rec.ApplyAll(ops2[k:]); err != nil {
+		items, err = applyOps(context.Background(), rec, ops2[k:])
+		if err != nil {
 			t.Fatalf("keep=%d: post-recovery completion: %v", keep, err)
+		}
+		for i, it := range items {
+			if it.Err != nil {
+				t.Fatalf("keep=%d: post-recovery completion, op %d: %v", keep, k+i, it.Err)
+			}
 		}
 		if got, want := render(rec.Database(), syms2), referenceAfter(t, 50); got != want {
 			t.Fatalf("keep=%d: post-recovery state diverged:\n%s\nwant:\n%s", keep, got, want)
@@ -117,7 +123,7 @@ func TestBatchCrashPowerLoss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := st.ApplyBatch(ops50(syms)[:8]); !errors.Is(err, ErrSessionBroken) {
+			if _, err := applyOps(context.Background(), st, ops50(syms)[:8]); !errors.Is(err, ErrSessionBroken) {
 				t.Fatalf("batch fault surfaced as %v, want ErrSessionBroken", err)
 			}
 			mem.Crash()
@@ -136,10 +142,13 @@ func TestBatchCrashPowerLoss(t *testing.T) {
 	}
 }
 
-// TestApplyAllGroupCommit: a 50-op script through the store's ApplyAll
-// costs ONE journal write + fsync (one 64-op chunk), not 50, and the
-// result is both correct and durable.
+// TestApplyAllGroupCommit: applying all of a 50-op script as one
+// ApplyOpsCtx group commit costs ONE journal write + fsync, not 50,
+// and the result is both correct and durable.
 func TestApplyAllGroupCommit(t *testing.T) {
+	reg := obs.NewRegistry()
+	SetMetrics(reg)
+	defer SetMetrics(nil)
 	mem := NewMemFS()
 	ffs := NewFaultFS(mem, FaultPlan{Match: journalOnly})
 	pair, db, syms := edmFixture()
@@ -147,18 +156,26 @@ func TestApplyAllGroupCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := st.ApplyAll(ops50(syms))
-	if err != nil || n != 50 {
-		t.Fatalf("ApplyAll = %d, %v; want 50, nil", n, err)
+	items, err := applyOps(context.Background(), st, ops50(syms))
+	if err != nil || len(items) != 50 {
+		t.Fatalf("ApplyOpsCtx = %d items, %v; want 50, nil", len(items), err)
+	}
+	for i, it := range items {
+		if it.Err != nil {
+			t.Fatalf("op %d: %v", i, it.Err)
+		}
 	}
 	if got := ffs.Writes(); got != 1 {
 		t.Errorf("50-op script issued %d journal writes, want 1 group commit", got)
+	}
+	if got := reg.Histogram("store_journal_fsync_ns").Count(); got != 1 {
+		t.Errorf("50-op script issued %d journal fsyncs, want 1", got)
 	}
 	if st.Seq() != 50 {
 		t.Errorf("Seq = %d, want 50", st.Seq())
 	}
 	if got, want := render(st.Database(), syms), referenceAfter(t, 50); got != want {
-		t.Errorf("ApplyAll state:\n%s\nwant:\n%s", got, want)
+		t.Errorf("group-commit state:\n%s\nwant:\n%s", got, want)
 	}
 	mem.Crash()
 	syms2 := value.NewSymbols()
@@ -171,45 +188,8 @@ func TestApplyAllGroupCommit(t *testing.T) {
 	}
 }
 
-// TestApplyAllStopsAtRejection pins the script semantics ApplyAll
-// inherits from core: stop at the first rejection, report how many ops
-// landed, and leave that applied prefix durable.
-func TestApplyAllStopsAtRejection(t *testing.T) {
-	mem := NewMemFS()
-	pair, db, syms := edmFixture()
-	st, err := Create(mem, pair, db, syms, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tup := func(e, d string) relation.Tuple {
-		return relation.Tuple{syms.Const(e), syms.Const(d)}
-	}
-	ops := []core.UpdateOp{
-		core.Insert(tup("zed", "dept0")),
-		core.Insert(tup("emp1", "dept0")), // emp1 is in dept1: E→D rejects it
-		core.Insert(tup("pat", "dept1")),  // must NOT run
-	}
-	n, err := st.ApplyAll(ops)
-	if n != 1 || !errors.Is(err, core.ErrRejected) {
-		t.Fatalf("ApplyAll = %d, %v; want 1, ErrRejected", n, err)
-	}
-	view := st.View()
-	if !view.Contains(tup("zed", "dept0")) || view.Contains(tup("pat", "dept1")) {
-		t.Error("ApplyAll did not stop at the rejection")
-	}
-	mem.Crash()
-	syms2 := value.NewSymbols()
-	rec, _, err := Recover(mem, pair, syms2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rec.View().Contains(relation.Tuple{syms2.Const("zed"), syms2.Const("dept0")}) {
-		t.Error("applied prefix before the rejection was not durable")
-	}
-}
-
 // TestApplyBatchContinuesPastRejection pins the pipeline semantics of
-// ApplyBatchCtx: every op is attempted, rejections ride along in their
+// ApplyOpsCtx: every op is attempted, rejections ride along in their
 // items, and the applied ops around them share one durable fsync.
 func TestApplyBatchContinuesPastRejection(t *testing.T) {
 	mem := NewMemFS()
@@ -226,7 +206,7 @@ func TestApplyBatchContinuesPastRejection(t *testing.T) {
 		core.Insert(tup("emp1", "dept0")), // emp1 is in dept1: E→D rejects it; batch continues
 		core.Insert(tup("pat", "dept1")),
 	}
-	items, err := st.ApplyBatch(ops)
+	items, err := applyOps(context.Background(), st, ops)
 	if err != nil {
 		t.Fatalf("batch error: %v", err)
 	}
@@ -270,7 +250,7 @@ func TestApplyBatchCancelledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	items, err := st.ApplyBatchCtx(ctx, ops50(syms)[:4])
+	items, err := applyOps(ctx, st, ops50(syms)[:4])
 	if err != nil {
 		t.Fatalf("cancelled batch broke the session: %v", err)
 	}
@@ -287,7 +267,7 @@ func TestApplyBatchCancelledContext(t *testing.T) {
 	}
 	// The session is healthy: the same batch applies once the context
 	// pressure is gone.
-	if _, err := st.ApplyBatch(ops50(syms)[:4]); err != nil {
+	if _, err := applyOps(context.Background(), st, ops50(syms)[:4]); err != nil {
 		t.Fatalf("healthy session refused work after cancelled batch: %v", err)
 	}
 }
@@ -302,7 +282,7 @@ func TestBatchSnapshotRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.ApplyBatch(ops50(syms)[:10]); err != nil {
+	if _, err := applyOps(context.Background(), st, ops50(syms)[:10]); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.SnapshotErr(); err != nil {
@@ -353,7 +333,7 @@ func TestMixedBatchSingleFsync(t *testing.T) {
 		core.Insert(tup("bd", 0)),
 		core.Delete(tup("bc", 1)),
 	}
-	items, err := st.ApplyBatchCtx(context.Background(), batch)
+	items, err := applyOps(context.Background(), st, batch)
 	if err != nil {
 		t.Fatal(err)
 	}

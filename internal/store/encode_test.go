@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -144,7 +145,7 @@ func TestGroupCommitBufferReuse(t *testing.T) {
 	}
 	ops := ops50(syms)[:11]
 	for _, batch := range [][]core.UpdateOp{ops[:8], ops[8:]} {
-		items, err := st.ApplyBatch(batch)
+		items, err := applyOps(context.Background(), st, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +196,7 @@ func TestBatchUnencodableOpFlushesPrefix(t *testing.T) {
 	ops = append(ops,
 		core.Insert(relation.Tuple{value.Null(0), syms.Const("dept0")}),
 		ops50(syms)[k-1])
-	items, err := st.ApplyBatch(ops)
+	items, err := applyOps(context.Background(), st, ops)
 	if !errors.Is(err, ErrSessionBroken) {
 		t.Fatalf("batch error %v, want ErrSessionBroken", err)
 	}
@@ -213,7 +214,7 @@ func TestBatchUnencodableOpFlushesPrefix(t *testing.T) {
 	if st.Seq() != k-1 {
 		t.Errorf("Seq = %d, want %d", st.Seq(), k-1)
 	}
-	if _, err := st.ApplyBatch(ops50(syms)[k-1 : k]); !errors.Is(err, ErrSessionBroken) {
+	if _, err := applyOps(context.Background(), st, ops50(syms)[k-1:k]); !errors.Is(err, ErrSessionBroken) {
 		t.Errorf("broken session accepted a batch (%v)", err)
 	}
 	data, err := readAll(mem, JournalFile)

@@ -24,7 +24,7 @@ func FuzzJournal(f *testing.F) {
 	f.Add(EncodeRecord(0, core.UpdateInsert, nil, nil))
 
 	// Batch-encoded images: group commit concatenates ordinary record
-	// frames into one write, exactly as applyBatch does. Seed a whole
+	// frames into one write, exactly as ApplyOpsCtx does. Seed a whole
 	// batch, a batch truncated at a record boundary, and a batch torn
 	// mid-record so the fuzzer explores the shapes a crashed group
 	// commit leaves behind.

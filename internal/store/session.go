@@ -322,10 +322,7 @@ func (s *Session) SnapshotErr() error { return s.snapErr }
 // to classify whether resurrection can help.
 func (s *Session) Broken() error { return s.broken }
 
-// Decide tests an update without applying it.
-func (s *Session) Decide(op core.UpdateOp) (*core.Decision, error) { return s.sess.Decide(op) }
-
-// DecideCtx is Decide bounded by a context.
+// DecideCtx tests an update without applying it, bounded by a context.
 func (s *Session) DecideCtx(ctx context.Context, op core.UpdateOp) (*core.Decision, error) {
 	return s.sess.DecideCtx(ctx, op)
 }
@@ -348,7 +345,7 @@ func (s *Session) Apply(op core.UpdateOp) (*core.Decision, error) {
 // group commit of one.
 func (s *Session) ApplyCtx(ctx context.Context, op core.UpdateOp) (*core.Decision, error) {
 	one := func(i int) (BatchOp, bool) { return BatchOp{Ctx: ctx, Op: op}, i == 0 }
-	items, err := s.applyBatch(one, nil, true)
+	items, err := s.ApplyOpsCtx(one, nil)
 	if len(items) == 0 {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -65,6 +66,16 @@ func ops50(syms *value.Symbols) []core.UpdateOp {
 		}
 	}
 	return ops
+}
+
+// applyOps applies a fixed list of updates as one group commit, every
+// member bounded by ctx.
+func applyOps(ctx context.Context, st *Session, ops []core.UpdateOp) ([]BatchItem, error) {
+	members := make([]BatchOp, len(ops))
+	for i, op := range ops {
+		members[i] = BatchOp{Ctx: ctx, Op: op}
+	}
+	return st.ApplyOpsCtx(Ops(members), nil)
 }
 
 // render canonicalizes a relation for comparison across processes with
