@@ -30,7 +30,6 @@ var allowInventory = map[string]int{
 	"internal/core/incremental.go#cachebound":  1,
 	"internal/core/insert.go#cachebound":       2,
 	"internal/logic/logic.go#budgetloop":       2,
-	"internal/serve/serve.go#deadlineflow":     1,
 	"internal/serve/serve.go#lockhold":         1,
 	"internal/serve/serve.go#rawgo":            1,
 }

@@ -872,6 +872,55 @@ func BenchmarkStoreSnapshotEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreCheckpoint names the checkpoint layer: over the
+// net-durable workload's base instance, EDM(256, 64), SnapshotEvery 1
+// makes every iteration one durable op — decide, apply, journal write
+// and fsync — plus one checkpoint: encode the database, overwrite a
+// snapshot slot in place, fsync it, reset the journal. Each iteration
+// inserts or deletes one employee, so the database stays within one row
+// of its base size. fs=mem measures the encoder and the store's own
+// work; fs=dir is fsync-bound and, like PipelineOpsPerSec/fs=dir, not
+// gated.
+func BenchmarkStoreCheckpoint(b *testing.B) {
+	for _, fsName := range []string{"mem", "dir"} {
+		b.Run("fs="+fsName, func(b *testing.B) {
+			e := workload.NewEDM()
+			pair := core.MustPair(e.Schema, e.ED, e.DM)
+			var fs store.FS = store.NewMemFS()
+			if fsName == "dir" {
+				dfs, err := store.NewDirFS(b.TempDir())
+				if err != nil {
+					b.Fatal(err)
+				}
+				fs = dfs
+			}
+			st, err := store.Create(fs, pair, e.Instance(256, 64), e.Syms, store.Options{SnapshotEvery: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			names := make([]relation.Tuple, 64)
+			for i := range names {
+				names[i] = e.NewEmployeeTuple(fmt.Sprintf("ckpt%d", i), i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op := core.Insert(names[i/2%len(names)])
+				if i%2 == 1 {
+					op = core.Delete(op.Tuple)
+				}
+				if _, err := st.Apply(op); err != nil {
+					b.Fatal(err)
+				}
+				if err := st.SnapshotErr(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPipelineOpsPerSec measures journaled update throughput
 // through the serve pipeline at several group-commit batch sizes, on
 // both the in-memory FS and a real directory (where fsync cost

@@ -12,9 +12,12 @@
 // (go test -count=N) collapse to their fastest before comparing, and
 // any match whose ns/op or allocs/op grew by more than the threshold
 // fails the run (exit 1); a baseline recorded without allocs/op gates
-// ns/op alone. A missing baseline is advisory-only: the comparison is
-// skipped with exit 0, so the gate can bootstrap on branches that have
-// never recorded one.
+// ns/op alone. A gated row whose fresh ns/op or allocs/op is below half
+// its baseline gets a STALE line: its gate has lost its bite until the
+// baseline is re-recorded. STALE is advisory and never changes the exit
+// code. A missing baseline is advisory-only: the comparison is skipped
+// with exit 0, so the gate can bootstrap on branches that have never
+// recorded one.
 package main
 
 import (
@@ -238,6 +241,10 @@ func compareRecords(base, cur []Record, threshold float64, filter string, w io.W
 			regressions++
 		}
 		fmt.Fprintf(w, "%-40s %12.1f -> %12.1f ns/op  %+6.1f%%%s  %s\n", r.Name, b.NsPerOp, r.NsPerOp, delta*100, allocs, verdict)
+		if stale(b, r) {
+			fmt.Fprintf(w, "STALE %s: fresh %.1f ns/op, %d allocs/op is below half the baseline %.1f ns/op, %d allocs/op; re-record BENCH.json so the gate bites\n",
+				r.Name, r.NsPerOp, r.AllocsPerOp, b.NsPerOp, b.AllocsPerOp)
+		}
 	}
 	for _, r := range base {
 		if re != nil && !re.MatchString(r.Name) {
@@ -256,6 +263,13 @@ func compareRecords(base, cur []Record, threshold float64, filter string, w io.W
 			len(fresh), strings.Join(fresh, ", "))
 	}
 	return regressions, nil
+}
+
+// stale reports a fresh reading below half its baseline in ns/op, or in
+// allocs/op where the baseline records them: a regression that doubled
+// the cost would still pass that row's gate.
+func stale(base, cur Record) bool {
+	return cur.NsPerOp < base.NsPerOp/2 || base.AllocsPerOp > 0 && 2*cur.AllocsPerOp < base.AllocsPerOp
 }
 
 // growth is cur's relative growth over base; a zero base never grows.

@@ -90,6 +90,40 @@ func TestCompareRecordsGatesAllocs(t *testing.T) {
 	}
 }
 
+func TestCompareRecordsReportsStale(t *testing.T) {
+	base := []Record{
+		{Name: "BenchmarkRelNs", Procs: 1, NsPerOp: 1000, AllocsPerOp: 10},
+		{Name: "BenchmarkRelAllocs", Procs: 1, NsPerOp: 1000, AllocsPerOp: 10},
+		{Name: "BenchmarkRelFresh", Procs: 1, NsPerOp: 1000, AllocsPerOp: 10},
+		{Name: "BenchmarkRelNoAllocs", Procs: 1, NsPerOp: 1000},
+		{Name: "BenchmarkOther", Procs: 1, NsPerOp: 1000},
+	}
+	cur := []Record{
+		{Name: "BenchmarkRelNs", Procs: 1, NsPerOp: 400, AllocsPerOp: 10},    // ns/op below half: stale
+		{Name: "BenchmarkRelAllocs", Procs: 1, NsPerOp: 900, AllocsPerOp: 4}, // allocs/op below half: stale
+		{Name: "BenchmarkRelFresh", Procs: 1, NsPerOp: 500, AllocsPerOp: 5},  // exactly half: not stale
+		{Name: "BenchmarkRelNoAllocs", Procs: 1, NsPerOp: 900, AllocsPerOp: 1},
+		{Name: "BenchmarkOther", Procs: 1, NsPerOp: 10}, // filtered out: not gated
+	}
+	var out bytes.Buffer
+	n, err := compareRecords(base, cur, 0.30, "^BenchmarkRel", &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 {
+		t.Fatalf("regressions = %d, want 0 (STALE is advisory):\n%s", n, out.String())
+	}
+	var staleRows []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "STALE "); ok {
+			staleRows = append(staleRows, strings.SplitN(rest, ":", 2)[0])
+		}
+	}
+	if got := strings.Join(staleRows, ","); got != "BenchmarkRelNs,BenchmarkRelAllocs" {
+		t.Errorf("STALE rows = %q, want BenchmarkRelNs,BenchmarkRelAllocs:\n%s", got, out.String())
+	}
+}
+
 func TestCompareRecordsNamesAdvisoryNewBenchmarks(t *testing.T) {
 	base := []Record{{Name: "BenchmarkRelJoin", Procs: 1, NsPerOp: 1000}}
 	cur := []Record{

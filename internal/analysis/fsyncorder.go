@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 )
@@ -21,6 +22,12 @@ import (
 //     API boundary. The helper summaries are a whole-program fact, so an
 //     obligation created in internal/store and leaked through a wrapper
 //     in another package is still caught.
+//  3. every journal reset — File.Truncate(0) — must be preceded, on every
+//     path through the same function, by a File.Sync: the records a reset
+//     drops are safe to lose only once the checkpoint that absorbed them
+//     is durable. A steady-state checkpoint overwrites a snapshot slot in
+//     place and has no Rename for rule 1 to anchor on; this rule orders
+//     its slot fsync before the reset instead.
 //
 // "FS-like" is duck-typed: any interface that offers both the mutating
 // method and SyncDir. Methods on types that themselves implement such an
@@ -29,7 +36,8 @@ import (
 var FsyncOrder = &Analyzer{
 	Name: "fsyncorder",
 	Doc: "flag FS namespace changes (Create/OpenAppend/Rename/Remove) not " +
-		"bracketed by File.Sync and SyncDir on the success path",
+		"bracketed by File.Sync and SyncDir on the success path, and " +
+		"journal resets (File.Truncate(0)) not preceded by a File.Sync on every path",
 	Run: runFsyncOrder,
 }
 
@@ -55,6 +63,60 @@ func fsLikeCall(info *types.Info, call *ast.CallExpr) (name string, ok bool) {
 func isFileSyncCall(info *types.Info, call *ast.CallExpr) bool {
 	_, name, isMethod := methodCall(info, call)
 	return isMethod && name == "Sync" && len(call.Args) == 0
+}
+
+// isJournalReset reports x.Truncate(0) where x's static type is a
+// File-like interface: one offering Truncate and Sync but not SyncDir
+// (FS.Truncate names a file and is durable on return).
+func isJournalReset(info *types.Info, call *ast.CallExpr) bool {
+	recv, name, ok := methodCall(info, call)
+	if !ok || name != "Truncate" || len(call.Args) != 1 {
+		return false
+	}
+	iface := ifaceOf(info.TypeOf(recv))
+	if iface == nil || !ifaceHasMethod(iface, "Sync") || ifaceHasMethod(iface, "SyncDir") {
+		return false
+	}
+	tv, ok := info.Types[call.Args[0]]
+	return ok && tv.Value != nil && constant.Sign(tv.Value) == 0
+}
+
+// syncedOnEveryPath reports whether every path from the function's
+// entry to site passes one of syncs: one earlier in site's own block,
+// or one in a block that the path crosses. Unlike dominance by a single
+// sync, this accepts a sync on each branch of an if.
+func syncedOnEveryPath(ff *funcFlow, site ast.Node, syncs []ast.Node) bool {
+	sb := ff.block(site)
+	if sb == nil {
+		return false
+	}
+	cut := map[*Block]bool{}
+	for _, s := range syncs {
+		switch b := ff.block(s); {
+		case b == sb && s.Pos() < site.Pos():
+			return true
+		case b != nil && b != sb:
+			cut[b] = true
+		}
+	}
+	seen := map[*Block]bool{}
+	var reaches func(*Block) bool
+	reaches = func(b *Block) bool {
+		if b == sb {
+			return true
+		}
+		if seen[b] || cut[b] {
+			return false
+		}
+		seen[b] = true
+		for _, next := range b.Succs {
+			if reaches(next) {
+				return true
+			}
+		}
+		return false
+	}
+	return !reaches(ff.cfg.Entry)
 }
 
 // implementsFSLike reports whether the method's receiver type itself has
@@ -193,6 +255,27 @@ func runFsyncOrder(pass *Pass) error {
 					pass.Reportf(call.Pos(),
 						"Rename without a preceding File.Sync in this function: the renamed content may not be durable when the name starts pointing at it")
 				}
+			}
+			return true
+		})
+		// Rule 3: a journal reset only after a File.Sync on every path.
+		var ff *funcFlow
+		var syncs []ast.Node
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || !isJournalReset(pass.Info, call) {
+				return true
+			}
+			if ff == nil {
+				ff = newFuncFlow(fd)
+				syncs = collectGuards(fd.Body, func(m ast.Node) bool {
+					c, ok := m.(*ast.CallExpr)
+					return ok && isFileSyncCall(pass.Info, c)
+				})
+			}
+			if !syncedOnEveryPath(ff, call, syncs) {
+				pass.Reportf(call.Pos(),
+					"journal reset (File.Truncate(0)) without a File.Sync before it on every path in this function: the records it drops may not yet be covered by a durable checkpoint")
 			}
 			return true
 		})

@@ -5,6 +5,7 @@ package bad
 // File mirrors store.File.
 type File interface {
 	Write(p []byte) (int, error)
+	Truncate(size int64) error
 	Sync() error
 	Close() error
 }

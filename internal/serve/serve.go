@@ -178,7 +178,6 @@ func (r *request) ack(res result) {
 // Wait blocks until the op's fate is decided and durable (or failed)
 // and returns the same values a synchronous Apply would have.
 func (r *Pending) Wait() (*core.Decision, error) {
-	//constvet:allow deadlineflow -- Wait is the submitter's explicit park point; the committer acks every accepted op even while draining after Close, so the wait always terminates
 	r.acked.Wait()
 	return r.res.d, r.res.err
 }

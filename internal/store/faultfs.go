@@ -31,20 +31,27 @@ type FaultPlan struct {
 	// file name, so Match does not apply); the namespace changes stay
 	// visible but not durable.
 	FailSyncDirAt int
+	// FailTruncateAt makes the nth matching File.Truncate fail with the
+	// file's size unchanged.
+	FailTruncateAt int
 }
 
 // FaultFS wraps an FS and injects the faults of a FaultPlan. It is the
 // deterministic harness behind the crash-point matrix: one plan per
-// crash point, counting journal record writes.
+// crash point, counting journal record writes. A torn write through a
+// handle that was rewound with Seek lands in place, as on a disk: on a
+// snapshot slot it leaves a prefix of the new image followed by the old
+// image's remaining bytes. Seek is passed through unfaulted.
 type FaultFS struct {
 	inner FS
 	plan  FaultPlan
 
-	mu       sync.Mutex
-	writes   int
-	syncs    int
-	syncDirs int
-	tripped  bool
+	mu        sync.Mutex
+	writes    int
+	syncs     int
+	syncDirs  int
+	truncates int
+	tripped   bool
 }
 
 // NewFaultFS wraps inner with the given plan.
@@ -59,6 +66,20 @@ func (f *FaultFS) Writes() int {
 	return f.writes
 }
 
+// Syncs reports how many matching File.Sync calls have been observed.
+func (f *FaultFS) Syncs() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.syncs
+}
+
+// SyncDirs reports how many SyncDir calls have been observed.
+func (f *FaultFS) SyncDirs() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.syncDirs
+}
+
 // Tripped reports whether any scheduled fault has fired.
 func (f *FaultFS) Tripped() bool {
 	f.mu.Lock()
@@ -68,6 +89,19 @@ func (f *FaultFS) Tripped() bool {
 
 func (f *FaultFS) matches(name string) bool {
 	return f.plan.Match == nil || f.plan.Match(name)
+}
+
+// tick counts one call in *n and reports whether it is the one failAt
+// schedules to fail.
+func (f *FaultFS) tick(n *int, failAt int) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	*n++
+	if *n == failAt {
+		f.tripped = true
+		return true
+	}
+	return false
 }
 
 // Create implements FS.
@@ -103,15 +137,7 @@ func (f *FaultFS) Truncate(name string, size int64) error { return f.inner.Trunc
 
 // SyncDir implements FS.
 func (f *FaultFS) SyncDir() error {
-	f.mu.Lock()
-	f.syncDirs++
-	n := f.syncDirs
-	failAt := f.plan.FailSyncDirAt
-	if n == failAt {
-		f.tripped = true
-	}
-	f.mu.Unlock()
-	if n == failAt {
+	if f.tick(&f.syncDirs, f.plan.FailSyncDirAt) {
 		return ErrInjected
 	}
 	return f.inner.SyncDir()
@@ -159,23 +185,21 @@ func (f *faultFile) Write(p []byte) (int, error) {
 }
 
 func (f *faultFile) Sync() error {
-	fs := f.fs
-	if !fs.matches(f.name) {
-		return f.inner.Sync()
-	}
-	fs.mu.Lock()
-	fs.syncs++
-	n := fs.syncs
-	failAt := fs.plan.FailSyncAt
-	if n == failAt {
-		fs.tripped = true
-	}
-	fs.mu.Unlock()
-	if n == failAt {
+	if fs := f.fs; fs.matches(f.name) && fs.tick(&fs.syncs, fs.plan.FailSyncAt) {
 		return ErrInjected
 	}
 	return f.inner.Sync()
 }
 
+func (f *faultFile) Truncate(size int64) error {
+	if fs := f.fs; fs.matches(f.name) && fs.tick(&fs.truncates, fs.plan.FailTruncateAt) {
+		return ErrInjected
+	}
+	return f.inner.Truncate(size)
+}
+
+func (f *faultFile) Seek(offset int64, whence int) (int64, error) {
+	return f.inner.Seek(offset, whence)
+}
 func (f *faultFile) Read(p []byte) (int, error) { return f.inner.Read(p) }
 func (f *faultFile) Close() error               { return f.inner.Close() }

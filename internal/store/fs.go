@@ -32,12 +32,19 @@ import (
 	"path/filepath"
 )
 
-// File is the slice of *os.File the store needs: sequential reads or
-// writes plus fsync. As io.Writer requires, Write must not retain its
-// buffer: the store reuses one group-commit buffer across batches.
+// File is the slice of *os.File the store needs: reads, writes at the
+// handle's offset (always at the end for a handle from OpenAppend),
+// Seek, Truncate and fsync. A checkpoint rewinds a snapshot slot with
+// Seek, overwrites it in place and cuts it to the new image's length
+// with Truncate; the journal is reset with Truncate(0). Like written
+// bytes, a size change made through a handle is durable only once Sync
+// returns. As io.Writer requires, Write must not retain its buffer: the
+// store reuses one group-commit buffer across batches.
 type File interface {
 	io.Reader
 	io.Writer
+	io.Seeker
+	Truncate(size int64) error
 	Sync() error
 	Close() error
 }
@@ -51,7 +58,8 @@ type File interface {
 // Namespace operations (Create, OpenAppend's implicit create, Rename,
 // Remove) take effect immediately but are not durable across power
 // loss until SyncDir returns; File.Sync makes only a file's *contents*
-// durable. Truncate is durable on return.
+// (and size) durable. FS.Truncate is durable on return; File.Truncate
+// is not.
 //
 // Missing files surface as errors satisfying errors.Is(err,
 // io/fs.ErrNotExist).

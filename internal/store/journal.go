@@ -161,7 +161,8 @@ func ScanJournal(data []byte) JournalScan {
 
 // Journal is an append-only record writer. Each appendEncoded writes a
 // buffer of framed records in a single Write call and fsyncs before
-// returning: when it returns nil the records are durable.
+// returning: when it returns nil the records are durable. A checkpoint
+// empties it in place through f (Session.rotate).
 type Journal struct {
 	f File
 }

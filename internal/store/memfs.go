@@ -8,37 +8,83 @@ import (
 )
 
 // MemFS is an in-memory FS that models the durability boundary real
-// disks have, for file contents and directory metadata alike: bytes
-// written to a file are *unsynced* until Sync is called on the handle,
+// disks have, for file contents and directory metadata alike: a file's
+// bytes and size — appended, overwritten in place, or cut by a
+// handle's Truncate — are *unsynced* until Sync is called on a handle,
 // and namespace changes (create, rename, remove) are *unsynced* until
-// SyncDir. Crash simulates power loss by discarding every unsynced
-// byte and reverting the namespace to its last SyncDir'd state — so a
-// renamed-in snapshot or a freshly created journal vanishes on Crash
-// unless the store fsynced the directory, exactly as on a POSIX
-// filesystem. Tests drive a store against MemFS, kill it at an
-// arbitrary point, call Crash, and then recover from what a real disk
-// would have retained.
+// SyncDir. Crash simulates power loss by reverting every file to its
+// last synced content and the namespace to its last SyncDir'd state —
+// so a renamed-in snapshot or a freshly created journal vanishes on
+// Crash unless the store fsynced the directory, an unsynced journal
+// reset comes back, and a slot overwrite that was never synced reverts
+// to the old image, exactly as on a POSIX filesystem. Tests drive a
+// store against MemFS, kill it at an arbitrary point, call Crash, and
+// then recover from what a real disk would have retained.
 type MemFS struct {
 	mu sync.Mutex
 	// files is the visible namespace (what Open and new writes see);
 	// dir is the durable namespace captured by the last SyncDir. Both
 	// map names to shared *memEntry values, so content durability
-	// (synced vs pending bytes) is tracked per entry regardless of
+	// (synced vs visible bytes) is tracked per entry regardless of
 	// which names reach it.
 	files map[string]*memEntry
 	dir   map[string]*memEntry
 }
 
+// memEntry is one file: data is what readers and writers see, synced
+// what the last Sync made durable. After a Sync the two share a backing
+// array (shared), so appends — the journal's steady state — copy
+// nothing and Sync is O(1). The first write or cut that would change a
+// synced byte moves data to a fresh array, copying only the bytes that
+// write does not cover, so an in-place overwrite of a whole snapshot
+// slot never copies the old image.
 type memEntry struct {
-	synced  []byte
-	pending []byte
+	data   []byte
+	synced []byte
+	shared bool
 }
 
-func (e *memEntry) combined() []byte {
-	out := make([]byte, 0, len(e.synced)+len(e.pending))
-	out = append(out, e.synced...)
-	return append(out, e.pending...)
+// writeAt writes p at off, zero-filling any gap past the end.
+func (e *memEntry) writeAt(off int, p []byte) {
+	end := off + len(p)
+	size := max(end, len(e.data))
+	switch {
+	case e.shared && off < len(e.synced):
+		nb := make([]byte, size)
+		copy(nb, e.data[:min(off, len(e.data))])
+		if end < len(e.data) {
+			copy(nb[end:], e.data[end:])
+		}
+		e.data, e.shared = nb, false
+	case size > cap(e.data):
+		e.data = append(e.data, make([]byte, size-len(e.data))...)
+		e.shared = false
+	default:
+		old := len(e.data)
+		e.data = e.data[:size]
+		if off > old {
+			clear(e.data[old:off])
+		}
+	}
+	copy(e.data[off:], p)
 }
+
+// truncate cuts or zero-extends the visible content to n bytes. A cut
+// below the synced length caps data's capacity, so a later append
+// reallocates instead of overwriting synced bytes in the shared array.
+func (e *memEntry) truncate(n int) {
+	switch {
+	case n > len(e.data):
+		e.writeAt(len(e.data), make([]byte, n-len(e.data)))
+	case e.shared && n < len(e.synced):
+		e.data = e.data[:n:n]
+	default:
+		e.data = e.data[:n]
+	}
+}
+
+// sync makes the visible content durable.
+func (e *memEntry) sync() { e.synced, e.shared = e.data, true }
 
 // NewMemFS returns an empty in-memory filesystem.
 func NewMemFS() *MemFS {
@@ -53,8 +99,9 @@ func cloneNamespace(src map[string]*memEntry) map[string]*memEntry {
 	return dst
 }
 
-// Crash simulates power loss: every byte not yet fsynced is discarded
-// and the namespace reverts to the last SyncDir — unsynced creates and
+// Crash simulates power loss: every file reverts to its last synced
+// content — unsynced appends, overwrites and truncations alike — and
+// the namespace reverts to the last SyncDir: unsynced creates and
 // removes are undone, unsynced renames revert to the old binding. Open
 // handles into the filesystem keep working (the dead process's handles
 // are never used again by a well-formed test).
@@ -63,12 +110,12 @@ func (m *MemFS) Crash() {
 	defer m.mu.Unlock()
 	m.files = cloneNamespace(m.dir)
 	for _, e := range m.files {
-		e.pending = nil
+		e.data, e.shared = e.synced, true
 	}
 }
 
-// Bytes returns the current durable+pending content of name, for test
-// assertions. The second result reports whether the file exists.
+// Bytes returns a copy of the current visible content of name, for
+// test assertions. The second result reports whether the file exists.
 func (m *MemFS) Bytes(name string) ([]byte, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -76,7 +123,7 @@ func (m *MemFS) Bytes(name string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return e.combined(), true
+	return append([]byte(nil), e.data...), true
 }
 
 // Corrupt flips one byte of name at offset, modeling media corruption
@@ -88,12 +135,11 @@ func (m *MemFS) Corrupt(name string, offset int) error {
 	if !ok {
 		return fmt.Errorf("store: corrupt %s: %w", name, fs.ErrNotExist)
 	}
-	all := e.combined()
-	if offset < 0 || offset >= len(all) {
+	if offset < 0 || offset >= len(e.data) {
 		return fmt.Errorf("store: corrupt %s: offset %d out of range", name, offset)
 	}
-	all[offset] ^= 0xff
-	e.synced, e.pending = all, nil
+	e.writeAt(offset, []byte{e.data[offset] ^ 0xff})
+	e.sync()
 	return nil
 }
 
@@ -112,11 +158,11 @@ func (m *MemFS) OpenAppend(name string) (File, error) {
 	if _, ok := m.files[name]; !ok {
 		m.files[name] = &memEntry{}
 	}
-	return &memWriteFile{fs: m, name: name}, nil
+	return &memWriteFile{fs: m, name: name, append: true}, nil
 }
 
-// Open implements FS. The handle reads a snapshot of the content at
-// open time (synced and pending bytes alike — an OS page cache serves
+// Open implements FS. The handle reads a copy of the content at open
+// time (synced and unsynced bytes alike — an OS page cache serves
 // unsynced writes to readers too).
 func (m *MemFS) Open(name string) (File, error) {
 	m.mu.Lock()
@@ -125,7 +171,7 @@ func (m *MemFS) Open(name string) (File, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: open %s: %w", name, fs.ErrNotExist)
 	}
-	return &memReadFile{data: e.combined()}, nil
+	return &memReadFile{data: append([]byte(nil), e.data...)}, nil
 }
 
 // Rename implements FS.
@@ -153,7 +199,7 @@ func (m *MemFS) Remove(name string) error {
 }
 
 // SyncDir implements FS: the current namespace becomes the one Crash
-// reverts to. File contents keep their own synced/pending split — a
+// reverts to. File contents keep their own synced/unsynced split — a
 // directory fsync does not flush file data.
 func (m *MemFS) SyncDir() error {
 	m.mu.Lock()
@@ -162,10 +208,10 @@ func (m *MemFS) SyncDir() error {
 	return nil
 }
 
-// Truncate implements FS. The cut preserves the synced/pending split of
-// the surviving prefix; like DirFS.Truncate it is durable on return
-// (the cut never un-happens on Crash, though the entry itself still
-// vanishes if its name was never SyncDir'd).
+// Truncate implements FS. Like DirFS.Truncate it is durable on return:
+// the cut applies to the synced content too and never un-happens on
+// Crash (though the entry itself still vanishes if its name was never
+// SyncDir'd); unsynced bytes below the cut stay unsynced.
 func (m *MemFS) Truncate(name string, size int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -174,51 +220,114 @@ func (m *MemFS) Truncate(name string, size int64) error {
 		return fmt.Errorf("store: truncate %s: %w", name, fs.ErrNotExist)
 	}
 	n := int(size)
-	if n < 0 {
-		return fmt.Errorf("store: truncate %s: negative size", name)
-	}
 	switch {
-	case n <= len(e.synced):
-		e.synced = e.synced[:n]
-		e.pending = nil
-	case n <= len(e.synced)+len(e.pending):
-		e.pending = e.pending[:n-len(e.synced)]
-	default:
+	case n < 0:
+		return fmt.Errorf("store: truncate %s: negative size", name)
+	case n > len(e.data):
 		return fmt.Errorf("store: truncate %s: size %d beyond end", name, n)
+	}
+	e.truncate(n)
+	if n < len(e.synced) {
+		e.synced = e.synced[:n]
 	}
 	return nil
 }
 
+// memWriteFile is a handle from Create (writes at its offset) or
+// OpenAppend (writes at the end, as O_APPEND does).
 type memWriteFile struct {
-	fs   *MemFS
-	name string
+	fs     *MemFS
+	name   string
+	off    int
+	append bool
+}
+
+// entry returns the handle's file; the caller holds fs.mu.
+func (f *memWriteFile) entry(op string) (*memEntry, error) {
+	e, ok := f.fs.files[f.name]
+	if !ok {
+		return nil, fmt.Errorf("store: %s %s: %w", op, f.name, fs.ErrNotExist)
+	}
+	return e, nil
 }
 
 func (f *memWriteFile) Write(p []byte) (int, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	e, ok := f.fs.files[f.name]
-	if !ok {
-		return 0, fmt.Errorf("store: write %s: %w", f.name, fs.ErrNotExist)
+	e, err := f.entry("write")
+	if err != nil {
+		return 0, err
 	}
-	e.pending = append(e.pending, p...)
+	if f.append {
+		f.off = len(e.data)
+	}
+	e.writeAt(f.off, p)
+	f.off += len(p)
 	return len(p), nil
+}
+
+func (f *memWriteFile) Seek(offset int64, whence int) (int64, error) {
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	e, err := f.entry("seek")
+	if err != nil {
+		return 0, err
+	}
+	off, err := seekOffset(f.off, len(e.data), offset, whence)
+	if err != nil {
+		return 0, err
+	}
+	f.off = off
+	return int64(off), nil
+}
+
+func (f *memWriteFile) Truncate(size int64) error {
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	e, err := f.entry("truncate")
+	if err != nil {
+		return err
+	}
+	if size < 0 {
+		return fmt.Errorf("store: truncate %s: negative size", f.name)
+	}
+	e.truncate(int(size))
+	return nil
 }
 
 func (f *memWriteFile) Sync() error {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	e, ok := f.fs.files[f.name]
-	if !ok {
-		return fmt.Errorf("store: sync %s: %w", f.name, fs.ErrNotExist)
+	e, err := f.entry("sync")
+	if err != nil {
+		return err
 	}
-	e.synced = append(e.synced, e.pending...)
-	e.pending = nil
+	e.sync()
 	return nil
 }
 
 func (f *memWriteFile) Read([]byte) (int, error) { return 0, io.EOF }
 func (f *memWriteFile) Close() error             { return nil }
+
+// seekOffset resolves an io.Seeker request against the current offset
+// and file size.
+func seekOffset(cur, size int, offset int64, whence int) (int, error) {
+	var base int
+	switch whence {
+	case io.SeekStart:
+	case io.SeekCurrent:
+		base = cur
+	case io.SeekEnd:
+		base = size
+	default:
+		return 0, fmt.Errorf("store: seek: bad whence %d", whence)
+	}
+	off := int64(base) + offset
+	if off < 0 {
+		return 0, fmt.Errorf("store: seek: negative offset %d", off)
+	}
+	return int(off), nil
+}
 
 type memReadFile struct {
 	data []byte
@@ -234,8 +343,20 @@ func (f *memReadFile) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+func (f *memReadFile) Seek(offset int64, whence int) (int64, error) {
+	off, err := seekOffset(f.off, len(f.data), offset, whence)
+	if err != nil {
+		return 0, err
+	}
+	f.off = off
+	return int64(off), nil
+}
+
 func (f *memReadFile) Write([]byte) (int, error) {
 	return 0, fmt.Errorf("store: file opened read-only")
+}
+func (f *memReadFile) Truncate(int64) error {
+	return fmt.Errorf("store: file opened read-only")
 }
 func (f *memReadFile) Sync() error  { return nil }
 func (f *memReadFile) Close() error { return nil }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 
 	"github.com/constcomp/constcomp/internal/core"
 	"github.com/constcomp/constcomp/internal/obs"
@@ -11,7 +12,8 @@ import (
 	"github.com/constcomp/constcomp/internal/value"
 )
 
-// File names inside the store's FS root.
+// File names inside the store's FS root. The second snapshot slot is
+// SnapshotFile+".1" (see snapshot.go).
 const (
 	JournalFile  = "journal"
 	SnapshotFile = "snapshot"
@@ -29,12 +31,13 @@ const (
 // what they acknowledged.
 var ErrSessionBroken = errors.New("store: session broken (applied op not confirmed durable); restart and recover")
 
-// ErrDataLoss reports corruption in the *middle* of the journal:
-// intact-looking records exist past the damage, so truncating at the
-// corruption point would silently drop acknowledged operations. Recover
-// refuses and leaves the journal untouched unless Options.ForceRecover
-// is set.
-var ErrDataLoss = errors.New("store: journal corrupt mid-stream with intact records past the damage; recovering would lose acknowledged ops (set ForceRecover to truncate anyway)")
+// ErrDataLoss reports damage that recovering past would silently drop
+// acknowledged operations: corruption in the *middle* of the journal,
+// with intact-looking records past it, or a damaged snapshot slot when
+// the journal does not continue the other slot (the damaged one may
+// have been the newer checkpoint). Recover refuses and leaves the store
+// untouched unless Options.ForceRecover is set.
+var ErrDataLoss = errors.New("store: journal corrupt mid-stream with intact records past the damage, or a damaged snapshot the journal does not bridge; recovering would lose acknowledged ops (set ForceRecover to recover anyway)")
 
 // ErrInvariant reports that the constant-complement invariant failed to
 // re-verify after a recovery replay: the journal and snapshot disagree
@@ -47,10 +50,12 @@ type Options struct {
 	// snapshots; each snapshot resets the journal. Zero means 64.
 	SnapshotEvery int
 	// ForceRecover lets Recover truncate mid-journal corruption even
-	// when intact-looking records survive past the damage — those are
-	// acknowledged operations and will be lost. Without it such damage
-	// fails recovery with ErrDataLoss; a torn or corrupt tail with
-	// nothing readable after it never needs forcing.
+	// when intact-looking records survive past the damage, and recover
+	// from the older snapshot slot when the newer one is damaged and the
+	// journal does not continue the older — either way acknowledged
+	// operations may be lost. Without it such damage fails recovery with
+	// ErrDataLoss; a torn or corrupt tail with nothing readable after it
+	// never needs forcing.
 	ForceRecover bool
 }
 
@@ -63,8 +68,9 @@ func (o Options) every() int {
 
 // Session is a core.Session with crash safety: every applied update is
 // journaled and fsynced before Apply acknowledges it, and the database
-// is periodically checkpointed into an atomically replaced snapshot.
-// After a crash, Recover rebuilds the exact acknowledged state.
+// is periodically checkpointed into whichever of the two snapshot slots
+// recovery does not depend on. After a crash, Recover rebuilds the
+// exact acknowledged state.
 type Session struct {
 	fsys FS
 	pair *core.Pair
@@ -81,14 +87,20 @@ type Session struct {
 	// snapLen is the length of the last snapshot image written (0 when
 	// unknown); it sizes the next checkpoint's buffer.
 	snapLen int
+	// slots are the two snapshot slots, each opened on its first
+	// checkpoint in this session; floor indexes the one Recover would
+	// load, which a checkpoint never writes.
+	slots [2]snapSlot
+	floor int
 	// buf holds the framed records of one group commit. It is reused
 	// across batches: File.Write does not retain it.
 	buf []byte
 }
 
 // Create starts a fresh durable session: the initial database becomes
-// snapshot 0 and the journal starts empty. Any previous store contents
-// under fsys are overwritten.
+// snapshot 0 in the first slot and the journal starts empty. Any
+// previous store contents under fsys are overwritten, and a leftover
+// second slot is removed.
 func Create(fsys FS, pair *core.Pair, db *relation.Relation, syms *value.Symbols, opts Options) (*Session, error) {
 	sess, err := core.NewSession(pair, db)
 	if err != nil {
@@ -118,8 +130,8 @@ type RecoveryReport struct {
 	SnapshotSeq uint64
 	// Replayed counts journal records applied on top of the snapshot;
 	// Skipped counts records the snapshot had already absorbed (left
-	// behind when a crash hit between snapshot rename and journal
-	// reset).
+	// behind when a crash hit between a checkpoint and the journal
+	// reset becoming durable).
 	Replayed int
 	Skipped  int
 	// TruncatedBytes is the length of the journal tail cut off, with
@@ -148,9 +160,9 @@ func (r *RecoveryReport) String() string {
 	return s
 }
 
-// Recover rebuilds the durable session from fsys: it loads the last
-// good snapshot, replays every journal record past it (truncating a
-// torn or corrupt tail first), and re-verifies the constant-complement
+// Recover rebuilds the durable session from fsys: it loads the newest
+// valid snapshot slot, replays every journal record past it (truncating
+// a torn or corrupt tail first), and re-verifies the constant-complement
 // invariant on the result. Constants are interned into syms, which is
 // typically empty — the journal and snapshot carry names, not ids, so
 // recovery does not depend on the dead process's interning order.
@@ -160,9 +172,18 @@ func Recover(fsys FS, pair *core.Pair, syms *value.Symbols, opts Options) (*Sess
 	if m != nil {
 		t0 = obs.NowNS()
 	}
-	snapSeq, db, err := readSnapshot(fsys, SnapshotFile, pair.Schema().Universe(), syms)
+	slots, err := readSlots(fsys)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: recover: %w", err)
+	}
+	floor, damaged, err := chooseFloor(slots)
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: recover: %w", err)
+	}
+	snapSeq := slots[floor].seq
+	db, err := snapshotBody(&slots[floor].body, pair.Schema().Universe(), syms)
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: recover: %s: %w", slotFiles[floor], err)
 	}
 	data, err := readAll(fsys, JournalFile)
 	if err != nil {
@@ -190,6 +211,15 @@ func Recover(fsys FS, pair *core.Pair, syms *value.Symbols, opts Options) (*Sess
 	})
 	rep.Torn = errors.Is(err, ErrTorn)
 	rep.Corrupt = errors.Is(err, ErrCorrupt)
+	// No silent rollback: a damaged slot next to the floor is either a
+	// checkpoint torn mid-overwrite — the journal then still holds the
+	// floor's successor, since it is reset only after the slot is
+	// synced — or a newer checkpoint damaged later, whose absorbed ops
+	// the journal no longer holds. Only the first is safe to recover.
+	if damaged && len(recs) == 0 && !opts.ForceRecover {
+		return nil, rep, fmt.Errorf("store: recover: %s is damaged and the journal does not continue %s at seq %d: %w",
+			slotFiles[1-floor], slotFiles[floor], snapSeq+1, ErrDataLoss)
+	}
 	if int(off) < len(data) {
 		rep.TruncatedBytes = int64(len(data)) - off
 		// A torn tail is the expected residue of a crash mid-append and
@@ -261,6 +291,7 @@ func Recover(fsys FS, pair *core.Pair, syms *value.Symbols, opts Options) (*Sess
 		opts:      opts,
 		seq:       next - 1,
 		sinceSnap: rep.Replayed,
+		floor:     floor,
 	}, rep, nil
 }
 
@@ -355,49 +386,77 @@ func (s *Session) ApplyCtx(ctx context.Context, op core.UpdateOp) (*core.Decisio
 	return items[0].Decision, err
 }
 
-// rotate checkpoints the database into the snapshot and starts a fresh
-// journal, in strict durability order: snapshot rename + directory
-// fsync first (inside writeSnapshot), only then the journal reset,
-// itself made durable with a second directory fsync. A crash between
-// the two steps is safe: the stale journal records carry seqs the new
-// snapshot already covers, and Recover skips them; the reset can never
-// outlive the rename because the rename is durable before the reset
-// starts.
+// rotate checkpoints the database into the slot that is not the
+// recovery floor and resets the journal, in strict durability order:
+// the slot is overwritten in place, cut to the image's length and
+// fsynced — and, the first time this session opened it, its directory
+// entry made durable — and only then becomes the floor and the journal
+// is truncated to empty. A steady-state checkpoint is thus one write
+// and one fsync, with no namespace change. The reset needs no fsync of
+// its own: the next batch's Sync makes it durable, and a crash before
+// that brings back only records at or below the new floor's seq, which
+// Recover skips. A slot failure leaves the floor and the journal as
+// they were, so the old floor plus the full journal still reconstruct
+// everything, and the next checkpoint retries the same slot; a crash
+// mid-overwrite damages only the slot recovery does not need.
 //
 // The checkpoint encodes the session's live database in place rather
 // than a clone: rotate runs on the session's only caller (the
 // committer, in the serving pipeline) between applies, so nothing
 // mutates the database while it is read.
 func (s *Session) rotate() error {
-	n, err := writeSnapshot(s.fsys, SnapshotFile, s.seq, s.sess.DatabaseRef(), s.syms, s.snapLen)
+	m := smetrics.Load()
+	var t0 int64
+	if m != nil {
+		t0 = obs.NowNS()
+	}
+	img, err := encodeImage(s.syms, s.seq, s.sess.DatabaseRef(), s.snapLen)
 	if err != nil {
-		// Old snapshot + full journal still reconstruct everything.
 		return err
 	}
-	s.snapLen = n
-	if err := s.j.Close(); err != nil {
+	t := 1 - s.floor
+	sl := &s.slots[t]
+	if err := sl.overwrite(s.fsys, slotFiles[t], img); err != nil {
+		return err
+	}
+	if err := sl.f.Sync(); err != nil {
+		return fmt.Errorf("store: snapshot sync: %w", err)
+	}
+	if sl.created {
+		if err := s.fsys.SyncDir(); err != nil {
+			return fmt.Errorf("store: snapshot dir sync: %w", err)
+		}
+		sl.created = false
+	}
+	s.floor, s.sinceSnap, s.snapLen = t, 0, len(img)
+	if m != nil {
+		m.snapshots.Inc()
+		m.snapshotNs.ObserveDuration(obs.SinceNS(t0))
+	}
+	if err := s.j.f.Truncate(0); err != nil {
+		// The journal keeps its records; those the new floor absorbed
+		// are skipped on recovery, so the session stays sound.
+		return fmt.Errorf("store: journal reset: %w", err)
+	}
+	if _, err := s.j.f.Seek(0, io.SeekStart); err != nil {
+		// The handle would write past a hole in the emptied journal.
 		s.broken = err
 		return err
 	}
-	j, err := createJournal(s.fsys, JournalFile)
-	if err != nil {
-		// No journal to write future ops into: the session cannot
-		// accept more work.
-		s.broken = err
-		return err
-	}
-	s.j = j
-	if err := s.fsys.SyncDir(); err != nil {
-		// The fresh journal's directory entry is not durable: fsyncs of
-		// future records could be lost with the file, so acknowledging
-		// more ops would be unsound.
-		s.broken = err
-		return err
-	}
-	s.sinceSnap = 0
 	return nil
 }
 
-// Close releases the journal handle. The store is consistent at every
-// instant, so Close is not a commit point.
-func (s *Session) Close() error { return s.j.Close() }
+// Close releases the journal and the snapshot slot handles. The store
+// is consistent at every instant, so Close is not a commit point.
+func (s *Session) Close() error {
+	err := s.j.Close()
+	for i := range s.slots {
+		if f := s.slots[i].f; f != nil {
+			s.slots[i].f = nil
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+	}
+	return err
+}

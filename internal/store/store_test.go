@@ -368,8 +368,8 @@ func TestRejectedOpNotJournaled(t *testing.T) {
 func TestSnapshotFailureDegradesGracefully(t *testing.T) {
 	mem := NewMemFS()
 	ffs := NewFaultFS(mem, FaultPlan{
-		Match:       func(name string) bool { return name == SnapshotFile+".tmp" },
-		FailWriteAt: 2, // Create's initial snapshot is write 1; first rotation fails
+		Match:       func(name string) bool { return name == SnapshotFile+".1" },
+		FailWriteAt: 1, // the first rotation writes the second slot, and fails
 	})
 	pair, db, syms := edmFixture()
 	st, err := Create(ffs, pair, db, syms, Options{SnapshotEvery: 4})
@@ -596,14 +596,15 @@ func TestRotationDurableAcrossCrash(t *testing.T) {
 	}
 }
 
-// TestSyncDirFailures drives the two directory-fsync failure points in
-// rotate: on the snapshot path the store degrades (journal-only
-// durability, retried later); on the journal-reset path it must break —
-// records fsynced into a journal whose directory entry is not durable
-// could vanish with power.
+// TestSyncDirFailures drives the directory-fsync failure points in
+// rotate: the first checkpoint into each slot in a session makes the
+// slot's directory entry durable before the journal reset relies on
+// it. When that fails the store degrades (journal-only durability,
+// retried later): the floor and the journal stay as they were.
 func TestSyncDirFailures(t *testing.T) {
 	// Create issues SyncDir 1 (snapshot) and 2 (journal); the rotation
-	// at op 4 issues 3 (snapshot rename) and 4 (journal reset).
+	// at op 4 creates the second slot and issues 3, the one at op 8
+	// re-creates the first slot and issues 4.
 	t.Run("snapshotPathDegrades", func(t *testing.T) {
 		mem := NewMemFS()
 		ffs := NewFaultFS(mem, FaultPlan{FailSyncDirAt: 3})
@@ -629,7 +630,7 @@ func TestSyncDirFailures(t *testing.T) {
 			t.Fatalf("degraded state not cleared by retried rotation: %v", err)
 		}
 	})
-	t.Run("journalResetBreaks", func(t *testing.T) {
+	t.Run("slotCreateDegrades", func(t *testing.T) {
 		mem := NewMemFS()
 		ffs := NewFaultFS(mem, FaultPlan{FailSyncDirAt: 4})
 		pair, db, syms := edmFixture()
@@ -638,27 +639,34 @@ func TestSyncDirFailures(t *testing.T) {
 			t.Fatal(err)
 		}
 		ops := ops50(syms)
-		for i, op := range ops[:4] {
+		for i, op := range ops[:8] {
 			if _, err := st.Apply(op); err != nil {
 				t.Fatalf("op %d: %v", i+1, err)
 			}
 		}
-		if _, err := st.Apply(ops[4]); !errors.Is(err, ErrSessionBroken) {
-			t.Fatalf("apply after failed journal-reset dir sync: %v, want ErrSessionBroken", err)
+		if !errors.Is(st.SnapshotErr(), ErrInjected) {
+			t.Fatalf("SnapshotErr = %v, want the injected dir-sync fault", st.SnapshotErr())
 		}
-		// All four acknowledged ops survive the crash: the snapshot at
-		// seq 4 is durable, and the resurrected pre-rotation journal
-		// only holds records the snapshot absorbed.
+		if st.Broken() != nil {
+			t.Fatalf("session broken by a failed slot dir sync: %v", st.Broken())
+		}
+		// The journal was not reset: it still holds every op past the
+		// floor at seq 4.
+		if recs := ScanJournal(mustBytes(t, mem, JournalFile)).Records; len(recs) != 4 || recs[0].Seq != 5 {
+			t.Fatalf("journal holds %d records after the failed checkpoint, want seqs 5..8", len(recs))
+		}
+		// All eight acknowledged ops survive the crash: the slot at
+		// seq 4 is durable, and the journal continues it.
 		mem.Crash()
 		syms2 := value.NewSymbols()
 		rec, rep, err := Recover(mem, pair, syms2, Options{})
 		if err != nil {
 			t.Fatalf("recover: %v", err)
 		}
-		if got := rep.SnapshotSeq + uint64(rep.Replayed); got != 4 {
-			t.Fatalf("recovered seq %d, want 4 (report %+v)", got, rep)
+		if got := rep.SnapshotSeq + uint64(rep.Replayed); got != 8 {
+			t.Fatalf("recovered seq %d, want 8 (report %+v)", got, rep)
 		}
-		if got, want := render(rec.Database(), syms2), referenceAfter(t, 4); got != want {
+		if got, want := render(rec.Database(), syms2), referenceAfter(t, 8); got != want {
 			t.Fatalf("recovered database:\n%s\nwant:\n%s", got, want)
 		}
 	})
