@@ -101,7 +101,7 @@ func main() {
 	scriptPath := flag.String("script", "", "command script (default: stdin)")
 	journalDir := flag.String("journal", "", "directory for the durable journal + snapshots")
 	recoverFlag := flag.Bool("recover", false, "resume a crashed session from -journal")
-	forceFlag := flag.Bool("force", false, "with -recover: truncate mid-journal corruption even if intact records past the damage are lost")
+	forceFlag := flag.Bool("force", false, "with -recover: recover past damage that loses acknowledged updates (mid-journal corruption, or a damaged snapshot slot the journal does not bridge)")
 	timeout := flag.Duration("timeout", 0, "per-command decision budget (0 = unlimited)")
 	batchN := flag.Int("batch", 1, "group up to n consecutive updates into one journal fsync (requires -journal)")
 	metricsPath := flag.String("metrics", "", "write a metrics report here on exit (JSON, or Prometheus text if the name ends in .prom; - for stdout)")
