@@ -92,7 +92,7 @@ chaos-smoke:
 # fsync fault, then drive a CI-sized multi-tenant zipfian burst of mixed
 # ops (inserts, Thm-8 deletes, Thm-9 replacements) through the binary
 # submit path with cmd/loadgen. Fails on any lost ack, any 5xx on the
-# fair-share path, or if the fault failed to drive a resurrection. The
+# submit path, or if the fault failed to drive a resurrection. The
 # client-observed latency report lands in SERVE.report.json (gitignored;
 # CI uploads it as an artifact).
 serve-smoke:
@@ -102,7 +102,7 @@ serve-smoke:
 	$(GO) build -o "$$tmp/viewsrv" ./cmd/viewsrv; \
 	$(GO) build -o "$$tmp/loadgen" ./cmd/loadgen; \
 	"$$tmp/viewsrv" -journal "$$tmp/journal" -addr 127.0.0.1:0 -portfile "$$tmp/port" \
-		-failsync 5 -tenants "good=4,hog=1" & pid=$$!; \
+		-failsync 5 & pid=$$!; \
 	i=0; while [ ! -s "$$tmp/port" ] && [ $$i -lt 100 ]; do sleep 0.1; i=$$((i+1)); done; \
 	[ -s "$$tmp/port" ] || { echo "serve-smoke: viewsrv did not start"; exit 1; }; \
 	"$$tmp/loadgen" -addr "$$(cat "$$tmp/port")" -view ed -clients 6 -ops 1200 -batch 8 \
@@ -140,8 +140,7 @@ loadgen:
 	trap 'kill -TERM $$pid 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/viewsrv" ./cmd/viewsrv; \
 	$(GO) build -o "$$tmp/loadgen" ./cmd/loadgen; \
-	"$$tmp/viewsrv" -journal "$$tmp/journal" -addr 127.0.0.1:0 -portfile "$$tmp/port" \
-		-tenants "good=4,hog=1" & pid=$$!; \
+	"$$tmp/viewsrv" -journal "$$tmp/journal" -addr 127.0.0.1:0 -portfile "$$tmp/port" & pid=$$!; \
 	i=0; while [ ! -s "$$tmp/port" ] && [ $$i -lt 100 ]; do sleep 0.1; i=$$((i+1)); done; \
 	[ -s "$$tmp/port" ] || { echo "loadgen: viewsrv did not start"; exit 1; }; \
 	"$$tmp/loadgen" -addr "$$(cat "$$tmp/port")" -view ed -clients 8 -ops 8000 -batch 16 \

@@ -2,7 +2,8 @@
 // the internal/analysis suite (fsyncorder, mapiter, budgetloop,
 // lockhold, deadlineflow, errflow, nilmetrics, rawgo, walltime, ...)
 // over the given packages and exits non-zero on any unsuppressed
-// diagnostic.
+// diagnostic, or on a //constvet:allow that suppresses none (a stale
+// allow).
 //
 // Usage:
 //

@@ -2,7 +2,7 @@
 // instance from N simulated clients and gates the run on serving
 // invariants: no acknowledged op may be lost (the final view must equal
 // the view implied by the acks, for the keys loadgen owns) and the
-// fair-share path must never see a 5xx. It reports client-observed
+// submit path must never see a 5xx. It reports client-observed
 // p50/p95/p99 request latencies per tenant and can write a
 // benchjson-compatible report for the CI artifact.
 //

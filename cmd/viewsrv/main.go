@@ -1,15 +1,19 @@
 // Command viewsrv serves constant-complement views over HTTP: one
 // self-healing serve pipeline per named view, fronted by the
 // internal/netserve protocol (JSON reads, listings and health; submits
-// as binary op frames only; per-tenant admission control;
-// degraded-read headers).
+// as binary op frames only; a per-tenant rate limit and a bound on
+// in-flight submits; degraded-read headers).
 //
 // Usage:
 //
 //	viewsrv -journal dir [-addr 127.0.0.1:8085] [-portfile p] [-views ed,dm]
-//	        [-emp 64] [-dept 8] [-failsync n] [-max-batch 32] [-shed]
-//	        [-slots 16] [-rate 0] [-burst 0] [-tenants "hog=1,good=4"]
-//	        [-conn-budget 0] [-max-tenants 64]
+//	        [-emp 64] [-dept 8] [-failsync n] [-max-batch 32]
+//	        [-slots 16] [-rate 0] [-burst 0]
+//
+// -rate and -burst give every tenant the same token bucket (429 with
+// Retry-After past it); -slots bounds the submits in flight, which wait
+// for a slot in arrival order. Each view's submit queue holds four
+// batches of ops and sheds an op that finds it full.
 //
 // The schema is the paper's Employee–Department–Manager fixture
 // (U = {E, D, M}, Σ = {E → D, D → M}); view "ed" is X = ED with
@@ -34,14 +38,12 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -66,22 +68,13 @@ func main() {
 	nDept := flag.Int("dept", 8, "departments in the initial instance")
 	failSync := flag.Int("failsync", 0, "inject one fsync failure at the nth journal sync of the first view (0 = none)")
 	maxBatch := flag.Int("max-batch", 32, "ops per group commit")
-	shed := flag.Bool("shed", true, "shed submissions instead of blocking when the queue is full")
 	slots := flag.Int("slots", 16, "concurrent admitted submissions")
-	rate := flag.Float64("rate", 0, "default per-tenant sustained ops/second (0 = unlimited)")
-	burst := flag.Float64("burst", 0, "default per-tenant burst in ops (0 = one second's worth)")
-	tenantSpec := flag.String("tenants", "", "per-tenant weights, e.g. \"hog=1,good=4\"")
-	connBudget := flag.Int64("conn-budget", 0, "ops one connection may submit before it must re-dial (0 = unlimited)")
-	maxTenants := flag.Int("max-tenants", 64, "bound on the tenant admission table")
+	rate := flag.Float64("rate", 0, "per-tenant sustained ops/second (0 = unlimited)")
+	burst := flag.Float64("burst", 0, "per-tenant burst in ops (0 = one second's worth)")
 	flag.Parse()
 	if *journalDir == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	tenants, err := parseTenants(*tenantSpec)
-	if err != nil {
-		log.Fatal(err)
 	}
 
 	// Instrument every layer a request can touch; /metricz serves the
@@ -97,17 +90,11 @@ func main() {
 	db := edm.Instance(*nEmp, *nDept)
 
 	srv := netserve.NewServer(netserve.Options{
-		Admission: netserve.AdmissionOptions{
-			Slots:      *slots,
-			MaxTenants: *maxTenants,
-			Default:    netserve.TenantConfig{Rate: *rate, Burst: *burst},
-			Tenants:    tenants,
-		},
-		ConnOpBudget: *connBudget,
-		Registry:     reg,
+		Admission: netserve.AdmissionOptions{Slots: *slots, Rate: *rate, Burst: *burst},
+		Registry:  reg,
 	})
 
-	addViews(srv, edm, db, *journalDir, *views, *failSync, *maxBatch, *shed)
+	addViews(srv, edm, db, *journalDir, *views, *failSync, *maxBatch)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -120,11 +107,7 @@ func main() {
 	}
 	log.Printf("serving on %s", ln.Addr())
 
-	httpSrv := &http.Server{
-		Handler: srv.Handler(),
-		// Connection-scoped budgets ride on the request context.
-		ConnContext: srv.ConnContext,
-	}
+	httpSrv := &http.Server{Handler: srv.Handler()}
 	// Drain on SIGINT/SIGTERM: stop accepting, let in-flight requests
 	// finish (bounded), then close the pipelines so every accepted op
 	// is decided and durable before exit.
@@ -148,7 +131,7 @@ func main() {
 // addViews opens each named view as a self-healing pipeline under
 // <journalDir>/<name> and registers it.
 func addViews(srv *netserve.Server, edm *workload.EDM, db *relation.Relation,
-	journalDir, views string, failSync, maxBatch int, shed bool) {
+	journalDir, views string, failSync, maxBatch int) {
 	for i, name := range strings.Split(views, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
@@ -197,7 +180,7 @@ func addViews(srv *netserve.Server, edm *workload.EDM, db *relation.Relation,
 		}
 		err = srv.AddView(name, st, edm.Syms, serve.Options{
 			MaxBatch:   maxBatch,
-			ShedOnFull: shed,
+			ShedOnFull: true,
 			// Self-healing: a broken session is quarantined and a fresh
 			// one recovered from the same journal directory, online.
 			Resurrect: func() (*store.Session, error) {
@@ -209,46 +192,4 @@ func addViews(srv *netserve.Server, edm *workload.EDM, db *relation.Relation,
 			log.Fatal(err)
 		}
 	}
-}
-
-// parseTenants parses "name=weight[:rate[:burst]]" pairs.
-func parseTenants(spec string) (map[string]netserve.TenantConfig, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	out := make(map[string]netserve.TenantConfig)
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, rest, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("bad tenant spec %q (want name=weight[:rate[:burst]])", part)
-		}
-		var cfg netserve.TenantConfig
-		fields := strings.Split(rest, ":")
-		vals := make([]float64, len(fields))
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad tenant spec %q: %w", part, err)
-			}
-			vals[i] = v
-		}
-		switch len(vals) {
-		case 3:
-			cfg.Burst = vals[2]
-			fallthrough
-		case 2:
-			cfg.Rate = vals[1]
-			fallthrough
-		case 1:
-			cfg.Weight = vals[0]
-		default:
-			return nil, fmt.Errorf("bad tenant spec %q", part)
-		}
-		out[name] = cfg
-	}
-	return out, nil
 }

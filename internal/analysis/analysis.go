@@ -18,7 +18,8 @@
 // Intentional exceptions are annotated in-diff with a
 // `//constvet:allow <name> [-- reason]` comment on the offending line or the
 // line directly above it; the driver drops the diagnostic but keeps it
-// countable, so every exception stays visible and greppable.
+// countable, so every exception stays visible and greppable. An allow that
+// suppresses nothing when its analyzer runs is reported as stale.
 package analysis
 
 import (
@@ -26,6 +27,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -95,17 +97,25 @@ func (f Finding) String() string {
 // `//constvet:allow name1 name2 -- optional reason`.
 const AllowPrefix = "constvet:allow"
 
-// allowedLines maps file line -> set of analyzer names allowed there. A
-// comment suppresses matching diagnostics on its own line (trailing
-// comment) and on the line immediately below it (leading comment).
-func allowedLines(fset *token.FileSet, files []*ast.File) map[int]map[string]bool {
-	allowed := map[int]map[string]bool{}
-	add := func(line int, name string) {
-		if allowed[line] == nil {
-			allowed[line] = map[string]bool{}
-		}
-		allowed[line][name] = true
-	}
+// allowMark is one //constvet:allow comment and the analyzers it names.
+type allowMark struct {
+	pos   token.Position
+	names []string
+}
+
+// covers reports whether the mark suppresses a diagnostic of analyzer
+// name at pos: one on the mark's own line (trailing comment) or on the
+// line immediately below it (leading comment), in the same file.
+func (m allowMark) covers(name string, pos token.Position) bool {
+	return pos.Filename == m.pos.Filename &&
+		(pos.Line == m.pos.Line || pos.Line == m.pos.Line+1) &&
+		slices.Contains(m.names, name)
+}
+
+// allowMarks collects the //constvet:allow comments that name at least
+// one analyzer.
+func allowMarks(fset *token.FileSet, files []*ast.File) []allowMark {
+	var marks []allowMark
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -120,19 +130,20 @@ func allowedLines(fset *token.FileSet, files []*ast.File) map[int]map[string]boo
 				if reason := strings.Index(text, "--"); reason >= 0 {
 					text = text[:reason]
 				}
-				line := fset.Position(c.Pos()).Line
-				for _, name := range strings.Fields(text) {
-					add(line, name)
-					add(line+1, name)
+				if names := strings.Fields(text); len(names) > 0 {
+					marks = append(marks, allowMark{pos: fset.Position(c.Pos()), names: names})
 				}
 			}
 		}
 	}
-	return allowed
+	return marks
 }
 
 // RunAnalyzer executes one analyzer over a loaded package and resolves its
-// diagnostics against the package's //constvet:allow comments. prog is
+// diagnostics against the package's //constvet:allow comments. An allow
+// naming the analyzer that suppresses none of its diagnostics is stale
+// and becomes a finding of its own: the code it excused is gone, and the
+// marker would silently excuse whatever lands on its line next. prog is
 // the program the package belongs to; analyzers that only need the
 // package view ignore it.
 func RunAnalyzer(a *Analyzer, prog *Program, pkg *Package) ([]Finding, error) {
@@ -147,16 +158,32 @@ func RunAnalyzer(a *Analyzer, prog *Program, pkg *Package) ([]Finding, error) {
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
 	}
-	allowed := allowedLines(pkg.Fset, pkg.Files)
+	marks := allowMarks(pkg.Fset, pkg.Files)
+	used := make([]bool, len(marks))
 	out := make([]Finding, 0, len(pass.diags))
 	for _, d := range pass.diags {
 		pos := pkg.Fset.Position(d.Pos)
+		suppressed := false
+		for i, m := range marks {
+			if m.covers(a.Name, pos) {
+				used[i], suppressed = true, true
+			}
+		}
 		out = append(out, Finding{
 			Analyzer:   a.Name,
 			Pos:        pos,
 			Message:    d.Message,
-			Suppressed: allowed[pos.Line][a.Name],
+			Suppressed: suppressed,
 		})
+	}
+	for i, m := range marks {
+		if !used[i] && slices.Contains(m.names, a.Name) {
+			out = append(out, Finding{
+				Analyzer: a.Name,
+				Pos:      m.pos,
+				Message:  fmt.Sprintf("stale //%s %s: it suppresses no finding; remove it", AllowPrefix, a.Name),
+			})
+		}
 	}
 	return out, nil
 }

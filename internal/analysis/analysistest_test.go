@@ -21,7 +21,9 @@ import (
 // comment. Each analyzer's test loads its ok and bad fixture packages,
 // runs the analyzer unconditionally (AppliesTo is a driver concern),
 // and requires the unsuppressed findings and the want-comments to match
-// one-to-one by file, line, and message pattern.
+// one-to-one by file, line, and message pattern. A line whose own
+// comment is the subject (a stale //constvet:allow) carries its
+// expectation in a leading /* want `regexp` */ block comment instead.
 
 // wantRe extracts the backquoted patterns of a want comment.
 var wantRe = regexp.MustCompile("`([^`]*)`")
@@ -41,7 +43,11 @@ func parseExpectations(t *testing.T, pkg *Package) []*expectation {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				text, ok := strings.CutPrefix(c.Text, "//")
+				if !ok {
+					text = strings.TrimSuffix(strings.TrimPrefix(c.Text, "/*"), "*/")
+				}
+				text = strings.TrimSpace(text)
 				if !strings.HasPrefix(text, "want ") {
 					continue
 				}
@@ -247,17 +253,31 @@ func TestAllowedLinesGrammar(t *testing.T) {
 		{"//constvet:allow", nil},           // marker with no names
 		{"// want `x`", nil},
 	}
+	at := func(file string, line int) token.Position { return token.Position{Filename: file, Line: line} }
 	for _, tc := range cases {
 		src := fmt.Sprintf("package p\n\n%s\nvar X = 1\n", tc.comment)
 		pkg := parseOne(t, src)
-		allowed := allowedLines(pkg.Fset, pkg.Files)
+		marks := allowMarks(pkg.Fset, pkg.Files)
+		if tc.names == nil {
+			if len(marks) != 0 {
+				t.Errorf("%q: want no allow marks, got %v", tc.comment, marks)
+			}
+			continue
+		}
+		if len(marks) != 1 {
+			t.Fatalf("%q: want 1 allow mark, got %v", tc.comment, marks)
+		}
+		m := marks[0]
 		for _, name := range tc.names {
-			if !allowed[3][name] || !allowed[4][name] {
-				t.Errorf("%q: want %q allowed on lines 3 and 4, got %v", tc.comment, name, allowed)
+			if !m.covers(name, at("p.go", 3)) || !m.covers(name, at("p.go", 4)) {
+				t.Errorf("%q: want %q allowed on lines 3 and 4, got %v", tc.comment, name, m)
+			}
+			if m.covers(name, at("p.go", 5)) || m.covers(name, at("q.go", 4)) {
+				t.Errorf("%q: %q allowed beyond lines 3 and 4 of its own file", tc.comment, name)
 			}
 		}
-		if tc.names == nil && len(allowed) != 0 {
-			t.Errorf("%q: want no allowed lines, got %v", tc.comment, allowed)
+		if m.covers("rawgo", at("p.go", 4)) {
+			t.Errorf("%q: allows an analyzer it does not name", tc.comment)
 		}
 	}
 }

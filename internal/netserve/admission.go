@@ -1,7 +1,6 @@
 package netserve
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -31,155 +30,73 @@ func (e *ThrottleError) Error() string {
 	return fmt.Sprintf("netserve: tenant %q throttled, retry in %dns", e.Tenant, e.RetryAfterNS)
 }
 
-// TenantConfig shapes one tenant's admission.
-type TenantConfig struct {
-	// Weight is the tenant's fair share under contention. Zero means 1.
-	Weight float64
-	// Rate is the sustained ops/second the token bucket allows. Zero
-	// means unlimited (no bucket; WFQ still applies).
-	Rate float64
-	// Burst is the bucket capacity in ops. Zero means one second's
-	// worth (Rate).
-	Burst float64
-}
-
-func (c TenantConfig) weight() float64 {
-	if c.Weight > 0 {
-		return c.Weight
-	}
-	return 1
-}
-
-func (c TenantConfig) burst() float64 {
-	if c.Burst > 0 {
-		return c.Burst
-	}
-	return c.Rate
-}
-
 // AdmissionOptions configures the gate. The zero value is ready to use.
 type AdmissionOptions struct {
 	// Slots is how many admitted submissions may be in flight toward
-	// the pipelines at once; the queue forms behind them. Default 16.
+	// the pipelines at once; further requests wait for a slot in
+	// arrival order. Default 16.
 	Slots int
 	// MaxTenants bounds the tenant table — the gate tracks per-tenant
-	// bucket and virtual-time state, and an unbounded table is a memory
-	// leak under adversarial tenant names. Default 64.
+	// bucket state, and an unbounded table is a memory leak under
+	// adversarial tenant names. Default 64.
 	MaxTenants int
-	// Default applies to tenants not named in Tenants.
-	Default TenantConfig
-	// Tenants overrides per-tenant shaping by name.
-	Tenants map[string]TenantConfig
-	// Clock is the time source for bucket refill; nil means the real
-	// monotonic clock.
+	// Rate is the sustained ops/second each tenant's token bucket
+	// allows. Zero means unlimited (no bucket).
+	Rate float64
+	// Burst is each bucket's capacity in ops. Zero means one second's
+	// worth (Rate).
+	Burst float64
+	// Clock is the time source for bucket refill and slot-wait timing;
+	// nil means the real monotonic clock.
 	Clock obs.Clock
 }
 
-func (o AdmissionOptions) slots() int {
-	if o.Slots > 0 {
-		return o.Slots
-	}
-	return 16
-}
-
-func (o AdmissionOptions) maxTenants() int {
-	if o.MaxTenants > 0 {
-		return o.MaxTenants
-	}
-	return 64
-}
-
-func (o AdmissionOptions) clock() obs.Clock {
-	if o.Clock != nil {
-		return o.Clock
-	}
-	return obs.SystemClock()
-}
-
-// tenantState is one tenant's admission record.
+// tenantState is one tenant's token bucket (used when Rate > 0 only):
+// tokens may go negative when a request larger than the remaining
+// tokens is admitted from a full bucket; the debt throttles subsequent
+// requests until refill.
 type tenantState struct {
-	name string
-	cfg  TenantConfig
-	// Token bucket (Rate > 0 only): tokens may go negative when a
-	// request larger than the remaining tokens is admitted from a full
-	// bucket; the debt throttles subsequent requests until refill.
 	tokens   float64
 	refillNS int64
-	// vfinish is the virtual finish time of the tenant's last queued
-	// request — the WFQ state that spreads a backlogged tenant's
-	// requests out in proportion to its weight.
-	vfinish float64
-	// granted counts ops admitted (immediately or after queueing);
-	// the fairness property test reads it through Granted.
-	granted int64
 }
 
-// waiter is one queued Acquire.
-type waiter struct {
-	ready  chan struct{}
-	tenant *tenantState
-	cost   float64
-	vtag   float64
-	seq    uint64 // FIFO tiebreak among equal tags
-	idx    int    // heap index; -1 once granted or removed
-	err    error  // set (before ready closes) only on shutdown
-}
-
-// waiterQueue is a min-heap by (vtag, seq).
-type waiterQueue []*waiter
-
-func (q waiterQueue) Len() int { return len(q) }
-func (q waiterQueue) Less(i, j int) bool {
-	if q[i].vtag != q[j].vtag {
-		return q[i].vtag < q[j].vtag
-	}
-	return q[i].seq < q[j].seq
-}
-func (q waiterQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx, q[j].idx = i, j
-}
-func (q *waiterQueue) Push(x any) {
-	w := x.(*waiter)
-	w.idx = len(*q)
-	*q = append(*q, w)
-}
-func (q *waiterQueue) Pop() any {
-	old := *q
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
-	w.idx = -1
-	*q = old[:n-1]
-	return w
-}
-
-// Admission is the per-tenant gate in front of the submit path: a token
-// bucket bounds each tenant's sustained rate, and weighted fair
-// queueing (virtual-time, as in packet schedulers) arbitrates the
-// in-flight slots under contention, so a tenant's share of a saturated
-// server is proportional to its weight no matter how hard another
-// tenant floods.
+// Admission is the gate in front of the submit path: a per-tenant token
+// bucket bounds each tenant's sustained rate (429 + Retry-After past
+// it), and a FIFO semaphore bounds the submissions in flight toward the
+// pipelines. It does not arbitrate between tenants: behind it every op
+// enters its view's one FIFO submit queue.
 type Admission struct {
-	opts  AdmissionOptions
-	clock obs.Clock
+	opts AdmissionOptions // defaults resolved
+	// slots holds one token per in-flight submission; a full channel
+	// parks senders in arrival order.
+	slots chan struct{}
+	// done is closed by Close to fail parked waiters and later arrivals.
+	done      chan struct{}
+	closeOnce sync.Once
 
 	mu      sync.Mutex
-	closed  bool
-	free    int // free in-flight slots
-	vtime   float64
-	seq     uint64
 	tenants map[string]*tenantState
-	queue   waiterQueue
 }
 
 // NewAdmission builds the gate.
 func NewAdmission(opts AdmissionOptions) *Admission {
+	if opts.Slots <= 0 {
+		opts.Slots = 16
+	}
+	if opts.MaxTenants <= 0 {
+		opts.MaxTenants = 64
+	}
+	if opts.Burst <= 0 {
+		opts.Burst = opts.Rate
+	}
+	if opts.Clock == nil {
+		opts.Clock = obs.SystemClock()
+	}
 	return &Admission{
 		opts:    opts,
-		clock:   opts.clock(),
-		free:    opts.slots(),
-		tenants: make(map[string]*tenantState, opts.maxTenants()),
+		slots:   make(chan struct{}, opts.Slots),
+		done:    make(chan struct{}),
+		tenants: make(map[string]*tenantState, opts.MaxTenants),
 	}
 }
 
@@ -188,14 +105,10 @@ func (a *Admission) tenantLocked(name string) (*tenantState, error) {
 	if t, ok := a.tenants[name]; ok {
 		return t, nil
 	}
-	if len(a.tenants) >= a.opts.maxTenants() {
+	if len(a.tenants) >= a.opts.MaxTenants {
 		return nil, fmt.Errorf("%w: %d tenants tracked", ErrTenantTableFull, len(a.tenants))
 	}
-	cfg, ok := a.opts.Tenants[name]
-	if !ok {
-		cfg = a.opts.Default
-	}
-	t := &tenantState{name: name, cfg: cfg, tokens: cfg.burst(), refillNS: a.clock.NowNS()}
+	t := &tenantState{tokens: a.opts.Burst, refillNS: a.opts.Clock.NowNS()}
 	a.tenants[name] = t
 	return t, nil
 }
@@ -204,39 +117,41 @@ func (a *Admission) tenantLocked(name string) (*tenantState, error) {
 // time, then either charge or compute the wait. A request admitted from
 // a full bucket may drive tokens negative (cost > Burst would otherwise
 // never clear), which self-limits the next requests.
-func (a *Admission) chargeLocked(t *tenantState, cost float64) *ThrottleError {
-	if t.cfg.Rate <= 0 {
+func (a *Admission) chargeLocked(name string, t *tenantState, cost float64) *ThrottleError {
+	rate, burst := a.opts.Rate, a.opts.Burst
+	if rate <= 0 {
 		return nil
 	}
-	now := a.clock.NowNS()
+	now := a.opts.Clock.NowNS()
 	if dt := now - t.refillNS; dt > 0 {
-		t.tokens = math.Min(t.cfg.burst(), t.tokens+t.cfg.Rate*float64(dt)/1e9)
+		t.tokens = math.Min(burst, t.tokens+rate*float64(dt)/1e9)
 	}
 	t.refillNS = now
-	need := math.Min(cost, t.cfg.burst())
+	need := math.Min(cost, burst)
 	if t.tokens < need {
-		wait := (need - t.tokens) / t.cfg.Rate * 1e9
-		return &ThrottleError{Tenant: t.name, RetryAfterNS: int64(math.Ceil(wait))}
+		wait := (need - t.tokens) / rate * 1e9
+		return &ThrottleError{Tenant: name, RetryAfterNS: int64(math.Ceil(wait))}
 	}
 	t.tokens -= cost
 	return nil
 }
 
-// Acquire admits a request of cost ops for tenant, blocking in the
-// weighted fair queue when all slots are busy. On success it returns
-// the release closure that frees the slot (callers must invoke it
-// exactly once, after their pipeline submission completes). Failure
-// modes: *ThrottleError (over rate), ErrTenantTableFull, ctx
-// cancellation while queued, ErrAdmissionClosed.
+// Acquire admits a request of cost ops for tenant, blocking in arrival
+// order when all slots are busy. On success it returns the release
+// closure that frees the slot (callers must invoke it exactly once,
+// after their pipeline submission completes). Failure modes:
+// *ThrottleError (over rate), ErrTenantTableFull, ctx cancellation
+// while waiting, ErrAdmissionClosed.
 func (a *Admission) Acquire(ctx context.Context, tenant string, cost float64) (func(), error) {
 	if cost <= 0 {
 		cost = 1
 	}
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
+	select {
+	case <-a.done:
 		return nil, ErrAdmissionClosed
+	default:
 	}
+	a.mu.Lock()
 	t, err := a.tenantLocked(tenant)
 	if err != nil {
 		a.mu.Unlock()
@@ -245,123 +160,40 @@ func (a *Admission) Acquire(ctx context.Context, tenant string, cost float64) (f
 		}
 		return nil, err
 	}
-	if terr := a.chargeLocked(t, cost); terr != nil {
+	if terr := a.chargeLocked(tenant, t, cost); terr != nil {
 		a.mu.Unlock()
 		if m := nsmetrics.Load(); m != nil {
 			m.throttled.Inc()
 		}
 		return nil, terr
 	}
-	if a.free > 0 {
-		// Uncontended: grant immediately, advance the tenant's virtual
-		// finish so a subsequent burst still spreads out fairly.
-		a.free--
-		start := math.Max(a.vtime, t.vfinish)
-		t.vfinish = start + cost/t.cfg.weight()
-		t.granted += int64(cost)
-		a.mu.Unlock()
-		if m := nsmetrics.Load(); m != nil {
-			m.admitted.Inc()
-		}
-		return a.release, nil
-	}
-	// Contended: queue with a virtual finish tag. Backlogged requests
-	// of one tenant chain off its previous finish, so the tags of a
-	// flooder race ahead of the global virtual time and well-behaved
-	// tenants' fresh requests sort before them.
-	w := &waiter{ready: make(chan struct{}), tenant: t, cost: cost, seq: a.seq}
-	a.seq++
-	start := math.Max(a.vtime, t.vfinish)
-	w.vtag = start + cost/t.cfg.weight()
-	t.vfinish = w.vtag
-	heap.Push(&a.queue, w)
 	a.mu.Unlock()
 
-	waitStart := a.clock.NowNS()
 	select {
-	case <-w.ready:
-		if m := nsmetrics.Load(); m != nil {
-			m.wfqWaitNs.ObserveDuration(a.clock.NowNS() - waitStart)
-		}
-		if w.err != nil {
-			return nil, w.err
-		}
-		if m := nsmetrics.Load(); m != nil {
-			m.admitted.Inc()
-		}
-		return a.release, nil
-	case <-ctx.Done():
-		a.mu.Lock()
-		if w.idx >= 0 {
-			heap.Remove(&a.queue, w.idx)
-			a.mu.Unlock()
+	case a.slots <- struct{}{}:
+	default:
+		// Contended: park until a release, timing the wait.
+		waitStart := a.opts.Clock.NowNS()
+		select {
+		case a.slots <- struct{}{}:
+		case <-ctx.Done():
 			return nil, ctx.Err()
+		case <-a.done:
+			return nil, ErrAdmissionClosed
 		}
-		a.mu.Unlock()
-		// Lost the race: a release already granted this waiter (or
-		// Close failed it). Consume the grant and put the slot back.
-		<-w.ready
-		if w.err == nil {
-			a.release()
+		if m := nsmetrics.Load(); m != nil {
+			m.slotWaitNs.ObserveDuration(a.opts.Clock.NowNS() - waitStart)
 		}
-		return nil, ctx.Err()
 	}
+	if m := nsmetrics.Load(); m != nil {
+		m.admitted.Inc()
+	}
+	return a.release, nil
 }
 
-// release frees one slot: hand it to the earliest-finish waiter, or
-// bank it.
-func (a *Admission) release() {
-	a.mu.Lock()
-	if len(a.queue) > 0 {
-		w := heap.Pop(&a.queue).(*waiter)
-		// Advance global virtual time to the granted tag so new
-		// arrivals cannot sort before work already accepted.
-		a.vtime = math.Max(a.vtime, w.vtag)
-		w.tenant.granted += int64(w.cost)
-		a.mu.Unlock()
-		close(w.ready)
-		return
-	}
-	a.free++
-	a.mu.Unlock()
-}
+// release frees one slot, handing it to the longest-parked waiter.
+func (a *Admission) release() { <-a.slots }
 
-// Granted reports how many ops the tenant has been admitted for — the
-// denominator of the fairness property.
-func (a *Admission) Granted(tenant string) int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if t, ok := a.tenants[tenant]; ok {
-		return t.granted
-	}
-	return 0
-}
-
-// Queued reports how many requests are waiting in the fair queue.
-func (a *Admission) Queued() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.queue)
-}
-
-// Close fails all queued waiters with ErrAdmissionClosed and rejects
-// future Acquires.
-func (a *Admission) Close() {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return
-	}
-	a.closed = true
-	waiters := make([]*waiter, len(a.queue))
-	copy(waiters, a.queue)
-	for _, w := range waiters {
-		w.idx = -1
-		w.err = ErrAdmissionClosed
-	}
-	a.queue = nil
-	a.mu.Unlock()
-	for _, w := range waiters {
-		close(w.ready)
-	}
-}
+// Close fails all parked waiters with ErrAdmissionClosed and rejects
+// future Acquires. Slots still held may be released afterwards.
+func (a *Admission) Close() { a.closeOnce.Do(func() { close(a.done) }) }

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"github.com/constcomp/constcomp/internal/core"
 	"github.com/constcomp/constcomp/internal/obs"
@@ -24,14 +23,8 @@ import (
 
 // Options tunes the server. The zero value is ready to use.
 type Options struct {
-	// Admission configures the per-tenant gate on the submit path.
+	// Admission configures the gate on the submit path.
 	Admission AdmissionOptions
-	// ConnOpBudget bounds the ops one client connection may submit over
-	// its lifetime; 0 disables. Exhausted connections get 429 with
-	// Connection: close, so a runaway client is forced to re-dial
-	// through fresh admission. Requires wiring ConnContext into the
-	// http.Server.
-	ConnOpBudget int64
 	// Registry, when set, is served at /metricz (JSON) and
 	// /metricz.prom (Prometheus text).
 	Registry *obs.Registry
@@ -179,24 +172,11 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// connBudget is the per-connection op allowance installed by
-// ConnContext.
-type connBudget struct{ left atomic.Int64 }
-
-// take reserves n ops, reporting whether the budget covered them.
-func (b *connBudget) take(n int64) bool { return b.left.Add(-n) >= 0 }
-
-type connBudgetKey struct{}
-
-// ConnContext is for http.Server.ConnContext: it attaches the
-// per-connection op budget each submit draws down.
+// ConnContext is for http.Server.ConnContext. It returns ctx
+// unchanged: the server keeps no per-connection state. It remains only
+// because the benchmark harness still wires it into its http.Server.
 func (s *Server) ConnContext(ctx context.Context, c net.Conn) context.Context {
-	if s.opts.ConnOpBudget <= 0 {
-		return ctx
-	}
-	b := &connBudget{}
-	b.left.Store(s.opts.ConnOpBudget)
-	return context.WithValue(ctx, connBudgetKey{}, b)
+	return ctx
 }
 
 // tenantOf extracts the request's tenant.
@@ -405,20 +385,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		m.opsPerReq.Observe(float64(len(ops)))
 	}
 
-	// Connection-scoped budget: a connection that spent its allowance
-	// must re-dial; admission then sees it as a fresh arrival.
-	if b, ok := r.Context().Value(connBudgetKey{}).(*connBudget); ok {
-		if !b.take(int64(len(ops))) {
-			if m != nil {
-				m.budgetExceeded.Inc()
-			}
-			w.Header().Set("Connection", "close")
-			writeErr(w, http.StatusTooManyRequests, "connection op budget exhausted")
-			return
-		}
-	}
-
-	// Per-tenant admission: token bucket, then the weighted fair queue.
+	// Admission: the tenant's token bucket, then a FIFO in-flight slot.
 	tenant := tenantOf(r)
 	release, err := s.adm.Acquire(r.Context(), tenant, float64(len(ops)))
 	if err != nil {

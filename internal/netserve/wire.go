@@ -11,10 +11,10 @@
 // tuples as constant names in view column order — and its reply is one
 // result frame per op; any other submit Content-Type gets 415.
 //
-// Admission is per tenant (X-Constcomp-Tenant): a token bucket bounds
-// each tenant's sustained op rate, and weighted fair queueing arbitrates
-// the submit queue among tenants competing for pipeline slots, so a
-// flooding tenant cannot starve a well-behaved one. Degraded reads —
+// Admission rate-limits per tenant (X-Constcomp-Tenant): a token bucket
+// bounds each tenant's sustained op rate. A FIFO slot bound then caps
+// the submissions in flight; it and the pipelines' submit queues are
+// blind to tenants, and a full queue sheds per op. Degraded reads —
 // served from the last committed view while a pipeline heals — are
 // surfaced explicitly via the X-Constcomp-Degraded header.
 package netserve
