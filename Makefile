@@ -61,12 +61,14 @@ bench:
 	$(GO) test -bench=. -benchmem . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH.json
 
 # Regression gate: re-run the kernel, pipeline, per-delta, end-to-end
-# serving, maintained-chase removal, chase and imposition, and store
-# encoder benchmarks and fail if any BenchmarkRel*, BenchmarkPipeline*,
+# serving, maintained-chase removal and imposing decide, chase and
+# imposition, and store encoder benchmarks and fail if any
+# BenchmarkRel*, BenchmarkPipeline*,
 # BenchmarkViewPublish*, BenchmarkE5InsertDelta*, BenchmarkE5InsertExact*,
 # BenchmarkA1ChaseImpl*, BenchmarkA5ImposeStrategy*,
 # BenchmarkApplyDeltaVsFull*, BenchmarkNetServe*,
-# BenchmarkMaintainedRemove*, BenchmarkStoreSnapshot*,
+# BenchmarkMaintainedRemove*, BenchmarkMaintainedImpose*,
+# BenchmarkStoreSnapshot*,
 # BenchmarkStoreJournalAppend or BenchmarkStoreCheckpoint/fs=mem grew
 # >30% in ns/op, or in allocs/op where the baseline records them,
 # against the committed baseline (StoreCheckpoint/fs=dir runs too but
@@ -77,8 +79,8 @@ bench:
 # uploads it as an artifact). A missing baseline makes the comparison
 # advisory-only (exit 0).
 bench-compare:
-	$(GO) test -bench='^Benchmark(Rel|Pipeline|ViewPublish|E5InsertDelta|E5InsertExact|A1ChaseImpl|A5ImposeStrategy|ApplyDeltaVsFull|NetServe|MaintainedRemove|StoreSnapshot|StoreJournalAppend|StoreCheckpoint)' -benchmem -count=3 . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH.fresh.json
-	$(GO) run ./cmd/benchjson -compare BENCH.json -filter '^Benchmark(Rel|Pipeline|ViewPublish|E5InsertDelta|E5InsertExact|A1ChaseImpl|A5ImposeStrategy|ApplyDeltaVsFull|NetServe|MaintainedRemove|StoreSnapshot|StoreJournalAppend|StoreCheckpoint/fs=mem$$)' BENCH.fresh.json
+	$(GO) test -bench='^Benchmark(Rel|Pipeline|ViewPublish|E5InsertDelta|E5InsertExact|A1ChaseImpl|A5ImposeStrategy|ApplyDeltaVsFull|NetServe|MaintainedRemove|MaintainedImpose|StoreSnapshot|StoreJournalAppend|StoreCheckpoint)' -benchmem -count=3 . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH.fresh.json
+	$(GO) run ./cmd/benchjson -compare BENCH.json -filter '^Benchmark(Rel|Pipeline|ViewPublish|E5InsertDelta|E5InsertExact|A1ChaseImpl|A5ImposeStrategy|ApplyDeltaVsFull|NetServe|MaintainedRemove|MaintainedImpose|StoreSnapshot|StoreJournalAppend|StoreCheckpoint/fs=mem$$)' BENCH.fresh.json
 
 # Chaos smoke: six canonical per-kind fault schedules plus a fixed-seed
 # sweep through the self-healing pipeline (internal/chaos). Exits

@@ -727,6 +727,64 @@ func BenchmarkMaintainedRemoveWideGroup(b *testing.B) {
 	}
 }
 
+// BenchmarkMaintainedImposeDecide measures a Session's incremental
+// insert decide where condition (c) imposes candidate equalities on the
+// maintained padding through Maintained.WithEqualities, the path every
+// other decide row skips (their candidates need no imposition). U =
+// ABCDE, Σ = {C→D, C→E, AD→E}, view ABC, complement CDE. The instance
+// puts each of k A values in each of g C groups, so an insert of
+// (a, fresh b, c0) has an AD→E candidate in each group. In each of the
+// g−1 other groups, imposing its D class equal to c0's makes the rows
+// sharing an A value across the two groups equate their E classes, so
+// every candidate chase succeeds. The decide thus makes g−1 non-trivial
+// impositions, each revisiting the 2k rows of two groups. Each iteration decides a distinct op
+// (fresh B), so the decision cache never hits.
+func BenchmarkMaintainedImposeDecide(b *testing.B) {
+	u := attr.MustUniverse("A", "B", "C", "D", "E")
+	s := core.MustSchema(u, dep.MustParseSet(u, "C -> D\nC -> E\nA D -> E"))
+	pair := core.MustPair(s, u.MustSet("A", "B", "C"), u.MustSet("C", "D", "E"))
+	for _, g := range []int{8, 32} {
+		const k = 16
+		b.Run(fmt.Sprintf("V=%d", k*g), func(b *testing.B) {
+			syms := value.NewSymbols()
+			name := func(attr string, i int) value.Value { return syms.Const(fmt.Sprintf("%s%d", attr, i)) }
+			db := relation.New(u.All())
+			for a := 0; a < k; a++ {
+				for c := 0; c < g; c++ {
+					db.Insert(relation.Tuple{name("a", a), name("b", a*g+c), name("c", c), name("d", c), name("e", c)})
+				}
+			}
+			sess, err := core.NewSession(pair, db)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ops := make([]core.UpdateOp, b.N+1)
+			for i := range ops {
+				ops[i] = core.Insert(relation.Tuple{name("a", i%k), name("fresh", i), name("c", 0)})
+			}
+			// The warm-up pays the incremental state build and checks the
+			// shape: translatable, imposing, and on the delta path.
+			reg := obs.NewRegistry()
+			core.SetMetrics(reg)
+			d, err := sess.Decide(ops[b.N])
+			core.SetMetrics(nil)
+			if err != nil || !d.Translatable || d.ChaseCalls < g-1 {
+				b.Fatalf("warm-up decide: %+v, %v; want translatable with at least %d chase calls", d, err, g-1)
+			}
+			if n := reg.Snapshot().Counters["core_inc_fallback_total"]; n != 0 {
+				b.Fatalf("warm-up decide fell back to the full path")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if d, err := sess.Decide(ops[i]); err != nil || !d.Translatable {
+					b.Fatal("unexpected verdict")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRelJoin100k joins two 100k-tuple relations sharing two
 // attributes, serially and with the partitioned parallel kernel, to
 // record the Parallelism knob's effect at scale.

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"math"
 	"sort"
 
 	"github.com/constcomp/constcomp/internal/relation"
@@ -22,73 +23,118 @@ import (
 // a Maintained built by any sequence of AddRow/RemoveRow resolves every
 // value exactly as a fresh batch chase of the surviving rows would.
 // Both union-finds are kept flat — a merge re-points every moved member
-// straight at the new root — so Find is one map hop and a removal can
-// drop a member, or re-pick a root, without re-parenting a subtree.
+// straight at the new root — so a removal can drop a member, or re-pick
+// a root, without re-parenting a subtree.
 //
-// Precondition for RemoveRow: distinct rows must not share labeled
-// nulls (each row's nulls are fresh, as produced by value.NullGen —
-// constants may repeat freely). FD merges then only link rows within a
-// connected component. Most removals detach the row in time
-// proportional to its own classes and groups; the rest reset and
+// All state lives in dense slices; no map is keyed by a value or a row.
+// A Value is already a dense id: a constant is its interned id (≥ 0), a
+// null Null(i) has NullIndex i. So every value-keyed array comes in two
+// halves, constants at their id and nulls at their NullIndex, and Find
+// is one slice index. A constant is always a root (it outranks every
+// null, and a merge of two constants clashes), so only nulls have a
+// parent entry. The lists keyed by a value (a root's members, the rows
+// holding a value) and a root row's component are circular doubly linked
+// lists threaded through the dense node space (see chain), so adding or
+// dropping one element costs O(1) and allocates nothing. Rows are copied
+// into an arena of fixed-size chunks, indexed by row slot. The FD
+// buckets are growing relation.HeadTables keyed by Z-hash, whose chains
+// run through a pool of entries.
+//
+// The halves are sized by the largest constant id and null index ever
+// added, not by the live rows: a caller that draws every row's nulls
+// fresh from a value.NullGen grows the null half with its op count. The
+// incremental session (core) recycles a removed row's nulls for the next
+// row it pads, which bounds the null half by its peak live rows times
+// the padded width; its constants are interned, so the constant half is
+// bounded by its symbol table.
+//
+// Precondition: distinct live rows must not share labeled nulls (each
+// row's nulls are fresh, as produced by value.NullGen, or recycled from
+// a removed row — constants may repeat freely). FD merges then only link
+// rows within a connected component. Most removals detach the row in
+// time proportional to its own classes and groups; the rest reset and
 // re-derive the affected component (see RemoveRow).
 type Maintained struct {
 	plans Plans
 	// aPlans[c] counts the plans whose A holds column c: a null in a
 	// column of two could bridge two FD groups' cliques.
 	aPlans []int
-	// rows holds the raw tuples; nil marks a free slot. free lists the
-	// slots removals vacated, reused (last first) by AddRow.
+	// w is the row width, fixed by the first AddRow.
+	w int
+	// rows[ri] is the live row in slot ri, a window of arena; nil marks a
+	// free slot. free lists the slots removals vacated, reused (last
+	// first) by AddRow.
 	rows  []relation.Tuple
+	arena [][]value.Value
 	alive int
 	free  []int
-	// entries counts the row ids stored across buckets: a live row
-	// holds at most one per plan, so any excess is stale entries left
-	// behind by rows whose Z-hash moved (see Wasteful).
+	// entries counts the bucket entries in use: a live row holds at most
+	// one per plan, so any excess is stale entries left behind by rows
+	// whose Z-hash moved (see Wasteful).
 	entries int
-	// parent/members: flat union-find over values (raw granularity):
-	// every non-root maps straight to its root, and members lists a
-	// root's non-roots.
-	parent  map[value.Value]value.Value
-	members map[value.Value][]value.Value
 	clash   bool
 	// nullRepeat latches once some added row held one null in two
 	// columns. Until then every null-rooted class holds nulls of a
 	// single column, so re-picking its root moves no Z-hash.
 	nullRepeat bool
-	// buckets[fi] maps Z-key hashes (canonical at insertion time) to row
-	// ids; each live Z-group keeps at least one member filed under its
-	// current hash. A removal takes its row out of the bucket of its
-	// current hash; entries a row left under an earlier hash go stale,
-	// and so may an entry whose slot was reused. Every probe re-verifies
-	// with zEqual under the current resolution, so staleness costs
-	// space, never correctness.
-	buckets []map[uint64][]int
-	// valueRows maps each raw value to the live rows containing it, in
-	// insertion order; a removal takes its row out of its values' lists.
-	valueRows map[value.Value][]int
+	// buckets[fi] maps Z-key hashes (canonical at insertion time) to the
+	// first of a chain of entries in filed, each naming a row id; each
+	// live Z-group keeps at least one member filed under its current
+	// hash. A removal takes its row out of the chain of its current
+	// hash; entries a row left under an earlier hash go stale, and so
+	// may an entry whose slot was reused. Every probe re-verifies with
+	// zEqual under the current resolution, so staleness costs space,
+	// never correctness. freeFiled heads the list of unused entries
+	// (-1 when empty).
+	buckets   []*relation.HeadTable
+	filed     []filing
+	freeFiled int32
+	// parent[i] is null i's root: itself while it roots its class or
+	// holds no entry.
+	parent []value.Value
+	// cMembers/nMembers head each root's list of non-root members (all
+	// nulls, linked by null index through member).
+	cMembers, nMembers []int32
+	member             chain
+	// cRows/nRows head each value's list of the live rows holding it,
+	// in insertion order: the list links the cell ri*w+c of the value's
+	// first column in row ri, through cell.
+	cRows, nRows []int32
+	cell         chain
 	// rowParent/rowMembers: flat union-find over rows, tracking the
 	// connected components the FD merges induce (a detach leaves the
 	// survivors in one component even when the row was their only link,
 	// so a component may be a union of true ones); RemoveRow's fallback
-	// re-chases one component.
+	// re-chases one component. rowMembers heads a root row's list of
+	// the component's other rows, linked through rowLink.
 	rowParent  []int
-	rowMembers map[int][]int
+	rowMembers []int32
+	rowLink    chain
+	// queue and seeds are run's scratch, reused across calls.
+	queue []value.Value
+	seeds []int
 }
+
+// filing is one bucket entry: a row id and the next entry of its
+// chain (-1 ends it).
+type filing struct {
+	row, next int32
+}
+
+// arenaRows is the number of row slots per arena chunk.
+const arenaRows = 64
 
 // NewMaintained returns an empty maintained fixpoint for the FD column
 // plans (see PlanFDs; plans must be over the row layout of AddRow's
 // tuples).
 func NewMaintained(plans Plans) *Maintained {
 	m := &Maintained{
-		plans:      plans,
-		parent:     make(map[value.Value]value.Value),
-		members:    make(map[value.Value][]value.Value),
-		buckets:    make([]map[uint64][]int, len(plans)),
-		valueRows:  make(map[value.Value][]int),
-		rowMembers: make(map[int][]int),
+		plans:     plans,
+		buckets:   make([]*relation.HeadTable, len(plans)),
+		freeFiled: -1,
 	}
 	for i := range m.buckets {
-		m.buckets[i] = make(map[uint64][]int)
+		m.buckets[i] = relation.NewHeadTable(0)
 	}
 	for _, plan := range plans {
 		for _, c := range plan[1] {
@@ -103,6 +149,12 @@ func NewMaintained(plans Plans) *Maintained {
 
 // Alive reports the number of live rows.
 func (m *Maintained) Alive() int { return m.alive }
+
+// Extent reports the lengths of the dense arrays: the row slots and the
+// null half (one past the largest null index ever added). A caller that
+// recycles its nulls keeps both within a constant of its peak live
+// rows.
+func (m *Maintained) Extent() (slots, nulls int) { return len(m.rows), len(m.parent) }
 
 // ConstClash reports whether the chase has equated two distinct
 // constants; once latched the fixpoint is unusable and callers should
@@ -120,11 +172,11 @@ func (m *Maintained) Wasteful() bool {
 	return len(m.free)*2 > m.alive+16 || m.entries > 2*len(m.plans)*m.alive+64
 }
 
-// Find resolves a value to its canonical representative: one hop, as
-// the union-find is flat.
+// Find resolves a value to its canonical representative: one slice
+// index, as the union-find is flat.
 func (m *Maintained) Find(v value.Value) value.Value {
-	if r, ok := m.parent[v]; ok {
-		return r
+	if i := -1 - int64(v); v < 0 && i < int64(len(m.parent)) {
+		return m.parent[i]
 	}
 	return v
 }
@@ -134,41 +186,153 @@ func (m *Maintained) Cell(id, c int) value.Value {
 	return m.Find(m.rows[id][c])
 }
 
-// Row returns the raw tuple of row id (nil if its slot is free).
-// Callers must not modify it.
+// Row returns the raw tuple of row id (nil if its slot is free). It is
+// the Maintained's own copy: callers must not modify it, and it changes
+// once the row is removed and its slot reused.
 func (m *Maintained) Row(id int) relation.Tuple { return m.rows[id] }
 
-// AddRow inserts a raw row (taking ownership) and propagates the FDs to
-// a new fixpoint. It returns the row's id, valid until the row is
-// removed (a later AddRow may then reuse it). After a constant clash the
-// fixpoint is latched broken and further propagation is skipped.
+// AddRow copies a raw row into the fixpoint and propagates the FDs to a
+// new fixpoint. It returns the row's id, valid until the row is removed
+// (a later AddRow may then reuse it). After a constant clash the
+// fixpoint is latched broken and further propagation is skipped. All
+// rows must have the width of the first.
 func (m *Maintained) AddRow(row relation.Tuple) int {
-	var ri int
-	if n := len(m.free); n > 0 {
-		// A freed slot: RemoveRow reset its row-component links and took
-		// its id out of every list that named it under its current hash.
-		ri = m.free[n-1]
-		m.free = m.free[:n-1]
-		m.rows[ri] = row
-	} else {
-		ri = len(m.rows)
-		m.rows = append(m.rows, row)
-		m.rowParent = append(m.rowParent, ri)
-	}
+	ri := m.takeSlot(len(row))
+	stored := m.rows[ri]
+	copy(stored, row)
 	m.alive++
-	seen := make(map[value.Value]bool, len(row))
-	for _, v := range row {
-		if !seen[v] {
-			seen[v] = true
-			m.valueRows[v] = append(m.valueRows[v], ri)
-		} else if v.IsNull() {
-			m.nullRepeat = true
+	for c, v := range stored {
+		if repeats(stored, c) {
+			if v.IsNull() {
+				m.nullRepeat = true
+			}
+			continue
 		}
+		m.hold(v)
+		m.cell.pushBack(m.rowsHead(v), ri*m.w+c)
 	}
 	if !m.clash {
-		m.run([]int{ri})
+		m.seeds = append(m.seeds[:0], ri)
+		m.run(m.seeds)
 	}
 	return ri
+}
+
+// takeSlot returns a slot for a row of width w: the last one freed, or
+// a new one at the end of the arena.
+func (m *Maintained) takeSlot(w int) int {
+	if len(m.arena) == 0 {
+		m.w = w
+	} else if w != m.w {
+		panic("chase: Maintained rows must all have one width")
+	}
+	if n := len(m.free); n > 0 {
+		// A freed slot: RemoveRow reset its row-component links and took
+		// it out of every list that named it.
+		ri := m.free[n-1]
+		m.free = m.free[:n-1]
+		m.rows[ri] = m.window(ri)
+		return ri
+	}
+	ri := len(m.rows)
+	if ri*m.w >= math.MaxInt32 {
+		panic("chase: Maintained row arena exceeds 2^31 cells")
+	}
+	if ri%arenaRows == 0 {
+		m.arena = append(m.arena, make([]value.Value, arenaRows*m.w))
+	}
+	m.rows = append(m.rows, m.window(ri))
+	m.rowParent = append(m.rowParent, ri)
+	m.rowMembers = append(m.rowMembers, 0)
+	m.rowLink.grow(ri + 1)
+	m.cell.grow((ri + 1) * m.w)
+	return ri
+}
+
+// window returns slot ri's cells in the arena.
+func (m *Maintained) window(ri int) relation.Tuple {
+	off := ri % arenaRows * m.w
+	return m.arena[ri/arenaRows][off : off+m.w : off+m.w]
+}
+
+// repeats reports whether row[c] also sits in an earlier column.
+func repeats(row relation.Tuple, c int) bool {
+	for _, v := range row[:c] {
+		if v == row[c] {
+			return true
+		}
+	}
+	return false
+}
+
+// hold grows the value-keyed arrays to cover v.
+func (m *Maintained) hold(v value.Value) {
+	if v.IsConst() {
+		if n := int(v) + 1; n > len(m.cRows) {
+			m.cRows = growTo(m.cRows, n)
+			m.cMembers = growTo(m.cMembers, n)
+		}
+		return
+	}
+	i := v.NullIndex()
+	if i >= math.MaxInt32 {
+		panic("chase: Maintained null index exceeds 2^31")
+	}
+	for j := int64(len(m.parent)); j <= i; j++ {
+		m.parent = append(m.parent, value.Null(j))
+	}
+	n := len(m.parent)
+	m.nRows = growTo(m.nRows, n)
+	m.nMembers = growTo(m.nMembers, n)
+	m.member.grow(n)
+}
+
+// growTo extends s with zeros to length n.
+func growTo(s []int32, n int) []int32 {
+	if len(s) < n {
+		s = append(s, make([]int32, n-len(s))...)
+	}
+	return s
+}
+
+// rowsHead returns the head of the list of rows holding v, which must
+// have been held.
+func (m *Maintained) rowsHead(v value.Value) *int32 {
+	if v.IsConst() {
+		return &m.cRows[v]
+	}
+	return &m.nRows[v.NullIndex()]
+}
+
+// membersHead returns the head of root r's member list, r held.
+func (m *Maintained) membersHead(r value.Value) *int32 {
+	if r.IsConst() {
+		return &m.cMembers[r]
+	}
+	return &m.nMembers[r.NullIndex()]
+}
+
+// rowsOf returns the head of the list of live rows holding v, 0 when v
+// was never held.
+func (m *Maintained) rowsOf(v value.Value) int32 { return headOf(v, m.cRows, m.nRows) }
+
+// membersOf returns the head of root r's member list, 0 when r was
+// never held.
+func (m *Maintained) membersOf(r value.Value) int32 { return headOf(r, m.cMembers, m.nMembers) }
+
+// headOf reads v's entry in a value-keyed array of list heads, split
+// into its constant and null halves; a value beyond them heads nothing.
+func headOf(v value.Value, consts, nulls []int32) int32 {
+	if v.IsConst() {
+		if int64(v) < int64(len(consts)) {
+			return consts[v]
+		}
+		return 0
+	}
+	if i := v.NullIndex(); i < int64(len(nulls)) {
+		return nulls[i]
+	}
+	return 0
 }
 
 // RemoveRow deletes a live row and restores the fixpoint of the
@@ -205,6 +369,9 @@ func (m *Maintained) AddRow(row relation.Tuple) int {
 // and re-chased, which is exactly a fresh chase of the component minus
 // the row (no other component's classes are touched — see the
 // fresh-nulls precondition).
+//
+// Either way the row's nulls end with no entry: Find returns each
+// unchanged, and a caller may put them in a later row.
 func (m *Maintained) RemoveRow(id int) {
 	if id < 0 || id >= len(m.rows) || m.rows[id] == nil {
 		return
@@ -241,7 +408,7 @@ func (m *Maintained) detachable(id int) bool {
 				return false
 			}
 		}
-		if m.nullRepeat && len(m.members[v]) > 0 {
+		if m.nullRepeat && m.nMembers[v.NullIndex()] != 0 {
 			return false
 		}
 	}
@@ -269,40 +436,39 @@ func (m *Maintained) detachable(id int) bool {
 // detach removes row id along the detach path of RemoveRow.
 func (m *Maintained) detach(id int) {
 	row := m.rows[id]
-	for _, v := range row {
+	for c, v := range row {
+		if repeats(row, c) {
+			continue
+		}
 		if v.IsNull() {
 			m.dropNull(v)
 		}
-		without(m.valueRows, v, id)
+		m.cell.unlink(m.rowsHead(v), id*m.w+c)
 	}
 	for fi, plan := range m.plans {
 		h := m.zHashRow(row, plan[0])
-		n := without(m.buckets[fi], h, id)
-		if n == 0 {
+		if m.unfile(fi, h, id) == 0 {
 			continue
 		}
-		m.entries -= n
 		if other, _ := m.probe(fi, h, row, plan[0], id); other >= 0 {
 			continue
 		}
 		if s := m.groupSurvivor(id, plan[0]); s >= 0 {
-			m.buckets[fi][h] = append(m.buckets[fi][h], s)
-			m.entries++
+			m.file(fi, h, s)
 		}
 	}
 	if r := m.rowParent[id]; r != id {
-		without(m.rowMembers, r, id)
-	} else if mem := m.rowMembers[id]; len(mem) > 0 {
+		m.rowLink.unlink(&m.rowMembers[r], id)
+	} else if mem := m.rowMembers[id]; mem != 0 {
 		// The component root leaves: the smallest member takes over, as
 		// rowUnion would pick it.
-		delete(m.rowMembers, id)
-		root, rest := successor(mem, func(a, b int) bool { return a < b })
+		root := m.rowLink.least(mem)
+		m.rowLink.unlink(&m.rowMembers[id], root)
+		m.rowMembers[root], m.rowMembers[id] = m.rowMembers[id], 0
 		m.rowParent[root] = root
-		for _, x := range rest {
+		rest := m.rowMembers[root]
+		for x := first(rest); x >= 0; x = m.rowLink.after(rest, x) {
 			m.rowParent[x] = root
-		}
-		if len(rest) > 0 {
-			m.rowMembers[root] = rest
 		}
 	}
 	m.rowParent[id] = id
@@ -313,40 +479,88 @@ func (m *Maintained) detach(id int) {
 
 // dropNull takes the null v out of its class. A non-root just leaves
 // its root's member list; a root hands the class to the numeric maximum
-// of the rest — the value union would have picked without v.
+// of the rest — the value union would have picked without v, which
+// among nulls is the least null index.
 func (m *Maintained) dropNull(v value.Value) {
-	if r, ok := m.parent[v]; ok {
-		delete(m.parent, v)
-		without(m.members, r, v)
+	i := v.NullIndex()
+	if r := m.parent[i]; r != v {
+		m.parent[i] = v
+		m.member.unlink(m.membersHead(r), int(i))
 		return
 	}
-	mem := m.members[v]
-	if len(mem) == 0 {
+	mem := m.nMembers[i]
+	if mem == 0 {
 		return
 	}
-	delete(m.members, v)
-	root, rest := successor(mem, func(a, b value.Value) bool { return a > b })
-	delete(m.parent, root)
-	for _, x := range rest {
+	s := m.member.least(mem)
+	m.member.unlink(&m.nMembers[i], s)
+	m.nMembers[s], m.nMembers[i] = m.nMembers[i], 0
+	root := value.Null(int64(s))
+	m.parent[s] = root
+	rest := m.nMembers[s]
+	for x := first(rest); x >= 0; x = m.member.after(rest, x) {
 		m.parent[x] = root
-	}
-	if len(rest) > 0 {
-		m.members[root] = rest
 	}
 }
 
-// successor splits a departing root's member list into the member
-// that takes over — the one no other beats — and the rest, in order,
-// reusing mem's storage.
-func successor[T any](mem []T, beats func(a, b T) bool) (T, []T) {
-	top := 0
-	for i, x := range mem {
-		if beats(x, mem[top]) {
-			top = i
-		}
+// file appends row ri to the chain of hash h in plan fi's buckets.
+func (m *Maintained) file(fi int, h uint64, ri int) {
+	e := m.freeFiled
+	if e >= 0 {
+		m.freeFiled = m.filed[e].next
+		m.filed[e] = filing{row: int32(ri), next: -1}
+	} else {
+		e = int32(len(m.filed))
+		m.filed = append(m.filed, filing{row: int32(ri), next: -1})
 	}
-	root := mem[top]
-	return root, append(mem[:top], mem[top+1:]...)
+	m.entries++
+	b := m.buckets[fi]
+	x := b.Get(h)
+	if x < 0 {
+		b.Set(h, int(e))
+		return
+	}
+	for m.filed[x].next >= 0 {
+		x = int(m.filed[x].next)
+	}
+	m.filed[x].next = e
+}
+
+// unfile takes every entry of row id out of the chain of hash h in
+// plan fi's buckets, dropping the hash once its chain is empty, and
+// returns how many it removed.
+func (m *Maintained) unfile(fi int, h uint64, id int) int {
+	b := m.buckets[fi]
+	head := b.Get(h)
+	n := 0
+	prev := int32(-1)
+	for x := int32(head); x >= 0; {
+		next := m.filed[x].next
+		if int(m.filed[x].row) != id {
+			prev = x
+			x = next
+			continue
+		}
+		if prev < 0 {
+			head = int(next)
+		} else {
+			m.filed[prev].next = next
+		}
+		m.filed[x].next = m.freeFiled
+		m.freeFiled = x
+		n++
+		x = next
+	}
+	if n == 0 {
+		return 0
+	}
+	m.entries -= n
+	if head < 0 {
+		b.Delete(h)
+	} else {
+		b.Set(h, head)
+	}
+	return n
 }
 
 // probe returns the first live row other than self filed in bucket h
@@ -356,8 +570,8 @@ func successor[T any](mem []T, beats func(a, b T) bool) (T, []T) {
 // under a hash its Z-key later resolves to again, ahead of members it
 // is not merged with.
 func (m *Maintained) probe(fi int, h uint64, row relation.Tuple, z []int, self int) (other int, filed bool) {
-	for _, cand := range m.buckets[fi][h] {
-		switch {
+	for x := m.buckets[fi].Get(h); x >= 0; x = int(m.filed[x].next) {
+		switch cand := int(m.filed[x].row); {
 		case cand == self:
 			filed = true
 		case m.rows[cand] != nil && m.zEqualRows(m.rows[cand], row, z):
@@ -370,20 +584,29 @@ func (m *Maintained) probe(fi int, h uint64, row relation.Tuple, z []int, self i
 // groupSurvivor returns a live row other than id that agrees with it on
 // the Z columns z under the current resolution, or -1. Every such row
 // holds, in column z[0], a raw value of the class of id's z[0] cell, so
-// the scan stays within that class's valueRows.
+// the scan stays within the rows holding that class's values.
 func (m *Maintained) groupSurvivor(id int, z []int) int {
 	row := m.rows[id]
 	r := m.Find(row[z[0]])
-	mem := m.members[r]
-	for i := -1; i < len(mem); i++ {
-		v := r
-		if i >= 0 {
-			v = mem[i]
+	if s := m.survivorHolding(r, id, row, z); s >= 0 {
+		return s
+	}
+	mem := m.membersOf(r)
+	for x := first(mem); x >= 0; x = m.member.after(mem, x) {
+		if s := m.survivorHolding(value.Null(int64(x)), id, row, z); s >= 0 {
+			return s
 		}
-		for _, ri := range m.valueRows[v] {
-			if ri != id && m.rows[ri] != nil && m.zEqualRows(m.rows[ri], row, z) {
-				return ri
-			}
+	}
+	return -1
+}
+
+// survivorHolding returns a live row other than id that holds v and
+// agrees with row on the Z columns z, or -1.
+func (m *Maintained) survivorHolding(v value.Value, id int, row relation.Tuple, z []int) int {
+	h := m.rowsOf(v)
+	for x := first(h); x >= 0; x = m.cell.after(h, x) {
+		if ri := x / m.w; ri != id && m.rows[ri] != nil && m.zEqualRows(m.rows[ri], row, z) {
+			return ri
 		}
 	}
 	return -1
@@ -398,62 +621,31 @@ func (m *Maintained) rechase(id int) int {
 	// lists stay the size of the live rows.
 	row := m.rows[id]
 	for fi, plan := range m.plans {
-		m.entries -= without(m.buckets[fi], m.zHashRow(row, plan[0]), id)
+		m.unfile(fi, m.zHashRow(row, plan[0]), id)
 	}
-	for _, v := range row {
-		without(m.valueRows, v, id)
+	for c, v := range row {
+		if !repeats(row, c) {
+			m.cell.unlink(m.rowsHead(v), id*m.w+c)
+		}
 	}
-	// Reset the component's null classes. Null-rooted classes are
-	// component-local (cross-component classes arise only through a
-	// constant representative), so deleting exactly these links restores
-	// the pre-chase state of the component and nothing else.
-	resetSet := make(map[value.Value]bool)
+	// Reset the component's null classes: every null of its rows leaves
+	// its root's member list and roots itself again. Null-rooted classes
+	// are component-local (cross-component classes arise only through a
+	// constant representative), so a null root of the component ends
+	// with its whole class reset, and a constant root keeps the nulls of
+	// other components: exactly the pre-chase state of the component,
+	// and nothing else.
 	for _, ri := range comp {
-		for _, v := range m.rows[ri] {
-			if v.IsNull() {
-				resetSet[v] = true
+		r := m.rows[ri]
+		for c, v := range r {
+			if v.IsNull() && !repeats(r, c) {
+				m.resetNull(v)
 			}
-		}
-	}
-	reset := make([]value.Value, 0, len(resetSet))
-	for v := range resetSet {
-		reset = append(reset, v)
-	}
-	sort.Slice(reset, func(i, j int) bool { return reset[i] < reset[j] })
-	rootSet := make(map[value.Value]bool)
-	for _, v := range reset {
-		rootSet[m.Find(v)] = true
-	}
-	for _, v := range reset {
-		delete(m.parent, v)
-	}
-	roots := make([]value.Value, 0, len(rootSet))
-	for v := range rootSet {
-		roots = append(roots, v)
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	for _, r := range roots {
-		if resetSet[r] {
-			// A null root of this component; its whole class was local.
-			delete(m.members, r)
-			continue
-		}
-		// A constant root may carry nulls of other components: keep them.
-		var kept []value.Value
-		for _, v := range m.members[r] {
-			if !resetSet[v] {
-				kept = append(kept, v)
-			}
-		}
-		if len(kept) == 0 {
-			delete(m.members, r)
-		} else {
-			m.members[r] = kept
 		}
 	}
 	for _, ri := range comp {
 		m.rowParent[ri] = ri
-		delete(m.rowMembers, ri)
+		m.rowMembers[ri] = 0
 	}
 	m.rows[id] = nil
 	m.free = append(m.free, id)
@@ -461,7 +653,7 @@ func (m *Maintained) rechase(id int) int {
 	if m.clash {
 		return 0
 	}
-	seeds := make([]int, 0, len(comp)-1)
+	seeds := comp[:0]
 	for _, ri := range comp {
 		if ri != id {
 			seeds = append(seeds, ri)
@@ -471,23 +663,14 @@ func (m *Maintained) rechase(id int) int {
 	return len(seeds)
 }
 
-// without removes every occurrence of x from the list lists[k], in
-// place and keeping order, drops the key once its list is empty, and
-// returns how many entries it removed.
-func without[K, V comparable](lists map[K][]V, k K, x V) int {
-	xs := lists[k]
-	out := xs[:0]
-	for _, y := range xs {
-		if y != x {
-			out = append(out, y)
-		}
+// resetNull makes the null v root itself again, taking it out of its
+// root's member list.
+func (m *Maintained) resetNull(v value.Value) {
+	i := v.NullIndex()
+	if r := m.parent[i]; r != v {
+		m.member.unlink(m.membersHead(r), int(i))
+		m.parent[i] = v
 	}
-	if len(out) == 0 {
-		delete(lists, k)
-	} else {
-		lists[k] = out
-	}
-	return len(xs) - len(out)
 }
 
 // run drives the worklist: visit the seed rows, then revisit the rows
@@ -497,29 +680,37 @@ func without[K, V comparable](lists map[K][]V, k K, x V) int {
 // its partner — revisited because its own hash moved — finds it through
 // the bucket probe (which re-verifies under the current resolution).
 // The work is therefore proportional to the values that changed, not
-// to the size of the merged class.
+// to the size of the merged class. seeds may be m.seeds.
 func (m *Maintained) run(seeds []int) {
 	sort.Ints(seeds)
-	var queue []value.Value
+	m.queue = m.drain(seeds, m.queue[:0])[:0]
+}
+
+// drain visits the seed rows and works off the queue they fill, and
+// returns the queue's storage for reuse.
+func (m *Maintained) drain(seeds []int, queue []value.Value) []value.Value {
 	for _, ri := range seeds {
 		queue = m.visitRow(ri, queue)
 		if m.clash {
-			return
+			return queue
 		}
 	}
 	//constvet:allow budgetloop -- each pushed value changed its representative in a merge; merges are bounded by the number of distinct values, and a value is re-pushed only when its class loses again
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		// valueRows lists row ids in insertion order, so the visit (and
-		// merge) order stays deterministic.
-		for _, ri := range m.valueRows[v] {
-			queue = m.visitRow(ri, queue)
+		// Every pushed value is a null (a merge's loser and its
+		// members). Its rows are listed in insertion order, so the visit
+		// (and merge) order stays deterministic.
+		h := m.nRows[v.NullIndex()]
+		for x := first(h); x >= 0; x = m.cell.after(h, x) {
+			queue = m.visitRow(x/m.w, queue)
 			if m.clash {
-				return
+				return queue
 			}
 		}
 	}
+	return queue
 }
 
 // visitRow re-derives row ri's FD matches under the current resolution,
@@ -535,8 +726,7 @@ func (m *Maintained) visitRow(ri int, queue []value.Value) []value.Value {
 		other, filed := m.probe(fi, h, row, plan[0], ri)
 		if other < 0 {
 			if !filed {
-				m.buckets[fi][h] = append(m.buckets[fi][h], ri)
-				m.entries++
+				m.file(fi, h, ri)
 			}
 			continue
 		}
@@ -588,14 +778,19 @@ func (m *Maintained) union(a, b value.Value, queue []value.Value) []value.Value 
 	if outranks(rb, ra) {
 		ra, rb = rb, ra
 	}
-	moved := m.members[rb]
-	m.parent[rb] = ra
-	for _, v := range moved {
-		m.parent[v] = ra
+	// rb lost to ra, so it is a null.
+	ib := rb.NullIndex()
+	m.parent[ib] = ra
+	queue = append(queue, rb)
+	moved := m.nMembers[ib]
+	for x := first(moved); x >= 0; x = m.member.after(moved, x) {
+		m.parent[x] = ra
+		queue = append(queue, value.Null(int64(x)))
 	}
-	m.members[ra] = append(append(m.members[ra], rb), moved...)
-	delete(m.members, rb)
-	return append(append(queue, rb), moved...)
+	to := m.membersHead(ra)
+	m.member.pushBack(to, int(ib))
+	m.member.splice(to, &m.nMembers[ib])
+	return queue
 }
 
 // rowUnion merges two row components (smaller root wins, for
@@ -609,20 +804,26 @@ func (m *Maintained) rowUnion(a, b int) {
 	if rb < ra {
 		ra, rb = rb, ra
 	}
-	moved := m.rowMembers[rb]
 	m.rowParent[rb] = ra
-	for _, ri := range moved {
-		m.rowParent[ri] = ra
+	moved := m.rowMembers[rb]
+	for x := first(moved); x >= 0; x = m.rowLink.after(moved, x) {
+		m.rowParent[x] = ra
 	}
-	m.rowMembers[ra] = append(append(m.rowMembers[ra], rb), moved...)
-	delete(m.rowMembers, rb)
+	m.rowLink.pushBack(&m.rowMembers[ra], rb)
+	m.rowLink.splice(&m.rowMembers[ra], &m.rowMembers[rb])
 }
 
-// componentOf returns the sorted live row ids of id's component.
+// componentOf returns the sorted live row ids of id's component, in
+// m.seeds's storage.
 func (m *Maintained) componentOf(id int) []int {
 	r := m.rowParent[id]
-	out := append([]int{r}, m.rowMembers[r]...)
+	out := append(m.seeds[:0], r)
+	mem := m.rowMembers[r]
+	for x := first(mem); x >= 0; x = m.rowLink.after(mem, x) {
+		out = append(out, x)
+	}
 	sort.Ints(out)
+	m.seeds = out
 	return out
 }
 
@@ -639,15 +840,98 @@ func (m *Maintained) find(v value.Value) value.Value { return m.Find(v) }
 func (m *Maintained) row(id int) relation.Tuple { return m.rows[id] }
 
 func (m *Maintained) addRows(rows map[int]bool, v value.Value) {
-	for i := -1; i < len(m.members[v]); i++ {
-		rv := v
-		if i >= 0 {
-			rv = m.members[v][i]
-		}
-		for _, ri := range m.valueRows[rv] {
-			if m.rows[ri] != nil {
-				rows[ri] = true
-			}
-		}
+	m.markRows(rows, v)
+	mem := m.membersOf(v)
+	for x := first(mem); x >= 0; x = m.member.after(mem, x) {
+		m.markRows(rows, value.Null(int64(x)))
 	}
+}
+
+// markRows adds to rows the live rows holding the raw value v.
+func (m *Maintained) markRows(rows map[int]bool, v value.Value) {
+	h := m.rowsOf(v)
+	for x := first(h); x >= 0; x = m.cell.after(h, x) {
+		rows[x/m.w] = true
+	}
+}
+
+// chain threads circular doubly linked lists through a dense node space
+// (null indexes, row cells or row slots). A list is named by a head word
+// holding its first node + 1, or 0 when empty, so a zeroed slice of
+// heads is a slice of empty lists; next and prev are meaningful only for
+// linked nodes. A node is in at most one list of a chain.
+type chain struct {
+	next, prev []int32
+}
+
+// grow extends the node space to n nodes.
+func (l *chain) grow(n int) {
+	l.next = growTo(l.next, n)
+	l.prev = growTo(l.prev, n)
+}
+
+// first returns the first node of the list headed by head, or -1.
+func first(head int32) int { return int(head) - 1 }
+
+// after returns the node after x in the list headed by head, or -1 at
+// its end. The list must not change while it is walked.
+func (l *chain) after(head int32, x int) int {
+	if n := l.next[x]; n != head-1 {
+		return int(n)
+	}
+	return -1
+}
+
+// least returns the smallest node of the non-empty list headed by head.
+func (l *chain) least(head int32) int {
+	s := first(head)
+	for x := s; x >= 0; x = l.after(head, x) {
+		s = min(s, x)
+	}
+	return s
+}
+
+// pushBack appends node x to the list *head.
+func (l *chain) pushBack(head *int32, x int) {
+	n := int32(x)
+	if *head == 0 {
+		*head = n + 1
+		l.next[x], l.prev[x] = n, n
+		return
+	}
+	f := *head - 1
+	b := l.prev[f]
+	l.next[b], l.prev[x] = n, b
+	l.next[x], l.prev[f] = f, n
+}
+
+// unlink takes node x out of the list *head.
+func (l *chain) unlink(head *int32, x int) {
+	n := l.next[x]
+	if n == int32(x) {
+		*head = 0
+		return
+	}
+	p := l.prev[x]
+	l.next[p], l.prev[n] = n, p
+	if *head == int32(x)+1 {
+		*head = n + 1
+	}
+}
+
+// splice moves the nodes of list *from, in order, to the back of list
+// *to, leaving *from empty.
+func (l *chain) splice(to, from *int32) {
+	if *from == 0 {
+		return
+	}
+	if *to == 0 {
+		*to, *from = *from, 0
+		return
+	}
+	fa, fb := *to-1, *from-1
+	la, lb := l.prev[fa], l.prev[fb]
+	l.next[la], l.prev[fb] = fb, la
+	l.next[lb], l.prev[fa] = fa, lb
+	*from = 0
 }

@@ -19,6 +19,11 @@ import (
 //
 // Case 2 (t1[X∩Y] = t2[X∩Y]): conditions (a) and (b) are vacuous; only
 // the chase condition (c) is tested.
+//
+// Theorem 9 assumes t1 ∈ V and t2 ∉ V. A replacement of t1 ∈ V by
+// itself is answered as the identity update (ReasonIdentity), as an
+// insert of a present tuple or a delete of an absent one is: it leaves
+// the view, so the database, unchanged.
 func (p *Pair) DecideReplace(v *relation.Relation, t1, t2 relation.Tuple) (*Decision, error) {
 	return p.decideReplace(nil, v, t1, t2)
 }
@@ -42,6 +47,9 @@ func (p *Pair) decideReplace(b *budget.B, v *relation.Relation, t1, t2 relation.
 	}
 	if !v.Contains(t1) {
 		return nil, errors.New("core: replaced tuple t1 is not in the view")
+	}
+	if t1.Equal(t2) {
+		return &Decision{Translatable: true, Reason: ReasonIdentity}, nil
 	}
 	if v.Contains(t2) {
 		return nil, errors.New("core: replacement tuple t2 is already in the view")

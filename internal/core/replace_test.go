@@ -88,8 +88,13 @@ func TestDecideReplaceValidation(t *testing.T) {
 	if _, err := p.DecideReplace(v, missing, present); err == nil {
 		t.Error("t1 missing accepted")
 	}
-	if _, err := p.DecideReplace(v, present, present); err == nil {
+	other := relation.Tuple{syms.Const("flo"), syms.Const("toys")}
+	if _, err := p.DecideReplace(v, present, other); err == nil {
 		t.Error("t2 already present accepted")
+	}
+	// t1 = t2 extends Theorem 9 as the identity (see DecideReplace).
+	if d, err := p.DecideReplace(v, present, present); err != nil || d.Reason != ReasonIdentity {
+		t.Errorf("self-replace = %+v, %v; want the identity", d, err)
 	}
 	if _, err := p.DecideReplace(v, present, relation.Tuple{syms.Const("x")}); err == nil {
 		t.Error("arity mismatch accepted")

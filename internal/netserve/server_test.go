@@ -190,6 +190,23 @@ func TestServerSubmitAndReadJSON(t *testing.T) {
 	}
 }
 
+// TestServerSelfReplaceIsIdentity: a replace of a view tuple by itself
+// is acknowledged as the identity, not returned as an op error.
+func TestServerSelfReplaceIsIdentity(t *testing.T) {
+	_, ts, _ := newEDMServer(t, nil, Options{}, serve.Options{MaxBatch: 4})
+	alice := []string{"alice", "dept1"}
+	resp, results := postFrames(t, ts.URL+"/v1/views/ed/submit", "", []WireOp{
+		{Kind: KindInsert, Tuple: alice},
+		{Kind: KindReplace, Tuple: alice, With: alice},
+	})
+	if resp.StatusCode != http.StatusOK || len(results) != 2 {
+		t.Fatalf("submit status = %d, %d results", resp.StatusCode, len(results))
+	}
+	if r := results[1]; !r.Applied || !r.Identity || r.Error != "" {
+		t.Fatalf("self-replace: %+v, want applied identity with no error", r)
+	}
+}
+
 // TestServerReadYourWritesWithoutPriorRead: on a view nobody has read
 // yet, the first GET after an ack holds the acked op, stamped with the
 // seq it committed at — not the view the server opened with.

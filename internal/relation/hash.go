@@ -215,12 +215,16 @@ type headSlot struct {
 	head int
 }
 
-// HeadTable is a fixed-size open-addressing map from hash to chain head.
-// It is sized once for a known number of entries and never grows;
-// chains are threaded through a caller-owned next array. The hash join,
-// the FD-satisfaction scan and the chase passes bucket rows with it.
+// HeadTable is an open-addressing map from hash to chain head; chains
+// are threaded through a caller-owned next array. It is used one of two
+// ways, never both on one table. The hash join, the FD-satisfaction
+// scan and the chase passes size it once for a known number of entries
+// and fill it with Put, which never grows it. chase.Maintained keys its
+// buckets with Set and Delete, which count the entries and grow the
+// table as needed.
 type HeadTable struct {
 	slots []headSlot
+	n     int // entries, counted by Set and Delete only
 }
 
 // NewHeadTable returns a table with room for n entries at ≤3/4 load.
@@ -262,4 +266,53 @@ func (ht *HeadTable) Put(h uint64, head int) int {
 			return prev
 		}
 	}
+}
+
+// Set is Put on a growing table: it counts a new key and doubles the
+// table once the entries pass 3/4 of its slots.
+func (ht *HeadTable) Set(h uint64, head int) {
+	if ht.Put(h, head) >= 0 {
+		return
+	}
+	ht.n++
+	if ht.n*4 <= len(ht.slots)*3 {
+		return
+	}
+	old := ht.slots
+	ht.slots = make([]headSlot, 2*len(old))
+	for i := range ht.slots {
+		ht.slots[i].head = -1
+	}
+	for _, s := range old {
+		if s.head >= 0 {
+			ht.Put(s.key, s.head)
+		}
+	}
+}
+
+// Delete removes key h, if present, from a table filled with Set. The
+// rest of its probe chain shifts back (linear-probing deletion), so
+// later probes stay correct and no tombstones pile up.
+func (ht *HeadTable) Delete(h uint64) {
+	m := len(ht.slots) - 1
+	i := int(h & uint64(m))
+	for ; ht.slots[i].head >= 0; i = (i + 1) & m {
+		if ht.slots[i].key == h {
+			break
+		}
+	}
+	if ht.slots[i].head < 0 {
+		return
+	}
+	ht.n--
+	for k := (i + 1) & m; ht.slots[k].head >= 0; k = (k + 1) & m {
+		home := int(ht.slots[k].key & uint64(m))
+		// k's entry may move back to i only if its home does not lie
+		// cyclically in (i, k].
+		if (k-home)&m >= (k-i)&m {
+			ht.slots[i] = ht.slots[k]
+			i = k
+		}
+	}
+	ht.slots[i].head = -1
 }
