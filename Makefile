@@ -82,7 +82,7 @@ bench-compare:
 	$(GO) test -bench='^Benchmark(Rel|Pipeline|ViewPublish|E5InsertDelta|E5InsertExact|A1ChaseImpl|A5ImposeStrategy|ApplyDeltaVsFull|NetServe|MaintainedRemove|MaintainedImpose|StoreSnapshot|StoreJournalAppend|StoreCheckpoint)' -benchmem -count=3 . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH.fresh.json
 	$(GO) run ./cmd/benchjson -compare BENCH.json -filter '^Benchmark(Rel|Pipeline|ViewPublish|E5InsertDelta|E5InsertExact|A1ChaseImpl|A5ImposeStrategy|ApplyDeltaVsFull|NetServe|MaintainedRemove|MaintainedImpose|StoreSnapshot|StoreJournalAppend|StoreCheckpoint/fs=mem$$)' BENCH.fresh.json
 
-# Chaos smoke: six canonical per-kind fault schedules plus a fixed-seed
+# Chaos smoke: five canonical per-kind fault schedules plus a fixed-seed
 # sweep through the self-healing pipeline (internal/chaos). Exits
 # non-zero on any acked-op loss, oracle divergence, or if the sweep
 # fails to drive at least one resurrection and one shed. Virtual time

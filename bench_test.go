@@ -229,7 +229,7 @@ func BenchmarkApplyDeltaVsFull(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					items, err := st.ApplyOpsCtx(store.Ops(batches[i]), nil)
+					items, err := st.ApplyOpsCtx(store.Ops(batches[i]))
 					if err != nil {
 						b.Fatal(err)
 					}

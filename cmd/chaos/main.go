@@ -8,7 +8,7 @@
 //	chaos [-seeds N] [-seed S] [-ops N] [-v]
 //
 // With -seed the runner executes that single generated schedule;
-// otherwise it runs six canonical per-kind schedules (one per fault
+// otherwise it runs five canonical per-kind schedules (one per fault
 // kind, each required to trigger its recovery path) followed by a
 // sweep of -seeds generated schedules. When a schedule fails, the
 // runner minimizes it with chaos.Minimize — re-running the pipeline as
@@ -44,7 +44,6 @@ func canonical(ops int) []chaos.Schedule {
 		{Seed: 102, Ops: ops, Storage: []chaos.StorageFault{{Kind: chaos.SyncFault, At: 2}}},
 		{Seed: 103, Ops: ops, Storage: []chaos.StorageFault{{Kind: chaos.TornWrite, At: 2, Keep: 7}}},
 		{Seed: 104, Ops: ops, Storage: []chaos.StorageFault{{Kind: chaos.PowerLoss, At: 2}}},
-		{Seed: 105, Ops: ops, BudgetTrips: []int{1, 4}},
 		{Seed: 106, Ops: ops, QueueSat: true,
 			Storage: []chaos.StorageFault{{Kind: chaos.SyncFault, At: 1}}},
 	}

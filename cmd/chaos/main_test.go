@@ -41,8 +41,8 @@ func TestRunVerbose(t *testing.T) {
 	if code := run(config{seeds: 2, ops: 20, verbose: true}, &out, &errw); code != 0 {
 		t.Fatalf("run exited %d:\n%s", code, errw.String())
 	}
-	// 6 canonical + 2 generated schedule lines plus the summary.
-	if got := strings.Count(out.String(), "schedule "); got != 8 {
-		t.Errorf("verbose run printed %d schedule lines, want 8:\n%s", got, out.String())
+	// 5 canonical + 2 generated schedule lines plus the summary.
+	if got := strings.Count(out.String(), "schedule "); got != 7 {
+		t.Errorf("verbose run printed %d schedule lines, want 7:\n%s", got, out.String())
 	}
 }

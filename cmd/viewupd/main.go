@@ -444,7 +444,7 @@ func (r *runner) flush() {
 	for i, b := range buffered {
 		ops[i] = store.BatchOp{Ctx: ctx, Op: b.op}
 	}
-	items, err := r.st.ApplyOpsCtx(store.Ops(ops), nil)
+	items, err := r.st.ApplyOpsCtx(store.Ops(ops))
 	for i, it := range items {
 		r.report(buffered[i].cmd, it.Decision, it.Err)
 		if it.Err != nil && !errors.Is(it.Err, core.ErrRejected) {

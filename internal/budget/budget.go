@@ -1,9 +1,10 @@
 // Package budget bounds the execution of the repository's expensive
 // decision procedures — the NP-complete minimum-complement search
 // (Theorem 2), the tableau and instance chases, and the DPLL/QBF
-// solvers — with a combination of context cancellation and a step
-// counter. A nil *B means "unlimited" so hot paths can share one code
-// path for budgeted and unbudgeted callers.
+// solvers. A budget from New is bounded by its context alone
+// (cancellation or deadline); WithSteps adds a step allowance on top.
+// A nil *B means "unlimited" so hot paths can share one code path for
+// budgeted and unbudgeted callers.
 package budget
 
 import (
@@ -66,33 +67,8 @@ func SetMetrics(s obs.Sink) {
 	})
 }
 
-// planKey carries a per-attempt step plan through a context (see
-// ContextWithPlan).
-type planKey struct{}
-
-// ContextWithPlan attaches a step plan to ctx: every budget New derives
-// from the returned context consults plan() for its step allowance — a
-// positive value bounds that attempt, zero or negative means unlimited.
-// Because every decision procedure in the repository builds its budget
-// with New(ctx), this lets callers (and the chaos harness) bound or
-// deterministically trip any single attempt without threading a *B
-// through the API. plan is called once per budget construction and must
-// be safe for the caller's concurrency.
-func ContextWithPlan(ctx context.Context, plan func() int64) context.Context {
-	return context.WithValue(ctx, planKey{}, plan)
-}
-
-// New returns a budget bounded only by ctx — unless ctx carries a step
-// plan (ContextWithPlan), in which case the plan's allowance for this
-// attempt bounds it too. A nil ctx means unlimited.
+// New returns a budget bounded only by ctx. A nil ctx means unlimited.
 func New(ctx context.Context) *B {
-	if ctx != nil {
-		if plan, ok := ctx.Value(planKey{}).(func() int64); ok {
-			if n := plan(); n > 0 {
-				return WithSteps(ctx, n)
-			}
-		}
-	}
 	return &B{ctx: ctx}
 }
 

@@ -40,7 +40,7 @@ func TestRandomSchedules(t *testing.T) {
 		retries += rep.Retries
 		sheds += rep.Shed
 	}
-	for _, k := range []FaultKind{WriteFault, SyncFault, TornWrite, PowerLoss, BudgetTrip, QueueSat} {
+	for _, k := range []FaultKind{WriteFault, SyncFault, TornWrite, PowerLoss, QueueSat} {
 		if !covered[k] {
 			t.Errorf("sweep never scheduled fault kind %v", k)
 		}
@@ -53,6 +53,18 @@ func TestRandomSchedules(t *testing.T) {
 	}
 	if sheds == 0 {
 		t.Error("sweep drove zero sheds: bounded admission never fired")
+	}
+}
+
+// TestSchedulesDecideOnDeltaPath: the pipeline under faults decides on
+// the delta path, the configuration the server ships, and not only on
+// the full-path reference the oracle replays on.
+func TestSchedulesDecideOnDeltaPath(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		rep := mustRun(t, Generate(seed, 40))
+		if rep.IncDecides == 0 {
+			t.Errorf("seed %d: no decide ran on the delta path", seed)
+		}
 	}
 }
 
@@ -94,13 +106,6 @@ func TestPowerLossTriggersResurrection(t *testing.T) {
 	}
 }
 
-func TestBudgetTripTriggersRetry(t *testing.T) {
-	rep := mustRun(t, Schedule{Seed: 11, Ops: 20, BudgetTrips: []int{3}})
-	if rep.Retries < 1 {
-		t.Fatalf("budget trip drove %d retries, want >= 1", rep.Retries)
-	}
-}
-
 func TestQueueSaturationTriggersShed(t *testing.T) {
 	rep := mustRun(t, Schedule{Seed: 12, Ops: 30, QueueSat: true,
 		Storage: []StorageFault{{Kind: SyncFault, At: 1}}})
@@ -132,8 +137,7 @@ func TestHealDuringHeal(t *testing.T) {
 // the final recovered state and the per-op fates must replay exactly.
 func TestScheduleReplayDeterminism(t *testing.T) {
 	s := Schedule{Seed: 21, Ops: 40,
-		Storage:     []StorageFault{{Kind: SyncFault, At: 2}, {Kind: WriteFault, At: 3}},
-		BudgetTrips: []int{2, 9}}
+		Storage: []StorageFault{{Kind: SyncFault, At: 2}, {Kind: WriteFault, At: 3}}}
 	a := mustRun(t, s)
 	b := mustRun(t, s)
 	if a.FinalState != b.FinalState {
@@ -153,8 +157,7 @@ func TestScheduleReplayDeterminism(t *testing.T) {
 // property Minimize relies on).
 func TestGenerateDeterminism(t *testing.T) {
 	a, b := Generate(5, 40), Generate(5, 40)
-	if len(a.Storage) != len(b.Storage) || a.QueueSat != b.QueueSat ||
-		len(a.BudgetTrips) != len(b.BudgetTrips) {
+	if len(a.Storage) != len(b.Storage) || a.QueueSat != b.QueueSat {
 		t.Fatalf("Generate not deterministic: %+v vs %+v", a, b)
 	}
 	for i := range a.Storage {
@@ -180,8 +183,7 @@ func TestMinimize(t *testing.T) {
 			{Kind: SyncFault, At: 1},
 			{Kind: TornWrite, At: 3, Keep: 9},
 		},
-		BudgetTrips: []int{1, 5, 9},
-		QueueSat:    true,
+		QueueSat: true,
 	}
 	fails := func(c Schedule) bool {
 		if c.Ops < 8 {
@@ -200,9 +202,6 @@ func TestMinimize(t *testing.T) {
 	}
 	if len(m.Storage) != 1 || m.Storage[0].Kind != SyncFault {
 		t.Fatalf("storage faults not minimized: %+v", m.Storage)
-	}
-	if len(m.BudgetTrips) != 0 {
-		t.Fatalf("budget trips not cleared: %v", m.BudgetTrips)
 	}
 	if m.QueueSat {
 		t.Fatal("queue saturation not disabled")

@@ -2,8 +2,7 @@ package chaos
 
 // Minimize shrinks a failing schedule while preserving failure, in the
 // spirit of delta debugging: each round tries dropping one storage
-// fault, clearing or halving the budget trips, disabling the
-// saturation phase, and halving the workload, keeping any variant for
+// fault, disabling the saturation phase, and halving the workload, keeping any variant for
 // which fails still reports true. Rounds repeat until a full round
 // makes no progress (or the round budget runs out), so the result is
 // 1-minimal with respect to these transformations. fails must be
@@ -27,23 +26,6 @@ func Minimize(s Schedule, fails func(Schedule) bool, rounds int) Schedule {
 				s = c
 				improved = true
 				break
-			}
-		}
-
-		// Clear the budget trips outright, or failing that halve them.
-		if len(s.BudgetTrips) > 0 {
-			c := s
-			c.BudgetTrips = nil
-			if fails(c) {
-				s = c
-				improved = true
-			} else if half := len(s.BudgetTrips) / 2; half > 0 {
-				c = s
-				c.BudgetTrips = append([]int(nil), s.BudgetTrips[:half]...)
-				if fails(c) {
-					s = c
-					improved = true
-				}
 			}
 		}
 

@@ -9,9 +9,8 @@ package serve
 // reproduce the exact same retry timings, so the jitter source must be
 // a PRNG the caller seeds, never the clock.
 //
-// A backoff is owned by the pipeline's committer goroutine (which
-// carries one per fault domain, with decorrelated seeds); it is not
-// safe for concurrent use.
+// A backoff is owned by the pipeline's committer goroutine, which paces
+// resurrection attempts with it; it is not safe for concurrent use.
 type backoff struct {
 	attempt uint
 	rng     uint64

@@ -28,17 +28,10 @@ func classOf(err error) store.Class {
 }
 
 // classify resolves a boundary error against this package's table
-// first, then the store taxonomy (which also honors explicit
-// store.Transient/store.Permanent tags).
+// first, then the store taxonomy.
 func classify(err error) store.Class {
 	if c := classOf(err); c != store.ClassUnknown {
 		return c
 	}
 	return store.Classify(err)
 }
-
-// Classify reports the retry class of any error returned by the
-// pipeline, so clients can route without matching sentinels themselves:
-// transient → back off and resubmit; permanent (or unknown) → surface
-// to the caller.
-func Classify(err error) store.Class { return classify(err) }

@@ -6,10 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync/atomic"
 	"testing"
-
-	"github.com/constcomp/constcomp/internal/budget"
 
 	"github.com/constcomp/constcomp/internal/core"
 	"github.com/constcomp/constcomp/internal/obs"
@@ -226,13 +223,10 @@ func TestPipelineResurrectExhaustionLatches(t *testing.T) {
 	}
 }
 
-// TestPipelinePermanentCauseSkipsResurrection: a permanent cause (here
-// tagged explicitly) must not trigger resurrection at all — retrying
-// what cannot succeed only delays the verdict.
+// TestPipelinePermanentCauseSkipsResurrection: a permanent cause must
+// not trigger resurrection at all — retrying what cannot succeed only
+// delays the verdict.
 func TestPipelinePermanentCauseSkipsResurrection(t *testing.T) {
-	if got := store.Classify(store.Permanent(store.ErrInjected)); got != store.ClassPermanent {
-		t.Fatalf("Permanent tag = %v", got)
-	}
 	// End-to-end: a resurrection that reports data loss latches
 	// immediately instead of burning the remaining attempts.
 	pair, db, syms := edmFixture()
@@ -434,55 +428,6 @@ func TestPipelineDegradedView(t *testing.T) {
 	}
 }
 
-// TestPipelineBudgetTripRetries: a deterministic budget trip on an
-// op's decide is transient; the committer retries it in place with
-// backoff and the op succeeds without the submitter seeing the trip.
-func TestPipelineBudgetTripRetries(t *testing.T) {
-	reg := obs.NewRegistry()
-	SetMetrics(reg)
-	defer SetMetrics(nil)
-
-	pair, db, syms := edmFixture()
-	st, err := store.Create(store.NewMemFS(), pair, db, syms, store.Options{SnapshotEvery: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Budgets guard the full decide path; the incremental fast path never
-	// constructs one, so route decides through the chase.
-	st.SetIncremental(false)
-	clk := obs.NewManualClock()
-	pipe, err := New(st, Options{MaxBatch: 1, Clock: clk, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One-shot plan: the first budget built under this context gets a
-	// 1-step allowance (trips immediately); every later one is unlimited.
-	var fired atomic.Bool
-	ctx := budget.ContextWithPlan(context.Background(), func() int64 {
-		if fired.CompareAndSwap(false, true) {
-			return 1
-		}
-		return 0
-	})
-	tup := relation.Tuple{syms.Const("x"), syms.Const("dept0")}
-	if _, err := pipe.ApplyCtx(ctx, core.Insert(tup)); err != nil {
-		t.Fatalf("budget-tripped op should heal via retry, got %v", err)
-	}
-	if err := pipe.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["serve_retries_total"] == 0 {
-		t.Error("budget trip did not register a retry")
-	}
-	if len(clk.SleepLog()) == 0 {
-		t.Error("retry did not back off")
-	}
-	if !pipe.Store().Database().Contains(relation.Tuple{syms.Const("x"), syms.Const("dept0"), syms.Const("mgr0")}) {
-		t.Error("retried op did not land")
-	}
-}
-
 // TestPipelineBackoffDeterminism is the determinism satellite: the same
 // seed and the same fault schedule reproduce the identical retry-sleep
 // sequence AND the identical final journal bytes. Run under -race by
@@ -553,17 +498,17 @@ func slicesEqual(a, b []int64) bool {
 
 // TestClassifyServeSentinels pins the serve-side taxonomy.
 func TestClassifyServeSentinels(t *testing.T) {
-	if Classify(ErrShed) != store.ClassTransient {
+	if classify(ErrShed) != store.ClassTransient {
 		t.Error("ErrShed must be transient")
 	}
-	if Classify(ErrClosed) != store.ClassPermanent {
+	if classify(ErrClosed) != store.ClassPermanent {
 		t.Error("ErrClosed must be permanent")
 	}
 	// Fallback to the store taxonomy.
-	if Classify(store.ErrDataLoss) != store.ClassPermanent {
+	if classify(store.ErrDataLoss) != store.ClassPermanent {
 		t.Error("store fallback lost")
 	}
-	if Classify(fmt.Errorf("wrapped: %w", ErrShed)) != store.ClassTransient {
+	if classify(fmt.Errorf("wrapped: %w", ErrShed)) != store.ClassTransient {
 		t.Error("wrap must preserve class")
 	}
 }

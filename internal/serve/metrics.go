@@ -15,9 +15,8 @@ type serveMetrics struct {
 	committed *obs.Counter
 	batches   *obs.Counter
 
-	// Self-healing instrumentation: retries counts transient-failure
-	// re-attempts in both fault domains (decide retries and re-journaled
-	// batch suffixes); shed counts ops rejected by bounded admission
+	// Self-healing instrumentation: retries counts the ops of failed
+	// batches re-journaled on a resurrected session; shed counts ops rejected by bounded admission
 	// (a full submit queue); resurrections counts
 	// successful session replacements; degradedReads counts Published calls
 	// served while the store was healing or latched broken.
@@ -27,11 +26,9 @@ type serveMetrics struct {
 	degradedReads *obs.Counter
 
 	// batchRecords is the ops-per-fsync distribution; queueDepth samples
-	// the submit queue length at each batch formation; retryLatency is
-	// the backoff-sleep distribution per retry.
+	// the submit queue length at each batch formation.
 	batchRecords *obs.Histogram
 	queueDepth   *obs.Histogram
-	retryLatency *obs.Histogram
 }
 
 var svmetrics atomic.Pointer[serveMetrics]
@@ -53,6 +50,5 @@ func SetMetrics(s obs.Sink) {
 		degradedReads: s.Counter("serve_degraded_reads_total"),
 		batchRecords:  s.Histogram("serve_batch_records"),
 		queueDepth:    s.Histogram("serve_queue_depth"),
-		retryLatency:  s.Histogram("serve_retry_latency_ns"),
 	})
 }

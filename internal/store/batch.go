@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"github.com/constcomp/constcomp/internal/core"
@@ -30,17 +29,11 @@ type BatchItem struct {
 
 // BatchOp is one member of a group commit: the op and the context that
 // bounds its decide. Each op carries its own context, so one member's
-// deadline, cancellation or budget plan never bounds another's.
+// deadline or cancellation never bounds another's.
 type BatchOp struct {
 	Ctx context.Context
 	Op  core.UpdateOp
 }
-
-// RetryFunc decides whether a failed op of a batch is re-applied in
-// place, before any later op: i indexes the op, attempt counts its
-// earlier failures (0 on the first), and err is the failure. Rejections
-// are outcomes, not failures, and are never offered for retry.
-type RetryFunc func(i, attempt int, err error) bool
 
 // BatchSource yields the members of a group commit in order: it is
 // called with i = 0, 1, … and returns ok=false to close the batch, and
@@ -61,19 +54,17 @@ func Ops(ops []BatchOp) BatchSource {
 
 // ApplyOpsCtx applies the members pulled from next, until it closes,
 // as one group commit. Every member is attempted independently under
-// its own context: a rejection or a per-op error (budget trip, context
-// cancellation) is recorded in its BatchItem and does not stop the
-// batch — the semantics of concurrent submitters whose ops happen to
-// share an fsync. retry is an optional in-place retry policy (nil
-// never retries); a failed apply never touches the session, so a retry
-// decides from exactly the state the failed attempt saw. Applied ops
-// are journaled together with a single write and fsync; they are
-// durable when the call returns, even when some items carry errors.
+// its own context: a rejection or a per-op error (its context's
+// deadline or cancellation) is recorded in its BatchItem and does not
+// stop the batch — the semantics of concurrent submitters whose ops
+// happen to share an fsync. Applied ops are journaled together with a
+// single write and fsync; they are durable when the call returns, even
+// when some items carry errors.
 // items[i] is the outcome of the i-th member. The returned error is
 // non-nil only when the session is (or becomes) broken — then items
 // reports how far the batch got, and applied ops' durability is
 // indeterminate (see ErrSessionBroken).
-func (s *Session) ApplyOpsCtx(next BatchSource, retry RetryFunc) ([]BatchItem, error) {
+func (s *Session) ApplyOpsCtx(next BatchSource) ([]BatchItem, error) {
 	if s.broken != nil {
 		return nil, fmt.Errorf("%w: %w", ErrSessionBroken, s.broken)
 	}
@@ -89,12 +80,6 @@ func (s *Session) ApplyOpsCtx(next BatchSource, retry RetryFunc) ([]BatchItem, e
 		}
 		op := bop.Op
 		d, err := s.sess.ApplyCtx(bop.Ctx, op)
-		for attempt := 0; retry != nil && err != nil && !errors.Is(err, core.ErrRejected); attempt++ {
-			if !retry(i, attempt, err) {
-				break
-			}
-			d, err = s.sess.ApplyCtx(bop.Ctx, op)
-		}
 		if err != nil {
 			items = append(items, BatchItem{Decision: d, Err: err})
 			continue

@@ -384,7 +384,7 @@ func TestBatchSourceLateMembersShareCommit(t *testing.T) {
 		}
 		return BatchOp{Ctx: context.Background(), Op: ops[i]}, true
 	}
-	items, err := st.ApplyOpsCtx(next, nil)
+	items, err := st.ApplyOpsCtx(next)
 	if err != nil {
 		t.Fatal(err)
 	}

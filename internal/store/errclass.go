@@ -14,8 +14,8 @@ import (
 // context — or *permanent* — retrying is pointless or unsound: an
 // untranslatable update, a complement violation, acknowledged-data
 // loss. The serving pipeline's self-healing layer keys every recovery
-// decision (retry with backoff, resurrect the session, or reject the
-// op and move on) off this classification, so an unclassifiable error
+// decision (resurrect the session, re-journal an op, or reject the op
+// and move on) off this classification, so an unclassifiable error
 // is treated as permanent: never retry what you cannot name.
 //
 // The errclass constvet analyzer enforces the taxonomy's completeness:
@@ -32,7 +32,7 @@ const (
 	// must treat it as permanent.
 	ClassUnknown Class = iota
 	// ClassTransient errors may succeed on retry (after the session
-	// heals, the budget refills, or the queue drains).
+	// heals or the queue drains).
 	ClassTransient
 	// ClassPermanent errors will fail identically on retry; reject the
 	// op and keep the rest of the batch.
@@ -49,52 +49,16 @@ func (c Class) String() string {
 	return "unknown"
 }
 
-// classified is an error explicitly tagged with its Class by Transient
-// or Permanent. It preserves the wrapped chain.
-type classified struct {
-	class Class
-	err   error
-}
-
-func (c *classified) Error() string { return c.err.Error() }
-func (c *classified) Unwrap() error { return c.err }
-
-// Transient tags err as transient for Classify, preserving its chain.
-// A nil err stays nil.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &classified{class: ClassTransient, err: err}
-}
-
-// Permanent tags err as permanent for Classify, preserving its chain.
-// A nil err stays nil.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &classified{class: ClassPermanent, err: err}
-}
-
 // Classify resolves the retry class of an error crossing the serve ↔
-// store boundary: an explicit Transient/Permanent tag wins, then the
-// sentinel taxonomy in classOf. Unrecognized errors are ClassUnknown,
-// which callers must treat as permanent.
+// store boundary through the sentinel taxonomy in classOf.
+// Unrecognized errors are ClassUnknown, which callers must treat as
+// permanent.
 func Classify(err error) Class {
 	if err == nil {
 		return ClassUnknown
 	}
-	var c *classified
-	if errors.As(err, &c) {
-		return c.class
-	}
 	return classOf(err)
 }
-
-// Retryable reports whether err is worth retrying: only a provably
-// transient classification qualifies.
-func Retryable(err error) bool { return Classify(err) == ClassTransient }
 
 // classOf is the sentinel taxonomy table for this package's boundary
 // errors (the errclass analyzer checks every sentinel declared here is

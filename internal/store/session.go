@@ -376,7 +376,7 @@ func (s *Session) Apply(op core.UpdateOp) (*core.Decision, error) {
 // group commit of one.
 func (s *Session) ApplyCtx(ctx context.Context, op core.UpdateOp) (*core.Decision, error) {
 	one := func(i int) (BatchOp, bool) { return BatchOp{Ctx: ctx, Op: op}, i == 0 }
-	items, err := s.ApplyOpsCtx(one, nil)
+	items, err := s.ApplyOpsCtx(one)
 	if len(items) == 0 {
 		return nil, err
 	}

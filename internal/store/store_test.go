@@ -75,7 +75,7 @@ func applyOps(ctx context.Context, st *Session, ops []core.UpdateOp) ([]BatchIte
 	for i, op := range ops {
 		members[i] = BatchOp{Ctx: ctx, Op: op}
 	}
-	return st.ApplyOpsCtx(Ops(members), nil)
+	return st.ApplyOpsCtx(Ops(members))
 }
 
 // render canonicalizes a relation for comparison across processes with
