@@ -1,28 +1,18 @@
 package core
 
 import (
-	"encoding/binary"
-	"sync"
-
 	"github.com/constcomp/constcomp/internal/attr"
 	"github.com/constcomp/constcomp/internal/chase"
 	"github.com/constcomp/constcomp/internal/dep"
 	"github.com/constcomp/constcomp/internal/relation"
 )
 
-// This file holds the memoization layer behind decide. Everything
-// cached here is safe to share because it is a pure function of
-// immutable inputs:
-//
-//   - Pair and Schema never change after construction, so the artifacts
-//     a decide recomputes from them (SharedIsKeyOf, SplitFDs, the
-//     chase column plans) are per-Pair constants.
-//   - Complementary and MinimalComplement are pure functions of
-//     (schema, X, Y); schemas are keyed by pointer identity, valid
-//     because a Schema is immutable for its lifetime.
-//
-// No invalidation is ever needed: the complement of a Pair is constant
-// by construction, so none of these artifacts can go stale.
+// This file holds the memoization layer behind decide. Pair and Schema
+// never change after construction, so the artifacts a decide
+// recomputes from them (SharedIsKeyOf, SplitFDs, the chase column
+// plans) are per-Pair constants, safe to share. No invalidation is ever
+// needed: the complement of a Pair is constant by construction, so
+// none of these artifacts can go stale.
 
 // --- Per-Pair artifacts ---
 
@@ -92,74 +82,4 @@ func (p *Pair) artifacts() *pairArtifacts {
 	}
 	p.arts.CompareAndSwap(nil, a)
 	return p.arts.Load()
-}
-
-// --- Schema-level memo (Complementary / MinimalComplement) ---
-
-// schemaMemoKey identifies one memoized schema-level question. Schemas
-// are compared by pointer: a *Schema is immutable, so pointer identity
-// implies answer identity (and a freed schema's entries are dead weight
-// evicted FIFO, never wrong answers).
-type schemaMemoKey struct {
-	s    *Schema
-	kind uint8
-	x, y string
-}
-
-const (
-	memoComplementary uint8 = iota
-	memoMinimal
-)
-
-const schemaMemoCap = 4096
-
-// schemaMemo is a bounded FIFO memo for the schema-level procedures.
-type schemaMemo struct {
-	mu    sync.Mutex
-	memo  map[schemaMemoKey]any
-	order []schemaMemoKey
-}
-
-var schemaMemoTable schemaMemo
-
-func setKey(s attr.Set) string {
-	ids := s.IDs()
-	b := make([]byte, 0, len(ids))
-	for _, id := range ids {
-		b = binary.AppendUvarint(b, uint64(id))
-	}
-	return string(b)
-}
-
-func (m *schemaMemo) get(k schemaMemoKey) (any, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v, ok := m.memo[k]
-	if cm := coremetrics.Load(); cm != nil {
-		if ok {
-			cm.schemaMemoHits.Inc()
-		} else {
-			cm.schemaMemoMisses.Inc()
-		}
-	}
-	return v, ok
-}
-
-func (m *schemaMemo) put(k schemaMemoKey, v any) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.memo == nil {
-		m.memo = make(map[schemaMemoKey]any)
-	}
-	if _, ok := m.memo[k]; ok {
-		m.memo[k] = v
-		return
-	}
-	if len(m.memo) >= schemaMemoCap {
-		old := m.order[0]
-		m.order = m.order[1:]
-		delete(m.memo, old)
-	}
-	m.memo[k] = v
-	m.order = append(m.order, k)
 }

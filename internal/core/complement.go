@@ -28,25 +28,11 @@ func Complementary(s *Schema, x, y attr.Set) bool {
 // ComplementaryBudget is Complementary under a budget: the tableau chase
 // behind condition (a) honors cancellation between chase passes, and
 // each call charges one step. A nil budget is unlimited; on exhaustion
-// the error wraps ErrBudgetExceeded. The verdict is a pure function of
-// (Σ, X, Y) and is memoized per schema (see cache.go); a memo hit still
-// charges its step.
+// the error wraps ErrBudgetExceeded.
 func ComplementaryBudget(b *budget.B, s *Schema, x, y attr.Set) (bool, error) {
 	if err := b.Step(1); err != nil {
 		return false, err
 	}
-	key := schemaMemoKey{s: s, kind: memoComplementary, x: setKey(x), y: setKey(y)}
-	if v, ok := schemaMemoTable.get(key); ok {
-		return v.(bool), nil
-	}
-	ok, err := complementaryCompute(b, s, x, y)
-	if err == nil {
-		schemaMemoTable.put(key, ok)
-	}
-	return ok, err
-}
-
-func complementaryCompute(b *budget.B, s *Schema, x, y attr.Set) (bool, error) {
 	// Condition (b): (X∪Y)⁺ under the EFD-derived FDs covers U. Without
 	// EFDs this degenerates to X ∪ Y = U, as in Theorem 1.
 	var efdFDs []dep.FD
@@ -99,10 +85,6 @@ func MinimalComplement(s *Schema, x attr.Set) attr.Set {
 // than the Corollary 2 result, and the error (wrapping
 // ErrBudgetExceeded) reports the early stop.
 func MinimalComplementBudget(b *budget.B, s *Schema, x attr.Set) (attr.Set, error) {
-	key := schemaMemoKey{s: s, kind: memoMinimal, x: setKey(x)}
-	if v, ok := schemaMemoTable.get(key); ok {
-		return v.(attr.Set), nil
-	}
 	y := s.u.All()
 	for _, id := range s.u.All().IDs() {
 		cand := y.Without(id)
@@ -114,7 +96,6 @@ func MinimalComplementBudget(b *budget.B, s *Schema, x attr.Set) (attr.Set, erro
 			y = cand
 		}
 	}
-	schemaMemoTable.put(key, y)
 	return y, nil
 }
 

@@ -12,10 +12,6 @@ type coreMetrics struct {
 	translatable *obs.Counter
 	rejected     *obs.Counter
 	applied      *obs.Counter
-	// Schema-level Complementary/MinimalComplement memo accounting (see
-	// cache.go).
-	schemaMemoHits   *obs.Counter
-	schemaMemoMisses *obs.Counter
 	// Incremental-path accounting (incremental.go): decides/applies
 	// satisfied per-delta, fallbacks to the full path, invalidations
 	// and rebuilds of the maintained state, and the sizes of the base
@@ -42,19 +38,17 @@ func SetMetrics(s obs.Sink) {
 		return
 	}
 	m := &coreMetrics{
-		decideTotal:      s.Counter("core_decide_total"),
-		translatable:     s.Counter("core_decide_translatable_total"),
-		rejected:         s.Counter("core_decide_rejected_total"),
-		applied:          s.Counter("core_apply_applied_total"),
-		schemaMemoHits:   s.Counter("core_schema_memo_hits_total"),
-		schemaMemoMisses: s.Counter("core_schema_memo_misses_total"),
-		incDecide:        s.Counter("core_inc_decide_total"),
-		incApply:         s.Counter("core_inc_apply_total"),
-		incFallback:      s.Counter("core_inc_fallback_total"),
-		incInvalidate:    s.Counter("core_inc_invalidate_total"),
-		incRebuild:       s.Counter("core_inc_rebuild_total"),
-		deltaPlus:        s.Histogram("core_delta_plus_size"),
-		deltaMinus:       s.Histogram("core_delta_minus_size"),
+		decideTotal:   s.Counter("core_decide_total"),
+		translatable:  s.Counter("core_decide_translatable_total"),
+		rejected:      s.Counter("core_decide_rejected_total"),
+		applied:       s.Counter("core_apply_applied_total"),
+		incDecide:     s.Counter("core_inc_decide_total"),
+		incApply:      s.Counter("core_inc_apply_total"),
+		incFallback:   s.Counter("core_inc_fallback_total"),
+		incInvalidate: s.Counter("core_inc_invalidate_total"),
+		incRebuild:    s.Counter("core_inc_rebuild_total"),
+		deltaPlus:     s.Histogram("core_delta_plus_size"),
+		deltaMinus:    s.Histogram("core_delta_minus_size"),
 	}
 	for _, k := range [...]UpdateKind{UpdateInsert, UpdateDelete, UpdateReplace} {
 		m.decideNs[k] = s.Histogram("core_decide_" + k.String() + "_ns")
