@@ -1,112 +1,46 @@
 package delta
 
 import (
-	"math/rand"
 	"testing"
 
 	"github.com/constcomp/constcomp/internal/attr"
 	"github.com/constcomp/constcomp/internal/relation"
-	"github.com/constcomp/constcomp/internal/value"
 )
 
-func twoColUniverse(t *testing.T) *attr.Universe {
-	t.Helper()
-	return attr.MustUniverse("A", "B")
-}
-
-func TestConstructorsAndSize(t *testing.T) {
-	t1 := relation.Tuple{1, 2}
-	t2 := relation.Tuple{3, 4}
-	if d := Insert(t1); d.Size() != 1 || len(d.Plus) != 1 || d.Empty() {
-		t.Fatalf("Insert: %v", d)
-	}
-	if d := Delete(t1); d.Size() != 1 || len(d.Minus) != 1 {
-		t.Fatalf("Delete: %v", d)
-	}
-	if d := Replace(t1, t2); d.Size() != 2 || !d.Plus[0].Equal(t2) || !d.Minus[0].Equal(t1) {
-		t.Fatalf("Replace: %v", d)
-	}
-	if !(Delta{}).Empty() {
-		t.Fatal("zero Delta should be Empty")
-	}
-	if got := Replace(t1, t2).String(); got != "Δ{+1 -1}" {
-		t.Fatalf("String: %q", got)
-	}
-}
-
+// TestApplyToAndInverse checks ApplyTo's counts, which the incremental
+// apply compares against the delta's sides to detect a translation
+// that disagrees with the instance, and that the delta with its sides
+// swapped undoes a delta whose every tuple took effect.
 func TestApplyToAndInverse(t *testing.T) {
-	u := twoColUniverse(t)
+	u := attr.MustUniverse("A", "B")
 	r := relation.New(u.All())
 	r.InsertVals(1, 1)
 	r.InsertVals(2, 2)
-	d := Delta{
-		Plus:  []relation.Tuple{{3, 3}, {2, 2}}, // {2,2} already present
-		Minus: []relation.Tuple{{1, 1}, {9, 9}}, // {9,9} absent
-	}
-	before := r.Clone()
+	var d Delta
+	d.AddPlus(relation.Tuple{3, 3})
+	d.AddPlus(relation.Tuple{2, 2}) // already present
+	d.AddMinus(relation.Tuple{1, 1})
+	d.AddMinus(relation.Tuple{9, 9}) // absent
 	ins, del := d.ApplyTo(r)
 	if ins != 1 || del != 1 {
-		t.Fatalf("ApplyTo: ins=%d del=%d", ins, del)
+		t.Fatalf("ApplyTo: ins=%d del=%d, want 1 and 1", ins, del)
 	}
-	if !r.Contains(relation.Tuple{3, 3}) || r.Contains(relation.Tuple{1, 1}) {
-		t.Fatalf("ApplyTo result wrong")
+	if !r.Contains(relation.Tuple{3, 3}) || r.Contains(relation.Tuple{1, 1}) || r.Len() != 2 {
+		t.Fatal("ApplyTo result wrong")
 	}
-	// Inverse does not restore exactly here because {2,2} and {9,9}
-	// were no-ops; on a clean delta it must round-trip.
-	clean := Of(before, r)
-	inv := clean.Inverse()
-	inv.ApplyTo(r)
+
+	before := r.Clone()
+	var clean Delta
+	clean.AddPlus(relation.Tuple{4, 4})
+	clean.AddMinus(relation.Tuple{2, 2})
+	if ins, del := clean.ApplyTo(r); ins != 1 || del != 1 {
+		t.Fatalf("clean ApplyTo: ins=%d del=%d, want 1 and 1", ins, del)
+	}
+	inv := Delta{Plus: clean.Minus, Minus: clean.Plus}
+	if ins, del := inv.ApplyTo(r); ins != 1 || del != 1 {
+		t.Fatalf("inverse ApplyTo: ins=%d del=%d, want 1 and 1", ins, del)
+	}
 	if !r.Equal(before) {
-		t.Fatalf("Inverse round-trip failed: %v vs %v", r.Len(), before.Len())
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	a, b, c := relation.Tuple{1, 1}, relation.Tuple{2, 2}, relation.Tuple{3, 3}
-	d := Delta{
-		Plus:  []relation.Tuple{a, b, a}, // dup a
-		Minus: []relation.Tuple{b, c},    // b cancels
-	}
-	n := d.Normalize()
-	if len(n.Plus) != 1 || !n.Plus[0].Equal(a) {
-		t.Fatalf("Plus: %v", n.Plus)
-	}
-	if len(n.Minus) != 1 || !n.Minus[0].Equal(c) {
-		t.Fatalf("Minus: %v", n.Minus)
-	}
-	if !(Delta{Plus: []relation.Tuple{a}, Minus: []relation.Tuple{a}}).Normalize().Empty() {
-		t.Fatal("full cancellation should yield empty delta")
-	}
-}
-
-// TestOfRandom checks Of against ApplyTo: for random instance pairs,
-// applying Of(from, to) to a clone of from must produce to, and the
-// delta must be normalized (disjoint sides).
-func TestOfRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	u := twoColUniverse(t)
-	randRel := func() *relation.Relation {
-		r := relation.New(u.All())
-		for i := 0; i < 12; i++ {
-			r.Insert(relation.Tuple{value.Value(rng.Intn(6)), value.Value(rng.Intn(6))})
-		}
-		return r
-	}
-	for trial := 0; trial < 50; trial++ {
-		from, to := randRel(), randRel()
-		d := Of(from, to)
-		for _, p := range d.Plus {
-			if contains(d.Minus, p) {
-				t.Fatalf("trial %d: Of not normalized: %v in both sides", trial, p)
-			}
-		}
-		got := from.Clone()
-		d.ApplyTo(got)
-		if !got.Equal(to) {
-			t.Fatalf("trial %d: ApplyTo(Of(from,to)) != to (%s)", trial, d)
-		}
-		if Of(to, to).Size() != 0 {
-			t.Fatalf("trial %d: Of(x,x) should be empty", trial)
-		}
+		t.Fatalf("inverse round-trip failed: %d tuples vs %d", r.Len(), before.Len())
 	}
 }
