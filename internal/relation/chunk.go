@@ -216,12 +216,13 @@ func (a *chunks[T]) adopt(s []T) {
 
 // cloneInto makes out, a zero array, a copy of a: outright unless share
 // is set, in which case out shares a's slab or chunks until either side
-// writes them.
+// writes them. An outright copy keeps a's spare capacity, so the
+// clone's next push does not copy the whole array again.
 func (a *chunks[T]) cloneInto(out *chunks[T], share bool) {
 	n := a.len()
 	if !share {
 		if n > 0 {
-			out.flat = a.appendTo(make([]T, 0, n))
+			out.flat = a.appendTo(make([]T, 0, max(n, cap(a.flat))))
 		}
 		return
 	}

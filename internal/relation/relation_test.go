@@ -394,6 +394,30 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestCloneKeepsTupleCapacity: an outright clone of a flat relation
+// keeps the source's spare capacity, so an Insert right after Clone
+// does not grow (reallocate and copy) the clone's tuple slab.
+func TestCloneKeepsTupleCapacity(t *testing.T) {
+	u := attr.MustUniverse("A")
+	syms := value.NewSymbols()
+	r := New(u.All())
+	for i := 0; i < 5; i++ {
+		r.InsertVals(syms.Const(string(rune('a' + i))))
+	}
+	if cap(r.tuples.flat) <= r.Len() {
+		t.Fatalf("fixture has no spare capacity: len %d cap %d", r.Len(), cap(r.tuples.flat))
+	}
+	c := r.Clone()
+	slab := &c.tuples.flat[0]
+	c.InsertVals(syms.Const("z"))
+	if &c.tuples.flat[0] != slab {
+		t.Errorf("Insert after Clone grew the tuple slab: len %d cap %d", c.Len(), cap(c.tuples.flat))
+	}
+	if r.Len() != 5 || c.Len() != 6 {
+		t.Errorf("Clone shares state: source %d tuples, clone %d", r.Len(), c.Len())
+	}
+}
+
 func TestSortedDeterministic(t *testing.T) {
 	u := attr.MustUniverse("A", "B")
 	syms := value.NewSymbols()
