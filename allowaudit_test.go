@@ -27,8 +27,6 @@ var allowInventory = map[string]int{
 	"internal/chase/instance.go#budgetloop":    2,
 	"internal/chase/maintained.go#budgetloop":  1,
 	"internal/chase/tableau.go#budgetloop":     1,
-	"internal/core/incremental.go#cachebound":  1,
-	"internal/core/insert.go#cachebound":       2,
 	"internal/logic/logic.go#budgetloop":       2,
 	"internal/serve/serve.go#lockhold":         1,
 	"internal/serve/serve.go#rawgo":            1,

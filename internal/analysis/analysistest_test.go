@@ -135,15 +135,6 @@ func TestBudgetLoopFixtures(t *testing.T) {
 	}
 }
 
-// TestCacheBoundFixtures also pins the allow grammar for the new check:
-// exactly one deliberate exception lives in the ok fixture.
-func TestCacheBoundFixtures(t *testing.T) {
-	suppressed := runFixtures(t, CacheBound, "cachebound/...")
-	if len(suppressed) != 1 {
-		t.Errorf("want 1 suppressed finding from the ok fixture's allow comment, got %d", len(suppressed))
-	}
-}
-
 // The three concurrency analyzers each pin one sanctioned exception in
 // their ok fixture, so the allow grammar is covered for every new name.
 func TestLockHoldFixtures(t *testing.T) {
@@ -179,7 +170,6 @@ func TestWalltimeFixtures(t *testing.T)   { runFixtures(t, Walltime, "walltime/.
 func TestEveryAnalyzerHasFixtures(t *testing.T) {
 	wantDirs := map[string][]string{
 		"budgetloop":   {"budgetloop/ok", "budgetloop/bad"},
-		"cachebound":   {"cachebound/ok", "cachebound/bad"},
 		"deadlineflow": {"deadlineflow/ok", "deadlineflow/bad"},
 		"errclass":     {"errclass/ok", "errclass/bad"},
 		"errflow":      {"errflow/ok", "errflow/bad"},

@@ -2,17 +2,17 @@ package analysis
 
 // DeadlineFlow enforces bounded waiting on the serve stack's hot
 // paths: a potentially-blocking channel operation — a select with no
-// default, a channel send, a receive from a data channel — must be
-// dominated by a deadline decision, so a stuck peer degrades into a
-// shed/timeout instead of an unbounded park. Three guard shapes count
-// (see isDeadlineGuard): a context poll (ctx.Err/ctx.Done), a
-// queue-deadline comparison against the injectable clock's NowNS, or a
-// budget.B check.
+// default, a channel send, a receive from a data channel — is flagged
+// unless its own shape bounds the wait, so a stuck peer degrades into
+// a shed/timeout instead of an unbounded park. A check made before the
+// operation (a ctx.Err poll, a deadline comparison) does not count: it
+// cannot wake a goroutine already parked.
 //
-// Lifecycle waits are exempt: receives from signal channels (chan
-// struct{} — quit/done/ready), selects that themselves carry a
-// ctx.Done or signal-channel case, and range-over-channel drains. They
-// park on purpose, for the lifetime of the peer, not a request.
+// The shapes that bound a wait: a select with a default, or with a
+// ctx.Done or signal-channel case (chan struct{} — quit/done/ready); a
+// receive from a signal channel; a range-over-channel drain. The
+// lifecycle waits among them park on purpose, for the lifetime of the
+// peer, not a request.
 
 import (
 	"go/ast"
@@ -22,7 +22,7 @@ import (
 var DeadlineFlow = &Analyzer{
 	Name: "deadlineflow",
 	Doc: "flag potentially-blocking selects/sends/receives on the serve " +
-		"paths not dominated by a context, queue-deadline, or budget check",
+		"paths whose own shape does not bound the wait",
 	AppliesTo: func(pkgPath string) bool {
 		return pathHasSuffix(pkgPath, "internal/serve") ||
 			pathHasSuffix(pkgPath, "internal/netserve") ||
@@ -31,66 +31,40 @@ var DeadlineFlow = &Analyzer{
 	Run: runDeadlineFlow,
 }
 
+// runDeadlineFlow reports each channel operation that can park
+// unboundedly. `go` bodies and func literals are skipped — the spawned
+// goroutine is analyzed as its own function if declared, a raw
+// goroutine's waits are rawgo's concern, and a literal's spawner owns
+// its discipline. A range-over-channel drain has no receive expression,
+// so it is never reported.
 func runDeadlineFlow(pass *Pass) error {
 	for _, fd := range funcDecls(pass.Files) {
-		sites := blockingChanSites(pass, fd)
-		if len(sites) == 0 {
-			continue
+		comm := commOps(fd.Body)
+		report := func(n ast.Node, desc string) {
+			pass.Reportf(n.Pos(),
+				"%s has no bound on its wait (no default, ctx.Done or signal-channel case); a stuck peer parks this goroutine forever", desc)
 		}
-		ff := newFuncFlow(fd)
-		guards := collectGuards(fd.Body, func(n ast.Node) bool {
-			return isDeadlineGuard(pass.Info, n)
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt, *ast.FuncLit:
+				return false
+			case *ast.SelectStmt:
+				if !selectHasDefault(n) && !selectSelfGuarded(pass, n) {
+					report(n, "blocking select (no default, no ctx/signal case)")
+				}
+			case *ast.SendStmt:
+				if !comm[n] {
+					report(n, "channel send")
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.ARROW && !comm[n] && !isSignalChan(pass.Info, n.X) {
+					report(n, "channel receive")
+				}
+			}
+			return true
 		})
-		for _, s := range sites {
-			if ff.block(s.node) == nil {
-				continue // inside a func literal; its spawner owns the discipline
-			}
-			if !ff.guardedBy(s.node, guards) {
-				pass.Reportf(s.node.Pos(),
-					"%s is not dominated by a deadline check (ctx.Err/ctx.Done, a NowNS comparison, or budget.B); a stuck peer parks this goroutine forever", s.desc)
-			}
-		}
 	}
 	return nil
-}
-
-// chanSite is one potentially-unbounded channel operation.
-type chanSite struct {
-	node ast.Node
-	desc string
-}
-
-// blockingChanSites collects the function's channel operations that can
-// park unboundedly, applying the lifecycle exemptions. `go` bodies are
-// skipped — the spawned goroutine is analyzed as its own function if
-// declared, and a raw goroutine's waits are rawgo's concern.
-func blockingChanSites(pass *Pass, fd *ast.FuncDecl) []chanSite {
-	comm := commOps(fd.Body)
-	var sites []chanSite
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			return false
-		case *ast.RangeStmt:
-			// Range-over-channel is the drain idiom; exempt, but keep
-			// walking the body.
-			return true
-		case *ast.SelectStmt:
-			if !selectHasDefault(n) && !selectSelfGuarded(pass, n) {
-				sites = append(sites, chanSite{n, "blocking select (no default, no ctx/signal case)"})
-			}
-		case *ast.SendStmt:
-			if !comm[n] {
-				sites = append(sites, chanSite{n, "channel send"})
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && !comm[n] && !isSignalChan(pass.Info, n.X) {
-				sites = append(sites, chanSite{n, "channel receive"})
-			}
-		}
-		return true
-	})
-	return sites
 }
 
 // selectSelfGuarded reports whether one of the select's cases is itself

@@ -1,16 +1,12 @@
 package analysis
 
-// Dominance-based guard checking shared by deadlineflow and errflow:
+// Dominance-based guard checking shared by errflow and fsyncorder:
 // "site X must be dominated by a guard of kind K" — the guard executes
 // on every path from the function entry to the site, so the decision it
-// encodes (deadline expired? error transient?) has always been made
-// before the site runs.
+// encodes (error transient? slot durable?) has always been made before
+// the site runs.
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-)
+import "go/ast"
 
 // funcFlow bundles one function's CFG artifacts for dominance queries.
 type funcFlow struct {
@@ -67,44 +63,4 @@ func collectGuards(body ast.Node, isGuard func(ast.Node) bool) []ast.Node {
 		return true
 	})
 	return out
-}
-
-// isDeadlineGuard recognizes the three sanctioned bounded-wait checks:
-//
-//   - a context poll: ctx.Err() or ctx.Done() on a context.Context
-//   - a queue-deadline comparison: any ordering comparison whose operands
-//     read the injectable clock (a NowNS method call)
-//   - a budget check: budget.B Step/Check
-func isDeadlineGuard(info *types.Info, n ast.Node) bool {
-	switch n := n.(type) {
-	case *ast.CallExpr:
-		if isBudgetCheck(info, n) {
-			return true
-		}
-		recv, name, ok := methodCall(info, n)
-		if ok && (name == "Err" || name == "Done") && fromPackageNamed(info.TypeOf(recv), "context") {
-			return true
-		}
-	case *ast.BinaryExpr:
-		switch n.Op {
-		case token.LSS, token.LEQ, token.GTR, token.GEQ:
-			return containsNowNSCall(info, n)
-		}
-	}
-	return false
-}
-
-// containsNowNSCall reports whether the expression reads the injectable
-// clock via a NowNS method call.
-func containsNowNSCall(info *types.Info, e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if _, name, ok := methodCall(info, call); ok && name == "NowNS" {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }

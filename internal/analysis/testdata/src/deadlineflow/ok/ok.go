@@ -1,20 +1,14 @@
 // Passing fixtures for deadlineflow: every potentially-blocking
-// channel operation is dominated by a deadline decision, is
-// self-guarded, or is a sanctioned lifecycle wait.
+// channel operation is bounded by its own shape, or is a sanctioned
+// lifecycle wait.
 package ok
 
-import (
-	"context"
-
-	"fixtures/budget"
-	"fixtures/obs"
-)
+import "context"
 
 // Pipeline mimics the serve pipeline's channel topology.
 type Pipeline struct {
 	submit chan int
 	quit   chan struct{}
-	clock  obs.Clock
 }
 
 // SubmitCtx parks on the submit queue only alongside a ctx.Done case:
@@ -26,33 +20,6 @@ func (p *Pipeline) SubmitCtx(ctx context.Context, v int) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// SubmitDeadline compares the injectable clock against the queue
-// deadline before parking.
-func (p *Pipeline) SubmitDeadline(v int, deadline int64) bool {
-	if p.clock.NowNS() > deadline {
-		return false
-	}
-	p.submit <- v
-	return true
-}
-
-// SubmitBudget spends a budget step before parking.
-func (p *Pipeline) SubmitBudget(b *budget.B, v int) error {
-	if err := b.Step(1); err != nil {
-		return err
-	}
-	p.submit <- v
-	return nil
-}
-
-// CtxErrPoll polls the context before the blocking receive.
-func (p *Pipeline) CtxErrPoll(ctx context.Context) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return <-p.submit, nil
 }
 
 // TrySubmit never parks: the default makes the select non-blocking.
@@ -79,6 +46,11 @@ func (p *Pipeline) Drain() int {
 		s += v
 	}
 	return s
+}
+
+// Spawn's literal is its spawner's concern, not this function's.
+func (p *Pipeline) Spawn() func(int) {
+	return func(v int) { p.submit <- v }
 }
 
 // Ack is the sanctioned exception shape: a per-request buffered reply

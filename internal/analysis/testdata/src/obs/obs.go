@@ -20,8 +20,8 @@ type Sink interface {
 }
 
 // Clock is a minimal stand-in for obs.Clock: lockhold and errflow
-// recognize Sleep, and deadlineflow recognizes NowNS comparisons, by
-// the receiver's package name.
+// recognize Sleep by the receiver's package name, and deadlineflow's
+// bad fixtures compare NowNS against a deadline that bounds no wait.
 type Clock interface {
 	NowNS() int64
 	Sleep(ns int64)

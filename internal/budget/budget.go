@@ -131,15 +131,6 @@ func (b *B) Used() int64 {
 	return b.used
 }
 
-// Limit returns the original step allowance (0 when the budget has no
-// step limit).
-func (b *B) Limit() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.limit
-}
-
 // Check is Step(0): it tests cancellation without consuming steps.
 func (b *B) Check() error { return b.Step(0) }
 

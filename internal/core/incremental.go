@@ -256,7 +256,6 @@ func (st *incState) overlay(cache map[string]*chase.Overlay, ri, mu int, zOutU [
 		return ov
 	}
 	ov := st.pad.WithEqualities(pairs)
-	//constvet:allow cachebound -- dies with one decide; entries bounded by its equality sets
 	cache[key] = ov
 	return ov
 }

@@ -111,7 +111,8 @@ type padding struct {
 	cache map[string]*imposeState
 	// prep indexes the canonical fixpoint for incremental impositions.
 	prep *chase.Prepared
-	// ovCache memoizes incremental overlays by pair signature.
+	// ovCache memoizes incremental overlays by pair signature. A padding
+	// dies with its decide, so neither cache needs an eviction bound.
 	ovCache map[string]*chase.Overlay
 }
 
@@ -136,7 +137,6 @@ func (pd *padding) overlayFor(ri, mu int, zOut attr.Set) *chase.Overlay {
 		return ov
 	}
 	ov := pd.prep.WithEqualities(pairs)
-	//constvet:allow cachebound -- padding state dies with one decide; entries bounded by its equality sets
 	pd.ovCache[key] = ov
 	return ov
 }
@@ -426,7 +426,6 @@ func (pd *padding) imposeAndChase(ri, mu int, zOut attr.Set) (*chase.Result, boo
 	if pd.cache == nil {
 		pd.cache = make(map[string]*imposeState)
 	}
-	//constvet:allow cachebound -- padding state dies with one decide; entries bounded by its substitutions
 	pd.cache[sub.signature()] = st
 	pd.lastImpose = st
 	return res, false, nil

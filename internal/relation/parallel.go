@@ -40,9 +40,6 @@ func Parallelism(n int) {
 	maxParallelism.Store(int32(n))
 }
 
-// CurrentParallelism reports the effective worker count.
-func CurrentParallelism() int { return workers() }
-
 // workers returns the effective worker count (≥ 1).
 func workers() int {
 	if n := int(maxParallelism.Load()); n > 1 {

@@ -269,16 +269,6 @@ func (r *Relation) projector(attrs attr.Set) []int {
 	return m
 }
 
-// ProjectTuple projects a single tuple of r onto attrs.
-func (r *Relation) ProjectTuple(t Tuple, attrs attr.Set) Tuple {
-	m := r.projector(attrs)
-	out := make(Tuple, len(m))
-	for i, c := range m {
-		out[i] = t[c]
-	}
-	return out
-}
-
 // slab hands out tuple storage carved from block allocations, so kernels
 // that materialize many small tuples (Project, the joins) pay one
 // allocation per block instead of one per tuple.

@@ -180,46 +180,52 @@ func TestPipelineResurrectsAfterPowerLoss(t *testing.T) {
 }
 
 // TestPipelineResurrectExhaustionLatches: when every resurrection
-// attempt fails transiently, the pipeline must stop after
+// attempt fails with an error that is not permanent — a transient
+// sentinel, or an error the taxonomy cannot name, as a raw I/O error
+// from store.Recover is — the pipeline must stop after
 // resurrectRetries backoff sleeps, latch broken, and fail pending and
 // future submitters — degraded, but never hung.
 func TestPipelineResurrectExhaustionLatches(t *testing.T) {
-	pair, db, syms := edmFixture()
-	mem := store.NewMemFS()
-	ffs := store.NewFaultFS(mem, store.FaultPlan{Match: journalMatch, FailSyncAt: 1})
-	st, err := store.Create(ffs, pair, db, syms, store.Options{SnapshotEvery: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	attempts := 0
-	clk := obs.NewManualClock()
-	pipe, err := New(st, Options{
-		MaxBatch:  1,
-		Resurrect: func() (*store.Session, error) { attempts++; return nil, store.ErrInjected },
-		Clock:     clk,
-		Seed:      3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tup := relation.Tuple{syms.Const("x"), syms.Const("dept0")}
-	if _, err := pipe.Apply(core.Insert(tup)); !errors.Is(err, store.ErrSessionBroken) {
-		t.Fatalf("op after exhausted healing = %v, want ErrSessionBroken", err)
-	}
-	if attempts != resurrectRetries {
-		t.Fatalf("resurrection attempts = %d, want %d", attempts, resurrectRetries)
-	}
-	if got := len(clk.SleepLog()); got != resurrectRetries {
-		t.Fatalf("backoff sleeps = %d, want %d", got, resurrectRetries)
-	}
-	if !pipe.Degraded() {
-		t.Error("latched pipeline must report degraded")
-	}
-	if _, err := pipe.Apply(core.Insert(tup)); !errors.Is(err, store.ErrSessionBroken) {
-		t.Fatalf("post-latch op = %v, want ErrSessionBroken", err)
-	}
-	if err := pipe.Close(); err == nil {
-		t.Error("Close did not surface the latched error")
+	for _, rerr := range []error{store.ErrInjected, errors.New("read journal: input/output error")} {
+		t.Run(store.Classify(rerr).String(), func(t *testing.T) {
+			pair, db, syms := edmFixture()
+			mem := store.NewMemFS()
+			ffs := store.NewFaultFS(mem, store.FaultPlan{Match: journalMatch, FailSyncAt: 1})
+			st, err := store.Create(ffs, pair, db, syms, store.Options{SnapshotEvery: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			attempts := 0
+			clk := obs.NewManualClock()
+			pipe, err := New(st, Options{
+				MaxBatch:  1,
+				Resurrect: func() (*store.Session, error) { attempts++; return nil, rerr },
+				Clock:     clk,
+				Seed:      3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tup := relation.Tuple{syms.Const("x"), syms.Const("dept0")}
+			if _, err := pipe.Apply(core.Insert(tup)); !errors.Is(err, store.ErrSessionBroken) {
+				t.Fatalf("op after exhausted healing = %v, want ErrSessionBroken", err)
+			}
+			if attempts != resurrectRetries {
+				t.Fatalf("resurrection attempts = %d, want %d", attempts, resurrectRetries)
+			}
+			if got := len(clk.SleepLog()); got != resurrectRetries {
+				t.Fatalf("backoff sleeps = %d, want %d", got, resurrectRetries)
+			}
+			if !pipe.Degraded() {
+				t.Error("latched pipeline must report degraded")
+			}
+			if _, err := pipe.Apply(core.Insert(tup)); !errors.Is(err, store.ErrSessionBroken) {
+				t.Fatalf("post-latch op = %v, want ErrSessionBroken", err)
+			}
+			if err := pipe.Close(); err == nil {
+				t.Error("Close did not surface the latched error")
+			}
+		})
 	}
 }
 

@@ -31,7 +31,11 @@
 //
 // Every error crossing the serve↔store boundary is classified transient
 // or permanent (store.Classify). The pipeline turns that taxonomy into
-// recovery policy, organized as two fault domains. A decide is a
+// recovery policy, organized as two fault domains. An error the
+// taxonomy cannot name (store.ClassUnknown) fails its op like a
+// permanent one, but heal keeps resurrecting after a batch or
+// resurrection error it cannot name, up to resurrectRetries attempts:
+// a raw I/O error from store.Recover carries no sentinel. A decide is a
 // deterministic function of the session state and the op, so a failed
 // decide is not retried: a rejection (untranslatable update) or the end
 // of the op's own context fails only that op.

@@ -15,8 +15,12 @@ import (
 // untranslatable update, a complement violation, acknowledged-data
 // loss. The serving pipeline's self-healing layer keys every recovery
 // decision (resurrect the session, re-journal an op, or reject the op
-// and move on) off this classification, so an unclassifiable error
-// is treated as permanent: never retry what you cannot name.
+// and move on) off this classification. An error it cannot name
+// (ClassUnknown) is permanent for one op: the op is rejected, not
+// re-journalled. It is not permanent for the session: heal keeps
+// resurrecting after a batch or resurrection error it cannot name, up
+// to its retry bound, since a raw I/O error from Recover carries no
+// sentinel.
 //
 // The errclass constvet analyzer enforces the taxonomy's completeness:
 // every error sentinel declared in this package (and internal/serve)
@@ -28,8 +32,8 @@ import (
 type Class uint8
 
 const (
-	// ClassUnknown marks an error the taxonomy cannot name. Callers
-	// must treat it as permanent.
+	// ClassUnknown marks an error the taxonomy cannot name: permanent
+	// for an op, retried for the session (see the taxonomy above).
 	ClassUnknown Class = iota
 	// ClassTransient errors may succeed on retry (after the session
 	// heals or the queue drains).
@@ -51,8 +55,8 @@ func (c Class) String() string {
 
 // Classify resolves the retry class of an error crossing the serve ↔
 // store boundary through the sentinel taxonomy in classOf.
-// Unrecognized errors are ClassUnknown, which callers must treat as
-// permanent.
+// Unrecognized errors are ClassUnknown: permanent for an op, retried
+// for the session.
 func Classify(err error) Class {
 	if err == nil {
 		return ClassUnknown
