@@ -930,6 +930,26 @@ func BenchmarkStoreSnapshotEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreSnapshotDecode is the recovery side of
+// StoreSnapshotEncode: one DecodeSnapshot of that EDM(4096, 1024)
+// image into fresh Symbols, as Recover loads its floor.
+func BenchmarkStoreSnapshotDecode(b *testing.B) {
+	e := workload.NewEDM()
+	db := e.Instance(4096, 1024)
+	img, err := store.EncodeSnapshot(1, db, e.Syms)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(img)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, got, err := store.DecodeSnapshot(img, db.Universe(), value.NewSymbols()); err != nil || got.Len() != db.Len() {
+			b.Fatalf("decode: %v", err)
+		}
+	}
+}
+
 // BenchmarkStoreCheckpoint names the checkpoint layer: over the
 // net-durable workload's base instance, EDM(256, 64), SnapshotEvery 1
 // makes every iteration one durable op — decide, apply, journal write

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -92,10 +93,36 @@ func mentionsObj(info *types.Info, root ast.Node, obj types.Object) bool {
 	return found
 }
 
-// sortsObjAfter reports whether fn contains, after pos, a call whose
-// callee name contains "Sort" and that mentions obj (as an argument or
-// receiver) — e.g. sort.Strings(out), relation.SortTuplesBy(out, cols),
-// attr.SortSets(out).
+// sortFuncs are the standard-library calls that sort their argument in
+// place, by import path. No other function of these packages sorts:
+// sort.IntsAreSorted only checks, slices.Sorted returns a new slice.
+var sortFuncs = map[string][]string{
+	"sort":   {"Sort", "Stable", "Slice", "SliceStable", "Ints", "Strings", "Float64s"},
+	"slices": {"Sort", "SortFunc", "SortStableFunc"},
+}
+
+// isSortCall reports whether call sorts in place: one of sortFuncs, or
+// any other callee whose own name starts with "Sort" — e.g.
+// relation.SortTuplesBy(out, cols), attr.SortSets(out), rows.Sort().
+func isSortCall(info *types.Info, call *ast.CallExpr) bool {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return strings.HasPrefix(fun.Name, "Sort")
+	case *ast.SelectorExpr:
+		if x, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
+			if pkg, ok := info.Uses[x].(*types.PkgName); ok {
+				if names, std := sortFuncs[pkg.Imported().Path()]; std {
+					return slices.Contains(names, fun.Sel.Name)
+				}
+			}
+		}
+		return strings.HasPrefix(fun.Sel.Name, "Sort")
+	}
+	return false
+}
+
+// sortsObjAfter reports whether fn contains, past the node after, a
+// sort call (isSortCall) that mentions obj as an argument or receiver.
 func sortsObjAfter(pass *Pass, fn *ast.FuncDecl, obj types.Object, after ast.Node) bool {
 	found := false
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -103,27 +130,10 @@ func sortsObjAfter(pass *Pass, fn *ast.FuncDecl, obj types.Object, after ast.Nod
 		if !ok || found {
 			return !found
 		}
-		if call.Pos() < after.Pos() {
-			return true
-		}
-		var name string
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			name = fun.Name
-		case *ast.SelectorExpr:
-			name = fun.Sel.Name
-			// Qualified calls count their qualifier: sort.Ints, sort.Slice.
-			if x, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
-				name = x.Name + "." + name
-			}
-		}
-		if !strings.Contains(name, "Sort") && !strings.Contains(name, "sort") {
-			return true
-		}
-		if mentionsObj(pass.Info, call, obj) {
+		if call.Pos() >= after.Pos() && isSortCall(pass.Info, call) && mentionsObj(pass.Info, call, obj) {
 			found = true
 		}
-		return true
+		return !found
 	})
 	return found
 }

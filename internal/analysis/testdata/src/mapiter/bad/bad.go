@@ -2,7 +2,10 @@
 // emitted rows.
 package bad
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Append into an outer slice with no later sort.
 func Keys(m map[string]int) []string {
@@ -18,4 +21,14 @@ func Dump(m map[string]int) {
 	for k, v := range m {
 		fmt.Println(k, v) // want `output written inside range-over-map follows map iteration order`
 	}
+}
+
+// Checking sortedness does not sort.
+func CheckedValues(m map[string]int) []int {
+	var out []int
+	for _, v := range m {
+		out = append(out, v) // want `append inside range-over-map leaks map iteration order into "out"`
+	}
+	_ = sort.IntsAreSorted(out)
+	return out
 }

@@ -2,7 +2,10 @@
 // away, stays inside the loop, or cannot reach any output.
 package ok
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Collect-then-sort is the sanctioned pattern.
 func Keys(m map[string]int) []string {
@@ -13,6 +16,21 @@ func Keys(m map[string]int) []string {
 	sort.Strings(out)
 	return out
 }
+
+// slices.Sort and a callee named Sort* sort too.
+func Values(m map[string]int) ([]int, []int) {
+	var a, b []int
+	for _, v := range m {
+		a = append(a, v)
+		b = append(b, v)
+	}
+	slices.Sort(a)
+	SortDesc(b)
+	return a, b
+}
+
+// SortDesc sorts s in decreasing order.
+func SortDesc(s []int) { sort.Sort(sort.Reverse(sort.IntSlice(s))) }
 
 // Order-insensitive aggregation.
 func Sum(m map[string]int) int {

@@ -37,7 +37,7 @@ func applyRange(t *testing.T, st *Session, ops []core.UpdateOp, from, to int) {
 }
 
 // recoverWant recovers from fsys and checks that exactly the first n
-// ops of ops50 survived.
+// ops of opsN survived.
 func recoverWant(t *testing.T, fsys FS, pair *core.Pair, n int) (*Session, *RecoveryReport, *value.Symbols) {
 	t.Helper()
 	syms := value.NewSymbols()
@@ -201,6 +201,76 @@ func TestTornSlotOverwrite(t *testing.T) {
 		applyRange(t, rec, ops50(syms2), 12, 20)
 		mem.Crash()
 		recoverWant(t, mem, pair, 20)
+	}
+}
+
+// TestUpgradeFromV1Slots recovers a store an older binary left: both
+// slots CCSNAP1 images, the floor at seq 8, and a journal of three
+// records past it. The recovered session's first checkpoint, at the
+// default cadence, writes a CCSNAP2 image over the other slot; the
+// power is cut after every byte of that write. Each cut must recover
+// every acknowledged op from the v1 floor, and a checkpoint that
+// completes must recover from the v2 slot.
+func TestUpgradeFromV1Slots(t *testing.T) {
+	const floorSeq, journaled = 8, 3
+	const acked = floorSeq + 64
+	// The older store: a session checkpointed at seq 8 into the second
+	// slot, with both slots then rewritten as CCSNAP1 images.
+	old := NewMemFS()
+	pair, db, syms := edmFixture()
+	st, err := Create(old, pair, db, syms, Options{SnapshotEvery: floorSeq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyRange(t, st, opsN(syms, floorSeq+journaled), 0, floorSeq+journaled)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{JournalFile: mustBytes(t, old, JournalFile)}
+	for _, name := range slotFiles {
+		seq, db, err := DecodeSnapshot(mustBytes(t, old, name), pair.Schema().Universe(), syms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[name] = encodeSnapshotV1(seq, db, syms)
+	}
+	// cut recovers the older store, applies ops up to the first
+	// checkpoint with the nth slot write torn after keep bytes (no tear
+	// when n is 0), cuts the power and recovers.
+	cut := func(n, keep int) (*RecoveryReport, []byte) {
+		mem := NewMemFS()
+		for name, b := range files {
+			memWrite(t, mem, name, string(b))
+		}
+		if err := mem.SyncDir(); err != nil {
+			t.Fatal(err)
+		}
+		ffs := NewFaultFS(mem, FaultPlan{Match: isSlot, TearWriteAt: n, TearKeep: keep})
+		syms := value.NewSymbols()
+		st, rep, err := Recover(ffs, pair, syms, Options{})
+		if err != nil || rep.SnapshotSeq != floorSeq || rep.Replayed != journaled {
+			t.Fatalf("recovering the CCSNAP1 store: report %+v, err %v", rep, err)
+		}
+		applyRange(t, st, opsN(syms, acked), floorSeq+journaled, acked)
+		if (n > 0) != (st.SnapshotErr() != nil) {
+			t.Fatalf("keep=%d: SnapshotErr %v after the first checkpoint", keep, st.SnapshotErr())
+		}
+		img, err := EncodeSnapshot(acked, st.Database(), syms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem.Crash()
+		_, rep, _ = recoverWant(t, mem, pair, acked)
+		return rep, img
+	}
+	rep, img := cut(0, 0)
+	if !bytes.HasPrefix(img, snapMagic) || rep.SnapshotSeq != acked {
+		t.Fatalf("completed checkpoint: recovered from snapshot seq %d, want the CCSNAP2 slot at %d", rep.SnapshotSeq, acked)
+	}
+	for keep := 0; keep <= len(img); keep++ {
+		if rep, _ := cut(1, keep); rep.SnapshotSeq != floorSeq {
+			t.Fatalf("keep=%d: recovered from snapshot seq %d, want the CCSNAP1 floor at %d", keep, rep.SnapshotSeq, floorSeq)
+		}
 	}
 }
 

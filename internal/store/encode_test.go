@@ -105,7 +105,7 @@ func TestSnapshotLateConstantRoundTrips(t *testing.T) {
 	syms := value.NewSymbols()
 	db := relation.New(u.All())
 	db.Insert(relation.Tuple{syms.Const("ann"), syms.Const("toys")})
-	enc := newCellEncoder(syms)
+	enc := newImageEncoder(syms)
 	late := syms.Const("zoë-late")
 	if int(late) < len(enc.names) {
 		t.Fatal("late constant falls inside the encoder's table snapshot")

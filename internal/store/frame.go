@@ -27,7 +27,8 @@ import (
 //
 // which carry constants by *name*, never by interned id, because
 // interning order differs between the process that wrote a file and
-// the one reading it back.
+// the one reading it back. A snapshot image's cells name each constant
+// once and refer back to that name after it (see snapshot.go).
 
 // castagnoli is the CRC32-C polynomial table (hardware-accelerated on
 // amd64/arm64).
@@ -128,10 +129,11 @@ func AppendNames(dst []byte, names []string) []byte {
 	return dst
 }
 
-// cellEncoder appends tuples of constants to payloads by name — the one
-// encoder behind journal records and snapshot images. It resolves names
-// through a single snapshot of the symbol table (Symbols.Names) instead
-// of one locked lookup per cell, and builds no intermediate name slices.
+// cellEncoder appends tuples of constants to payloads by name — the
+// name source behind journal records and snapshot images. It resolves
+// names through a single snapshot of the symbol table (Symbols.Names)
+// instead of one locked lookup per cell, and builds no intermediate
+// name slices.
 // A constant interned after the snapshot falls back to Symbols.Name.
 // Labeled nulls have no name on disk: encoding one is a caller bug.
 type cellEncoder struct {
@@ -143,17 +145,21 @@ func newCellEncoder(syms *value.Symbols) cellEncoder {
 	return cellEncoder{syms: syms, names: syms.Names()}
 }
 
+// name returns constant v's name.
+func (e cellEncoder) name(v value.Value) string {
+	if int64(v) < int64(len(e.names)) {
+		return e.names[v]
+	}
+	return e.syms.Name(v)
+}
+
 // appendCells appends t's cells as names, without a count prefix.
 func (e cellEncoder) appendCells(dst []byte, t relation.Tuple) ([]byte, error) {
 	for _, v := range t {
-		switch {
-		case v.IsNull():
+		if v.IsNull() {
 			return dst, fmt.Errorf("store: cannot encode labeled null in %v", t)
-		case int64(v) < int64(len(e.names)):
-			dst = appendName(dst, e.names[v])
-		default:
-			dst = appendName(dst, e.syms.Name(v))
 		}
+		dst = appendName(dst, e.name(v))
 	}
 	return dst, nil
 }

@@ -14,16 +14,25 @@ import (
 	"github.com/constcomp/constcomp/internal/value"
 )
 
-// Snapshot file layout: the magic "CCSNAP1\n" followed by exactly one
+// Snapshot file layout: the magic "CCSNAP2\n" followed by exactly one
 // frame (see frame.go) whose payload is
 //
 //	uvarint seq                 — ops folded into this snapshot
 //	names                       — universe attribute names, column order
 //	uvarint count
-//	count × width × (uvarint len, name) — tuples, constants by name
+//	count × width × cell        — tuples, constants by cell reference
 //
-// The frame spans the rest of the file and, unlike a log record, has no
-// size bound.
+// A cell refers into a name table the image builds as it goes, so each
+// distinct constant's name is written once per image:
+//
+//	uvarint 0, uvarint len, name — a name new to the image; it becomes
+//	                               the table's next entry
+//	uvarint r, r ≥ 1             — the table's (r−1)-th name
+//
+// Images with the magic "CCSNAP1\n", written by older binaries, have
+// the same layout with every cell an inline (uvarint len, name); they
+// still decode, but only CCSNAP2 is written. The frame spans the rest
+// of the file and, unlike a log record, has no size bound.
 //
 // A store keeps two snapshot slots, SnapshotFile and SnapshotFile+".1"
 // (slotFiles). Create writes the first as a fresh file (<name>.tmp,
@@ -36,15 +45,37 @@ import (
 // not need. Recover checks both slots' frames and loads the valid one
 // with the higher seq (chooseFloor); the other is never trusted.
 
-var snapMagic = []byte("CCSNAP1\n")
+var (
+	snapMagic   = []byte("CCSNAP2\n")
+	snapMagicV1 = []byte("CCSNAP1\n")
+)
 
 // EncodeSnapshot serializes a database image at sequence seq.
 func EncodeSnapshot(seq uint64, db *relation.Relation, syms *value.Symbols) ([]byte, error) {
-	return newCellEncoder(syms).appendSnapshot(nil, seq, db)
+	e := newImageEncoder(syms)
+	return e.appendSnapshot(nil, seq, db)
+}
+
+// imageEncoder appends a snapshot image's cells as references into the
+// image's own name table (see the layout above). ref[v] is 1 + the
+// table position of constant v, or 0 while v's name is unwritten. It
+// is indexed by value id, sized from the symbol-table snapshot and
+// grown for constants interned after it, and lives for one image, so
+// an image depends on its database alone.
+type imageEncoder struct {
+	cellEncoder
+	ref  []int32
+	next int32 // table entries written so far
+}
+
+func newImageEncoder(syms *value.Symbols) imageEncoder {
+	e := imageEncoder{cellEncoder: newCellEncoder(syms)}
+	e.ref = make([]int32, len(e.names))
+	return e
 }
 
 // appendSnapshot appends the snapshot image of db at sequence seq.
-func (e cellEncoder) appendSnapshot(dst []byte, seq uint64, db *relation.Relation) ([]byte, error) {
+func (e *imageEncoder) appendSnapshot(dst []byte, seq uint64, db *relation.Relation) ([]byte, error) {
 	dst = append(dst, snapMagic...)
 	start := len(dst)
 	dst = binary.AppendUvarint(openFrame(dst), seq)
@@ -52,9 +83,21 @@ func (e cellEncoder) appendSnapshot(dst []byte, seq uint64, db *relation.Relatio
 	dst = binary.AppendUvarint(dst, uint64(db.Len()))
 	// Walk by position, not with Each: its closure slowed encoding ~10%.
 	for i, n := 0, db.Len(); i < n; i++ {
-		var err error
-		if dst, err = e.appendCells(dst, db.Tuple(i)); err != nil {
-			return nil, err
+		t := db.Tuple(i)
+		for _, v := range t {
+			if v.IsNull() {
+				return nil, fmt.Errorf("store: cannot encode labeled null in %v", t)
+			}
+			if int(v) >= len(e.ref) {
+				e.ref = append(e.ref, make([]int32, int(v)+1-len(e.ref))...)
+			}
+			if r := e.ref[v]; r != 0 {
+				dst = binary.AppendUvarint(dst, uint64(r))
+				continue
+			}
+			e.next++
+			e.ref[v] = e.next
+			dst = appendName(append(dst, 0), e.name(v))
 		}
 	}
 	return sealFrame(dst, start), nil
@@ -65,43 +108,58 @@ func (e cellEncoder) appendSnapshot(dst []byte, seq uint64, db *relation.Relatio
 // mismatch is an error: a snapshot is the recovery floor and must be
 // wholly intact.
 func DecodeSnapshot(data []byte, u *attr.Universe, syms *value.Symbols) (uint64, *relation.Relation, error) {
-	seq, c, err := openSnapshot(data)
+	seq, body, err := openSnapshot(data)
 	if err != nil {
 		return 0, nil, err
 	}
-	db, err := snapshotBody(&c, u, syms)
+	db, err := snapshotBody(&body, u, syms)
 	if err != nil {
 		return 0, nil, err
 	}
 	return seq, db, nil
 }
 
+// snapBody is an opened image's body: a cursor positioned past the seq,
+// and whether the image is a CCSNAP1 one, whose cells are inline names.
+type snapBody struct {
+	c  Cursor
+	v1 bool
+}
+
 // openSnapshot checks an image's magic and its frame — checksum, and
 // nothing past it — and reads the seq, leaving the cursor at the body.
 // It is all recovery needs to rank a slot it may never decode.
-func openSnapshot(data []byte) (uint64, Cursor, error) {
-	if !bytes.HasPrefix(data, snapMagic) {
-		return 0, Cursor{}, fmt.Errorf("store: snapshot: bad magic")
+func openSnapshot(data []byte) (uint64, snapBody, error) {
+	var body snapBody
+	switch {
+	case bytes.HasPrefix(data, snapMagic):
+	case bytes.HasPrefix(data, snapMagicV1):
+		body.v1 = true
+	default:
+		return 0, body, fmt.Errorf("store: snapshot: bad magic")
 	}
 	rest := data[len(snapMagic):]
-	body, n, err := splitFrame(rest, noLimit)
+	payload, n, err := splitFrame(rest, noLimit)
 	if err != nil {
-		return 0, Cursor{}, fmt.Errorf("store: snapshot: %w", err)
+		return 0, body, fmt.Errorf("store: snapshot: %w", err)
 	}
 	if n != len(rest) {
-		return 0, Cursor{}, fmt.Errorf("store: snapshot: %d bytes past the frame", len(rest)-n)
+		return 0, body, fmt.Errorf("store: snapshot: %d bytes past the frame", len(rest)-n)
 	}
-	c := NewCursor(body)
-	seq := c.Uvarint()
-	if c.bad {
-		return 0, Cursor{}, fmt.Errorf("store: snapshot: header: %w", ErrCorrupt)
+	body.c = NewCursor(payload)
+	seq := body.c.Uvarint()
+	if body.c.bad {
+		return 0, body, fmt.Errorf("store: snapshot: header: %w", ErrCorrupt)
 	}
-	return seq, c, nil
+	return seq, body, nil
 }
 
 // snapshotBody decodes the attribute names and tuples that follow the
-// seq in an image opened by openSnapshot.
-func snapshotBody(c *Cursor, u *attr.Universe, syms *value.Symbols) (*relation.Relation, error) {
+// seq in an image opened by openSnapshot. A CCSNAP2 image interns each
+// distinct name once; a reference past the names read so far is
+// corrupt.
+func snapshotBody(b *snapBody, u *attr.Universe, syms *value.Symbols) (*relation.Relation, error) {
+	c := &b.c
 	names := c.Names()
 	if c.bad {
 		return nil, fmt.Errorf("store: snapshot: header: %w", ErrCorrupt)
@@ -115,11 +173,29 @@ func snapshotBody(c *Cursor, u *attr.Universe, syms *value.Symbols) (*relation.R
 		}
 	}
 	count := c.Uvarint()
+	// Every cell takes at least one byte, so a count the rest of the
+	// body cannot hold is corrupt.
+	if count > 1 && count > uint64((len(c.data)-c.off)/max(u.Size(), 1)) {
+		c.bad = true
+	}
 	db := relation.New(u.All())
+	var table []value.Value // CCSNAP2: the image's names so far
 	for i := uint64(0); i < count && !c.bad; i++ {
 		t := make(relation.Tuple, u.Size())
 		for col := range t {
-			t[col] = syms.Const(c.name())
+			if b.v1 {
+				t[col] = syms.Const(c.name())
+				continue
+			}
+			switch r := c.Uvarint(); {
+			case r > uint64(len(table)):
+				c.bad = true
+			case r > 0:
+				t[col] = table[r-1]
+			case !c.bad:
+				t[col] = syms.Const(c.name())
+				table = append(table, t[col])
+			}
 		}
 		db.Insert(t)
 	}
@@ -134,10 +210,11 @@ var slotFiles = [2]string{SnapshotFile, SnapshotFile + ".1"}
 
 // encodeImage encodes the snapshot image of db at seq into one buffer
 // pre-sized from sizeHint, the previous image's length, plus an eighth
-// for growth. The buffer is dropped by the caller rather than held
-// between checkpoints.
+// for growth. The buffer and the encoder's reference table are dropped
+// by the caller rather than held between checkpoints.
 func encodeImage(syms *value.Symbols, seq uint64, db *relation.Relation, sizeHint int) ([]byte, error) {
-	return newCellEncoder(syms).appendSnapshot(make([]byte, 0, sizeHint+sizeHint/8), seq, db)
+	e := newImageEncoder(syms)
+	return e.appendSnapshot(make([]byte, 0, sizeHint+sizeHint/8), seq, db)
 }
 
 // writeSnapshot is Create's snapshot write: it atomically and durably
@@ -229,8 +306,8 @@ var ErrNoSnapshot = fmt.Errorf("store: no snapshot: %w", fs.ErrNotExist)
 type slotImage struct {
 	exists bool
 	seq    uint64
-	body   Cursor // positioned past the seq; valid when err is nil
-	err    error  // why an existing slot is not a valid image
+	body   snapBody // positioned past the seq; valid when err is nil
+	err    error    // why an existing slot is not a valid image
 }
 
 // readSlots reads both slots and checks each one's frame, without

@@ -9,11 +9,12 @@ import (
 )
 
 // FuzzSnapshot throws arbitrary bytes at the snapshot decoder, both as
-// a raw image and as a body behind a valid magic and frame (so the body
-// parser is reached past the checksum). A snapshot is accepted whole or
-// not at all, so there is no good prefix to bound: the decoder must
-// never panic, and every image it accepts must re-encode to one that
-// decodes to the same sequence number and database.
+// a raw image and as a body behind each valid magic and a valid frame
+// (so the body parser is reached past the checksum). A snapshot is
+// accepted whole or not at all, so there is no good prefix to bound:
+// the decoder must never panic, and every image it accepts must
+// re-encode to one that decodes to the same sequence number and
+// database.
 func FuzzSnapshot(f *testing.F) {
 	u := attr.MustUniverse("E", "D")
 	syms := value.NewSymbols()
@@ -33,11 +34,18 @@ func FuzzSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(empty)
+	db.Insert(relation.Tuple{syms.Const("cat"), syms.Const("toys")})
+	backRef, err := EncodeSnapshot(8, db, syms)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(backRef)
+	// seq 8, universe E D, one row: "ann", then reference 2 while the
+	// name table holds one entry.
+	f.Add(snapImage(snapMagic, 8, 2, 1, 'E', 1, 'D', 1, 0, 3, 'a', 'n', 'n', 2))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		framed := openFrame(append([]byte(nil), snapMagic...))
-		framed = sealFrame(append(framed, data...), len(snapMagic))
-		for _, img := range [][]byte{data, framed} {
+		for _, img := range [][]byte{data, snapImage(snapMagic, data...), snapImage(snapMagicV1, data...)} {
 			syms := value.NewSymbols()
 			seq, db, err := DecodeSnapshot(img, u, syms)
 			if err != nil {
@@ -53,4 +61,10 @@ func FuzzSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// snapImage frames payload behind magic as a snapshot image.
+func snapImage(magic []byte, payload ...byte) []byte {
+	img := openFrame(append([]byte(nil), magic...))
+	return sealFrame(append(img, payload...), len(magic))
 }

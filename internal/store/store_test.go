@@ -38,7 +38,10 @@ func edmFixture() (*core.Pair, *relation.Relation, *value.Symbols) {
 
 // ops50 generates a deterministic 50-op session mixing inserts,
 // deletes, and replaces, every one translatable against edmFixture.
-func ops50(syms *value.Symbols) []core.UpdateOp {
+func ops50(syms *value.Symbols) []core.UpdateOp { return opsN(syms, 50) }
+
+// opsN generates the first n ops of the session ops50 starts.
+func opsN(syms *value.Symbols, n int) []core.UpdateOp {
 	dept := func(d int) value.Value { return syms.Const(fmt.Sprintf("dept%d", d%2)) }
 	type emp struct {
 		name string
@@ -46,7 +49,7 @@ func ops50(syms *value.Symbols) []core.UpdateOp {
 	}
 	var pool []emp
 	var ops []core.UpdateOp
-	for i := 0; len(ops) < 50; i++ {
+	for i := 0; len(ops) < n; i++ {
 		switch {
 		case len(pool) > 2 && i%7 == 3:
 			e := pool[0]
@@ -102,8 +105,7 @@ func referenceAfter(t *testing.T, n int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := ops50(syms)
-	for i, op := range ops[:n] {
+	for i, op := range opsN(syms, n) {
 		if _, err := sess.Apply(op); err != nil {
 			t.Fatalf("reference op %d: %v", i+1, err)
 		}
@@ -725,7 +727,8 @@ func TestOpenMissingJournalRecovers(t *testing.T) {
 }
 
 // TestSnapshotDecodeRejectsDamage exercises the snapshot codec's
-// error paths: bad magic, wrong checksum, wrong universe.
+// error paths: bad magic, wrong checksum, a cell reference past the
+// image's name table, a row count past the body, wrong universe.
 func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 	pair, db, syms := edmFixture()
 	u := pair.Schema().Universe()
@@ -741,6 +744,15 @@ func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 		"bad magic": append([]byte("XXSNAP1\n"), img[8:]...),
 		"truncated": img[:len(img)-3],
 	}
+	// seq 9 over E D M, then a row count and cells.
+	head := []byte{9, 3, 1, 'E', 1, 'D', 1, 'M'}
+	body := func(b ...byte) []byte { return snapImage(snapMagic, append(append([]byte(nil), head...), b...)...) }
+	if _, got, err := DecodeSnapshot(body(1, 0, 1, 'a', 1, 1), u, value.NewSymbols()); err != nil || got.Len() != 1 {
+		t.Fatalf("back references: %v, err %v", got, err)
+	}
+	cases["reference past the table"] = body(1, 0, 1, 'a', 1, 2)
+	cases["reference into an empty table"] = body(1, 1, 1, 1)
+	cases["count past the body"] = body(5, 0, 1, 'a', 1, 1)
 	flipped := append([]byte(nil), img...)
 	flipped[len(snapMagic)+FrameHeaderLen+2] ^= 0xff
 	cases["bit flip"] = flipped
