@@ -178,6 +178,9 @@ experiments-quick:
 # the dependency and dependency-set parsers, the journal and snapshot
 # decoders, and the netserve op-frame (server-side) and
 # result-frame (client-side) readers. Malformed input must never panic.
+# FuzzRecoverTail recovers a store whose rewound journal holds arbitrary
+# bytes past its live records: it must replay exactly those records
+# unless the tail holds one that continues them.
 # FuzzCloneCOW also drives the relation kernel's copy-on-write storage
 # through Insert/Delete/Clone sequences, and FuzzKeyTable its KeyTable
 # and TupleIndex through put/get/delete and add/remove/lookup sequences,
@@ -191,6 +194,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzParseSet$$' -fuzztime=5s -run '^$$' ./internal/dep
 	$(GO) test -fuzz='^FuzzJournal$$' -fuzztime=5s -run '^$$' ./internal/store
 	$(GO) test -fuzz='^FuzzSnapshot$$' -fuzztime=5s -run '^$$' ./internal/store
+	$(GO) test -fuzz='^FuzzRecoverTail$$' -fuzztime=5s -run '^$$' ./internal/store
 	$(GO) test -fuzz='^FuzzOpFrame$$' -fuzztime=5s -run '^$$' ./internal/netserve
 	$(GO) test -fuzz='^FuzzResultFrame$$' -fuzztime=5s -run '^$$' ./internal/netserve
 	$(GO) test -fuzz='^FuzzCloneCOW$$' -fuzztime=5s -run '^$$' ./internal/relation
@@ -202,6 +206,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzParseSet$$' -fuzztime=30s -run '^$$' ./internal/dep
 	$(GO) test -fuzz='^FuzzJournal$$' -fuzztime=30s -run '^$$' ./internal/store
 	$(GO) test -fuzz='^FuzzSnapshot$$' -fuzztime=30s -run '^$$' ./internal/store
+	$(GO) test -fuzz='^FuzzRecoverTail$$' -fuzztime=30s -run '^$$' ./internal/store
 	$(GO) test -fuzz='^FuzzOpFrame$$' -fuzztime=30s -run '^$$' ./internal/netserve
 	$(GO) test -fuzz='^FuzzResultFrame$$' -fuzztime=30s -run '^$$' ./internal/netserve
 	$(GO) test -fuzz='^FuzzCloneCOW$$' -fuzztime=30s -run '^$$' ./internal/relation

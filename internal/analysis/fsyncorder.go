@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 )
@@ -22,12 +21,14 @@ import (
 //     API boundary. The helper summaries are a whole-program fact, so an
 //     obligation created in internal/store and leaked through a wrapper
 //     in another package is still caught.
-//  3. every journal reset — File.Truncate(0) — must be preceded, on every
-//     path through the same function, by a File.Sync: the records a reset
-//     drops are safe to lose only once the checkpoint that absorbed them
-//     is durable. A steady-state checkpoint overwrites a snapshot slot in
-//     place and has no Rename for rule 1 to anchor on; this rule orders
-//     its slot fsync before the reset instead.
+//  3. every journal rewind — a call of a rewind method on a Journal —
+//     must be preceded, on every path through the same function, by a
+//     File.Sync: the records the next cycle overwrites are safe to lose
+//     only once the checkpoint that absorbed them is durable. A
+//     steady-state checkpoint overwrites a snapshot slot in place and has
+//     no Rename for rule 1 to anchor on; this rule orders its slot fsync
+//     before the rewind instead. A slot's own Seek is not a rewind: the
+//     slot is the one recovery does not need.
 //
 // "FS-like" is duck-typed: any interface that offers both the mutating
 // method and SyncDir. Methods on types that themselves implement such an
@@ -37,12 +38,13 @@ var FsyncOrder = &Analyzer{
 	Name: "fsyncorder",
 	Doc: "flag FS namespace changes (Create/OpenAppend/Rename/Remove) not " +
 		"bracketed by File.Sync and SyncDir on the success path, and " +
-		"journal resets (File.Truncate(0)) not preceded by a File.Sync on every path",
+		"journal rewinds (Journal.rewind) not preceded by a File.Sync on every path",
 	Run: runFsyncOrder,
 }
 
-// fsMutators are the FS methods that change the directory namespace.
-// Truncate is excluded: the FS contract makes it durable on return.
+// fsMutators are the FS methods that change the directory namespace:
+// each may create the file it opens. Truncate is excluded: the FS
+// contract makes it durable on return.
 var fsMutators = map[string]bool{"Create": true, "OpenAppend": true, "Rename": true, "Remove": true}
 
 // fsLikeCall classifies x.M(...) where x's static type is an interface
@@ -65,20 +67,16 @@ func isFileSyncCall(info *types.Info, call *ast.CallExpr) bool {
 	return isMethod && name == "Sync" && len(call.Args) == 0
 }
 
-// isJournalReset reports x.Truncate(0) where x's static type is a
-// File-like interface: one offering Truncate and Sync but not SyncDir
-// (FS.Truncate names a file and is durable on return).
-func isJournalReset(info *types.Info, call *ast.CallExpr) bool {
+// isJournalRewind reports x.rewind() where x's type is (a pointer to) a
+// named type Journal: the store's journal moving its write offset back
+// over records an earlier checkpoint absorbed.
+func isJournalRewind(info *types.Info, call *ast.CallExpr) bool {
 	recv, name, ok := methodCall(info, call)
-	if !ok || name != "Truncate" || len(call.Args) != 1 {
+	if !ok || name != "rewind" {
 		return false
 	}
-	iface := ifaceOf(info.TypeOf(recv))
-	if iface == nil || !ifaceHasMethod(iface, "Sync") || ifaceHasMethod(iface, "SyncDir") {
-		return false
-	}
-	tv, ok := info.Types[call.Args[0]]
-	return ok && tv.Value != nil && constant.Sign(tv.Value) == 0
+	n := namedOf(info.TypeOf(recv))
+	return n != nil && n.Obj().Name() == "Journal"
 }
 
 // syncedOnEveryPath reports whether every path from the function's
@@ -258,12 +256,12 @@ func runFsyncOrder(pass *Pass) error {
 			}
 			return true
 		})
-		// Rule 3: a journal reset only after a File.Sync on every path.
+		// Rule 3: a journal rewind only after a File.Sync on every path.
 		var ff *funcFlow
 		var syncs []ast.Node
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !isJournalReset(pass.Info, call) {
+			if !ok || !isJournalRewind(pass.Info, call) {
 				return true
 			}
 			if ff == nil {
@@ -275,7 +273,7 @@ func runFsyncOrder(pass *Pass) error {
 			}
 			if !syncedOnEveryPath(ff, call, syncs) {
 				pass.Reportf(call.Pos(),
-					"journal reset (File.Truncate(0)) without a File.Sync before it on every path in this function: the records it drops may not yet be covered by a durable checkpoint")
+					"journal rewind without a File.Sync before it on every path in this function: the records the next cycle overwrites may not yet be covered by a durable checkpoint")
 			}
 			return true
 		})

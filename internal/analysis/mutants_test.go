@@ -43,7 +43,7 @@ var mutants = []mutant{
 		"\t\tif store.Classify(batchErr) == store.ClassPermanent {\n\t\t\tbreak // resurrection cannot cure a permanent cause\n\t\t}\n",
 		"",
 	},
-	{ // rotate resets the journal with no slot fsync before it
+	{ // rotate rewinds the journal with no slot fsync before it
 		"fsyncorder", "internal/store/session.go",
 		"\tif err := sl.f.Sync(); err != nil {\n\t\treturn fmt.Errorf(\"store: snapshot sync: %w\", err)\n\t}\n",
 		"",

@@ -1,18 +1,24 @@
 package bad
 
-// ResetFirst resets the journal before the checkpoint is durable.
-func ResetFirst(slot, journal File, img []byte) error {
+// Journal mirrors store.Journal: rewind moves its write offset back to 0
+// over records an earlier checkpoint absorbed.
+type Journal struct{ f File }
+
+func (j *Journal) rewind() error { return nil }
+
+// RewindFirst rewinds the journal before the checkpoint is durable.
+func RewindFirst(slot File, journal *Journal, img []byte) error {
 	if _, err := slot.Write(img); err != nil {
 		return err
 	}
-	if err := journal.Truncate(0); err != nil { // want `journal reset \(File\.Truncate\(0\)\) without a File\.Sync`
+	if err := journal.rewind(); err != nil { // want `journal rewind without a File\.Sync`
 		return err
 	}
 	return slot.Sync()
 }
 
-// ResetUnsyncedBranch syncs the slot on one path only.
-func ResetUnsyncedBranch(slot, journal File, img []byte, durable bool) error {
+// RewindUnsyncedBranch syncs the slot on one path only.
+func RewindUnsyncedBranch(slot File, journal *Journal, img []byte, durable bool) error {
 	if _, err := slot.Write(img); err != nil {
 		return err
 	}
@@ -21,5 +27,5 @@ func ResetUnsyncedBranch(slot, journal File, img []byte, durable bool) error {
 			return err
 		}
 	}
-	return journal.Truncate(0) // want `journal reset \(File\.Truncate\(0\)\) without a File\.Sync`
+	return journal.rewind() // want `journal rewind without a File\.Sync`
 }

@@ -7,6 +7,7 @@ package ok
 // File mirrors store.File.
 type File interface {
 	Write(p []byte) (int, error)
+	Seek(offset int64, whence int) (int64, error)
 	Truncate(size int64) error
 	Sync() error
 	Close() error

@@ -1,9 +1,21 @@
 package ok
 
-// Checkpoint is the in-place checkpoint shape: overwrite the slot, cut
-// it to length (a Truncate that is not a reset), fsync it, and only then
-// reset the journal.
-func Checkpoint(slot, journal File, img []byte) error {
+// Journal mirrors store.Journal: rewind moves its write offset back to 0
+// over records an earlier checkpoint absorbed.
+type Journal struct{ f File }
+
+func (j *Journal) rewind() error {
+	_, err := j.f.Seek(0, 0)
+	return err
+}
+
+// Checkpoint is the in-place checkpoint shape: rewind the slot (a Seek
+// that is not a journal rewind), overwrite it, cut it to length, fsync
+// it, and only then rewind the journal.
+func Checkpoint(slot File, journal *Journal, img []byte) error {
+	if _, err := slot.Seek(0, 0); err != nil {
+		return err
+	}
 	if _, err := slot.Write(img); err != nil {
 		return err
 	}
@@ -13,11 +25,11 @@ func Checkpoint(slot, journal File, img []byte) error {
 	if err := slot.Sync(); err != nil {
 		return err
 	}
-	return journal.Truncate(0)
+	return journal.rewind()
 }
 
-// CheckpointBranching syncs on both branches before the shared reset.
-func CheckpointBranching(slot, journal File, img []byte, fresh bool) error {
+// CheckpointBranching syncs on both branches before the shared rewind.
+func CheckpointBranching(slot File, journal *Journal, img []byte, fresh bool) error {
 	if fresh {
 		if _, err := slot.Write(img); err != nil {
 			return err
@@ -28,5 +40,5 @@ func CheckpointBranching(slot, journal File, img []byte, fresh bool) error {
 	} else if err := slot.Sync(); err != nil {
 		return err
 	}
-	return journal.Truncate(0)
+	return journal.rewind()
 }

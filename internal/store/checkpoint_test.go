@@ -210,7 +210,9 @@ func TestTornSlotOverwrite(t *testing.T) {
 // default cadence, writes a CCSNAP2 image over the other slot; the
 // power is cut after every byte of that write. Each cut must recover
 // every acknowledged op from the v1 floor, and a checkpoint that
-// completes must recover from the v2 slot.
+// completes must recover from the v2 slot. Opening the slot with Create
+// cuts it in place, so a cut that kept part of the image leaves a
+// damaged non-floor slot, and the journal, not yet rewound, bridges it.
 func TestUpgradeFromV1Slots(t *testing.T) {
 	const floorSeq, journaled = 8, 3
 	const acked = floorSeq + 64
@@ -236,8 +238,9 @@ func TestUpgradeFromV1Slots(t *testing.T) {
 	}
 	// cut recovers the older store, applies ops up to the first
 	// checkpoint with the nth slot write torn after keep bytes (no tear
-	// when n is 0), cuts the power and recovers.
-	cut := func(n, keep int) (*RecoveryReport, []byte) {
+	// when n is 0), cuts the power and recovers. It also reports whether
+	// the power cut left a damaged slot beside the floor.
+	cut := func(n, keep int) (*RecoveryReport, []byte, bool) {
 		mem := NewMemFS()
 		for name, b := range files {
 			memWrite(t, mem, name, string(b))
@@ -260,17 +263,35 @@ func TestUpgradeFromV1Slots(t *testing.T) {
 			t.Fatal(err)
 		}
 		mem.Crash()
+		slots, err := readSlots(mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, damaged, _ := chooseFloor(slots)
 		_, rep, _ = recoverWant(t, mem, pair, acked)
-		return rep, img
+		return rep, img, damaged
 	}
-	rep, img := cut(0, 0)
+	rep, img, _ := cut(0, 0)
 	if !bytes.HasPrefix(img, snapMagic) || rep.SnapshotSeq != acked {
 		t.Fatalf("completed checkpoint: recovered from snapshot seq %d, want the CCSNAP2 slot at %d", rep.SnapshotSeq, acked)
 	}
+	damagedCuts := 0
 	for keep := 0; keep <= len(img); keep++ {
-		if rep, _ := cut(1, keep); rep.SnapshotSeq != floorSeq {
-			t.Fatalf("keep=%d: recovered from snapshot seq %d, want the CCSNAP1 floor at %d", keep, rep.SnapshotSeq, floorSeq)
+		// A tear that kept the whole image left a complete, synced slot.
+		want := uint64(floorSeq)
+		if keep == len(img) {
+			want = acked
 		}
+		rep, _, damaged := cut(1, keep)
+		if rep.SnapshotSeq != want {
+			t.Fatalf("keep=%d: recovered from snapshot seq %d, want %d", keep, rep.SnapshotSeq, want)
+		}
+		if damaged {
+			damagedCuts++
+		}
+	}
+	if damagedCuts == 0 {
+		t.Fatal("no cut left a damaged slot beside the floor; the no-rollback rule went untested")
 	}
 }
 
@@ -313,13 +334,13 @@ func TestSlotSyncFailure(t *testing.T) {
 	})
 }
 
-// TestCrashBetweenSlotSyncAndJournalReset fails the journal reset right
-// after the first checkpoint's slot is durable — the on-disk state of a
-// crash between the two. The session degrades but stays healthy, and
-// recovery skips the records the slot absorbed.
+// TestCrashBetweenSlotSyncAndJournalReset fails the journal rewind right
+// after the first checkpoint's slot is durable. The session degrades but
+// stays healthy and keeps appending after the records the slot
+// absorbed, and recovery skips them.
 func TestCrashBetweenSlotSyncAndJournalReset(t *testing.T) {
 	mem := NewMemFS()
-	ffs := NewFaultFS(mem, FaultPlan{Match: journalOnly, FailTruncateAt: 1})
+	ffs := NewFaultFS(mem, FaultPlan{Match: journalOnly, FailSeekAt: 1})
 	pair, db, syms := edmFixture()
 	st, err := Create(ffs, pair, db, syms, Options{SnapshotEvery: 4})
 	if err != nil {
@@ -327,10 +348,10 @@ func TestCrashBetweenSlotSyncAndJournalReset(t *testing.T) {
 	}
 	applyRange(t, st, ops50(syms), 0, 4)
 	if !errors.Is(st.SnapshotErr(), ErrInjected) || st.Broken() != nil {
-		t.Fatalf("SnapshotErr=%v Broken=%v, want the injected reset fault on a healthy session", st.SnapshotErr(), st.Broken())
+		t.Fatalf("SnapshotErr=%v Broken=%v, want the injected rewind fault on a healthy session", st.SnapshotErr(), st.Broken())
 	}
 	if n := len(ScanJournal(mustBytes(t, mem, JournalFile)).Records); n != 4 {
-		t.Fatalf("journal holds %d records, want the 4 the failed reset kept", n)
+		t.Fatalf("journal holds %d records, want the 4 the failed rewind kept", n)
 	}
 	mem.Crash()
 	rec, rep, syms2 := recoverWant(t, mem, pair, 4)
@@ -343,9 +364,10 @@ func TestCrashBetweenSlotSyncAndJournalReset(t *testing.T) {
 }
 
 // TestCrashAfterUnsyncedJournalReset cuts the power right after a
-// checkpoint, before any later batch syncs the journal reset — at the
-// first checkpoint and in steady state. The reset reverts, and recovery
-// skips every record it brings back.
+// checkpoint, before any later batch writes over the rewound journal —
+// at the first checkpoint and in steady state. The journal still
+// starts with the four records the checkpoint absorbed, and recovery
+// skips every record it holds.
 func TestCrashAfterUnsyncedJournalReset(t *testing.T) {
 	for _, n := range []int{4, 12} {
 		mem := NewMemFS()
@@ -355,25 +377,69 @@ func TestCrashAfterUnsyncedJournalReset(t *testing.T) {
 			t.Fatal(err)
 		}
 		applyRange(t, st, ops50(syms), 0, n)
-		if b := mustBytes(t, mem, JournalFile); len(b) != 0 {
-			t.Fatalf("n=%d: journal holds %d bytes after the checkpoint, want 0", n, len(b))
-		}
+		before := mustBytes(t, mem, JournalFile)
 		mem.Crash()
-		if recs := ScanJournal(mustBytes(t, mem, JournalFile)).Records; len(recs) != 4 {
-			t.Fatalf("n=%d: journal holds %d records after the crash, want the 4 the unsynced reset dropped", n, len(recs))
+		after := mustBytes(t, mem, JournalFile)
+		if !bytes.Equal(before, after) {
+			t.Fatalf("n=%d: the crash changed the journal; the rewind left unsynced bytes", n)
 		}
-		if _, rep, _ := recoverWant(t, mem, pair, n); rep.SnapshotSeq != uint64(n) || rep.Skipped != 4 || rep.Replayed != 0 {
-			t.Fatalf("n=%d: report %+v, want snapshot %d, 4 skipped, none replayed", n, rep, n)
+		recs := ScanJournal(after).Records
+		if len(recs) < 4 || recs[0].Seq != uint64(n-3) || recs[3].Seq != uint64(n) {
+			t.Fatalf("n=%d: journal starts with %d records, want seqs %d..%d first", n, len(recs), n-3, n)
+		}
+		if _, rep, _ := recoverWant(t, mem, pair, n); rep.SnapshotSeq != uint64(n) || rep.Skipped != len(recs) || rep.Replayed != 0 {
+			t.Fatalf("n=%d: report %+v, want snapshot %d, %d skipped, none replayed", n, rep, n, len(recs))
 		}
 	}
 }
 
 // TestDamagedNewestSlotIsDataLoss damages the newest slot of a store
-// whose journal was reset after it: the other slot is valid but older,
-// and recovering from it would silently drop the four ops the damaged
-// one absorbed. Recover must refuse and leave the store untouched
-// unless forced.
+// whose journal the next cycle has since overwritten: the other slot is
+// valid but older, and recovering from it would silently drop the four
+// ops the damaged one absorbed and the two written after it. Recover
+// must refuse and leave the store untouched unless forced.
 func TestDamagedNewestSlotIsDataLoss(t *testing.T) {
+	mem := NewMemFS()
+	pair, db, syms := edmFixture()
+	st, err := Create(mem, pair, db, syms, Options{SnapshotEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyRange(t, st, ops50(syms), 0, 10)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Corrupt(SnapshotFile, len(mustBytes(t, mem, SnapshotFile))/2); err != nil {
+		t.Fatal(err)
+	}
+	before := [3][]byte{mustBytes(t, mem, SnapshotFile), mustBytes(t, mem, SnapshotFile+".1"), mustBytes(t, mem, JournalFile)}
+	if _, _, err := Recover(mem, pair, value.NewSymbols(), Options{}); !errors.Is(err, ErrDataLoss) {
+		t.Fatalf("recover: %v, want ErrDataLoss", err)
+	}
+	after := [3][]byte{mustBytes(t, mem, SnapshotFile), mustBytes(t, mem, SnapshotFile+".1"), mustBytes(t, mem, JournalFile)}
+	for i := range before {
+		if !bytes.Equal(before[i], after[i]) {
+			t.Fatal("refused recovery changed the store")
+		}
+	}
+	syms2 := value.NewSymbols()
+	rec, rep, err := Recover(mem, pair, syms2, Options{ForceRecover: true})
+	if err != nil {
+		t.Fatalf("forced recover: %v", err)
+	}
+	if rep.SnapshotSeq != 4 || rep.Replayed != 0 {
+		t.Fatalf("forced recovery report %+v, want the older slot at seq 4", rep)
+	}
+	if got, want := render(rec.Database(), syms2), referenceAfter(t, 4); got != want {
+		t.Fatalf("forced recovery database:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestDamagedNewestSlotBridged damages the newest slot right after its
+// checkpoint, before any record overwrites the rewound journal: the
+// journal still holds the cycle the damaged slot absorbed, so it
+// continues the older slot and recovery loses no acknowledged op.
+func TestDamagedNewestSlotBridged(t *testing.T) {
 	mem := NewMemFS()
 	pair, db, syms := edmFixture()
 	st, err := Create(mem, pair, db, syms, Options{SnapshotEvery: 4})
@@ -387,25 +453,14 @@ func TestDamagedNewestSlotIsDataLoss(t *testing.T) {
 	if err := mem.Corrupt(SnapshotFile, len(mustBytes(t, mem, SnapshotFile))/2); err != nil {
 		t.Fatal(err)
 	}
-	before := [2][]byte{mustBytes(t, mem, SnapshotFile), mustBytes(t, mem, SnapshotFile+".1")}
-	if _, _, err := Recover(mem, pair, value.NewSymbols(), Options{}); !errors.Is(err, ErrDataLoss) {
-		t.Fatalf("recover: %v, want ErrDataLoss", err)
+	rec, rep, syms2 := recoverWant(t, mem, pair, 8)
+	if rep.SnapshotSeq != 4 || rep.Replayed != 4 {
+		t.Fatalf("report %+v, want the older slot at seq 4 and 4 records replayed", rep)
 	}
-	after := [2][]byte{mustBytes(t, mem, SnapshotFile), mustBytes(t, mem, SnapshotFile+".1")}
-	if !bytes.Equal(before[0], after[0]) || !bytes.Equal(before[1], after[1]) {
-		t.Fatal("refused recovery changed a slot")
-	}
-	syms2 := value.NewSymbols()
-	rec, rep, err := Recover(mem, pair, syms2, Options{ForceRecover: true})
-	if err != nil {
-		t.Fatalf("forced recover: %v", err)
-	}
-	if rep.SnapshotSeq != 4 || rep.Replayed != 0 {
-		t.Fatalf("forced recovery report %+v, want the older slot at seq 4", rep)
-	}
-	if got, want := render(rec.Database(), syms2), referenceAfter(t, 4); got != want {
-		t.Fatalf("forced recovery database:\n%s\nwant:\n%s", got, want)
-	}
+	// The recovered session overwrites the damaged slot in turn.
+	applyRange(t, rec, ops50(syms2), 8, 16)
+	mem.Crash()
+	recoverWant(t, mem, pair, 16)
 }
 
 // TestCreateOverTwoSlots runs Create over a store whose second slot
@@ -443,8 +498,9 @@ func TestCreateOverTwoSlots(t *testing.T) {
 }
 
 // TestMemFSInPlaceWrites pins the MemFS model for writes through a
-// rewound handle and for a handle's Truncate: both are visible at once
-// and revert on Crash until a Sync makes them durable.
+// rewound handle, for a handle's Truncate and for Create over an
+// existing file: each is visible at once and reverts on Crash until a
+// Sync makes it durable.
 func TestMemFSInPlaceWrites(t *testing.T) {
 	m := NewMemFS()
 	memWrite(t, m, "a", "hello world")
@@ -478,7 +534,8 @@ func TestMemFSInPlaceWrites(t *testing.T) {
 	if got := mustBytes(t, m, "a"); string(got) != "hello world" {
 		t.Fatalf("after crash %q, want the synced %q", got, "hello world")
 	}
-	// Synced, the same changes survive; an append handle ignores Seek.
+	// Synced, the same changes survive. OpenAppend writes from offset 0
+	// without cutting the file; Create cuts it in place.
 	w = &memWriteFile{fs: m, name: "a"}
 	step(w, write("HELLO"), "HELLO world")
 	step(w, truncate(5), "HELLO")
@@ -489,12 +546,22 @@ func TestMemFSInPlaceWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	step(a, seek(0), "HELLO")
-	step(a, write("!"), "HELLO!")
+	step(a, write("J"), "JELLO")
+	step(a, seek(5), "JELLO")
+	step(a, write("!"), "JELLO!")
 	step(a, truncate(0), "")
 	m.Crash()
 	if got := mustBytes(t, m, "a"); string(got) != "HELLO" {
 		t.Fatalf("after crash %q, want the synced %q", got, "HELLO")
+	}
+	c, err := m.Create("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	step(c, write("hi"), "hi")
+	m.Crash()
+	if got := mustBytes(t, m, "a"); string(got) != "HELLO" {
+		t.Fatalf("after an unsynced Create and crash %q, want the synced %q", got, "HELLO")
 	}
 	if _, err := w.Seek(-1, io.SeekStart); err == nil {
 		t.Fatal("seek to a negative offset succeeded")

@@ -31,9 +31,9 @@ type FaultPlan struct {
 	// file name, so Match does not apply); the namespace changes stay
 	// visible but not durable.
 	FailSyncDirAt int
-	// FailTruncateAt makes the nth matching File.Truncate fail with the
-	// file's size unchanged.
-	FailTruncateAt int
+	// FailSeekAt makes the nth matching File.Seek fail with the handle's
+	// offset unchanged.
+	FailSeekAt int
 }
 
 // FaultFS wraps an FS and injects the faults of a FaultPlan. It is the
@@ -41,17 +41,18 @@ type FaultPlan struct {
 // crash point, counting journal record writes. A torn write through a
 // handle that was rewound with Seek lands in place, as on a disk: on a
 // snapshot slot it leaves a prefix of the new image followed by the old
-// image's remaining bytes. Seek is passed through unfaulted.
+// image's remaining bytes, and on a recycled journal a prefix of the
+// batch followed by the previous cycle's bytes.
 type FaultFS struct {
 	inner FS
 	plan  FaultPlan
 
-	mu        sync.Mutex
-	writes    int
-	syncs     int
-	syncDirs  int
-	truncates int
-	tripped   bool
+	mu       sync.Mutex
+	writes   int
+	syncs    int
+	syncDirs int
+	seeks    int
+	tripped  bool
 }
 
 // NewFaultFS wraps inner with the given plan.
@@ -191,15 +192,13 @@ func (f *faultFile) Sync() error {
 	return f.inner.Sync()
 }
 
-func (f *faultFile) Truncate(size int64) error {
-	if fs := f.fs; fs.matches(f.name) && fs.tick(&fs.truncates, fs.plan.FailTruncateAt) {
-		return ErrInjected
-	}
-	return f.inner.Truncate(size)
-}
-
 func (f *faultFile) Seek(offset int64, whence int) (int64, error) {
+	if fs := f.fs; fs.matches(f.name) && fs.tick(&fs.seeks, fs.plan.FailSeekAt) {
+		return 0, ErrInjected
+	}
 	return f.inner.Seek(offset, whence)
 }
+
+func (f *faultFile) Truncate(size int64) error  { return f.inner.Truncate(size) }
 func (f *faultFile) Read(p []byte) (int, error) { return f.inner.Read(p) }
 func (f *faultFile) Close() error               { return f.inner.Close() }

@@ -33,13 +33,13 @@ import (
 )
 
 // File is the slice of *os.File the store needs: reads, writes at the
-// handle's offset (always at the end for a handle from OpenAppend),
-// Seek, Truncate and fsync. A checkpoint rewinds a snapshot slot with
-// Seek, overwrites it in place and cuts it to the new image's length
-// with Truncate; the journal is reset with Truncate(0). Like written
-// bytes, a size change made through a handle is durable only once Sync
-// returns. As io.Writer requires, Write must not retain its buffer: the
-// store reuses one group-commit buffer across batches.
+// handle's offset, Seek, Truncate and fsync. A checkpoint rewinds a
+// snapshot slot with Seek, overwrites it in place and cuts it to the new
+// image's length with Truncate; it rewinds the journal with Seek alone,
+// so the next cycle's records overwrite blocks the file already holds.
+// Like written bytes, a size change made through a handle is durable
+// only once Sync returns. As io.Writer requires, Write must not retain
+// its buffer: the store reuses one group-commit buffer across batches.
 type File interface {
 	io.Reader
 	io.Writer
@@ -64,9 +64,14 @@ type File interface {
 // Missing files surface as errors satisfying errors.Is(err,
 // io/fs.ErrNotExist).
 type FS interface {
-	// Create opens name for writing, truncating any existing content.
+	// Create opens name for writing at offset 0, truncating any existing
+	// content in place. Like a handle's Truncate, the cut is durable only
+	// once Sync returns on the handle.
 	Create(name string) (File, error)
-	// OpenAppend opens name for appending, creating it if absent.
+	// OpenAppend opens name for writing at offset 0, creating it if
+	// absent. It neither truncates the file nor appends: each Write lands
+	// at the handle's offset, which Seek moves, so the journal can be
+	// rewound and recycled in place. (The name predates recycling.)
 	OpenAppend(name string) (File, error)
 	// Open opens name for reading.
 	Open(name string) (File, error)
@@ -101,9 +106,10 @@ func (d *DirFS) path(name string) string { return filepath.Join(d.root, name) }
 // Create implements FS.
 func (d *DirFS) Create(name string) (File, error) { return os.Create(d.path(name)) }
 
-// OpenAppend implements FS.
+// OpenAppend implements FS: a positioned-write open, without O_APPEND
+// or O_TRUNC.
 func (d *DirFS) OpenAppend(name string) (File, error) {
-	return os.OpenFile(d.path(name), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o666)
+	return os.OpenFile(d.path(name), os.O_WRONLY|os.O_CREATE, 0o666)
 }
 
 // Open implements FS.

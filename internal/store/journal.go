@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 
 	"github.com/constcomp/constcomp/internal/core"
 	"github.com/constcomp/constcomp/internal/obs"
@@ -159,15 +161,27 @@ func ScanJournal(data []byte) JournalScan {
 	return s
 }
 
-// Journal is an append-only record writer. Each appendEncoded writes a
-// buffer of framed records in a single Write call and fsyncs before
-// returning: when it returns nil the records are durable. A checkpoint
-// empties it in place through f (Session.rotate).
+// Journal is the record writer. Each appendEncoded writes a buffer of
+// framed records at the handle's offset in a single Write call and
+// fsyncs before returning: when it returns nil the records are durable.
+// A checkpoint rewinds it to offset 0 (Session.rotate) without cutting
+// it, so the next cycle's records overwrite the blocks the file already
+// holds and its fsyncs commit no size change. Bytes past the live
+// records are an earlier cycle's; each record's seq, inside its
+// checksum, tells the two apart (see Recover).
 type Journal struct {
 	f File
 }
 
+// createJournal starts an empty journal at name under a new directory
+// entry, which the caller's SyncDir makes durable. A previous journal is
+// removed rather than cut in place: a cut is durable only after an fsync
+// of the file, and a record an older store left must not come back
+// under the fresh snapshot's seqs.
 func createJournal(fsys FS, name string) (*Journal, error) {
+	if err := fsys.Remove(name); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
 	f, err := fsys.Create(name)
 	if err != nil {
 		return nil, err
@@ -175,12 +189,26 @@ func createJournal(fsys FS, name string) (*Journal, error) {
 	return &Journal{f: f}, nil
 }
 
-func openJournalAppend(fsys FS, name string) (*Journal, error) {
+// openJournalAt opens the journal at name, creating it if absent, with
+// its write offset at off: the end of the live records Recover kept.
+func openJournalAt(fsys FS, name string, off int64) (*Journal, error) {
 	f, err := fsys.OpenAppend(name)
 	if err != nil {
 		return nil, err
 	}
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		f.Close()
+		return nil, err
+	}
 	return &Journal{f: f}, nil
+}
+
+// rewind moves the write offset back to 0, leaving the file's bytes and
+// size as they are. The records it lets the next cycle overwrite must
+// be covered by a durable checkpoint first (fsyncorder rule 3).
+func (j *Journal) rewind() error {
+	_, err := j.f.Seek(0, io.SeekStart)
+	return err
 }
 
 // appendEncoded makes a buffer of pre-framed records durable in one

@@ -10,16 +10,17 @@ import (
 // MemFS is an in-memory FS that models the durability boundary real
 // disks have, for file contents and directory metadata alike: a file's
 // bytes and size — appended, overwritten in place, or cut by a
-// handle's Truncate — are *unsynced* until Sync is called on a handle,
-// and namespace changes (create, rename, remove) are *unsynced* until
-// SyncDir. Crash simulates power loss by reverting every file to its
-// last synced content and the namespace to its last SyncDir'd state —
-// so a renamed-in snapshot or a freshly created journal vanishes on
-// Crash unless the store fsynced the directory, an unsynced journal
-// reset comes back, and a slot overwrite that was never synced reverts
-// to the old image, exactly as on a POSIX filesystem. Tests drive a
-// store against MemFS, kill it at an arbitrary point, call Crash, and
-// then recover from what a real disk would have retained.
+// handle's Truncate or by Create — are *unsynced* until Sync is called
+// on a handle, and namespace changes (create, rename, remove) are
+// *unsynced* until SyncDir. Crash simulates power loss by reverting
+// every file to its last synced content and the namespace to its last
+// SyncDir'd state — so a renamed-in snapshot or a freshly created
+// journal vanishes on Crash unless the store fsynced the directory,
+// unsynced records written over a recycled journal revert to the
+// previous cycle's bytes, and a slot overwrite that was never synced
+// reverts to the old image, exactly as on a POSIX filesystem. Tests
+// drive a store against MemFS, kill it at an arbitrary point, call
+// Crash, and then recover from what a real disk would have retained.
 type MemFS struct {
 	mu sync.Mutex
 	// files is the visible namespace (what Open and new writes see);
@@ -143,22 +144,28 @@ func (m *MemFS) Corrupt(name string, offset int) error {
 	return nil
 }
 
-// Create implements FS.
+// Create implements FS. An existing entry is cut in place, as O_TRUNC
+// cuts the same inode: the name keeps its binding, and the cut, like
+// any unsynced change to the content, reverts on Crash until a Sync.
 func (m *MemFS) Create(name string) (File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.files[name] = &memEntry{}
+	if e, ok := m.files[name]; ok {
+		e.truncate(0)
+	} else {
+		m.files[name] = &memEntry{}
+	}
 	return &memWriteFile{fs: m, name: name}, nil
 }
 
-// OpenAppend implements FS.
+// OpenAppend implements FS: the handle writes at its offset, from 0.
 func (m *MemFS) OpenAppend(name string) (File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.files[name]; !ok {
 		m.files[name] = &memEntry{}
 	}
-	return &memWriteFile{fs: m, name: name, append: true}, nil
+	return &memWriteFile{fs: m, name: name}, nil
 }
 
 // Open implements FS. The handle reads a copy of the content at open
@@ -233,13 +240,12 @@ func (m *MemFS) Truncate(name string, size int64) error {
 	return nil
 }
 
-// memWriteFile is a handle from Create (writes at its offset) or
-// OpenAppend (writes at the end, as O_APPEND does).
+// memWriteFile is a handle from Create or OpenAppend: it writes at its
+// offset, which Seek moves.
 type memWriteFile struct {
-	fs     *MemFS
-	name   string
-	off    int
-	append bool
+	fs   *MemFS
+	name string
+	off  int
 }
 
 // entry returns the handle's file; the caller holds fs.mu.
@@ -257,9 +263,6 @@ func (f *memWriteFile) Write(p []byte) (int, error) {
 	e, err := f.entry("write")
 	if err != nil {
 		return 0, err
-	}
-	if f.append {
-		f.off = len(e.data)
 	}
 	e.writeAt(f.off, p)
 	f.off += len(p)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 
 	"github.com/constcomp/constcomp/internal/core"
 	"github.com/constcomp/constcomp/internal/obs"
@@ -32,8 +31,9 @@ const (
 var ErrSessionBroken = errors.New("store: session broken (applied op not confirmed durable); restart and recover")
 
 // ErrDataLoss reports damage that recovering past would silently drop
-// acknowledged operations: corruption in the *middle* of the journal,
-// with intact-looking records past it, or a damaged snapshot slot when
+// acknowledged operations: a journal whose live records stop short of
+// an intact record that continues them (a seq at or above the next one
+// expected, past corruption or a gap), or a damaged snapshot slot when
 // the journal does not continue the other slot (the damaged one may
 // have been the newer checkpoint). Recover refuses and leaves the store
 // untouched unless Options.ForceRecover is set.
@@ -47,15 +47,15 @@ var ErrInvariant = errors.New("store: constant-complement invariant failed after
 // Options tunes a durable session.
 type Options struct {
 	// SnapshotEvery is the number of applied operations between
-	// snapshots; each snapshot resets the journal. Zero means 64.
+	// snapshots; each snapshot rewinds the journal. Zero means 64.
 	SnapshotEvery int
 	// ForceRecover lets Recover truncate mid-journal corruption even
-	// when intact-looking records survive past the damage, and recover
-	// from the older snapshot slot when the newer one is damaged and the
-	// journal does not continue the older — either way acknowledged
-	// operations may be lost. Without it such damage fails recovery with
-	// ErrDataLoss; a torn or corrupt tail with nothing readable after it
-	// never needs forcing.
+	// when records that continue the live ones survive past the damage,
+	// and recover from the older snapshot slot when the newer one is
+	// damaged and the journal does not continue the older — either way
+	// acknowledged operations may be lost. Without it such damage fails
+	// recovery with ErrDataLoss; a torn, corrupt or stale tail with no
+	// such record after it never needs forcing.
 	ForceRecover bool
 }
 
@@ -129,17 +129,20 @@ type RecoveryReport struct {
 	// replay floor.
 	SnapshotSeq uint64
 	// Replayed counts journal records applied on top of the snapshot;
-	// Skipped counts records the snapshot had already absorbed (left
-	// behind when a crash hit between a checkpoint and the journal
-	// reset becoming durable).
+	// Skipped counts leading records the snapshot had already absorbed
+	// (a checkpoint's rewind leaves them until the next cycle's records
+	// overwrite them).
 	Replayed int
 	Skipped  int
 	// TruncatedBytes is the length of the journal tail cut off, with
-	// Torn/Corrupt saying why: a partial record (crash mid-append) or a
-	// checksum/structure failure.
+	// Torn/Corrupt/Stale saying why: a partial record (crash
+	// mid-append), a checksum/structure failure or a gap in the seqs, or
+	// an intact record of an earlier cycle, below the live ones, in a
+	// journal the last checkpoint rewound.
 	TruncatedBytes int64
 	Torn           bool
 	Corrupt        bool
+	Stale          bool
 	// InvariantOK confirms the post-replay re-verification: the database
 	// is legal and the complement projection matches the snapshot's.
 	InvariantOK bool
@@ -149,8 +152,11 @@ func (r *RecoveryReport) String() string {
 	s := fmt.Sprintf("recovered at snapshot seq %d: %d replayed, %d skipped", r.SnapshotSeq, r.Replayed, r.Skipped)
 	if r.TruncatedBytes > 0 {
 		why := "corrupt"
-		if r.Torn {
+		switch {
+		case r.Torn:
 			why = "torn"
+		case r.Stale:
+			why = "stale"
 		}
 		s += fmt.Sprintf(", %d-byte %s tail truncated", r.TruncatedBytes, why)
 	}
@@ -161,11 +167,13 @@ func (r *RecoveryReport) String() string {
 }
 
 // Recover rebuilds the durable session from fsys: it loads the newest
-// valid snapshot slot, replays every journal record past it (truncating
-// a torn or corrupt tail first), and re-verifies the constant-complement
-// invariant on the result. Constants are interned into syms, which is
-// typically empty — the journal and snapshot carry names, not ids, so
-// recovery does not depend on the dead process's interning order.
+// valid snapshot slot, replays the journal's live records past it
+// (truncating the tail after them first), and re-verifies the
+// constant-complement invariant on the result. Constants are interned
+// into syms, which is typically empty — the journal and snapshot carry
+// names, not ids, so recovery does not depend on the dead process's
+// interning order. The returned session writes its next records after
+// the live ones, and its first checkpoint rewinds the journal.
 func Recover(fsys FS, pair *core.Pair, syms *value.Symbols, opts Options) (*Session, *RecoveryReport, error) {
 	m := smetrics.Load()
 	var t0 int64
@@ -191,43 +199,50 @@ func Recover(fsys FS, pair *core.Pair, syms *value.Symbols, opts Options) (*Sess
 	}
 	rep := &RecoveryReport{SnapshotSeq: snapSeq}
 
-	// Decode the good prefix, validating the sequence numbers: records
-	// at or below the snapshot seq are leftovers of an interrupted
-	// journal reset; past it they must run contiguously. A gap can only
-	// come from damage, so it truncates like a bad checksum.
+	// Decode the live prefix, validating the sequence numbers: leading
+	// records at or below the snapshot seq were absorbed by it and are
+	// left from before the checkpoint's rewind; past them the records
+	// must run contiguously. The prefix ends at the first frame that is
+	// not the next record: an intact record below it is an earlier
+	// cycle's (stale), and a gap can only come from damage, so it
+	// truncates like a bad checksum.
 	var recs []Record
 	next := snapSeq + 1
 	off, err := scanRecords(data, func(rec Record) error {
 		switch {
-		case rec.Seq <= snapSeq:
-			rep.Skipped++
-		case rec.Seq != next:
-			return ErrCorrupt
-		default:
+		case rec.Seq == next:
 			recs = append(recs, rec)
 			next++
+		case rec.Seq <= snapSeq && len(recs) == 0:
+			rep.Skipped++
+		case rec.Seq < next:
+			return errStale
+		default:
+			return ErrCorrupt
 		}
 		return nil
 	})
 	rep.Torn = errors.Is(err, ErrTorn)
 	rep.Corrupt = errors.Is(err, ErrCorrupt)
+	rep.Stale = errors.Is(err, errStale)
 	// No silent rollback: a damaged slot next to the floor is either a
 	// checkpoint torn mid-overwrite — the journal then still holds the
-	// floor's successor, since it is reset only after the slot is
-	// synced — or a newer checkpoint damaged later, whose absorbed ops
-	// the journal no longer holds. Only the first is safe to recover.
+	// floor's successor, since it is rewound only after the slot is
+	// synced — or a newer checkpoint damaged later. That one's absorbed
+	// ops survive only while the next cycle has not overwritten them;
+	// a journal that still starts at the floor's successor bridges it.
 	if damaged && len(recs) == 0 && !opts.ForceRecover {
 		return nil, rep, fmt.Errorf("store: recover: %s is damaged and the journal does not continue %s at seq %d: %w",
 			slotFiles[1-floor], slotFiles[floor], snapSeq+1, ErrDataLoss)
 	}
 	if int(off) < len(data) {
 		rep.TruncatedBytes = int64(len(data)) - off
-		// A torn tail is the expected residue of a crash mid-append and
-		// is always safe to cut. Corruption is only cut freely when
-		// nothing readable lies beyond it; if intact-looking records
-		// survive past the damage they are acknowledged operations, and
-		// silently dropping them needs an explicit ForceRecover.
-		if rep.Corrupt && !opts.ForceRecover && intactRecordIn(data[off:]) {
+		// Past the live prefix lie an earlier cycle's records, all below
+		// next, or the residue of a crash mid-write: both are safe to
+		// cut. A record at or above next past the damage is an
+		// acknowledged operation, and silently dropping it needs an
+		// explicit ForceRecover.
+		if !opts.ForceRecover && liveRecordIn(data[off:], next) {
 			return nil, rep, fmt.Errorf("store: recover: %w", ErrDataLoss)
 		}
 		if err := fsys.Truncate(JournalFile, off); err != nil {
@@ -256,7 +271,7 @@ func Recover(fsys FS, pair *core.Pair, syms *value.Symbols, opts Options) (*Sess
 		return nil, rep, fmt.Errorf("store: recover: %w", ErrInvariant)
 	}
 
-	j, err := openJournalAppend(fsys, JournalFile)
+	j, err := openJournalAt(fsys, JournalFile, off)
 	if err != nil {
 		return nil, rep, fmt.Errorf("store: recover: reopening journal: %w", err)
 	}
@@ -269,9 +284,9 @@ func Recover(fsys FS, pair *core.Pair, syms *value.Symbols, opts Options) (*Sess
 		j.Close()
 		return nil, rep, fmt.Errorf("store: recover: re-syncing replayed journal: %w", err)
 	}
-	// OpenAppend may have created the journal (a crash can lose the
-	// file while keeping the snapshot); make its directory entry
-	// durable before acknowledging any new op into it.
+	// The open may have created the journal (a crash can lose the file
+	// while keeping the snapshot); make its directory entry durable
+	// before acknowledging any new op into it.
 	if err := fsys.SyncDir(); err != nil {
 		j.Close()
 		return nil, rep, fmt.Errorf("store: recover: journal dir sync: %w", err)
@@ -295,13 +310,18 @@ func Recover(fsys FS, pair *core.Pair, syms *value.Symbols, opts Options) (*Sess
 	}, rep, nil
 }
 
-// intactRecordIn reports whether a complete, checksummed record can be
-// decoded starting at any byte offset of data (a damaged journal tail).
-// Framing is not self-synchronizing, so every offset is tried; tails
-// are bounded by the snapshot cadence, keeping this cheap.
-func intactRecordIn(data []byte) bool {
+// errStale ends the live prefix at an intact record below the next seq:
+// an earlier cycle's record in a journal the last checkpoint rewound.
+var errStale = errors.New("store: stale record")
+
+// liveRecordIn reports whether a complete, checksummed record with seq
+// at least next can be decoded starting at any byte offset of data (the
+// journal past its live prefix). Framing is not self-synchronizing, so
+// every offset is tried; a recycled journal holds about one snapshot
+// cycle of records, keeping this cheap.
+func liveRecordIn(data []byte, next uint64) bool {
 	for i := range data {
-		if _, _, err := DecodeRecord(data[i:]); err == nil {
+		if rec, _, err := DecodeRecord(data[i:]); err == nil && rec.Seq >= next {
 			return true
 		}
 	}
@@ -387,18 +407,19 @@ func (s *Session) ApplyCtx(ctx context.Context, op core.UpdateOp) (*core.Decisio
 }
 
 // rotate checkpoints the database into the slot that is not the
-// recovery floor and resets the journal, in strict durability order:
+// recovery floor and rewinds the journal, in strict durability order:
 // the slot is overwritten in place, cut to the image's length and
 // fsynced — and, the first time this session opened it, its directory
 // entry made durable — and only then becomes the floor and the journal
-// is truncated to empty. A steady-state checkpoint is thus one write
-// and one fsync, with no namespace change. The reset needs no fsync of
-// its own: the next batch's Sync makes it durable, and a crash before
-// that brings back only records at or below the new floor's seq, which
-// Recover skips. A slot failure leaves the floor and the journal as
-// they were, so the old floor plus the full journal still reconstruct
-// everything, and the next checkpoint retries the same slot; a crash
-// mid-overwrite damages only the slot recovery does not need.
+// is rewound to offset 0. A steady-state checkpoint is thus one write
+// and one fsync, with no namespace change. The rewind changes nothing
+// on disk: the next cycle's records overwrite the absorbed ones, all at
+// or below the new floor's seq, which Recover skips or treats as the
+// end of the live log. A slot failure leaves the floor and the journal
+// as they were, so the old floor plus the full journal still
+// reconstruct everything, and the next checkpoint retries the same
+// slot; a crash mid-overwrite damages only the slot recovery does not
+// need.
 //
 // The checkpoint encodes the session's live database in place rather
 // than a clone: rotate runs on the session's only caller (the
@@ -433,15 +454,10 @@ func (s *Session) rotate() error {
 		m.snapshots.Inc()
 		m.snapshotNs.ObserveDuration(obs.SinceNS(t0))
 	}
-	if err := s.j.f.Truncate(0); err != nil {
-		// The journal keeps its records; those the new floor absorbed
-		// are skipped on recovery, so the session stays sound.
-		return fmt.Errorf("store: journal reset: %w", err)
-	}
-	if _, err := s.j.f.Seek(0, io.SeekStart); err != nil {
-		// The handle would write past a hole in the emptied journal.
-		s.broken = err
-		return err
+	if err := s.j.rewind(); err != nil {
+		// The handle keeps appending after the records the new floor
+		// absorbed; Recover skips them, so the session stays sound.
+		return fmt.Errorf("store: journal rewind: %w", err)
 	}
 	return nil
 }
