@@ -78,7 +78,8 @@ bench:
 # BenchmarkApplyDeltaVsFull*, BenchmarkNetServe*,
 # BenchmarkMaintainedRemove*, BenchmarkMaintainedImpose*,
 # BenchmarkStoreSnapshot*, BenchmarkStoreJournalAppend,
-# BenchmarkStoreRecoverReplay or BenchmarkStoreCheckpoint/fs=mem grew
+# BenchmarkStoreRecoverReplay, BenchmarkStoreScanJournal or
+# BenchmarkStoreCheckpoint/fs=mem grew
 # >30% in ns/op, or in allocs/op where the baseline records them,
 # against the committed baseline (StoreCheckpoint/fs=dir runs too but
 # is fsync-bound and not gated). A gated row that reads below half its
@@ -88,8 +89,8 @@ bench:
 # uploads it as an artifact). A missing baseline makes the comparison
 # advisory-only (exit 0).
 bench-compare:
-	$(GO) test -bench='^Benchmark(Rel|Pipeline|ViewPublish|E5InsertDelta|E5InsertExact|A1ChaseImpl|A5ImposeStrategy|ApplyDeltaVsFull|NetServe|MaintainedRemove|MaintainedImpose|StoreSnapshot|StoreJournalAppend|StoreRecoverReplay|StoreCheckpoint)' -benchmem -count=3 . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH.fresh.json
-	$(GO) run ./cmd/benchjson -compare BENCH.json -filter '^Benchmark(Rel|Pipeline|ViewPublish|E5InsertDelta|E5InsertExact|A1ChaseImpl|A5ImposeStrategy|ApplyDeltaVsFull|NetServe|MaintainedRemove|MaintainedImpose|StoreSnapshot|StoreJournalAppend|StoreRecoverReplay|StoreCheckpoint/fs=mem$$)' BENCH.fresh.json
+	$(GO) test -bench='^Benchmark(Rel|Pipeline|ViewPublish|E5InsertDelta|E5InsertExact|A1ChaseImpl|A5ImposeStrategy|ApplyDeltaVsFull|NetServe|MaintainedRemove|MaintainedImpose|StoreSnapshot|StoreJournalAppend|StoreRecoverReplay|StoreScanJournal|StoreCheckpoint)' -benchmem -count=3 . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH.fresh.json
+	$(GO) run ./cmd/benchjson -compare BENCH.json -filter '^Benchmark(Rel|Pipeline|ViewPublish|E5InsertDelta|E5InsertExact|A1ChaseImpl|A5ImposeStrategy|ApplyDeltaVsFull|NetServe|MaintainedRemove|MaintainedImpose|StoreSnapshot|StoreJournalAppend|StoreRecoverReplay|StoreScanJournal|StoreCheckpoint/fs=mem$$)' BENCH.fresh.json
 
 # Chaos smoke: five canonical per-kind fault schedules plus a fixed-seed
 # sweep through the self-healing pipeline (internal/chaos). Exits
@@ -195,6 +196,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzJournal$$' -fuzztime=5s -run '^$$' ./internal/store
 	$(GO) test -fuzz='^FuzzSnapshot$$' -fuzztime=5s -run '^$$' ./internal/store
 	$(GO) test -fuzz='^FuzzRecoverTail$$' -fuzztime=5s -run '^$$' ./internal/store
+	$(GO) test -fuzz='^FuzzOneLayout$$' -fuzztime=5s -run '^$$' ./internal/store
 	$(GO) test -fuzz='^FuzzOpFrame$$' -fuzztime=5s -run '^$$' ./internal/netserve
 	$(GO) test -fuzz='^FuzzResultFrame$$' -fuzztime=5s -run '^$$' ./internal/netserve
 	$(GO) test -fuzz='^FuzzCloneCOW$$' -fuzztime=5s -run '^$$' ./internal/relation

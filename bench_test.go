@@ -515,25 +515,33 @@ func BenchmarkA4DependencyBasis(b *testing.B) {
 	})
 }
 
+// BenchmarkA5ImposeStrategy compares the two imposition engines on the
+// full-path insert decide. The top-level rows decide on insertFixture,
+// whose decide imposes nothing (one chase call); the impose/* rows
+// decide on imposeFixture at V=128, where Theorem 3's condition (c)
+// imposes candidate equalities (a warm-up checks ChaseCalls > 1).
 func BenchmarkA5ImposeStrategy(b *testing.B) {
 	p, v, t := insertFixture(256)
-	b.Run("incremental", func(b *testing.B) {
-		p.SetImposeStrategy(core.ImposeIncremental)
+	run := func(b *testing.B, p *core.Pair, v *relation.Relation, t relation.Tuple, s core.ImposeStrategy, impose bool) {
+		p.SetImposeStrategy(s)
+		defer p.SetImposeStrategy(core.ImposeIncremental)
+		if d, err := p.DecideInsert(v, t); err != nil || !d.Translatable || impose && d.ChaseCalls <= 1 {
+			b.Fatalf("warm-up decide: %+v, %v", d, err)
+		}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if d, err := p.DecideInsert(v, t); err != nil || !d.Translatable {
 				b.Fatal("unexpected verdict")
 			}
 		}
-	})
-	b.Run("rebuild", func(b *testing.B) {
-		p.SetImposeStrategy(core.ImposeRebuild)
-		for i := 0; i < b.N; i++ {
-			if d, err := p.DecideInsert(v, t); err != nil || !d.Translatable {
-				b.Fatal("unexpected verdict")
-			}
-		}
-	})
-	p.SetImposeStrategy(core.ImposeIncremental)
+	}
+	b.Run("incremental", func(b *testing.B) { run(b, p, v, t, core.ImposeIncremental, false) })
+	b.Run("rebuild", func(b *testing.B) { run(b, p, v, t, core.ImposeRebuild, false) })
+	ip, db, name := imposeFixture(16, 8)
+	iv := db.Project(ip.ViewAttrs())
+	it := relation.Tuple{name("a", 0), name("fresh", 0), name("c", 0)}
+	b.Run("impose/incremental", func(b *testing.B) { run(b, ip, iv, it, core.ImposeIncremental, true) })
+	b.Run("impose/rebuild", func(b *testing.B) { run(b, ip, iv, it, core.ImposeRebuild, true) })
 }
 
 func BenchmarkA3Join(b *testing.B) {
@@ -727,33 +735,41 @@ func BenchmarkMaintainedRemoveWideGroup(b *testing.B) {
 	}
 }
 
-// BenchmarkMaintainedImposeDecide measures a Session's incremental
-// insert decide where condition (c) imposes candidate equalities on the
-// maintained padding through Maintained.WithEqualities, the path every
-// other decide row skips (their candidates need no imposition). U =
-// ABCDE, Σ = {C→D, C→E, AD→E}, view ABC, complement CDE. The instance
-// puts each of k A values in each of g C groups, so an insert of
-// (a, fresh b, c0) has an AD→E candidate in each group. In each of the
-// g−1 other groups, imposing its D class equal to c0's makes the rows
-// sharing an A value across the two groups equate their E classes, so
-// every candidate chase succeeds. The decide thus makes g−1 non-trivial
-// impositions, each revisiting the 2k rows of two groups. Each iteration decides a distinct op
-// (fresh B), so the decision cache never hits.
-func BenchmarkMaintainedImposeDecide(b *testing.B) {
+// imposeFixture is a schema whose insert decide imposes: U = ABCDE,
+// Σ = {C→D, C→E, AD→E}, view ABC, complement CDE. The instance puts
+// each of k A values in each of g C groups, so an insert of (a, fresh
+// b, c0) has an AD→E candidate in each group. In each of the g−1 other
+// groups, imposing its D class equal to c0's makes the rows sharing an
+// A value across the two groups equate their E classes, so every
+// candidate chase succeeds. The decide thus makes g−1 non-trivial
+// impositions, each revisiting the 2k rows of two groups. name interns
+// attr+i in the fixture's symbol table.
+func imposeFixture(k, g int) (*core.Pair, *relation.Relation, func(attr string, i int) value.Value) {
 	u := attr.MustUniverse("A", "B", "C", "D", "E")
 	s := core.MustSchema(u, dep.MustParseSet(u, "C -> D\nC -> E\nA D -> E"))
 	pair := core.MustPair(s, u.MustSet("A", "B", "C"), u.MustSet("C", "D", "E"))
+	syms := value.NewSymbols()
+	name := func(attr string, i int) value.Value { return syms.Const(fmt.Sprintf("%s%d", attr, i)) }
+	db := relation.New(u.All())
+	for a := 0; a < k; a++ {
+		for c := 0; c < g; c++ {
+			db.Insert(relation.Tuple{name("a", a), name("b", a*g+c), name("c", c), name("d", c), name("e", c)})
+		}
+	}
+	return pair, db, name
+}
+
+// BenchmarkMaintainedImposeDecide measures a Session's incremental
+// insert decide where condition (c) imposes candidate equalities on the
+// maintained padding through Maintained.WithEqualities, the path every
+// other decide row skips (their candidates need no imposition), on
+// imposeFixture. Each iteration decides a distinct op (fresh B), so the
+// decision cache never hits.
+func BenchmarkMaintainedImposeDecide(b *testing.B) {
 	for _, g := range []int{8, 32} {
 		const k = 16
 		b.Run(fmt.Sprintf("V=%d", k*g), func(b *testing.B) {
-			syms := value.NewSymbols()
-			name := func(attr string, i int) value.Value { return syms.Const(fmt.Sprintf("%s%d", attr, i)) }
-			db := relation.New(u.All())
-			for a := 0; a < k; a++ {
-				for c := 0; c < g; c++ {
-					db.Insert(relation.Tuple{name("a", a), name("b", a*g+c), name("c", c), name("d", c), name("e", c)})
-				}
-			}
+			pair, db, name := imposeFixture(k, g)
 			sess, err := core.NewSession(pair, db)
 			if err != nil {
 				b.Fatal(err)
@@ -891,20 +907,27 @@ func BenchmarkStoreRecoverReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreScanJournal isolates the record decoder: checksum
-// verification plus payload parsing over a 1000-record image.
+// BenchmarkStoreScanJournal isolates the record decoder as Recover runs
+// it before replay: checksum verification plus a structure check of
+// each op payload, interning nothing, over a 1000-record image.
 func BenchmarkStoreScanJournal(b *testing.B) {
+	syms := value.NewSymbols()
+	dept := syms.Const("dept0")
 	var img []byte
 	for i := 0; i < 1000; i++ {
-		img = append(img, store.EncodeRecord(uint64(i+1), core.UpdateInsert,
-			[]string{fmt.Sprintf("emp%d", i), "dept0"}, nil)...)
+		rec, err := store.EncodeOp(uint64(i+1), core.Insert(relation.Tuple{syms.Const(fmt.Sprintf("emp%d", i)), dept}), syms)
+		if err != nil {
+			b.Fatal(err)
+		}
+		img = append(img, rec...)
 	}
 	b.SetBytes(int64(len(img)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scan := store.ScanJournal(img)
-		if len(scan.Records) != 1000 || scan.Torn || scan.Corrupt {
+		n := 0
+		good, err := store.ScanJournal(img, func(uint64, []byte) error { n++; return nil })
+		if n != 1000 || err != nil || good != int64(len(img)) {
 			b.Fatal("bad scan")
 		}
 	}

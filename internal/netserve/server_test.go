@@ -3,11 +3,13 @@ package netserve
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -594,5 +596,50 @@ func TestServerRequestLimits(t *testing.T) {
 		[]WireOp{{Kind: KindInsert, Tuple: []string{"only-one-field"}}})
 	if wresp.StatusCode != http.StatusBadRequest {
 		t.Errorf("wrong tuple width: status %d, want 400", wresp.StatusCode)
+	}
+}
+
+// TestServerBadFrameInternsNothing: a frame the op reader refuses gets
+// a 400 with the decode error and interns none of its names, even when
+// its Tuple is valid and only its With is truncated, over-long or of
+// the wrong width.
+func TestServerBadFrameInternsNothing(t *testing.T) {
+	_, ts, edm := newEDMServer(t, nil, Options{}, serve.Options{})
+	frame := func(kind core.UpdateKind, lists ...[]string) []byte {
+		payload := []byte{byte(kind)}
+		for _, l := range lists {
+			payload = store.AppendNames(payload, l)
+		}
+		return append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	}
+	truncated := frame(core.UpdateReplace, []string{"fresh-a", "dept0"}, []string{"fresh-a2", "dept1"})
+	truncated = truncated[:len(truncated)-2]
+	binary.LittleEndian.PutUint32(truncated, uint32(len(truncated)-4))
+	long := strings.Repeat("x", maxFieldBytes+1)
+	for _, c := range []struct {
+		body  []byte
+		fresh []string
+		want  string
+	}{
+		{truncated, []string{"fresh-a", "fresh-a2"}, "decode: unexpected EOF"},
+		{frame(core.UpdateReplace, []string{"fresh-b", "dept0"}, []string{"fresh-b", long}), []string{"fresh-b", long},
+			fmt.Sprintf("decode: netserve: field of %d bytes exceeds frame limit %d", maxFieldBytes+1, maxFieldBytes)},
+		{frame(core.UpdateInsert, []string{"fresh-c"}), []string{"fresh-c"},
+			`decode: tuple has 1 fields, view "ed" has 2 columns`},
+		{frame(core.UpdateReplace, []string{"fresh-d", "dept0"}, []string{"fresh-d", "dept1", "x"}), []string{"fresh-d"},
+			`decode: tuple has 3 fields, view "ed" has 2 columns`},
+	} {
+		resp := post(t, ts.URL+"/v1/views/ed/submit", ContentTypeFrame, "", c.body)
+		var eb errBody
+		err := json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || eb.Error != c.want {
+			t.Errorf("status %d, error %q (%v); want 400 with %q", resp.StatusCode, eb.Error, err, c.want)
+		}
+		for _, name := range c.fresh {
+			if _, ok := edm.Syms.Lookup(name); ok {
+				t.Errorf("refused frame interned %.20q", name)
+			}
+		}
 	}
 }

@@ -5,13 +5,18 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"github.com/constcomp/constcomp/internal/core"
+	"github.com/constcomp/constcomp/internal/relation"
+	"github.com/constcomp/constcomp/internal/value"
 )
 
-// FuzzOpFrame throws arbitrary bytes at the submit-path frame reader,
-// which parses untrusted network input: it must never panic, never
-// consume more bytes than the stream holds, and every op it accepts
-// must re-encode to exactly the bytes it was read from (the op framing
-// has one encoding per op).
+// FuzzOpFrame throws arbitrary bytes at the submit path's op reader,
+// which parses untrusted network input, against a two-column view: it
+// must never panic, never consume more bytes than the stream holds, and
+// every op it accepts must re-encode, through the interned tuple and
+// AppendOpFrame, to exactly the bytes it was read from (the op framing
+// has one encoding per op) and read back to the same op.
 func FuzzOpFrame(f *testing.F) {
 	var stream []byte
 	for _, op := range []WireOp{
@@ -27,18 +32,19 @@ func FuzzOpFrame(f *testing.F) {
 		stream = append(stream, frame...)
 	}
 	f.Add(stream)
-	f.Add(stream[:len(stream)-3])              // torn mid-frame
-	f.Add([]byte{0, 0, 0, 0})                  // zero-length frame
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 'i'}) // absurd declared length
-	f.Add([]byte{2, 0, 0, 0, 'x', 0})          // unknown kind
+	f.Add(stream[:len(stream)-3])            // torn mid-frame
+	f.Add([]byte{0, 0, 0, 0})                // zero-length frame
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0}) // absurd declared length
+	f.Add([]byte{2, 0, 0, 0, 'x', 0})        // unknown kind
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		vs := &viewState{name: "fuzz", syms: value.NewSymbols(), width: 2}
 		src := bytes.NewReader(data)
 		br := bufio.NewReader(src)
 		consumed := func() int { return len(data) - src.Len() - br.Buffered() }
 		prev := 0
 		for {
-			op, err := ReadOpFrame(br)
+			op, err := vs.readOp(br)
 			if err != nil {
 				return
 			}
@@ -46,20 +52,40 @@ func FuzzOpFrame(f *testing.F) {
 			if n > len(data) {
 				t.Fatalf("consumed %d bytes of a %d-byte stream", n, len(data))
 			}
-			enc, err := AppendOpFrame(nil, op)
+			wop := WireOp{Kind: wireKinds[op.Kind], Tuple: vs.names(op.Tuple), With: vs.names(op.With)}
+			enc, err := AppendOpFrame(nil, wop)
 			if err != nil {
-				t.Fatalf("accepted op %+v does not re-encode: %v", op, err)
+				t.Fatalf("accepted op %+v does not re-encode: %v", wop, err)
 			}
 			if !bytes.Equal(enc, data[prev:n]) {
-				t.Fatalf("op %+v re-encodes to %x, was read from %x", op, enc, data[prev:n])
+				t.Fatalf("op %+v re-encodes to %x, was read from %x", wop, enc, data[prev:n])
 			}
-			back, err := ReadOpFrame(bufio.NewReader(bytes.NewReader(enc)))
+			back, err := vs.readOp(bufio.NewReader(bytes.NewReader(enc)))
 			if err != nil || !reflect.DeepEqual(back, op) {
 				t.Fatalf("round trip changed op: %+v -> %+v (err %v)", op, back, err)
 			}
 			prev = n
 		}
 	})
+}
+
+// wireKinds names each update kind as a WireOp does.
+var wireKinds = map[core.UpdateKind]string{
+	core.UpdateInsert:  KindInsert,
+	core.UpdateDelete:  KindDelete,
+	core.UpdateReplace: KindReplace,
+}
+
+// names renders a tuple interned by the view's op reader.
+func (vs *viewState) names(t relation.Tuple) []string {
+	if t == nil {
+		return nil
+	}
+	out := make([]string, len(t))
+	for i, v := range t {
+		out[i] = vs.syms.Name(v)
+	}
+	return out
 }
 
 // FuzzResultFrame throws arbitrary bytes at the client-side result

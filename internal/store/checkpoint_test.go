@@ -350,8 +350,8 @@ func TestCrashBetweenSlotSyncAndJournalReset(t *testing.T) {
 	if !errors.Is(st.SnapshotErr(), ErrInjected) || st.Broken() != nil {
 		t.Fatalf("SnapshotErr=%v Broken=%v, want the injected rewind fault on a healthy session", st.SnapshotErr(), st.Broken())
 	}
-	if n := len(ScanJournal(mustBytes(t, mem, JournalFile)).Records); n != 4 {
-		t.Fatalf("journal holds %d records, want the 4 the failed rewind kept", n)
+	if seqs, _, _ := journalSeqs(mustBytes(t, mem, JournalFile)); len(seqs) != 4 {
+		t.Fatalf("journal holds %d records, want the 4 the failed rewind kept", len(seqs))
 	}
 	mem.Crash()
 	rec, rep, syms2 := recoverWant(t, mem, pair, 4)
@@ -383,12 +383,12 @@ func TestCrashAfterUnsyncedJournalReset(t *testing.T) {
 		if !bytes.Equal(before, after) {
 			t.Fatalf("n=%d: the crash changed the journal; the rewind left unsynced bytes", n)
 		}
-		recs := ScanJournal(after).Records
-		if len(recs) < 4 || recs[0].Seq != uint64(n-3) || recs[3].Seq != uint64(n) {
-			t.Fatalf("n=%d: journal starts with %d records, want seqs %d..%d first", n, len(recs), n-3, n)
+		seqs, _, _ := journalSeqs(after)
+		if len(seqs) < 4 || seqs[0] != uint64(n-3) || seqs[3] != uint64(n) {
+			t.Fatalf("n=%d: journal starts with %d records, want seqs %d..%d first", n, len(seqs), n-3, n)
 		}
-		if _, rep, _ := recoverWant(t, mem, pair, n); rep.SnapshotSeq != uint64(n) || rep.Skipped != len(recs) || rep.Replayed != 0 {
-			t.Fatalf("n=%d: report %+v, want snapshot %d, %d skipped, none replayed", n, rep, n, len(recs))
+		if _, rep, _ := recoverWant(t, mem, pair, n); rep.SnapshotSeq != uint64(n) || rep.Skipped != len(seqs) || rep.Replayed != 0 {
+			t.Fatalf("n=%d: report %+v, want snapshot %d, %d skipped, none replayed", n, rep, n, len(seqs))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"strings"
@@ -24,11 +25,47 @@ func namesOf(t relation.Tuple, syms *value.Symbols) []string {
 	return out
 }
 
+// encodeRecord frames one journal record straight from names: the
+// record layout written out field by field, the reference the cell
+// encoder is pinned to. with must be nil unless kind is UpdateReplace.
+func encodeRecord(seq uint64, kind core.UpdateKind, tuple, with []string) []byte {
+	rec := binary.AppendUvarint(openFrame(nil), seq)
+	rec = append(rec, byte(kind))
+	rec = AppendNames(rec, tuple)
+	if kind == core.UpdateReplace {
+		rec = AppendNames(rec, with)
+	}
+	return sealFrame(rec, 0)
+}
+
+// firstRecord splits the journal record at the front of data into its
+// seq and its length, as Recover's scan and liveRecordIn read it.
+func firstRecord(data []byte) (uint64, int, error) {
+	payload, n, err := splitFrame(data, maxRecordPayload)
+	if err != nil {
+		return 0, 0, err
+	}
+	seq, _, err := splitRecord(payload)
+	return seq, n, err
+}
+
+// journalSeqs scans a journal image with ScanJournal and returns the
+// seqs of its intact leading records, where they end, and why the scan
+// stopped.
+func journalSeqs(data []byte) ([]uint64, int64, error) {
+	var seqs []uint64
+	good, err := ScanJournal(data, func(seq uint64, _ []byte) error {
+		seqs = append(seqs, seq)
+		return nil
+	})
+	return seqs, good, err
+}
+
 // TestCellEncoderMatchesEncodeRecord pins the cell encoder to the
 // record format: random inserts, deletes and replaces over names that
 // are empty, multibyte, or long enough to need a multi-byte length
 // uvarint, appended onto a non-empty buffer, must leave the buffer's
-// prefix alone and append exactly EncodeRecord of the per-cell names.
+// prefix alone and append exactly encodeRecord of the per-cell names.
 func TestCellEncoderMatchesEncodeRecord(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	syms := value.NewSymbols()
@@ -64,7 +101,7 @@ func TestCellEncoderMatchesEncodeRecord(t *testing.T) {
 		if op.Kind == core.UpdateReplace {
 			with = namesOf(op.With, syms)
 		}
-		want := append(append([]byte(nil), prefix...), EncodeRecord(seq, op.Kind, namesOf(op.Tuple, syms), with)...)
+		want := append(append([]byte(nil), prefix...), encodeRecord(seq, op.Kind, namesOf(op.Tuple, syms), with)...)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("op %d (%v, seq %d):\n got %x\nwant %x", i, op.Kind, seq, got, want)
 		}
@@ -162,21 +199,16 @@ func TestGroupCommitBufferReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := ScanJournal(data)
-	if scan.Torn || scan.Corrupt || scan.GoodBytes != int64(len(data)) {
-		t.Fatalf("journal scan: torn=%v corrupt=%v good=%d of %d", scan.Torn, scan.Corrupt, scan.GoodBytes, len(data))
-	}
-	if len(scan.Records) != len(ops) {
-		t.Fatalf("%d records journaled, want %d", len(scan.Records), len(ops))
-	}
-	for i, rec := range scan.Records {
-		want, err := EncodeOp(uint64(i+1), ops[i], syms)
+	var want []byte
+	for i, op := range ops {
+		rec, err := EncodeOp(uint64(i+1), op, syms)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := EncodeRecord(rec.Seq, rec.Kind, rec.Tuple, rec.With); !bytes.Equal(got, want) {
-			t.Errorf("record %d: %+v, want the encoding of %v", i, rec, ops[i])
-		}
+		want = append(want, rec...)
+	}
+	if !bytes.Equal(data, want) {
+		t.Fatalf("journal holds\n%x\nwant the %d records' encodings\n%x", data, len(ops), want)
 	}
 }
 
@@ -221,10 +253,8 @@ func TestBatchUnencodableOpFlushesPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := ScanJournal(data)
-	if scan.Torn || scan.Corrupt || len(scan.Records) != k-1 {
-		t.Fatalf("journal holds %d records (torn=%v corrupt=%v), want the %d before the unencodable op",
-			len(scan.Records), scan.Torn, scan.Corrupt, k-1)
+	if seqs, _, err := journalSeqs(data); err != nil || len(seqs) != k-1 {
+		t.Fatalf("journal holds %d records (%v), want the %d before the unencodable op", len(seqs), err, k-1)
 	}
 	mem.Crash()
 	syms2 := value.NewSymbols()

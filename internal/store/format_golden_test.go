@@ -45,16 +45,30 @@ func TestGoldenFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tuple := func(names ...string) relation.Tuple {
+		t := make(relation.Tuple, len(names))
+		for i, n := range names {
+			t[i] = syms.Const(n)
+		}
+		return t
+	}
+	record := func(seq uint64, op core.UpdateOp) []byte {
+		rec, err := EncodeOp(seq, op, syms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
 	cases := []struct {
 		name string
 		got  []byte
 		want string
 	}{
-		{"journal insert", EncodeRecord(1, core.UpdateInsert, []string{"ann", "toys"}, nil),
+		{"journal insert", record(1, core.Insert(tuple("ann", "toys"))),
 			"0c000000a9644d0701000203616e6e04746f7973"},
-		{"journal delete", EncodeRecord(2, core.UpdateDelete, []string{"bob", "shoes"}, nil),
+		{"journal delete", record(2, core.Delete(tuple("bob", "shoes"))),
 			"0d0000000cf44d9802010203626f620573686f6573"},
-		{"journal replace", EncodeRecord(300, core.UpdateReplace, []string{"ann", "toys"}, []string{"ann", "shoes"}),
+		{"journal replace", record(300, core.Replace(tuple("ann", "toys"), tuple("ann", "shoes"))),
 			"180000000564b348ac02020203616e6e04746f79730203616e6e0573686f6573"},
 		{"snapshot", snap,
 			"4343534e4150320a1800000064fb7a14070201450144020003616e6e0004746f79730003626f6202"},

@@ -1,19 +1,24 @@
 package store
 
 import (
-	"reflect"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"github.com/constcomp/constcomp/internal/core"
+	"github.com/constcomp/constcomp/internal/value"
 )
 
-// FuzzJournal throws arbitrary bytes at the journal record decoder: it
-// must never panic, never claim more good bytes than exist, and every
-// record it does accept must survive an encode/decode round trip.
+// FuzzJournal throws arbitrary bytes at the journal scan and the op
+// reader behind it: they must never panic, never claim more good bytes
+// than exist, and every record the scan accepts must decode through
+// DecodeOp and re-encode, through the interned tuple and EncodeOp, to
+// exactly the bytes it was read from.
 func FuzzJournal(f *testing.F) {
-	r1 := EncodeRecord(1, core.UpdateInsert, []string{"emp", "dept"}, nil)
-	r2 := EncodeRecord(2, core.UpdateDelete, []string{"emp", "dept"}, nil)
-	r3 := EncodeRecord(3, core.UpdateReplace, []string{"e", "d0"}, []string{"e", "d1"})
+	r1 := encodeRecord(1, core.UpdateInsert, []string{"emp", "dept"}, nil)
+	r2 := encodeRecord(2, core.UpdateDelete, []string{"emp", "dept"}, nil)
+	r3 := encodeRecord(3, core.UpdateReplace, []string{"e", "d0"}, []string{"e", "d1"})
 	f.Add(r1)
 	f.Add(append(append(append([]byte(nil), r1...), r2...), r3...))
 	f.Add(append(append([]byte(nil), r1...), r2[:7]...)) // torn tail
@@ -21,7 +26,7 @@ func FuzzJournal(f *testing.F) {
 	flip[len(r1)+FrameHeaderLen] ^= 0xff // corrupt second payload
 	f.Add(flip)
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0}) // absurd declared length
-	f.Add(EncodeRecord(0, core.UpdateInsert, nil, nil))
+	f.Add(encodeRecord(0, core.UpdateInsert, nil, nil))
 
 	// Batch-encoded images: group commit concatenates ordinary record
 	// frames into one write, exactly as ApplyOpsCtx does. Seed a whole
@@ -35,7 +40,7 @@ func FuzzJournal(f *testing.F) {
 		if seq%3 == 0 {
 			kind = core.UpdateDelete
 		}
-		rec := EncodeRecord(seq, kind, []string{"w", "dept"}, nil)
+		rec := encodeRecord(seq, kind, []string{"w", "dept"}, nil)
 		batch = append(batch, rec...)
 		bounds = append(bounds, len(batch))
 	}
@@ -47,25 +52,32 @@ func FuzzJournal(f *testing.F) {
 	f.Add(mid)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		scan := ScanJournal(data)
-		if scan.GoodBytes > int64(len(data)) {
-			t.Fatalf("GoodBytes %d beyond %d input bytes", scan.GoodBytes, len(data))
-		}
-		if scan.Torn && scan.Corrupt {
-			t.Fatal("tail flagged both torn and corrupt")
-		}
-		if int(scan.GoodBytes) < len(data) && !scan.Torn && !scan.Corrupt {
-			t.Fatal("scan stopped early without a reason")
-		}
-		for _, rec := range scan.Records {
-			enc := EncodeRecord(rec.Seq, rec.Kind, rec.Tuple, rec.With)
-			back, n, err := DecodeRecord(enc)
-			if err != nil || n != len(enc) {
-				t.Fatalf("re-encoded record failed to decode: n=%d err=%v", n, err)
+		syms := value.NewSymbols()
+		var end int // the end of the last record the scan accepted
+		good, err := ScanJournal(data, func(seq uint64, op []byte) error {
+			start := end
+			end += FrameHeaderLen + len(binary.AppendUvarint(nil, seq)) + len(op)
+			if end > len(data) {
+				t.Fatalf("record ends at %d, past %d input bytes", end, len(data))
 			}
-			if !reflect.DeepEqual(back, rec) {
-				t.Fatalf("round trip changed record: %+v -> %+v", rec, back)
+			dec, err := DecodeOp(op, -1, -1, syms, nil)
+			if err != nil {
+				t.Fatalf("scanned record %d does not decode: %v", seq, err)
 			}
+			enc, err := EncodeOp(seq, dec, syms)
+			if err != nil || !bytes.Equal(enc, data[start:end]) {
+				t.Fatalf("record %d re-encodes to %x (%v), was read from %x", seq, enc, err, data[start:end])
+			}
+			return nil
+		})
+		if good != int64(end) {
+			t.Fatalf("GoodBytes %d, but the accepted records end at %d", good, end)
+		}
+		switch {
+		case err == nil && int(good) != len(data):
+			t.Fatalf("scan stopped at %d of %d bytes without a reason", good, len(data))
+		case err != nil && !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCorrupt):
+			t.Fatalf("scan stopped with %v, want torn or corrupt", err)
 		}
 	})
 }

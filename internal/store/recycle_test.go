@@ -1,11 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/constcomp/constcomp/internal/core"
+	"github.com/constcomp/constcomp/internal/relation"
 	"github.com/constcomp/constcomp/internal/value"
 )
 
@@ -32,9 +34,9 @@ func recycledStore(tb testing.TB) (slots [2][]byte, live []byte) {
 	img, _ := mem.Bytes(JournalFile)
 	off := 0
 	for seq := uint64(5); seq <= 7; seq++ {
-		rec, n, err := DecodeRecord(img[off:])
-		if err != nil || rec.Seq != seq {
-			tb.Fatalf("journal record at %d: seq %d, %v; want seq %d", off, rec.Seq, err, seq)
+		got, n, err := firstRecord(img[off:])
+		if err != nil || got != seq {
+			tb.Fatalf("journal record at %d: seq %d, %v; want seq %d", off, got, err, seq)
 		}
 		off += n
 	}
@@ -51,7 +53,7 @@ func recycledStore(tb testing.TB) (slots [2][]byte, live []byte) {
 func FuzzRecoverTail(f *testing.F) {
 	slots, live := recycledStore(f)
 	rec := func(seq uint64, emp string) []byte {
-		return EncodeRecord(seq, core.UpdateInsert, []string{emp, "dept0"}, nil)
+		return encodeRecord(seq, core.UpdateInsert, []string{emp, "dept0"}, nil)
 	}
 	cat := func(parts ...[]byte) []byte {
 		var out []byte
@@ -80,7 +82,7 @@ func FuzzRecoverTail(f *testing.F) {
 		}
 		continues := false
 		for i := range tail {
-			if r, _, err := DecodeRecord(tail[i:]); err == nil && r.Seq >= floor+k+1 {
+			if seq, _, err := firstRecord(tail[i:]); err == nil && seq >= floor+k+1 {
 				continues = true
 				break
 			}
@@ -99,14 +101,14 @@ func FuzzRecoverTail(f *testing.F) {
 		// The journal Recover kept is the live prefix: the records it
 		// skipped, then floor+1, floor+2, ... — one per replayed record.
 		img, _ := mem.Bytes(JournalFile)
-		scan := ScanJournal(img)
-		if scan.Torn || scan.Corrupt || int(scan.GoodBytes) != len(img) || len(scan.Records) != rep.Skipped+rep.Replayed {
-			t.Fatalf("kept journal: %d records, torn=%v corrupt=%v, good %d of %d bytes; report %+v",
-				len(scan.Records), scan.Torn, scan.Corrupt, scan.GoodBytes, len(img), rep)
+		seqs, good, serr := journalSeqs(img)
+		if serr != nil || int(good) != len(img) || len(seqs) != rep.Skipped+rep.Replayed {
+			t.Fatalf("kept journal: %d records, stopped by %v, good %d of %d bytes; report %+v",
+				len(seqs), serr, good, len(img), rep)
 		}
-		for i, r := range scan.Records[rep.Skipped:] {
-			if want := uint64(floor + 1 + i); r.Seq != want {
-				t.Fatalf("replayed record %d has seq %d, want %d", i, r.Seq, want)
+		for i, seq := range seqs[rep.Skipped:] {
+			if want := uint64(floor + 1 + i); seq != want {
+				t.Fatalf("replayed record %d has seq %d, want %d", i, seq, want)
 			}
 		}
 		if st.Seq() != floor+uint64(rep.Replayed) {
@@ -165,8 +167,8 @@ func TestRecoveredSessionRecycles(t *testing.T) {
 			t.Fatalf("after seq %d the journal is %d bytes, over the longest cycle's %d", seq, len(img), bound)
 		}
 		if seq%4 == 1 {
-			if first, _, err := DecodeRecord(img); err != nil || first.Seq != uint64(seq) {
-				t.Fatalf("after seq %d the journal starts with seq %d (%v), want the new cycle's first record", seq, first.Seq, err)
+			if first, _, err := firstRecord(img); err != nil || first != uint64(seq) {
+				t.Fatalf("after seq %d the journal starts with seq %d (%v), want the new cycle's first record", seq, first, err)
 			}
 		}
 	}
@@ -174,4 +176,51 @@ func TestRecoveredSessionRecycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	recoverWant(t, fsys, pair, 32)
+}
+
+// TestStaleTailInternsNothing recovers a recycled journal whose stale
+// tail holds intact records of names found nowhere else: the first
+// cycle inserts and deletes two employees, the checkpoint at seq 4
+// absorbs them, and the one shorter record of the next cycle leaves
+// records 2..4 behind it. Recover checks the tail and cuts it, but
+// interns only what it replays.
+func TestStaleTailInternsNothing(t *testing.T) {
+	mem := NewMemFS()
+	pair, db, syms := edmFixture()
+	st, err := Create(mem, pair, db, syms, Options{SnapshotEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuple := func(e, d string) relation.Tuple { return relation.Tuple{syms.Const(e), syms.Const(d)} }
+	ops := []core.UpdateOp{
+		core.Insert(tuple("ghost-first", "dept0")),
+		core.Delete(tuple("ghost-first", "dept0")),
+		core.Insert(tuple("ghost-second", "dept1")),
+		core.Delete(tuple("ghost-second", "dept1")),
+		core.Insert(tuple("e5", "dept0")),
+	}
+	applyRange(t, st, ops, 0, len(ops))
+	img := mustBytes(t, mem, JournalFile)
+	for _, ghost := range []string{"ghost-first", "ghost-second"} {
+		if !bytes.Contains(img, []byte(ghost)) {
+			t.Fatalf("the recycled journal no longer holds %q; the test needs it in the stale tail", ghost)
+		}
+	}
+	mem.Crash()
+	syms2 := value.NewSymbols()
+	_, rep, err := Recover(mem, pair, syms2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SnapshotSeq != 4 || rep.Replayed != 1 || rep.TruncatedBytes == 0 {
+		t.Fatalf("report %+v, want snapshot 4, record 5 replayed and the stale tail cut", rep)
+	}
+	if _, ok := syms2.Lookup("e5"); !ok {
+		t.Error("the replayed record's name was not interned")
+	}
+	for _, ghost := range []string{"ghost-first", "ghost-second"} {
+		if _, ok := syms2.Lookup(ghost); ok {
+			t.Errorf("%q, named only in the stale tail, was interned", ghost)
+		}
+	}
 }

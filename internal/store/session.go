@@ -205,17 +205,19 @@ func Recover(fsys FS, pair *core.Pair, syms *value.Symbols, opts Options) (*Sess
 	// must run contiguously. The prefix ends at the first frame that is
 	// not the next record: an intact record below it is an earlier
 	// cycle's (stale), and a gap can only come from damage, so it
-	// truncates like a bad checksum.
-	var recs []Record
+	// truncates like a bad checksum. The live ops stay checked payloads
+	// until they replay, so nothing a stale or damaged tail names is
+	// interned.
+	var ops [][]byte
 	next := snapSeq + 1
-	off, err := scanRecords(data, func(rec Record) error {
+	off, err := ScanJournal(data, func(seq uint64, op []byte) error {
 		switch {
-		case rec.Seq == next:
-			recs = append(recs, rec)
+		case seq == next:
+			ops = append(ops, op)
 			next++
-		case rec.Seq <= snapSeq && len(recs) == 0:
+		case seq <= snapSeq && len(ops) == 0:
 			rep.Skipped++
-		case rec.Seq < next:
+		case seq < next:
 			return errStale
 		default:
 			return ErrCorrupt
@@ -231,7 +233,7 @@ func Recover(fsys FS, pair *core.Pair, syms *value.Symbols, opts Options) (*Sess
 	// synced — or a newer checkpoint damaged later. That one's absorbed
 	// ops survive only while the next cycle has not overwritten them;
 	// a journal that still starts at the floor's successor bridges it.
-	if damaged && len(recs) == 0 && !opts.ForceRecover {
+	if damaged && len(ops) == 0 && !opts.ForceRecover {
 		return nil, rep, fmt.Errorf("store: recover: %s is damaged and the journal does not continue %s at seq %d: %w",
 			slotFiles[1-floor], slotFiles[floor], snapSeq+1, ErrDataLoss)
 	}
@@ -254,9 +256,17 @@ func Recover(fsys FS, pair *core.Pair, syms *value.Symbols, opts Options) (*Sess
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: recover: snapshot database: %w", err)
 	}
-	for _, rec := range recs {
-		if _, err := sess.Apply(rec.Op(syms)); err != nil {
-			return nil, nil, fmt.Errorf("store: recover: replaying record %d: journal diverges from snapshot: %w", rec.Seq, err)
+	// One slab holds every replayed op's cells, with room for each to
+	// be a replace of view-width tuples.
+	cells := make(relation.Tuple, 2*pair.ViewAttrs().Len()*len(ops))
+	for i, payload := range ops {
+		op, err := DecodeOp(payload, -1, -1, syms, cells)
+		if err == nil {
+			cells = cells[min(len(cells), len(op.Tuple)+len(op.With)):]
+			_, err = sess.Apply(op)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("store: recover: replaying record %d: journal diverges from snapshot: %w", snapSeq+1+uint64(i), err)
 		}
 		rep.Replayed++
 	}
@@ -318,10 +328,15 @@ var errStale = errors.New("store: stale record")
 // at least next can be decoded starting at any byte offset of data (the
 // journal past its live prefix). Framing is not self-synchronizing, so
 // every offset is tried; a recycled journal holds about one snapshot
-// cycle of records, keeping this cheap.
+// cycle of records, keeping this cheap. It only checks structure: it
+// allocates nothing and interns nothing from the tail.
 func liveRecordIn(data []byte, next uint64) bool {
 	for i := range data {
-		if rec, _, err := DecodeRecord(data[i:]); err == nil && rec.Seq >= next {
+		payload, _, err := splitFrame(data[i:], maxRecordPayload)
+		if err != nil {
+			continue
+		}
+		if seq, _, err := splitRecord(payload); err == nil && seq >= next {
 			return true
 		}
 	}

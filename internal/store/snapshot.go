@@ -122,7 +122,7 @@ func DecodeSnapshot(data []byte, u *attr.Universe, syms *value.Symbols) (uint64,
 // snapBody is an opened image's body: a cursor positioned past the seq,
 // and whether the image is a CCSNAP1 one, whose cells are inline names.
 type snapBody struct {
-	c  Cursor
+	c  cursor
 	v1 bool
 }
 
@@ -146,9 +146,9 @@ func openSnapshot(data []byte) (uint64, snapBody, error) {
 	if n != len(rest) {
 		return 0, body, fmt.Errorf("store: snapshot: %d bytes past the frame", len(rest)-n)
 	}
-	body.c = NewCursor(payload)
-	seq := body.c.Uvarint()
-	if body.c.bad {
+	body.c = cursor{data: payload}
+	seq := body.c.uvarint()
+	if body.c.bad() {
 		return 0, body, fmt.Errorf("store: snapshot: header: %w", ErrCorrupt)
 	}
 	return seq, body, nil
@@ -160,47 +160,51 @@ func openSnapshot(data []byte) (uint64, snapBody, error) {
 // corrupt.
 func snapshotBody(b *snapBody, u *attr.Universe, syms *value.Symbols) (*relation.Relation, error) {
 	c := &b.c
-	names := c.Names()
-	if c.bad {
-		return nil, fmt.Errorf("store: snapshot: header: %w", ErrCorrupt)
-	}
-	if len(names) != u.Size() {
-		return nil, fmt.Errorf("store: snapshot: universe width %d, want %d", len(names), u.Size())
-	}
-	for i, name := range names {
-		if want := u.Name(attr.ID(i)); name != want {
-			return nil, fmt.Errorf("store: snapshot: attribute %d is %q, want %q", i, name, want)
+	width, attr0, got := u.Size(), -1, ""
+	n := c.names(-1, -1, func(i int, name []byte) {
+		if attr0 < 0 && i < width && string(name) != u.Name(attr.ID(i)) {
+			attr0, got = i, string(name)
 		}
+	})
+	switch {
+	case c.bad():
+		return nil, fmt.Errorf("store: snapshot: header: %w", ErrCorrupt)
+	case n != width:
+		return nil, fmt.Errorf("store: snapshot: universe width %d, want %d", n, width)
+	case attr0 >= 0:
+		return nil, fmt.Errorf("store: snapshot: attribute %d is %q, want %q", attr0, got, u.Name(attr.ID(attr0)))
 	}
-	count := c.Uvarint()
+	count := c.uvarint()
 	// Every cell takes at least one byte, so a count the rest of the
 	// body cannot hold is corrupt.
-	if count > 1 && count > uint64((len(c.data)-c.off)/max(u.Size(), 1)) {
-		c.bad = true
+	if count > 1 && count > uint64((len(c.data)-c.off)/max(width, 1)) {
+		c.fail(OpTruncated, count)
 	}
 	db := relation.New(u.All())
-	var table []value.Value // CCSNAP2: the image's names so far
-	for i := uint64(0); i < count && !c.bad; i++ {
-		t := make(relation.Tuple, u.Size())
+	var table []value.Value // the image's inline names so far
+	for i := uint64(0); i < count && !c.bad(); i++ {
+		t := make(relation.Tuple, width)
 		for col := range t {
-			if b.v1 {
-				t[col] = syms.Const(c.name())
-				continue
+			r := uint64(0) // a CCSNAP1 cell is always an inline name
+			if !b.v1 {
+				r = c.uvarint()
 			}
-			switch r := c.Uvarint(); {
+			switch {
 			case r > uint64(len(table)):
-				c.bad = true
+				c.fail(OpTruncated, r)
 			case r > 0:
 				t[col] = table[r-1]
-			case !c.bad:
-				t[col] = syms.Const(c.name())
-				table = append(table, t[col])
+			default:
+				if name := c.name(-1); !c.bad() {
+					t[col] = syms.ConstBytes(name)
+					table = append(table, t[col])
+				}
 			}
 		}
 		db.Insert(t)
 	}
-	if err := c.End(); err != nil {
-		return nil, fmt.Errorf("store: snapshot: body: %w", err)
+	if !c.done() {
+		return nil, fmt.Errorf("store: snapshot: body: %w", ErrCorrupt)
 	}
 	return db, nil
 }

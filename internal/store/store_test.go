@@ -259,7 +259,7 @@ func TestRecoverCorruptMiddle(t *testing.T) {
 	// Find the byte offset of record 4 and damage its payload.
 	var off int64
 	for i := 0; i < 3; i++ {
-		_, n, err := DecodeRecord(img[off:])
+		_, n, err := firstRecord(img[off:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -673,8 +673,8 @@ func TestSyncDirFailures(t *testing.T) {
 		}
 		// The journal was not reset: it still holds every op past the
 		// floor at seq 4.
-		if recs := ScanJournal(mustBytes(t, mem, JournalFile)).Records; len(recs) != 4 || recs[0].Seq != 5 {
-			t.Fatalf("journal holds %d records after the failed checkpoint, want seqs 5..8", len(recs))
+		if seqs, _, _ := journalSeqs(mustBytes(t, mem, JournalFile)); len(seqs) != 4 || seqs[0] != 5 {
+			t.Fatalf("journal holds %d records after the failed checkpoint, want seqs 5..8", len(seqs))
 		}
 		// All eight acknowledged ops survive the crash: the slot at
 		// seq 4 is durable, and the journal continues it.
