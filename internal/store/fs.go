@@ -5,7 +5,7 @@
 // re-verifies the constant-complement invariant after replay.
 //
 // Every checksummed byte on disk — a journal record, a snapshot's
-// body — is one frame of the shared layer in frame.go, and scanFrames
+// body — is one frame of the shared layer in frame.go, and ScanJournal
 // is the one torn-tail scan.
 //
 // All file access goes through the small FS interface so that tests can
