@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -18,7 +19,9 @@ func TestRunSweep(t *testing.T) {
 	if !strings.Contains(sum, "schedules ok") {
 		t.Errorf("missing summary line:\n%s", sum)
 	}
-	if strings.Contains(sum, "0 resurrections") || strings.Contains(sum, " 0 shed") {
+	// Whole counts only: "20 resurrections" holds the substring
+	// "0 resurrections".
+	if regexp.MustCompile(`\b0 (resurrections|shed)\b`).MatchString(sum) {
 		t.Errorf("sweep failed to exercise heal or admission:\n%s", sum)
 	}
 }
